@@ -14,17 +14,17 @@
 // -cancel-after aborts the request mid-flight and deletes it, walking the
 // full CRD lifecycle.
 //
-// Chaos scenarios are likewise opt-in: -replicas runs N controller
-// replicas with lease-based leader election, and -ctrl-crash-mtbf /
-// -partition-mtbf / -gray-prob / -clock-skew select controller-crash,
-// store-partition, gray-failure, and clock-skew storms. With -replicas
-// set, the run ends with an availability/failover summary:
+// The control plane is -replicas controller replicas (default 1) with
+// lease-based leader election; chaos scenarios are opt-in:
+// -ctrl-crash-mtbf / -partition-mtbf / -gray-prob / -clock-skew select
+// controller-crash, store-partition, gray-failure, and clock-skew
+// storms. Every run ends with an availability/failover summary:
 //
 //	existctl -replicas 3 -ctrl-crash-mtbf 1s -partition-mtbf 800ms
 //
 // -shards splits the API-server store into N shards with range-leased
 // reconciliation: each replica leads a subset of shards, and the run
-// ends with a per-shard scaling summary (leaders, queue depths,
+// also ends with a per-shard scaling summary (leaders, queue depths,
 // reconciles/s, rebalances):
 //
 //	existctl -replicas 3 -shards 8 -ctrl-crash-mtbf 1s
@@ -61,7 +61,7 @@ func main() {
 		crashMTBF   = flag.Duration("crash-mtbf", 0, "node mean time between crashes (0 = no crashes)")
 		faultSeed   = flag.Uint64("fault-seed", 42, "fault-injection seed")
 
-		replicas      = flag.Int("replicas", 0, "controller replicas with leader election (0 = serial control plane)")
+		replicas      = flag.Int("replicas", 1, "controller replicas with leader election")
 		shards        = flag.Int("shards", 0, "API-server store shards with range-leased reconciliation (0 = single shard)")
 		ctrlCrashMTBF = flag.Duration("ctrl-crash-mtbf", 0, "controller mean time between crashes (0 = none)")
 		ctrlCrashDown = flag.Duration("ctrl-crash-down", 0, "controller crash downtime (0 = default)")
@@ -125,7 +125,7 @@ func main() {
 		fmt.Printf("existctl: chaos scenario ON (ctrl-crash-mtbf=%v partition-mtbf=%v gray-prob=%.2f gray-delay=%v clock-skew=%v)\n",
 			*ctrlCrashMTBF, *partitionMTBF, *grayProb, *grayDelay, *clockSkew)
 	}
-	if *replicas > 0 {
+	if *replicas > 1 {
 		fmt.Printf("existctl: replicated control plane: %d controllers competing for the leader lease\n", *replicas)
 	}
 	if *shards > 1 {
@@ -154,30 +154,20 @@ func main() {
 		})
 	}
 
-	// With a replicated control plane, sample the active-leader count
-	// through the run: safety demands it never exceeds one. Under
-	// sharding the invariant is per shard — distinct replicas may lead
-	// disjoint shard ranges concurrently, but no shard may ever have two
-	// fencing-valid owners at once.
-	maxLeaders := 0
-	if *replicas > 0 {
-		var sample func(now simtime.Time)
-		sample = func(now simtime.Time) {
-			if *shards > 1 {
-				for s := 0; s < c.API.Shards(); s++ {
-					if n := c.ActiveOwnersShard(s, now); n > maxLeaders {
-						maxLeaders = n
-					}
-				}
-			} else if n := c.ActiveLeaders(now); n > maxLeaders {
-				maxLeaders = n
-			}
-			if now < 5*simtime.Second {
-				c.Eng.AfterDetached(10*simtime.Millisecond, sample)
-			}
+	// Sample the per-shard owner count through the run: distinct replicas
+	// may lead disjoint shard ranges concurrently, but no shard may ever
+	// have two fencing-valid owners at once.
+	maxOwners := 0
+	var sample func(now simtime.Time)
+	sample = func(now simtime.Time) {
+		for s := 0; s < c.API.Shards(); s++ {
+			maxOwners = max(maxOwners, c.ActiveOwnersShard(s, now))
 		}
-		c.Eng.AfterDetached(10*simtime.Millisecond, sample)
+		if now < 5*simtime.Second {
+			c.Eng.AfterDetached(10*simtime.Millisecond, sample)
+		}
 	}
+	c.Eng.AfterDetached(10*simtime.Millisecond, sample)
 
 	c.Run(5 * simtime.Second)
 
@@ -209,22 +199,16 @@ func main() {
 		fmt.Printf("existctl: control plane absorbed: %d retries, %d re-samples, %d lease expiries\n",
 			c.Mgmt.Retries, c.Mgmt.Resamples, c.Mgmt.LeaseExpiries)
 	}
-	if *replicas > 0 && c.Leases != nil {
-		avail, gaps := c.Leases.Availability(c.Eng.Now().Seconds())
-		fmt.Printf("existctl: availability/failover summary (%d replicas):\n", *replicas)
-		fmt.Printf("  leader availability       %.4f (%d leadership gaps)\n", avail, gaps)
-		fmt.Printf("  elections / failovers     %d / %d\n", c.Leases.Elections(), c.Leases.Failovers())
-		fmt.Printf("  mean re-adopt time        %.1f ms over %d re-adoptions\n", metrics.Mean(c.Readopts), len(c.Readopts))
-		if *shards > 1 {
-			fmt.Printf("  max owners of any shard   %d (must be 1)\n", maxLeaders)
-		} else {
-			fmt.Printf("  max concurrent leaders    %d (must be 1)\n", maxLeaders)
-		}
-		fmt.Printf("  syncs/requeues/conflicts  %d / %d / %d (%d fenced stale-leader ops)\n",
-			c.Mgmt.Syncs, c.Mgmt.Requeues, c.Mgmt.Conflicts, c.Mgmt.FencedOps)
-		fmt.Printf("  false suspicions / shed   %d / %d\n", c.Mgmt.FalseSuspicions, c.Mgmt.Shed)
-	}
-	if *shards > 1 && *replicas > 0 && c.Leases != nil {
+	avail, gaps := c.Leases.Availability(c.Eng.Now().Seconds())
+	fmt.Printf("existctl: availability/failover summary (%d replicas):\n", c.Cfg.Replicas)
+	fmt.Printf("  leader availability       %.4f (%d leadership gaps)\n", avail, gaps)
+	fmt.Printf("  elections / failovers     %d / %d\n", c.Leases.Elections(), c.Leases.Failovers())
+	fmt.Printf("  mean re-adopt time        %.1f ms over %d re-adoptions\n", metrics.Mean(c.Readopts), len(c.Readopts))
+	fmt.Printf("  max owners of any shard   %d (must be 1)\n", maxOwners)
+	fmt.Printf("  syncs/requeues/conflicts  %d / %d / %d (%d fenced stale-leader ops)\n",
+		c.Mgmt.Syncs, c.Mgmt.Requeues, c.Mgmt.Conflicts, c.Mgmt.FencedOps)
+	fmt.Printf("  false suspicions / shed   %d / %d\n", c.Mgmt.FalseSuspicions, c.Mgmt.Shed)
+	if *shards > 1 {
 		elapsed := c.Eng.Now().Seconds()
 		fmt.Printf("existctl: shard scaling summary (%d shards):\n", *shards)
 		for s := 0; s < c.API.Shards(); s++ {

@@ -71,7 +71,6 @@ func checkNoLostNoDup(t *testing.T, c *Cluster) {
 // pre-jitter base, so no retry ever waits longer than RetryMaxBackoff.
 func TestBackoffClampedAfterJitter(t *testing.T) {
 	c := liteCluster(t, func(cfg *Config) {
-		cfg.Replicas = 0
 		cfg.Nodes = 1
 		cfg.RetryBase = 400 * simtime.Millisecond
 		cfg.RetryMaxBackoff = simtime.Second
@@ -101,7 +100,7 @@ func TestBackoffClampedAfterJitter(t *testing.T) {
 // TestWorkQueue pins FIFO order, add-time dedup, and the rate limiter's
 // deterministic exponential bounds.
 func TestWorkQueue(t *testing.T) {
-	c := liteCluster(t, func(cfg *Config) { cfg.Replicas = 0; cfg.Nodes = 1 })
+	c := liteCluster(t, func(cfg *Config) { cfg.Nodes = 1 })
 	q := newWorkQueue(c, 5*simtime.Millisecond, simtime.Second, nil)
 	q.Add("a")
 	q.Add("b")
@@ -204,28 +203,28 @@ func TestCASPhaseConflict(t *testing.T) {
 // other acquirers, every fresh acquisition changes the fencing token,
 // and a deposed holder's token is rejected.
 func TestLeaseStoreFencing(t *testing.T) {
-	ls := &LeaseStore{}
-	tok0, ok := ls.TryAcquire("ctrl-0", 0, 400*simtime.Millisecond)
+	ls := NewLeaseStore(1)
+	tok0, ok := ls.TryAcquireShard(0, "ctrl-0", 0, 400*simtime.Millisecond)
 	if !ok {
 		t.Fatal("first acquire failed")
 	}
-	if _, ok := ls.TryAcquire("ctrl-1", 100*simtime.Millisecond, 400*simtime.Millisecond); ok {
+	if _, ok := ls.TryAcquireShard(0, "ctrl-1", 100*simtime.Millisecond, 400*simtime.Millisecond); ok {
 		t.Fatal("acquired over a valid lease")
 	}
 	// Renewal keeps the token.
-	tokR, ok := ls.TryAcquire("ctrl-0", 200*simtime.Millisecond, 400*simtime.Millisecond)
+	tokR, ok := ls.TryAcquireShard(0, "ctrl-0", 200*simtime.Millisecond, 400*simtime.Millisecond)
 	if !ok || tokR != tok0 {
 		t.Fatalf("renewal token %d, want %d", tokR, tok0)
 	}
 	// Expiry lets a challenger in with a new token; the old one fences.
-	tok1, ok := ls.TryAcquire("ctrl-1", 700*simtime.Millisecond, 400*simtime.Millisecond)
+	tok1, ok := ls.TryAcquireShard(0, "ctrl-1", 700*simtime.Millisecond, 400*simtime.Millisecond)
 	if !ok || tok1 == tok0 {
 		t.Fatalf("failover token %d after %d", tok1, tok0)
 	}
-	if ls.ValidFor("ctrl-0", tok0, 800*simtime.Millisecond) {
+	if ls.ValidForShard(0, "ctrl-0", tok0, 800*simtime.Millisecond) {
 		t.Fatal("deposed holder still valid")
 	}
-	if !ls.ValidFor("ctrl-1", tok1, 800*simtime.Millisecond) {
+	if !ls.ValidForShard(0, "ctrl-1", tok1, 800*simtime.Millisecond) {
 		t.Fatal("new holder not valid")
 	}
 	if ls.Failovers() != 1 {
@@ -233,7 +232,7 @@ func TestLeaseStoreFencing(t *testing.T) {
 	}
 	// Same-holder re-acquire after a lapse still refreshes the token, so
 	// callbacks from the dead incarnation stay fenced.
-	tok2, _ := ls.TryAcquire("ctrl-1", 2*simtime.Second, 400*simtime.Millisecond)
+	tok2, _ := ls.TryAcquireShard(0, "ctrl-1", 2*simtime.Second, 400*simtime.Millisecond)
 	if tok2 == tok1 {
 		t.Fatal("token survived a lapse")
 	}
@@ -245,8 +244,8 @@ func TestLeaseStoreFencing(t *testing.T) {
 
 // TestReplicatedPlaneCompletesRequests is the replicated control plane
 // on a calm sea: requests flow Pending -> Running -> Completed with
-// full coverage, one leader does all the work, and the accounting
-// matches the legacy plane's invariants.
+// full coverage, one leader does all the work, and every planned slot
+// is accounted for.
 func TestReplicatedPlaneCompletesRequests(t *testing.T) {
 	c := liteCluster(t, nil)
 	for i := 0; i < 5; i++ {
@@ -309,7 +308,7 @@ func TestForcedFailoversLoseNothing(t *testing.T) {
 	for i := 1; i <= 6; i++ {
 		c.Eng.AfterDetached(simtime.Duration(i)*700*simtime.Millisecond, func(now simtime.Time) {
 			for _, ct := range c.Controllers {
-				if ct.leader && !ct.down {
+				if ct.Leader() && !ct.down {
 					ct.crash(450*simtime.Millisecond, nil)
 					return
 				}
@@ -451,7 +450,6 @@ func TestChaosDeterministicForFixedSeed(t *testing.T) {
 // the false suspicions.
 func TestGrayNodesCauseFalseSuspicions(t *testing.T) {
 	c := liteCluster(t, func(cfg *Config) {
-		cfg.Replicas = 0
 		cfg.Nodes = 10
 		cfg.Faults = faults.New(faults.Config{
 			Seed:          6,
@@ -513,7 +511,7 @@ func TestPartitionedLeaderIsFenced(t *testing.T) {
 	c.Run(300 * simtime.Millisecond)
 	var leader *Controller
 	for _, ct := range c.Controllers {
-		if ct.leader {
+		if ct.Leader() {
 			leader = ct
 			break
 		}
@@ -524,7 +522,7 @@ func TestPartitionedLeaderIsFenced(t *testing.T) {
 	// Partition the leader for well over the lease TTL.
 	leader.partitionedUntil = c.Eng.Now() + 2*simtime.Second
 	c.Run(c.Eng.Now() + simtime.Second)
-	holder, _ := c.Leases.Holder()
+	holder, _ := c.Leases.HolderShard(0)
 	if holder == leader.Name {
 		t.Fatalf("partitioned leader %s still holds the lease", holder)
 	}

@@ -119,10 +119,9 @@ type TraceRequest struct {
 	scale      float64
 	cancelling bool
 	deadlineEv *simtime.Event
-	// resampleSlots records lost session slots (by re-sampling attempt)
-	// in the replicated control plane. The record lives on the object —
-	// not in controller memory — so a failed-over leader recovers
-	// outstanding slots from a relist.
+	// resampleSlots records lost session slots (by re-sampling attempt).
+	// The record lives on the object — not in controller memory — so a
+	// failed-over leader recovers outstanding slots from a relist.
 	resampleSlots []int
 	// shard is the API-server shard the object lives in (fixed at
 	// creation by the name hash); seq is its global creation sequence,
@@ -156,9 +155,7 @@ type apiShard struct {
 // split into Config.Shards shards keyed by a stable hash of the request
 // name. Every stored mutation bumps the owning shard's resource version
 // and fans an event out to that shard's watch streams (plus any global
-// streams); legacy phase-transition watchers are kept alongside for
-// tooling. With one shard — the default — versions, ordering, and event
-// delivery are identical to the historical single-map server.
+// streams); phase-transition callbacks (Watch) serve operator tooling.
 type APIServer struct {
 	shards   []*apiShard
 	global   []*WatchStream // streams observing every shard (tooling)
@@ -293,30 +290,14 @@ func (a *APIServer) Delete(name string) error {
 // merged by the global creation sequence, so the result is identical for
 // any shard count.
 func (a *APIServer) List() []*TraceRequest {
-	if len(a.shards) == 1 {
-		s := a.shards[0]
-		s.mu.Lock()
-		out := make([]*TraceRequest, 0, len(s.order))
-		for _, n := range s.order {
-			out = append(out, s.requests[n])
-		}
-		s.mu.Unlock()
-		return out
-	}
 	// k-way merge: each shard's order slice is already ascending in the
 	// global creation sequence, so repeatedly taking the smallest head
 	// reproduces creation order exactly.
 	views := make([][]*TraceRequest, len(a.shards))
 	total := 0
-	for i, s := range a.shards {
-		s.mu.Lock()
-		v := make([]*TraceRequest, 0, len(s.order))
-		for _, n := range s.order {
-			v = append(v, s.requests[n])
-		}
-		s.mu.Unlock()
-		views[i] = v
-		total += len(v)
+	for i := range a.shards {
+		views[i] = a.ListShard(i)
+		total += len(views[i])
 	}
 	out := make([]*TraceRequest, 0, total)
 	heads := make([]int, len(views))
@@ -400,10 +381,9 @@ type MgmtStats struct {
 	CPUSeconds float64
 	// MemMB is the management pod's resident memory.
 	MemMB float64
-	// Reconciles counts controller loop iterations.
+	// Reconciles counts controller pump runs.
 	Reconciles int64
-	// Stalls counts reconcile iterations lost to injected controller
-	// stalls.
+	// Stalls counts pump runs lost to injected controller stalls.
 	Stalls int64
 	// Retries counts store operations that were re-attempted after a
 	// transient failure.
@@ -436,13 +416,12 @@ type MgmtStats struct {
 	Relists int64
 }
 
-// In-model CPU costs of the replicated control plane's store traffic
-// (DESIGN.md §15). The API server is modeled as a single-writer table
-// per shard: every operation pays a base cost plus a scan over the
-// shard's live objects, which is what sharding amortizes — per-shard
-// tables are smaller by the shard count. These charges are pure ledger
-// (they schedule no events), and the legacy serial reconciler keeps its
-// historical flat charges.
+// In-model CPU costs of the control plane's store traffic (DESIGN.md
+// §15). The API server is modeled as a single-writer table per shard:
+// every operation pays a base cost plus a scan over the shard's live
+// objects, which is what sharding amortizes — per-shard tables are
+// smaller by the shard count. These charges are pure ledger (they
+// schedule no events).
 const (
 	// syncBaseCPU is one work-queue sync's fixed cost.
 	syncBaseCPU = 20e-6
@@ -472,8 +451,6 @@ type Config struct {
 	CoresPerNode int
 	// Seed drives all cluster randomness.
 	Seed uint64
-	// ReconcileEvery is the controller loop period.
-	ReconcileEvery simtime.Duration
 
 	// Faults, when non-nil, enables seeded fault injection and the
 	// resilience machinery (leases, deadlines, re-sampling). Strictly
@@ -501,25 +478,20 @@ type Config struct {
 	// (default 3).
 	ResampleMax int
 
-	// UploadBatch, when > 1, coalesces that many finished sessions into
-	// one object-store PUT, amortizing per-upload overhead; partially
-	// filled batches flush at the next reconcile. A batch retries as a
-	// unit with the same backoff as single uploads. 0 or 1 keeps the
-	// one-PUT-per-session behavior (and a bit-identical event timeline).
+	// UploadBatch coalesces that many finished sessions into one
+	// object-store PUT, amortizing per-upload overhead; a partially
+	// filled batch flushes QueueTick after its first session joined. A
+	// batch retries as a unit with exponential backoff and jitter. 0 or 1
+	// ships each session alone, keyed by its own object key.
 	UploadBatch int
 
-	// Replicas, when > 0, replaces the single periodic reconcile loop
-	// with that many controller replicas running lease-based leader
-	// election and a watch-driven work queue. Strictly opt-in: zero
-	// keeps the legacy serial control plane and its exact event
-	// timeline.
+	// Replicas is the number of controller replicas running lease-based
+	// leader election over a watch-driven work queue (<= 0 means 1).
 	Replicas int
 	// Shards splits the API server (and the range leases, watch streams,
-	// and work queues of the replicated plane) into that many shards
-	// keyed by a stable hash of the request name, letting replicas own
-	// disjoint shard ranges and reconcile concurrently. <= 1 keeps a
-	// single shard, whose behavior and output are byte-identical to the
-	// historical unsharded control plane.
+	// and work queues) into that many shards keyed by a stable hash of
+	// the request name, letting replicas own disjoint shard ranges and
+	// reconcile concurrently. <= 1 keeps a single shard.
 	Shards int
 	// ElectionTTL is how long a leader lease stays valid without
 	// renewal (default 400 ms).
@@ -566,7 +538,7 @@ type Config struct {
 
 // DefaultConfig returns the paper's ten-node evaluation cluster.
 func DefaultConfig() Config {
-	return Config{Nodes: 10, CoresPerNode: 16, Seed: 1, ReconcileEvery: 100 * simtime.Millisecond}
+	return Config{Nodes: 10, CoresPerNode: 16, Seed: 1}
 }
 
 // sessionRec tracks one in-flight session slot for the control plane.
@@ -595,12 +567,6 @@ type doneItem struct {
 	seq int64
 	rec *sessionRec
 	s   *core.Session
-}
-
-// resampleItem is one lost session slot awaiting re-scheduling.
-type resampleItem struct {
-	req     *TraceRequest
-	attempt int
 }
 
 // liteSession is one virtual session in a Lite cluster: bookkeeping and
@@ -632,11 +598,9 @@ type Cluster struct {
 	Uploads UploadStats
 	// Binaries is the binary repository the decoder consults.
 	Binaries map[string]*binary.Program
-	// Controllers are the control-plane replicas (nil in legacy
-	// single-reconciler mode).
+	// Controllers are the control-plane replicas.
 	Controllers []*Controller
-	// Leases is the store-side leader-election record (nil in legacy
-	// mode).
+	// Leases is the store-side leader-election record.
 	Leases *LeaseStore
 	// Readopts samples, in milliseconds, how long each leadership
 	// change took to re-adopt every in-flight request.
@@ -649,8 +613,6 @@ type Cluster struct {
 	resampleRNG   *xrand.Rand
 	inflight      map[*core.Session]*sessionRec
 	liteInflight  map[string]*liteSession
-	reconcileFn   func(now simtime.Time) // cached periodic-reconcile callback
-	needResample  []resampleItem
 	pendingUpload []uploadItem
 	batchSeq      int64
 	openSeq       int64
@@ -691,13 +653,10 @@ type uploadItem struct {
 }
 
 // New builds a cluster with a shared engine and starts the controller
-// reconcile loop.
+// replicas.
 func New(cfg Config) *Cluster {
 	if cfg.Nodes <= 0 || cfg.CoresPerNode <= 0 {
 		panic("cluster: invalid config")
-	}
-	if cfg.ReconcileEvery <= 0 {
-		cfg.ReconcileEvery = 100 * simtime.Millisecond
 	}
 	if cfg.HeartbeatEvery <= 0 {
 		cfg.HeartbeatEvery = 200 * simtime.Millisecond
@@ -743,6 +702,12 @@ func New(cfg Config) *Cluster {
 	}
 	if cfg.Shards <= 0 {
 		cfg.Shards = 1
+	}
+	if cfg.Replicas <= 0 {
+		cfg.Replicas = 1
+	}
+	if cfg.UploadBatch <= 0 {
+		cfg.UploadBatch = 1
 	}
 	c := &Cluster{
 		Cfg:          cfg,
@@ -801,19 +766,10 @@ func New(cfg Config) *Cluster {
 			c.scheduleChurn(n)
 		}
 	}
-	if cfg.Replicas > 0 {
-		// Replicated control plane: leader-elected controllers drive the
-		// work; no periodic serial reconcile loop runs.
-		c.Leases = NewLeaseStore(cfg.Shards)
-		c.startControllers()
-		return c
-	}
-	c.scheduleReconcile()
+	c.Leases = NewLeaseStore(cfg.Shards)
+	c.startControllers()
 	return c
 }
-
-// replicated reports whether the replicated control plane is active.
-func (c *Cluster) replicated() bool { return c.Cfg.Replicas > 0 }
 
 // parallel reports whether node machines run on per-node engines.
 func (c *Cluster) parallel() bool { return c.Cfg.Jobs > 1 && !c.Cfg.Lite }
@@ -960,17 +916,6 @@ func (c *Cluster) runParallel(until simtime.Time) {
 	}
 }
 
-// scheduleReconcile arms the periodic controller loop.
-func (c *Cluster) scheduleReconcile() {
-	if c.reconcileFn == nil {
-		c.reconcileFn = func(now simtime.Time) {
-			c.reconcile(now)
-			c.Eng.AfterDetached(c.Cfg.ReconcileEvery, c.reconcileFn)
-		}
-	}
-	c.Eng.AfterDetached(c.Cfg.ReconcileEvery, c.reconcileFn)
-}
-
 // scheduleHeartbeat arms one node's lease renewal loop. A down node
 // skips renewals, so its lease lapses and the controller detects the
 // failure. A gray node's heartbeats leave on time but arrive late: its
@@ -984,7 +929,12 @@ func (c *Cluster) scheduleHeartbeat(n *Node) {
 }
 
 // heartbeat is one beat of a node's lease renewal loop; it re-arms itself.
+// The beat after a down node's lease lapsed counts the lease expiry the
+// control plane detects.
 func (c *Cluster) heartbeat(n *Node, now simtime.Time) {
+	if n.Down && n.LeaseUntil <= now && n.LeaseUntil > now-c.Cfg.HeartbeatEvery {
+		c.Mgmt.LeaseExpiries++
+	}
 	if !n.Down {
 		if d := c.Cfg.Faults.HeartbeatDelay(n.Name, n.hbSeq); d > 0 {
 			c.Eng.AfterDetached(d, func(arrived simtime.Time) {
@@ -1095,56 +1045,6 @@ func (c *Cluster) scheduleChurn(n *Node) {
 	})
 }
 
-// reconcile is the controller body: it moves Pending requests to Running
-// by opening node sessions, re-samples lost sessions onto healthy nodes,
-// and charges management CPU.
-func (c *Cluster) reconcile(now simtime.Time) {
-	c.Mgmt.Reconciles++
-	if c.Cfg.Faults.StallReconcile(c.Mgmt.Reconciles) {
-		// Injected controller stall: the iteration burns its base cost
-		// but does no work. Requests simply wait for the next loop.
-		c.Mgmt.Stalls++
-		c.Mgmt.CPUSeconds += 50e-6
-		return
-	}
-	// Loop cost: list + status updates; grows with active requests.
-	active := 0
-	for _, r := range c.API.List() {
-		if r.Phase == PhaseRunning {
-			active++
-		}
-	}
-	c.Mgmt.CPUSeconds += (50e-6) + float64(active)*20e-6
-
-	// Failure detection: count lease expiries of nodes not yet marked.
-	if c.Cfg.Faults != nil {
-		for _, n := range c.Nodes {
-			if n.Down && n.LeaseUntil <= now && n.LeaseUntil > now-c.Cfg.ReconcileEvery {
-				c.Mgmt.LeaseExpiries++
-			}
-		}
-	}
-
-	for _, r := range c.API.List() {
-		if r.Phase.Terminal() {
-			continue
-		}
-		c.armDeadline(r, now)
-		if r.Phase != PhasePending {
-			continue
-		}
-		if err := c.start(r, now); err != nil {
-			c.terminate(r, PhaseFailed, err.Error())
-		}
-	}
-
-	// Ship any partially filled upload batch so finished sessions never
-	// wait more than one reconcile period.
-	c.flushUploads()
-
-	c.processResamples(now)
-}
-
 // armDeadline schedules the request's terminal deadline once. Deadlines
 // default on only under fault injection; a fault-free cluster arms one
 // only when the spec asks for it.
@@ -1190,22 +1090,6 @@ func (c *Cluster) terminate(r *TraceRequest, phase Phase, msg string) {
 		r.deadlineEv = nil
 	}
 	c.API.setPhase(r, phase, msg)
-}
-
-// start opens the node sessions for one request (legacy serial path).
-func (c *Cluster) start(r *TraceRequest, now simtime.Time) error {
-	period, scale, selected, retry, err := c.plan(r, now)
-	if err != nil {
-		return err
-	}
-	if retry {
-		// Every host's lease has lapsed; stay Pending and let a later
-		// reconcile (or the deadline) resolve the request.
-		return nil
-	}
-	c.record(r, period, scale, selected)
-	c.API.setPhase(r, PhaseRunning, "")
-	return c.openPlanned(r, selected)
 }
 
 // plan computes one request's temporal decision (period), space scale,
@@ -1298,18 +1182,16 @@ func (c *Cluster) plan(r *TraceRequest, now simtime.Time) (period simtime.Durati
 	return period, scale, selected, false, nil
 }
 
-// record stores the plan on the request object.
-func (c *Cluster) record(r *TraceRequest, period simtime.Duration, scale float64, selected []*Node) {
+// start records the plan on the request object and opens its planned
+// sessions. The caller already won the Pending → Running CAS, so this
+// can never race another replica. Under fault injection an unreachable
+// node (or one whose tracer another request's window holds) is a
+// survivable event: the slot stays pending and is routed to re-sampling.
+func (c *Cluster) start(r *TraceRequest, period simtime.Duration, scale float64, selected []*Node) error {
 	r.period = period
 	r.scale = scale
 	r.Planned = len(selected)
 	r.usedNodes = make(map[string]bool)
-}
-
-// openPlanned opens the request's planned sessions. Under fault
-// injection an unreachable node is a survivable event: the slot stays
-// pending and is routed to re-sampling.
-func (c *Cluster) openPlanned(r *TraceRequest, selected []*Node) error {
 	for _, n := range selected {
 		if err := c.openSession(r, n, 0); err != nil {
 			if c.Cfg.Faults == nil {
@@ -1324,26 +1206,13 @@ func (c *Cluster) openPlanned(r *TraceRequest, selected []*Node) error {
 	return nil
 }
 
-// launch is the replicated-plane start commit: the caller already won
-// the Pending → Running CAS, so recording the plan and opening the
-// sessions here can never race another replica.
-func (c *Cluster) launch(r *TraceRequest, period simtime.Duration, scale float64, selected []*Node) error {
-	c.record(r, period, scale, selected)
-	return c.openPlanned(r, selected)
-}
-
-// loseSlot routes one lost session slot to re-sampling. The legacy
-// plane queues it in controller memory for the next reconcile; the
-// replicated plane records it on the request object (so it survives
-// failover) and lets the watch event wake the leader.
+// loseSlot routes one lost session slot to re-sampling. The slot is
+// recorded on the request object (so it survives failover) and the watch
+// event wakes the shard's owner.
 func (c *Cluster) loseSlot(r *TraceRequest, attempt int) {
-	if c.replicated() {
-		r.resampleSlots = append(r.resampleSlots, attempt)
-		c.Mgmt.CPUSeconds += c.storeOpCPU(r.shard)
-		c.API.Touch(r)
-		return
-	}
-	c.needResample = append(c.needResample, resampleItem{req: r, attempt: attempt})
+	r.resampleSlots = append(r.resampleSlots, attempt)
+	c.Mgmt.CPUSeconds += c.storeOpCPU(r.shard)
+	c.API.Touch(r)
 }
 
 // openSession opens one tracing session on a node for a request. attempt
@@ -1423,9 +1292,8 @@ func (c *Cluster) openLiteSession(r *TraceRequest, n *Node, attempt int) error {
 	return nil
 }
 
-// finishLite resolves one virtual session: fate from the injector,
-// a synthetic upload through the same retrying data path, and slot
-// completion.
+// finishLite resolves one virtual session: fate from the injector and
+// a synthetic upload through the same batched, retrying data path.
 func (c *Cluster) finishLite(ls *liteSession, now simtime.Time) {
 	if ls.closed {
 		return
@@ -1442,64 +1310,10 @@ func (c *Cluster) finishLite(ls *liteSession, now simtime.Time) {
 	}
 	// Corruption and truncation don't destroy a lite capture — the blob
 	// is synthetic either way.
-	key := "sessions/" + ls.id
-	blob := []byte(ls.id)
-	c.putWithRetry(r, key, blob, 0, func(ok bool) {
-		if !ok {
-			c.loseSlot(r, ls.rec.attempt)
-			return
-		}
-		c.Uploads.Batches++
-		r.SessionKeys = append(r.SessionKeys, key)
-		c.Mgmt.CPUSeconds += 100e-6
-		if c.replicated() {
-			// The status append is a store write; it pays the shard scan.
-			c.Mgmt.CPUSeconds += c.storeOpCPU(r.shard)
-		}
-		c.Uploads.Sessions++
-		c.Uploads.WireBytes += int64(len(blob))
-		c.sessionDone(r)
+	c.queueUpload(uploadItem{
+		req: r, rec: ls.rec, node: ls.rec.node,
+		sid: ls.id, key: "sessions/" + ls.id, blob: []byte(ls.id),
 	})
-}
-
-// processResamples reschedules lost session slots onto healthy nodes —
-// RCO's spatial sampler re-run over the repetitions that still hold. A
-// slot whose re-sampling budget is exhausted (or that has no healthy
-// untraced repetition left) is given up, degrading the request to partial
-// coverage instead of failing it.
-func (c *Cluster) processResamples(now simtime.Time) {
-	if len(c.needResample) == 0 {
-		return
-	}
-	queue := c.needResample
-	c.needResample = nil
-	for _, it := range queue {
-		r := it.req
-		if r.Phase.Terminal() || r.cancelling {
-			continue
-		}
-		if it.attempt >= c.Cfg.ResampleMax {
-			c.giveUpSlot(r)
-			continue
-		}
-		reps := c.replacementCandidates(r, now)
-		idx := coverage.SelectReplacements(reps, r.usedNodes, 1, c.resampleRNG)
-		if len(idx) == 0 {
-			// No healthy untraced repetition this round; burn one attempt
-			// and retry next reconcile so a recovering node can pick the
-			// slot up, without spinning forever.
-			c.needResample = append(c.needResample, resampleItem{req: r, attempt: it.attempt + 1})
-			continue
-		}
-		n, _ := c.Node(reps[idx[0]].Node)
-		if err := c.openSession(r, n, it.attempt+1); err != nil {
-			c.needResample = append(c.needResample, resampleItem{req: r, attempt: it.attempt + 1})
-			continue
-		}
-		r.Resampled++
-		c.Mgmt.Resamples++
-		c.Mgmt.CPUSeconds += 50e-6
-	}
 }
 
 // replacementCandidates lists the request's app repetitions with their
@@ -1590,47 +1404,31 @@ func (c *Cluster) finishSession(rec *sessionRec, s *core.Session) {
 		}
 	}
 
-	it := uploadItem{
+	c.queueUpload(uploadItem{
 		req: r, rec: rec, node: n,
 		sid:  s.Cfg.SessionID,
 		key:  "sessions/" + s.Cfg.SessionID,
 		blob: res.Marshal(),
 		res:  res,
-	}
-	if c.Cfg.UploadBatch > 1 {
-		// Batched data path: hold the blob until the batch fills (or the
-		// next reconcile flushes the remainder).
-		c.pendingUpload = append(c.pendingUpload, it)
-		if len(c.pendingUpload) >= c.Cfg.UploadBatch {
-			c.flushUploads()
-		}
-		return
-	}
-	c.putWithRetry(r, it.key, it.blob, 0, func(ok bool) {
-		if !ok {
-			// Upload exhausted its retries: the data is gone; re-sample.
-			c.loseSlot(r, rec.attempt)
-			return
-		}
-		c.Uploads.Batches++
-		c.uploadLanded(it)
 	})
 }
 
 // uploadLanded runs the post-upload bookkeeping for one session whose
 // blob is safely in the object store: ledger, structured decode, and
-// slot completion. Shared by the single-PUT and batched paths.
+// slot completion.
 func (c *Cluster) uploadLanded(it uploadItem) {
 	r := it.req
 	r.SessionKeys = append(r.SessionKeys, it.key)
-	// Per-session management cost: upload bookkeeping and status update.
-	c.Mgmt.CPUSeconds += 100e-6
-	if c.replicated() {
-		// The status append is a store write; it pays the shard scan.
-		c.Mgmt.CPUSeconds += c.storeOpCPU(r.shard)
-	}
+	// Per-session management cost: upload bookkeeping plus the status
+	// append, a store write that pays the shard scan.
+	c.Mgmt.CPUSeconds += 100e-6 + c.storeOpCPU(r.shard)
 	c.Uploads.Sessions++
 	c.Uploads.WireBytes += int64(len(it.blob))
+	if it.res == nil {
+		// A Lite session: a synthetic blob with no trace to decode.
+		c.sessionDone(r)
+		return
+	}
 	c.Uploads.V1Bytes += int64(trace.V1Size(it.res))
 
 	// Decode against the binary repository and persist structured rows.
@@ -1648,7 +1446,29 @@ func (c *Cluster) uploadLanded(it uploadItem) {
 	c.sessionDone(r)
 }
 
-// flushUploads ships the pending batch in one object-store PUT.
+// queueUpload adds a finished session to the current upload batch and
+// ships the batch once it holds UploadBatch sessions. The first session
+// of a batch arms a flush one QueueTick out, so a partially filled batch
+// never waits longer than that.
+func (c *Cluster) queueUpload(it uploadItem) {
+	c.pendingUpload = append(c.pendingUpload, it)
+	if len(c.pendingUpload) >= c.Cfg.UploadBatch {
+		c.flushUploads()
+		return
+	}
+	if len(c.pendingUpload) == 1 {
+		seq := c.batchSeq
+		c.Eng.AfterDetached(c.Cfg.QueueTick, func(simtime.Time) {
+			if c.batchSeq == seq { // the batch has not shipped yet
+				c.flushUploads()
+			}
+		})
+	}
+}
+
+// flushUploads ships the pending batch in one object-store PUT. A batch
+// of one is keyed by its object key, so its fault rolls and attempt
+// count are those of a plain single-blob PUT.
 func (c *Cluster) flushUploads() {
 	if len(c.pendingUpload) == 0 {
 		return
@@ -1656,15 +1476,24 @@ func (c *Cluster) flushUploads() {
 	items := c.pendingUpload
 	c.pendingUpload = nil
 	c.batchSeq++
-	c.putBatchWithRetry(fmt.Sprintf("batch/%d", c.batchSeq), items, 0)
+	key := items[0].key
+	if len(items) > 1 {
+		key = fmt.Sprintf("batch/%d", c.batchSeq)
+	}
+	c.putBatchWithRetry(key, items, 0)
+	if len(c.pendingUpload) == 0 {
+		// Reuse the batch's storage: a retrying batch holds its own copy.
+		c.pendingUpload = items[:0]
+	}
 }
 
 // putBatchWithRetry uploads a batch of session blobs as one atomic PUT
-// with the same backoff scheme as putWithRetry. The batch succeeds or
-// retries as a unit; sessions whose request reached a terminal phase
-// while the batch waited are dropped at delivery (exactly as a late
-// single-session retry abandons its upload), and when the batch exhausts
-// its retries every remaining session re-samples exactly once.
+// with exponential backoff and jitter. The batch succeeds or retries as
+// a unit; each request's Message tracks the transient error while
+// retrying and is cleared when the upload recovers. Sessions whose
+// request reached a terminal phase while the batch waited are dropped
+// at delivery, and when the batch exhausts its retries every remaining
+// session re-samples exactly once.
 func (c *Cluster) putBatchWithRetry(batchKey string, items []uploadItem, attempt int) {
 	live := items[:0]
 	for _, it := range items {
@@ -1675,11 +1504,12 @@ func (c *Cluster) putBatchWithRetry(batchKey string, items []uploadItem, attempt
 	if len(live) == 0 {
 		return
 	}
-	keys := make([]string, len(live))
-	blobs := make([][]byte, len(live))
-	for i, it := range live {
-		keys[i] = it.key
-		blobs[i] = it.blob
+	// Constant capacities keep typical batches' slices off the heap.
+	keys := make([]string, 0, 8)
+	blobs := make([][]byte, 0, 8)
+	for _, it := range live {
+		keys = append(keys, it.key)
+		blobs = append(blobs, it.blob)
 	}
 	err := c.OSS.PutBatch(batchKey, keys, blobs)
 	if err == nil {
@@ -1706,40 +1536,9 @@ func (c *Cluster) putBatchWithRetry(batchKey string, items []uploadItem, attempt
 	}
 	c.Mgmt.Retries++
 	c.Mgmt.CPUSeconds += 50e-6
+	retry := append([]uploadItem(nil), live...)
 	c.Eng.AfterDetached(c.backoff(attempt), func(simtime.Time) {
-		c.putBatchWithRetry(batchKey, live, attempt+1)
-	})
-}
-
-// putWithRetry uploads a blob with exponential backoff and jitter. The
-// request's Message tracks the transient error while retrying and is
-// cleared when the upload recovers. done is called exactly once, inline
-// on immediate success (preserving fault-free event order).
-func (c *Cluster) putWithRetry(r *TraceRequest, key string, blob []byte, attempt int, done func(ok bool)) {
-	err := c.OSS.Put(key, blob)
-	if err == nil {
-		if attempt > 0 && !r.Phase.Terminal() {
-			// Recovered after transient failures: clear the stale message.
-			r.Message = ""
-		}
-		done(true)
-		return
-	}
-	if attempt+1 >= c.Cfg.RetryMax {
-		r.Message = fmt.Sprintf("upload %s failed after %d attempts: %v", key, attempt+1, err)
-		done(false)
-		return
-	}
-	if !r.Phase.Terminal() {
-		r.Message = fmt.Sprintf("%v; retrying", err)
-	}
-	c.Mgmt.Retries++
-	c.Mgmt.CPUSeconds += 50e-6
-	c.Eng.AfterDetached(c.backoff(attempt), func(simtime.Time) {
-		if r.Phase.Terminal() {
-			return
-		}
-		c.putWithRetry(r, key, blob, attempt+1, done)
+		c.putBatchWithRetry(batchKey, retry, attempt+1)
 	})
 }
 

@@ -12,13 +12,18 @@ import (
 
 func TestObjectStore(t *testing.T) {
 	o := NewObjectStore()
-	o.Put("sessions/a", []byte{1, 2, 3})
-	o.Put("sessions/b", []byte{4})
-	o.Put("other/c", []byte{5})
+	put := func(key string, blob []byte) {
+		if err := o.PutBatch(key, []string{key}, [][]byte{blob}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	put("sessions/a", []byte{1, 2, 3})
+	put("sessions/b", []byte{4})
+	put("other/c", []byte{5})
 	if o.Bytes() != 5 || o.Puts() != 3 {
 		t.Fatalf("accounting: %d bytes, %d puts", o.Bytes(), o.Puts())
 	}
-	o.Put("sessions/a", []byte{9, 9}) // replace
+	put("sessions/a", []byte{9, 9}) // replace
 	if o.Bytes() != 4 {
 		t.Fatalf("replace accounting: %d bytes", o.Bytes())
 	}

@@ -1,13 +1,15 @@
 package cluster
 
 import (
+	"errors"
 	"fmt"
 
+	"exist/internal/core"
 	"exist/internal/coverage"
 	"exist/internal/simtime"
 )
 
-// Controller is one replica of the replicated control plane. The work is
+// Controller is one replica of the control plane. The work is
 // range-sharded: each API-server shard has its own store lease, and a
 // replica acts only on the shards it holds. With one shard (the default)
 // this degenerates to classic single-leader election — at most one
@@ -28,14 +30,12 @@ type Controller struct {
 	idx  int
 	skew simtime.Duration // injected clock skew, fixed per replica
 
-	// leader reports whether the replica owns at least one shard; owned,
-	// tokens, watches and queues are per shard. A shard's fencing token
-	// identifies the replica's current ownership incarnation of it.
-	leader bool
+	// owned, tokens, watches and queues are per shard; nOwned counts the
+	// owned shards. A shard's fencing token identifies the replica's
+	// current ownership incarnation of it.
 	owned  []bool
 	nOwned int
 	tokens []int64
-	token  int64 // shard 0's token, kept for the single-shard surface
 
 	watches []*WatchStream
 	queues  []*workQueue
@@ -65,7 +65,7 @@ type Controller struct {
 // least one shard. The store's lease records are the authority; a
 // deposed replica may briefly believe until its next store contact
 // fences it.
-func (ct *Controller) Leader() bool { return ct.leader }
+func (ct *Controller) Leader() bool { return ct.nOwned > 0 }
 
 // OwnedShards returns the shards this replica currently believes it
 // owns, ascending.
@@ -94,9 +94,6 @@ func (ct *Controller) QueueDepth() int {
 // election safety demands this never exceeds one; chaos experiments
 // sample it continuously.
 func (c *Cluster) ActiveLeaders(now simtime.Time) int {
-	if c.Leases == nil {
-		return 0
-	}
 	n := 0
 	for _, ct := range c.Controllers {
 		for s, own := range ct.owned {
@@ -113,9 +110,6 @@ func (c *Cluster) ActiveLeaders(now simtime.Time) int {
 // would pass its fencing check at now. Range-lease safety demands this
 // never exceeds one per shard.
 func (c *Cluster) ActiveOwnersShard(si int, now simtime.Time) int {
-	if c.Leases == nil {
-		return 0
-	}
 	n := 0
 	for _, ct := range c.Controllers {
 		if si < len(ct.owned) && ct.owned[si] && c.Leases.ValidForShard(si, ct.Name, ct.tokens[si], now) {
@@ -128,9 +122,6 @@ func (c *Cluster) ActiveOwnersShard(si int, now simtime.Time) int {
 // ShardRebalances returns how many times shard ownership changed hands
 // after each shard's first election (takeovers and handbacks).
 func (c *Cluster) ShardRebalances() int {
-	if c.Leases == nil {
-		return 0
-	}
 	return c.Leases.Failovers()
 }
 
@@ -202,7 +193,6 @@ func (c *Cluster) scheduleCtrlCrash(ct *Controller) {
 // crash).
 func (ct *Controller) crash(downFor simtime.Duration, onUp func()) {
 	ct.down = true
-	ct.leader = false
 	ct.epoch++
 	ct.pumpArmed = false
 	for s := range ct.owned {
@@ -259,7 +249,6 @@ func (ct *Controller) disownShard(s int) {
 	}
 	ct.owned[s] = false
 	ct.nOwned--
-	ct.leader = ct.nOwned > 0
 }
 
 // electTick is one round of range-lease maintenance. For each shard the
@@ -329,10 +318,14 @@ func (ct *Controller) electTick(now simtime.Time) {
 		ct.tokens[s] = token
 		newly = append(newly, s)
 	}
-	ct.token = ct.tokens[0]
-	ct.leader = ct.nOwned > 0
 	if len(newly) > 0 {
 		ct.becomeLeader(newly, now)
+	}
+	// The renewal tick also turns an owner's work loop, so the pump runs
+	// at least once per ElectionRetry even with no watch traffic: an idle
+	// owner still rechecks its fencing tokens at the store.
+	if ct.nOwned > 0 {
+		ct.kick()
 	}
 }
 
@@ -344,7 +337,6 @@ func (ct *Controller) electTick(now simtime.Time) {
 // measured when each shard's set drains.
 func (ct *Controller) becomeLeader(newly []int, now simtime.Time) {
 	c := ct.c
-	ct.leader = true
 	c.Mgmt.Elections++
 	isNew := make(map[int]bool, len(newly))
 	for _, s := range newly {
@@ -407,12 +399,24 @@ func (ct *Controller) backlog() bool {
 // pump is an owner's work loop: drain the owned shards' watch streams
 // into their queues (relisting a shard whose stream went stale), sync up
 // to QueueBurst items popped in global FIFO order across the owned
-// queues, flush any batched uploads, and re-arm while backlog remains.
-// A pump on a replica owning nothing is a no-op; a deposed owner is
-// fenced per shard by the store before it can act on that shard.
+// queues, and re-arm while backlog remains. A pump on a replica owning
+// nothing is a no-op; a deposed owner is fenced per shard by the store
+// before it can act on that shard.
 func (ct *Controller) pump(now simtime.Time) {
 	c := ct.c
 	if ct.down || ct.nOwned == 0 {
+		return
+	}
+	c.Mgmt.Reconciles++
+	if c.Cfg.Faults.StallReconcile(c.Mgmt.Reconciles) {
+		// Injected controller stall: the run burns its base cost but does
+		// no work, and the backlog waits a tick.
+		c.Mgmt.Stalls++
+		c.Mgmt.CPUSeconds += syncBaseCPU
+		if ct.backlog() {
+			ct.pumpArmed = true
+			ct.rearmPump(c.Cfg.QueueTick)
+		}
 		return
 	}
 	if !ct.storeReachable(now) {
@@ -490,7 +494,6 @@ func (ct *Controller) pump(now simtime.Time) {
 		name, _ := ct.queues[best].Pop()
 		ct.sync(name, now)
 	}
-	c.flushUploads()
 	if ct.backlog() {
 		ct.pumpArmed = true
 		ct.rearmPump(c.Cfg.QueueTick)
@@ -575,7 +578,7 @@ func (ct *Controller) syncPending(r *TraceRequest, now simtime.Time) {
 		ct.queues[r.shard].AddRateLimited(r.Name)
 		return
 	}
-	if err := c.launch(r, period, scale, selected); err != nil {
+	if err := c.start(r, period, scale, selected); err != nil {
 		c.terminate(r, PhaseFailed, err.Error())
 		return
 	}
@@ -585,7 +588,11 @@ func (ct *Controller) syncPending(r *TraceRequest, now simtime.Time) {
 // syncRunning re-samples the request's recorded lost slots. Slots are
 // persisted on the object (not in controller memory), so a failover's
 // relist recovers them; a slot with no healthy candidate stays recorded
-// and the item requeues with backoff.
+// with its attempt burnt and the item requeues with backoff. A slot
+// whose replacement node's tracer is held by another request's window
+// is not a loss: it keeps its attempt, and when every remaining slot is
+// waiting on a busy tracer the item requeues for the earliest window
+// close on those nodes instead.
 func (ct *Controller) syncRunning(r *TraceRequest, now simtime.Time) {
 	c := ct.c
 	if len(r.resampleSlots) == 0 || r.cancelling {
@@ -594,6 +601,8 @@ func (ct *Controller) syncRunning(r *TraceRequest, now simtime.Time) {
 	}
 	slots := r.resampleSlots
 	r.resampleSlots = nil
+	var wake simtime.Time // earliest busy-tracer release; 0 while none
+	burnt := false
 	for _, attempt := range slots {
 		if r.Phase.Terminal() {
 			break
@@ -606,22 +615,48 @@ func (ct *Controller) syncRunning(r *TraceRequest, now simtime.Time) {
 		idx := coverage.SelectReplacements(reps, r.usedNodes, 1, c.resampleRNG)
 		if len(idx) == 0 {
 			r.resampleSlots = append(r.resampleSlots, attempt+1)
+			burnt = true
 			continue
 		}
 		n, _ := c.Node(reps[idx[0]].Node)
 		if err := c.openSession(r, n, attempt+1); err != nil {
+			if at, ok := c.tracerFreeAt(n); ok && errors.Is(err, core.ErrTracerBusy) {
+				r.resampleSlots = append(r.resampleSlots, attempt)
+				if wake == 0 || at < wake {
+					wake = at
+				}
+				continue
+			}
 			r.resampleSlots = append(r.resampleSlots, attempt+1)
+			burnt = true
 			continue
 		}
 		r.Resampled++
 		c.Mgmt.Resamples++
 		c.Mgmt.CPUSeconds += 50e-6
 	}
-	if len(r.resampleSlots) > 0 {
-		ct.queues[r.shard].AddRateLimited(r.Name)
-	} else {
+	switch {
+	case len(r.resampleSlots) == 0:
 		ct.queues[r.shard].Forget(r.Name)
+	case burnt:
+		ct.queues[r.shard].AddRateLimited(r.Name)
+	default:
+		ct.queues[r.shard].AddAfter(r.Name, wake-now)
 	}
+}
+
+// tracerFreeAt returns the earliest window close among the in-flight
+// sessions on a node: the first moment a tracer busy with another
+// request's window can be free again.
+func (c *Cluster) tracerFreeAt(n *Node) (simtime.Time, bool) {
+	var at simtime.Time
+	found := false
+	for _, rec := range c.inflight {
+		if rec.node == n && (!found || rec.endAt < at) {
+			at, found = rec.endAt, true
+		}
+	}
+	return at, found
 }
 
 // overloaded applies the admission budgets: queue depth and management

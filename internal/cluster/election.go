@@ -31,9 +31,6 @@ type leaseShard struct {
 // but expiry and fencing are judged here. It also keeps the availability
 // ledger: per shard, the union of time during which some controller held
 // a valid lease.
-//
-// The zero value is a usable single-shard store, which keeps the
-// single-lease call sites (and the historical behavior) intact.
 type LeaseStore struct {
 	shards []leaseShard
 	// presence records each replica's last liveness refresh; holders of
@@ -51,19 +48,6 @@ func NewLeaseStore(n int) *LeaseStore {
 	return &LeaseStore{shards: make([]leaseShard, n)}
 }
 
-// ensure lazily sizes the zero value to a single shard.
-func (ls *LeaseStore) ensure() {
-	if len(ls.shards) == 0 {
-		ls.shards = make([]leaseShard, 1)
-	}
-}
-
-// Shards returns the shard-lease count.
-func (ls *LeaseStore) Shards() int {
-	ls.ensure()
-	return len(ls.shards)
-}
-
 // TryAcquireShard attempts to take or renew shard si's lease for ctrl at
 // observed time now with the given ttl. It fails while a different
 // holder's lease is still valid. The fencing token increments on every
@@ -75,7 +59,6 @@ func (ls *LeaseStore) Shards() int {
 // controller both judges the incumbent's expiry and stamps its own with
 // a skewed clock, which is exactly how skew breaks real lease schemes.
 func (ls *LeaseStore) TryAcquireShard(si int, ctrl string, now simtime.Time, ttl simtime.Duration) (int64, bool) {
-	ls.ensure()
 	sh := &ls.shards[si]
 	held := sh.lease.Holder != "" && sh.lease.Until > now
 	if held && sh.lease.Holder != ctrl {
@@ -94,17 +77,11 @@ func (ls *LeaseStore) TryAcquireShard(si int, ctrl string, now simtime.Time, ttl
 	return sh.lease.Token, true
 }
 
-// TryAcquire attempts shard 0's lease (the single-shard call surface).
-func (ls *LeaseStore) TryAcquire(ctrl string, now simtime.Time, ttl simtime.Duration) (int64, bool) {
-	return ls.TryAcquireShard(0, ctrl, now, ttl)
-}
-
 // Release lapses shard si's lease if ctrl still holds it with the given
 // token: a graceful handback. The holder record is kept — the next
 // acquisition (by the returning home replica) still increments the
 // fencing token and counts as a failover, i.e. a rebalance.
 func (ls *LeaseStore) Release(si int, ctrl string, token int64, now simtime.Time) bool {
-	ls.ensure()
 	sh := &ls.shards[si]
 	if sh.lease.Holder != ctrl || sh.lease.Token != token || sh.lease.Until <= now {
 		return false
@@ -116,7 +93,6 @@ func (ls *LeaseStore) Release(si int, ctrl string, token int64, now simtime.Time
 // Expired reports whether shard si's lease is lapsed (or was never
 // taken) at observed time now.
 func (ls *LeaseStore) Expired(si int, now simtime.Time) bool {
-	ls.ensure()
 	sh := &ls.shards[si]
 	return sh.lease.Holder == "" || sh.lease.Until <= now
 }
@@ -125,26 +101,13 @@ func (ls *LeaseStore) Expired(si int, now simtime.Time) bool {
 // the given fencing token at store time now. Store mutations from a
 // controller that fails this check are fenced off.
 func (ls *LeaseStore) ValidForShard(si int, ctrl string, token int64, now simtime.Time) bool {
-	ls.ensure()
 	sh := &ls.shards[si]
 	return sh.lease.Holder == ctrl && sh.lease.Token == token && sh.lease.Until > now
-}
-
-// ValidFor checks shard 0's lease (the single-shard call surface).
-func (ls *LeaseStore) ValidFor(ctrl string, token int64, now simtime.Time) bool {
-	return ls.ValidForShard(0, ctrl, token, now)
-}
-
-// Holder returns shard 0's current (possibly expired) holder and token.
-func (ls *LeaseStore) Holder() (string, int64) {
-	ls.ensure()
-	return ls.shards[0].lease.Holder, ls.shards[0].lease.Token
 }
 
 // HolderShard returns shard si's current (possibly expired) holder and
 // token.
 func (ls *LeaseStore) HolderShard(si int) (string, int64) {
-	ls.ensure()
 	return ls.shards[si].lease.Holder, ls.shards[si].lease.Token
 }
 
@@ -165,7 +128,6 @@ func (ls *LeaseStore) Alive(ctrl string, now simtime.Time) bool {
 // valid leader lease existed, averaged across shards, plus the total
 // number of per-shard leadership gaps.
 func (ls *LeaseStore) Availability(end float64) (float64, int) {
-	ls.ensure()
 	frac, gaps := 0.0, 0
 	for i := range ls.shards {
 		frac += ls.shards[i].up.Fraction(end)
@@ -178,7 +140,6 @@ func (ls *LeaseStore) Availability(end float64) (float64, int) {
 // each shard's first election — with several shards, the number of
 // shard rebalances.
 func (ls *LeaseStore) Failovers() int {
-	ls.ensure()
 	n := 0
 	for i := range ls.shards {
 		n += ls.shards[i].failovers
@@ -188,7 +149,6 @@ func (ls *LeaseStore) Failovers() int {
 
 // Elections returns the number of distinct shard-leader acquisitions.
 func (ls *LeaseStore) Elections() int {
-	ls.ensure()
 	n := 0
 	for i := range ls.shards {
 		n += ls.shards[i].elections

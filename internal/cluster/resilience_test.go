@@ -207,6 +207,38 @@ func TestDeadlineForcesTerminalPhase(t *testing.T) {
 	}
 }
 
+// TestBusyTracerWaitsInsteadOfLosingSlots pins the busy-tracer contract:
+// a request whose nodes are all held by another request's longer window
+// is not a loss. Its slots keep their re-sampling attempts and wait for
+// the earlier window to close, so it still completes with full coverage.
+func TestBusyTracerWaitsInsteadOfLosingSlots(t *testing.T) {
+	c := faultyCluster(t, 3, faults.Config{Seed: 4})
+	long, err := c.Request("long", TraceRequestSpec{
+		App: "Agent", Purpose: coverage.PurposeAnomaly, Period: simtime.Second,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var short *TraceRequest
+	c.Eng.Schedule(simtime.Time(200*simtime.Millisecond), func(simtime.Time) {
+		if short, err = c.Request("short", TraceRequestSpec{
+			App: "Agent", Purpose: coverage.PurposeAnomaly, Period: 200 * simtime.Millisecond,
+		}); err != nil {
+			t.Error(err)
+		}
+	})
+	c.Run(5 * simtime.Second)
+	for _, r := range []*TraceRequest{long, short} {
+		if r.Phase != PhaseCompleted || r.Lost != 0 || len(r.SessionKeys) != r.Planned || r.Planned != 3 {
+			t.Fatalf("%s: phase %s, %d/%d sessions, %d lost (%s)",
+				r.Name, r.Phase, len(r.SessionKeys), r.Planned, r.Lost, r.Message)
+		}
+	}
+	if short.Resampled == 0 {
+		t.Fatal("short request never collided with the long window; test is vacuous")
+	}
+}
+
 func TestCorruptedSessionsStillDecode(t *testing.T) {
 	c := faultyCluster(t, 3, faults.Config{Seed: 13, CorruptProb: 1, CorruptBits: 16})
 	req, err := c.Request("noisy", TraceRequestSpec{

@@ -28,9 +28,9 @@ type ossShard struct {
 // shard and counter reads never race. With one shard the behavior is
 // identical to the historical single-map store.
 //
-// Put is fault-aware: with an injector attached, attempts can fail with
-// transient errors (the control plane retries with backoff). Without one,
-// Put never fails.
+// PutBatch is fault-aware: with an injector attached, attempts can fail
+// with transient errors (the control plane retries with backoff).
+// Without one, PutBatch never fails.
 type ObjectStore struct {
 	shards   []ossShard
 	bytes    atomic.Int64
@@ -63,25 +63,6 @@ func (o *ObjectStore) shardFor(key string) *ossShard {
 // UseFaults attaches a fault injector; nil detaches it.
 func (o *ObjectStore) UseFaults(inj *faults.Injector) { o.inj = inj }
 
-// Put stores a blob under key, replacing any previous value. With fault
-// injection enabled it may return a transient error; the blob is then not
-// stored and the caller should retry.
-func (o *ObjectStore) Put(key string, data []byte) error {
-	s := o.shardFor(key)
-	s.mu.Lock()
-	attempt := s.attempts[key]
-	s.attempts[key] = attempt + 1
-	if err := o.inj.PutError(key, attempt); err != nil {
-		s.mu.Unlock()
-		o.failures.Add(1)
-		return err
-	}
-	o.storeLocked(s, key, data)
-	s.mu.Unlock()
-	o.puts.Add(1)
-	return nil
-}
-
 // storeLocked writes one blob into a shard the caller holds locked,
 // keeping the byte ledger balanced on overwrite.
 func (o *ObjectStore) storeLocked(s *ossShard, key string, data []byte) {
@@ -92,11 +73,13 @@ func (o *ObjectStore) storeLocked(s *ossShard, key string, data []byte) {
 	o.bytes.Add(int64(len(data)))
 }
 
-// PutBatch stores several blobs in one upload: the batch succeeds or
-// fails atomically (one injected-fault roll, keyed by batchKey, covers
-// the whole request), counts as a single put in the upload ledger, and
-// each blob still lands under its own key — possibly across several
-// shards. This is the wire-level amortization behind Config.UploadBatch.
+// PutBatch stores several blobs in one upload, replacing any previous
+// values: the batch succeeds or fails atomically (one injected-fault
+// roll, keyed by batchKey, covers the whole request; on failure nothing
+// is stored and the caller should retry), counts as a single put in the
+// upload ledger, and each blob still lands under its own key — possibly
+// across several shards. This is the wire-level amortization behind
+// Config.UploadBatch.
 func (o *ObjectStore) PutBatch(batchKey string, keys []string, blobs [][]byte) error {
 	if len(keys) != len(blobs) {
 		return fmt.Errorf("oss: PutBatch with %d keys, %d blobs", len(keys), len(blobs))

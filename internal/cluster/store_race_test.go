@@ -48,7 +48,7 @@ func TestStoreCountersConcurrentWithWrites(t *testing.T) {
 			defer writersWG.Done()
 			for i := 0; i < perWriter; i++ {
 				key := fmt.Sprintf("w%d/obj-%d", w, i)
-				if err := oss.Put(key, []byte("0123456789")); err != nil {
+				if err := oss.PutBatch(key, []string{key}, [][]byte{[]byte("0123456789")}); err != nil {
 					t.Errorf("put %s: %v", key, err)
 				}
 				keys := []string{key + "/a", key + "/b"}
@@ -69,7 +69,7 @@ func TestStoreCountersConcurrentWithWrites(t *testing.T) {
 	close(stop)
 	readersWG.Wait()
 
-	wantPuts := int64(writers * perWriter * 2) // 1 Put + 1 PutBatch each (a batch is one put)
+	wantPuts := int64(writers * perWriter * 2) // two PutBatch calls each (a batch is one put)
 	if got := oss.Puts(); got != wantPuts {
 		t.Fatalf("Puts() = %d, want %d", got, wantPuts)
 	}

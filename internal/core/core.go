@@ -18,6 +18,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 
@@ -55,6 +56,11 @@ const (
 	// exists to quantify what OTC saves.
 	PerThread
 )
+
+// ErrTracerBusy is returned (wrapped) by Controller.Trace when a planned
+// core's tracer is already enabled by another session's window. It is
+// transient: the tracer frees when that window closes.
+var ErrTracerBusy = errors.New("core: tracer already in use")
 
 // InsmodCost is the one-time kernel-module load cost on the core that
 // performs it (the startup spike of Figure 17).
@@ -201,15 +207,18 @@ func (c *Controller) Trace(target *sched.Process, cfg Config) (*Session, error) 
 	s.Plan = memalloc.PlanBuffers(c.m, target, cfg.Mem, rng)
 	s.Stats.PlannedCores = len(s.Plan.Cores)
 
+	// A busy tracer fails the open before any core is reprogrammed.
+	for _, cp := range s.Plan.Cores {
+		if c.m.Cores[cp.Core].Tracer.Enabled() {
+			return nil, fmt.Errorf("%w (core %d)", ErrTracerBusy, cp.Core)
+		}
+	}
 	// Configure every planned core's tracer up front: output chain and
 	// CR3 filter. These are the only per-core MSR writes besides the
 	// single enable on first schedule-in and the single disable at HRT
 	// expiry.
 	for _, cp := range s.Plan.Cores {
 		tr := c.m.Cores[cp.Core].Tracer
-		if tr.Enabled() {
-			return nil, fmt.Errorf("core: tracer on core %d already in use", cp.Core)
-		}
 		topa := ipt.NewSingleToPA(trace.ScaleBytes(cp.BufBytes, cfg.Scale))
 		if cfg.Drop == DropRing {
 			topa = ipt.NewToPA([]int{trace.ScaleBytes(cp.BufBytes, cfg.Scale)}, true)

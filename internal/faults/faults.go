@@ -51,8 +51,8 @@ type Config struct {
 	// half the buffer tail is lost).
 	TruncateFracMax float64
 
-	// StallProb is the per-iteration probability that a controller
-	// reconcile loop stalls and does no work (management pod CPU
+	// StallProb is the per-run probability that a controller's pump
+	// (its reconcile loop) stalls and does no work (management pod CPU
 	// starvation under cluster pressure).
 	StallProb float64
 
@@ -123,7 +123,7 @@ type Stats struct {
 	SessionsLost int64
 	// SessionsCorrupted and SessionsTruncated count buffer mutations.
 	SessionsCorrupted, SessionsTruncated int64
-	// Stalls counts skipped reconcile iterations.
+	// Stalls counts skipped controller pump runs.
 	Stalls int64
 	// Crashes counts node crash events.
 	Crashes int64
@@ -300,7 +300,7 @@ func (in *Injector) SessionFate(sessionID string) Fate {
 	}
 }
 
-// StallReconcile decides whether the n-th reconcile iteration stalls.
+// StallReconcile decides whether the n-th controller pump run stalls.
 func (in *Injector) StallReconcile(n int64) bool {
 	if in == nil || in.cfg.StallProb <= 0 {
 		return false
