@@ -23,7 +23,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
 	"runtime"
 	"runtime/pprof"
 	rtrace "runtime/trace"
@@ -178,28 +177,11 @@ func main() {
 }
 
 // runSpecFile loads a scenario document — a file path, or the name of a
-// bundled scenario — and runs it end to end through the same pipeline as
-// the scenario experiment. Replay traces resolve relative to the document.
+// bundled scenario (spec.Load) — and runs it end to end through the same
+// pipeline as the scenario experiment.
 func runSpecFile(path string, cfg experiments.Config) error {
-	var doc *spec.Document
-	data, err := os.ReadFile(path)
-	switch {
-	case err == nil:
-		doc, err = spec.Parse(path, data)
-		if err != nil {
-			return err
-		}
-		if err := doc.ResolveReplay(func(p string) ([]byte, error) {
-			return os.ReadFile(filepath.Join(filepath.Dir(path), p))
-		}); err != nil {
-			return err
-		}
-	case os.IsNotExist(err):
-		doc, err = spec.LoadBuiltin(path)
-		if err != nil {
-			return fmt.Errorf("no file %q and no bundled scenario by that name", path)
-		}
-	default:
+	doc, err := spec.Load(path)
+	if err != nil {
 		return err
 	}
 	res, err := experiments.RunSpec(cfg, doc)
@@ -326,7 +308,7 @@ func measureHotPaths() (map[string]benchResult, datapathStats) {
 	}))
 
 	// Simulation-engine hot paths: the walker segment loop end to end, and
-	// the tracer's batched packet-generation path on a canned event stream.
+	// the tracer's batched packet-generation path on recorded walker batches.
 	sb := hotbench.NewSchedBench(1)
 	windowBytes := sb.RunWindow()
 	hot["sched_hot"] = toBenchResult(testing.Benchmark(func(b *testing.B) {
@@ -336,14 +318,14 @@ func measureHotPaths() (map[string]benchResult, datapathStats) {
 			sb.RunWindow()
 		}
 	}))
-	trEvs := hotbench.Events(hotbench.Program(1), 1, 2_000_000)
+	trBatches := hotbench.Events(hotbench.Program(1), 1, 2_000_000)
 	trHot := hotbench.NewHotTracer(1 << 20)
-	trBytes := hotbench.TracerHotOnce(trHot, trEvs)
+	trBytes := hotbench.TracerHotOnce(trHot, trBatches)
 	hot["tracer_hot"] = toBenchResult(testing.Benchmark(func(b *testing.B) {
 		b.SetBytes(trBytes)
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			hotbench.TracerHotOnce(trHot, trEvs)
+			hotbench.TracerHotOnce(trHot, trBatches)
 		}
 	}))
 
@@ -410,6 +392,15 @@ func runBenchCheck(path string, tol float64) error {
 	}
 	hot, dp := measureHotPaths()
 	var problems []string
+	// A renamed or retargeted hot path must take its gate along to a
+	// regenerated baseline, never drop it silently.
+	unmeasured, unrecorded := rowMismatch(base.HotPaths, hot)
+	if len(unmeasured) > 0 {
+		problems = append(problems, "baseline rows this binary does not measure: "+strings.Join(unmeasured, ", "))
+	}
+	if len(unrecorded) > 0 {
+		problems = append(problems, "measured rows missing from the baseline: "+strings.Join(unrecorded, ", "))
+	}
 	names := make([]string, 0, len(base.HotPaths))
 	for name := range base.HotPaths {
 		names = append(names, name)
@@ -419,7 +410,7 @@ func runBenchCheck(path string, tol float64) error {
 		want := base.HotPaths[name]
 		got, ok := hot[name]
 		if !ok {
-			continue // baseline knows a path this binary no longer measures
+			continue
 		}
 		if float64(got.AllocsPerOp) > float64(want.AllocsPerOp)*(1+tol)+0.5 {
 			problems = append(problems, fmt.Sprintf(
@@ -446,6 +437,24 @@ func runBenchCheck(path string, tol float64) error {
 		return fmt.Errorf("%s", strings.Join(problems, "; "))
 	}
 	return nil
+}
+
+// rowMismatch returns, sorted, the baseline rows absent from the
+// measurement and the measured rows absent from the baseline.
+func rowMismatch(base, measured map[string]benchResult) (unmeasured, unrecorded []string) {
+	for name := range base {
+		if _, ok := measured[name]; !ok {
+			unmeasured = append(unmeasured, name)
+		}
+	}
+	for name := range measured {
+		if _, ok := base[name]; !ok {
+			unrecorded = append(unrecorded, name)
+		}
+	}
+	sort.Strings(unmeasured)
+	sort.Strings(unrecorded)
+	return unmeasured, unrecorded
 }
 
 // writeBenchJSON emits per-experiment wall times plus freshly measured

@@ -176,22 +176,13 @@ func main() {
 	grayReport(*grayDelay, *leaseTTL, nodeSeed)
 }
 
-// loadSpecPlacement reads a scenario document (file path or bundled
-// scenario name), compiles its profiles against the built-in table and
-// returns the traced app plus the node spec its placement lowers to.
+// loadSpecPlacement reads a scenario document (spec.Load: a file path or
+// a bundled scenario name), compiles its profiles against the built-in
+// table and returns the traced app plus the node spec its placement
+// lowers to.
 func loadSpecPlacement(path string) (workload.Profile, node.Spec, error) {
-	var doc *spec.Document
-	data, err := os.ReadFile(path)
-	switch {
-	case err == nil:
-		if doc, err = spec.Parse(path, data); err != nil {
-			return workload.Profile{}, node.Spec{}, err
-		}
-	case os.IsNotExist(err):
-		if doc, err = spec.LoadBuiltin(path); err != nil {
-			return workload.Profile{}, node.Spec{}, fmt.Errorf("no file %q and no bundled scenario by that name", path)
-		}
-	default:
+	doc, err := spec.Load(path)
+	if err != nil {
 		return workload.Profile{}, node.Spec{}, err
 	}
 	if doc.Scenario == nil || doc.Scenario.App == "" {

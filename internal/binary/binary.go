@@ -542,16 +542,19 @@ type Counters struct {
 	CatHits [NumCategories]int64
 }
 
-// BranchSink receives batches of branch events in execution order. The
-// slice is a view into the walker's internal batch buffer: it is only
-// valid for the duration of the call and must not be retained.
+// BranchSink receives batches of branch events in execution order,
+// together with the batch's conditional directions pre-packed in tnt.
+// A batch holds at most branchBatchSize (128) events, so tnt carries at
+// most that many directions. Both the slice and the pack are views into
+// the walker's internal buffers: they are only valid for the duration of
+// the call and must not be retained.
 type BranchSink interface {
-	EmitBranches(evs []BranchEvent)
+	EmitBranches(evs []BranchEvent, tnt *TNTPack)
 }
 
 // TNTPack carries a batch's conditional-branch directions bit-packed in
 // emission order: bit i is the Taken direction of the i-th TermCond event
-// in the accompanying batch. Sinks that encode TNT packets can consume
+// in the accompanying batch. Sinks that encode TNT packets consume
 // directions straight from the pack instead of re-reading each event.
 type TNTPack struct {
 	Bits [branchBatchSize / 64]uint64
@@ -579,20 +582,11 @@ func (p *TNTPack) Slice(pos, k int) uint64 {
 	return v & (1<<uint(k) - 1)
 }
 
-// PackedBranchSink is a BranchSink that can additionally accept the
-// batch's pre-packed TNT directions. Walkers hand batches to this
-// interface when the sink implements it, letting the TNT encoding path
-// skip per-event direction staging.
-type PackedBranchSink interface {
-	BranchSink
-	EmitBranchesPacked(evs []BranchEvent, tnt *TNTPack)
-}
-
 // funcSink adapts a per-event callback to the batch interface for the
-// legacy Walker.Run signature.
+// per-event Walker.Run signature; it has no use for the pack.
 type funcSink func(BranchEvent)
 
-func (f funcSink) EmitBranches(evs []BranchEvent) {
+func (f funcSink) EmitBranches(evs []BranchEvent, _ *TNTPack) {
 	for i := range evs {
 		f(evs[i])
 	}
@@ -619,12 +613,10 @@ type Walker struct {
 
 	// batch is the pending emission buffer; events accumulate here and are
 	// handed to the sink branchBatchSize at a time. tnt mirrors the
-	// batch's conditional directions bit-packed; packed is the sink's
-	// PackedBranchSink side when it has one (resolved once per RunBatch).
+	// batch's conditional directions bit-packed.
 	batch    [branchBatchSize]BranchEvent
 	batchLen int
 	tnt      TNTPack
-	packed   PackedBranchSink
 	// visits/touched and funcVisits/funcTouched defer the per-block and
 	// per-function-entry charging of one run: the hot loop records one
 	// counter increment per block, and settleCounters multiplies out the
@@ -692,11 +684,6 @@ func (w *Walker) RunBatch(budget int64, sink BranchSink) (used int64, reason Sto
 		w.chainVisits = make([]int64, len(p.Blocks))
 	}
 	sup := p.superSteps()
-	if sink != nil {
-		w.packed, _ = sink.(PackedBranchSink)
-	} else {
-		w.packed = nil
-	}
 	blocks := p.Blocks
 	var insns int64
 	for used < budget {
@@ -826,8 +813,8 @@ func (w *Walker) RunBatch(budget int64, sink BranchSink) (used int64, reason Sto
 
 // pushEvent appends one event to the pending batch, flushing to the sink
 // when the batch fills. Conditional directions are mirrored into the
-// batch's TNT pack so packed sinks can consume them without re-reading
-// the events.
+// batch's TNT pack so the sink can consume them without re-reading the
+// events.
 func (w *Walker) pushEvent(sink BranchSink, ev BranchEvent) {
 	if ev.Kind == TermCond {
 		w.tnt.push(ev.Taken)
@@ -839,14 +826,10 @@ func (w *Walker) pushEvent(sink BranchSink, ev BranchEvent) {
 	}
 }
 
-// flushBatch hands the pending batch to the sink, via the packed
-// interface when the sink supports it, and resets the batch and pack.
+// flushBatch hands the pending batch and its pack to the sink and resets
+// both.
 func (w *Walker) flushBatch(sink BranchSink) {
-	if w.packed != nil {
-		w.packed.EmitBranchesPacked(w.batch[:w.batchLen], &w.tnt)
-	} else {
-		sink.EmitBranches(w.batch[:w.batchLen])
-	}
+	sink.EmitBranches(w.batch[:w.batchLen], &w.tnt)
 	w.batchLen = 0
 	w.tnt = TNTPack{}
 }

@@ -36,8 +36,15 @@ func liteCluster(t *testing.T, mutate func(*Config)) *Cluster {
 	return c
 }
 
-// activeLeaders is shorthand for the cluster's exported safety probe.
-func activeLeaders(c *Cluster, now simtime.Time) int { return c.ActiveLeaders(now) }
+// activeLeaders samples the leader-safety probe: the largest number of
+// fencing-valid owners of any one shard at now.
+func activeLeaders(c *Cluster, now simtime.Time) int {
+	n := 0
+	for s := 0; s < c.API.Shards(); s++ {
+		n = max(n, c.ActiveOwnersShard(s, now))
+	}
+	return n
+}
 
 // checkNoLostNoDup asserts the zero-lost/zero-duplicated-sessions
 // contract for every request that ran to a terminal phase on its own

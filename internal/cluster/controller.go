@@ -89,23 +89,6 @@ func (ct *Controller) QueueDepth() int {
 	return n
 }
 
-// ActiveLeaders counts replicas that both believe they own a shard and
-// would pass the store's fencing check for it at now. With one shard,
-// election safety demands this never exceeds one; chaos experiments
-// sample it continuously.
-func (c *Cluster) ActiveLeaders(now simtime.Time) int {
-	n := 0
-	for _, ct := range c.Controllers {
-		for s, own := range ct.owned {
-			if own && c.Leases.ValidForShard(s, ct.Name, ct.tokens[s], now) {
-				n++
-				break
-			}
-		}
-	}
-	return n
-}
-
 // ActiveOwnersShard counts replicas that believe they own shard si and
 // would pass its fencing check at now. Range-lease safety demands this
 // never exceeds one per shard.

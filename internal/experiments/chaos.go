@@ -145,13 +145,14 @@ func runChaosScenario(cfg Config, nodes int, fc *faults.Config) (chaosOutcome, e
 		})
 	}
 
-	// Safety probe: sample the active-leader count through the run.
+	// Safety probe: sample each shard's fencing-valid owner count through
+	// the run; the chaos cluster has one shard, so this is its leader count.
 	out := chaosOutcome{}
 	var sample func(now simtime.Time)
 	horizon := simtime.Time(reqN)*simtime.Time(300*simtime.Millisecond) + 15*simtime.Second
 	sample = func(now simtime.Time) {
-		if n := c.ActiveLeaders(now); n > out.maxLeaders {
-			out.maxLeaders = n
+		for s := 0; s < c.API.Shards(); s++ {
+			out.maxLeaders = max(out.maxLeaders, c.ActiveOwnersShard(s, now))
 		}
 		if now < horizon {
 			c.Eng.AfterDetached(10*simtime.Millisecond, sample)

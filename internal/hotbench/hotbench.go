@@ -74,9 +74,10 @@ func Session(prog *binary.Program, seed uint64, budget int64) *trace.Session {
 	return sess
 }
 
-// EncodeOnce drives the tracer encode path (the per-branch fast path plus
-// packet emission into a ToPA chain) for one walk of the given budget and
-// returns the bytes produced. Benchmarks call it per iteration.
+// EncodeOnce drives the walker→tracer encode path the scheduler runs
+// (batched emission with packed TNT directions, staged packet output into
+// a ToPA chain) for one walk of the given budget and returns the bytes
+// produced. Benchmarks call it per iteration.
 func EncodeOnce(prog *binary.Program, seed uint64, budget int64) int64 {
 	tr := ipt.NewTracer(0)
 	topa := ipt.NewSingleToPA(64 << 20)
@@ -87,7 +88,7 @@ func EncodeOnce(prog *binary.Program, seed uint64, budget int64) int64 {
 		panic(err)
 	}
 	w := binary.NewWalker(prog, xrand.Split(seed, "hotbench/encode"))
-	sink := &tracerSink{tr: tr}
+	sink := tracerSink{tr: tr}
 	var used int64
 	for used < budget {
 		n, _, _ := w.RunBatch(budget-used, sink)

@@ -35,17 +35,17 @@ func BenchmarkSchedHot(b *testing.B) {
 	}
 }
 
-// BenchmarkTracerHot measures the tracer ingestion path on a canned
-// ground-truth event stream: batched TNT/TIP encoding plus staged packet
-// output into a ring ToPA.
+// BenchmarkTracerHot measures the tracer ingestion path on recorded
+// walker batches (events plus packed TNT directions): batched TNT/TIP
+// encoding plus staged packet output into a ring ToPA.
 func BenchmarkTracerHot(b *testing.B) {
 	prog := Program(1)
-	evs := Events(prog, 1, 2_000_000)
+	batches := Events(prog, 1, 2_000_000)
 	tr := NewHotTracer(1 << 20)
-	b.SetBytes(TracerHotOnce(tr, evs))
+	b.SetBytes(TracerHotOnce(tr, batches))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		TracerHotOnce(tr, evs)
+		TracerHotOnce(tr, batches)
 	}
 }

@@ -1,6 +1,8 @@
 package hotbench
 
 import (
+	"slices"
+
 	"exist/internal/binary"
 	"exist/internal/ipt"
 	"exist/internal/sched"
@@ -10,48 +12,54 @@ import (
 
 // tracerSink feeds walker batches straight into a tracer's staged
 // packet-generation path, as the scheduler's segment loop does.
-type tracerSink struct {
-	tr  *ipt.Tracer
-	now simtime.Time
-}
+type tracerSink struct{ tr *ipt.Tracer }
 
 // EmitBranches implements binary.BranchSink.
-func (s *tracerSink) EmitBranches(evs []binary.BranchEvent) { s.tr.OnBranchBatch(s.now, evs) }
+func (s tracerSink) EmitBranches(evs []binary.BranchEvent, tnt *binary.TNTPack) {
+	s.tr.OnBranchBatch(0, evs, tnt)
+}
 
-// TracerHotOnce replays the canned event stream through the tracer's batched
-// ingestion path in walker-sized batches and returns the bytes emitted.
-func TracerHotOnce(tr *ipt.Tracer, evs []binary.BranchEvent) int64 {
+// Batch is one walker emission batch as the walker hands it to its sink:
+// the events plus their packed conditional directions.
+type Batch struct {
+	Evs  []binary.BranchEvent
+	Pack binary.TNTPack
+}
+
+// batchRecorder is a BranchSink that keeps a copy of every batch.
+type batchRecorder struct{ batches []Batch }
+
+// EmitBranches implements binary.BranchSink.
+func (r *batchRecorder) EmitBranches(evs []binary.BranchEvent, tnt *binary.TNTPack) {
+	r.batches = append(r.batches, Batch{Evs: slices.Clone(evs), Pack: *tnt})
+}
+
+// TracerHotOnce replays the recorded walker batches through the tracer's
+// batched ingestion path and returns the bytes emitted.
+func TracerHotOnce(tr *ipt.Tracer, batches []Batch) int64 {
 	before := tr.Stats.Bytes
-	const batch = 128 // matches the walker's emission batch size
-	for i := 0; i < len(evs); i += batch {
-		j := i + batch
-		if j > len(evs) {
-			j = len(evs)
-		}
-		tr.OnBranchBatch(0, evs[i:j])
+	for i := range batches {
+		tr.OnBranchBatch(0, batches[i].Evs, &batches[i].Pack)
 	}
 	tr.Flush()
 	return tr.Stats.Bytes - before
 }
 
-// Events replays prog for the given cycle budget and returns the canned
-// ground-truth branch stream. The tracer hot-path benchmarks feed this
-// stream through the packet-generation path without paying for the walk
-// on every iteration.
-func Events(prog *binary.Program, seed uint64, budget int64) []binary.BranchEvent {
+// Events walks prog for the given cycle budget and records the walker's
+// batches, so the tracer hot-path benchmarks replay exactly what the
+// walker hands the tracer without paying for the walk on every iteration.
+func Events(prog *binary.Program, seed uint64, budget int64) []Batch {
 	w := binary.NewWalker(prog, xrand.Split(seed, "hotbench/events"))
-	evs := make([]binary.BranchEvent, 0, budget/16)
+	var rec batchRecorder
 	var used int64
 	for used < budget {
-		n, _, _ := w.Run(budget-used, func(ev binary.BranchEvent) {
-			evs = append(evs, ev)
-		})
+		n, _, _ := w.RunBatch(budget-used, &rec)
 		if n <= 0 {
 			break
 		}
 		used += n
 	}
-	return evs
+	return rec.batches
 }
 
 // NewHotTracer returns an enabled tracer writing into a ring-mode chain of

@@ -33,6 +33,44 @@ func syntheticEvents(n int) []binary.BranchEvent {
 	return evs
 }
 
+// condEvents builds a conditional-only stream, so every packet is a TNT
+// and a chain stop necessarily lands inside a run of conditionals.
+func condEvents(n int) []binary.BranchEvent {
+	evs := syntheticEvents(n)
+	for i := range evs {
+		evs[i].Kind = binary.TermCond
+		evs[i].Taken = evs[i].To&1 == 0
+	}
+	return evs
+}
+
+// packOf builds the TNTPack the walker hands over with a batch: bit k is
+// the direction of the batch's k-th conditional event. It panics if the
+// batch holds more conditionals than the pack's capacity, as the walker
+// never delivers such a batch.
+func packOf(evs []binary.BranchEvent) *binary.TNTPack {
+	var p binary.TNTPack
+	for _, ev := range evs {
+		if ev.Kind != binary.TermCond {
+			continue
+		}
+		if ev.Taken {
+			p.Bits[p.N>>6] |= 1 << (uint(p.N) & 63)
+		}
+		p.N++
+	}
+	return &p
+}
+
+// feedBatches hands evs to OnBranchBatch in batches of size events, each
+// with its pack, as the walker's emission does.
+func feedBatches(tr *Tracer, now simtime.Time, evs []binary.BranchEvent, size int) {
+	for i := 0; i < len(evs); i += size {
+		j := min(i+size, len(evs))
+		tr.OnBranchBatch(now, evs[i:j], packOf(evs[i:j]))
+	}
+}
+
 // newBatchTestTracer builds an enabled tracer over the given chain.
 func newBatchTestTracer(t *testing.T, out *ToPA, ctl uint64) *Tracer {
 	t.Helper()
@@ -52,36 +90,35 @@ func newBatchTestTracer(t *testing.T, out *ToPA, ctl uint64) *Tracer {
 // stop-mode chain overflows mid-stream, where the stored/dropped split must
 // land on the same byte.
 func TestOnBranchBatchEquivalence(t *testing.T) {
-	evs := syntheticEvents(20_000)
+	mixed := syntheticEvents(20_000)
 	cases := []struct {
 		name  string
+		evs   []binary.BranchEvent
 		sizes []int
 		ring  bool
 		ctl   uint64
 		batch int
 	}{
-		{"ring-large", []int{1 << 20}, true, DefaultCtl(), 128},
-		{"ring-small-wraps", []int{4096, 4096}, true, DefaultCtl(), 128},
-		{"stop-overflows", []int{8192}, false, DefaultCtl(), 128},
-		{"stop-overflows-multiregion", []int{4096, 2048, 1024}, false, DefaultCtl(), 64},
-		{"stop-no-cyc", []int{8192}, false, DefaultCtl() &^ CtlCYCEn, 128},
-		{"stop-tiny-batches", []int{8192}, false, DefaultCtl(), 7},
-		{"stop-one-big-batch", []int{8192}, false, DefaultCtl(), len(evs)},
+		{"ring-large", mixed, []int{1 << 20}, true, DefaultCtl(), 128},
+		{"ring-small-wraps", mixed, []int{4096, 4096}, true, DefaultCtl(), 128},
+		{"stop-overflows", mixed, []int{8192}, false, DefaultCtl(), 128},
+		{"stop-overflows-multiregion", mixed, []int{4096, 2048, 1024}, false, DefaultCtl(), 64},
+		{"stop-no-cyc", mixed, []int{8192}, false, DefaultCtl() &^ CtlCYCEn, 128},
+		{"stop-tiny-batches", mixed, []int{8192}, false, DefaultCtl(), 7},
+		// The chain stops inside the only, full-sized batch.
+		{"stop-one-big-batch", mixed[:128], []int{160}, false, DefaultCtl(), 128},
+		// A stop inside a TNT run: the drop boundary is the event whose
+		// direction completed the failing packet.
+		{"stop-cond-only", condEvents(20_000), []int{777}, false, DefaultCtl(), 128},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			ref := newBatchTestTracer(t, NewToPA(tc.sizes, tc.ring), tc.ctl)
 			got := newBatchTestTracer(t, NewToPA(tc.sizes, tc.ring), tc.ctl)
-			for i := range evs {
-				ref.OnBranch(0, evs[i])
+			for i := range tc.evs {
+				ref.OnBranch(0, tc.evs[i])
 			}
-			for i := 0; i < len(evs); i += tc.batch {
-				j := i + tc.batch
-				if j > len(evs) {
-					j = len(evs)
-				}
-				got.OnBranchBatch(0, evs[i:j])
-			}
+			feedBatches(got, 0, tc.evs, tc.batch)
 			ref.Flush()
 			got.Flush()
 			if ref.Stats != got.Stats {
@@ -158,7 +195,7 @@ func TestOnBranchBatchInterleavedControl(t *testing.T) {
 		}
 	})
 	drive(got, func(now simtime.Time, chunk []binary.BranchEvent) {
-		got.OnBranchBatch(now, chunk)
+		feedBatches(got, now, chunk, 128)
 	})
 	ref.Flush()
 	got.Flush()

@@ -6,8 +6,9 @@ import (
 	"exist/internal/hotbench"
 )
 
-// BenchmarkEncodeHot measures the tracer encode path: the per-branch fast
-// path (TNT accumulation, TIP/CYC emission) writing into a ToPA chain.
+// BenchmarkEncodeHot measures the walker→tracer encode path: batched
+// emission with packed TNT directions, TNT/TIP/CYC encoding, and staged
+// output into a ToPA chain.
 // Run with -benchmem; allocs/op is tracked in BENCH_harness.json.
 func BenchmarkEncodeHot(b *testing.B) {
 	prog := hotbench.Program(2)

@@ -234,74 +234,19 @@ func (t *Tracer) OnBranch(now simtime.Time, ev binary.BranchEvent) {
 }
 
 // OnBranchBatch feeds a batch of retired control transfers to the tracer:
-// the amortized fast path the walker's batched emission drives. It is
-// byte- and stat-equivalent to calling OnBranch per event, but encodes
-// packets into a staging chunk and writes the chunk to the output chain in
+// the amortized path the walker's batched emission drives. pack holds the
+// batch's conditional directions bit-packed in event order (bit i is the
+// i-th TermCond event's direction), so runs of conditionals are consumed
+// six directions at a time straight into TNT packets. It is byte- and
+// stat-equivalent to calling OnBranch per event, but encodes packets into
+// a staging chunk and writes the chunk to the output chain in
 // stageFlushBytes pieces (and once at batch end) instead of issuing one
 // ToPA write per packet. The chain's remaining acceptance is tracked ahead
 // of the writes, so when output stops mid-batch the stored/dropped split,
 // Stats attribution, and status bits land on exactly the byte the
 // per-packet path would produce. No staged bytes survive the call: between
 // calls the tracer and its ToPA are in the same state as ever.
-func (t *Tracer) OnBranchBatch(now simtime.Time, evs []binary.BranchEvent) {
-	if !t.Enabled() || t.ctl&CtlBranchEn == 0 {
-		return
-	}
-	if !t.contextOn {
-		t.Stats.FilteredEvents += int64(len(evs))
-		return
-	}
-	if t.out.Stopped() {
-		t.Stats.DroppedEvents += int64(len(evs))
-		return
-	}
-	t.stageAvail = t.out.Remaining()
-	t.stageFailed = false
-	t.chunk = t.chunk[:0]
-	cyc := t.ctl&CtlCYCEn != 0
-	for i := range evs {
-		if t.stageFailed {
-			// The per-packet path re-checks out.Stopped() before every
-			// event; a failed staged write is that same boundary.
-			t.Stats.DroppedEvents += int64(len(evs) - i)
-			break
-		}
-		ev := &evs[i]
-		t.curIP = ev.To
-		if ev.Kind == binary.TermCond {
-			if ev.Taken {
-				t.tntBits |= 1 << uint(t.tntLen)
-			}
-			t.tntLen++
-			if t.tntLen == 6 {
-				t.stageTNT()
-			}
-			continue
-		}
-		// Indirect transfer: order is TNT flush, optional CYC, then TIP.
-		t.stageTNT()
-		if cyc {
-			p := len(t.chunk)
-			t.chunk = AppendCYC(t.chunk, 16)
-			t.stagePkt(p)
-		}
-		p := len(t.chunk)
-		t.chunk = AppendTIP(t.chunk, PktTIP, ev.To)
-		t.stagePkt(p)
-		t.Stats.TIPs++
-		if len(t.chunk) >= stageFlushBytes {
-			t.flushStage()
-		}
-	}
-	t.flushStage()
-}
-
-// OnBranchBatchPacked is OnBranchBatch for walkers that deliver the
-// batch's conditional directions pre-packed (binary.TNTPack). It is byte-
-// and stat-identical to the unpacked path, but runs of consecutive
-// conditional events consume the pack six directions at a time straight
-// into TNT packets, eliminating the per-branch direction staging.
-func (t *Tracer) OnBranchBatchPacked(now simtime.Time, evs []binary.BranchEvent, pack *binary.TNTPack) {
+func (t *Tracer) OnBranchBatch(now simtime.Time, evs []binary.BranchEvent, pack *binary.TNTPack) {
 	if !t.Enabled() || t.ctl&CtlBranchEn == 0 {
 		return
 	}

@@ -19,23 +19,11 @@ type branchEmitter struct {
 	tracerOn bool
 }
 
-// EmitBranches implements binary.BranchSink.
-func (e *branchEmitter) EmitBranches(evs []binary.BranchEvent) {
+// EmitBranches implements binary.BranchSink: the tracer consumes
+// conditional directions straight from the walker's TNT pack.
+func (e *branchEmitter) EmitBranches(evs []binary.BranchEvent, tnt *binary.TNTPack) {
 	if e.tracerOn {
-		e.tracer.OnBranchBatch(e.now, evs)
-	}
-	if e.listener != nil {
-		for i := range evs {
-			e.listener(e.thread, e.now, evs[i])
-		}
-	}
-}
-
-// EmitBranchesPacked implements binary.PackedBranchSink: the tracer
-// consumes conditional directions straight from the walker's TNT pack.
-func (e *branchEmitter) EmitBranchesPacked(evs []binary.BranchEvent, tnt *binary.TNTPack) {
-	if e.tracerOn {
-		e.tracer.OnBranchBatchPacked(e.now, evs, tnt)
+		e.tracer.OnBranchBatch(e.now, evs, tnt)
 	}
 	if e.listener != nil {
 		for i := range evs {

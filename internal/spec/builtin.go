@@ -2,6 +2,9 @@ package spec
 
 import (
 	"embed"
+	"fmt"
+	"os"
+	"path/filepath"
 	"sort"
 	"strings"
 )
@@ -45,6 +48,33 @@ func LoadBuiltin(name string) (*Document, error) {
 	}
 	if err := doc.ResolveReplay(func(p string) ([]byte, error) {
 		return bundled.ReadFile("builtin/" + p)
+	}); err != nil {
+		return nil, err
+	}
+	return doc, nil
+}
+
+// Load reads the scenario document at path, resolving any replay trace
+// relative to the document's directory. When no file exists at path, it
+// is taken as the name of a bundled scenario instead.
+func Load(path string) (*Document, error) {
+	data, err := os.ReadFile(path)
+	if os.IsNotExist(err) {
+		doc, err := LoadBuiltin(path)
+		if err != nil {
+			return nil, fmt.Errorf("no file %q and no bundled scenario by that name", path)
+		}
+		return doc, nil
+	}
+	if err != nil {
+		return nil, err
+	}
+	doc, err := Parse(path, data)
+	if err != nil {
+		return nil, err
+	}
+	if err := doc.ResolveReplay(func(p string) ([]byte, error) {
+		return os.ReadFile(filepath.Join(filepath.Dir(path), p))
 	}); err != nil {
 		return nil, err
 	}
