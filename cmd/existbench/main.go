@@ -254,33 +254,26 @@ type benchResult struct {
 // each optimization PR landed (same fixtures, -benchmem), recorded so
 // regressions and the optimization headroom stay visible — the same
 // convention as the publishedSOTA rows in Table 3. decode_hot/encode_hot
-// predate the parallel-harness PR; marshal_hot/unmarshal_hot are the
-// reflection-based (encoding/binary) v1 serializer before the v2 wire
-// format replaced it; sched_hot/tracer_hot predate the simulation-engine
-// fast path (per-event closure emission, per-packet output, container/heap
-// event queue).
+// predate the parallel-harness PR; sched_hot/tracer_hot predate the
+// simulation-engine fast path (per-event closure emission, per-packet
+// output, container/heap event queue).
 var prePRBaselines = map[string]benchResult{
-	"decode_hot":    {NsPerOp: 22_900_000, AllocsPerOp: 1195, BytesPerOp: 15_402_504},
-	"encode_hot":    {NsPerOp: 21_900_000, AllocsPerOp: 20, BytesPerOp: 67_111_138},
-	"marshal_hot":   {NsPerOp: 206_617, AllocsPerOp: 16, BytesPerOp: 1_159_471},
-	"unmarshal_hot": {NsPerOp: 102_445, AllocsPerOp: 32, BytesPerOp: 401_730},
-	"sched_hot":     {NsPerOp: 63_196, AllocsPerOp: 178, BytesPerOp: 9_025},
-	"tracer_hot":    {NsPerOp: 1_478_338, AllocsPerOp: 0, BytesPerOp: 0},
+	"decode_hot": {NsPerOp: 22_900_000, AllocsPerOp: 1195, BytesPerOp: 15_402_504},
+	"encode_hot": {NsPerOp: 21_900_000, AllocsPerOp: 20, BytesPerOp: 67_111_138},
+	"sched_hot":  {NsPerOp: 63_196, AllocsPerOp: 178, BytesPerOp: 9_025},
+	"tracer_hot": {NsPerOp: 1_478_338, AllocsPerOp: 0, BytesPerOp: 0},
 }
 
-// datapathStats records exact encoded sizes of the decode-hot fixture
-// session in each wire format.
+// datapathStats records the decode-hot fixture session's v1-equivalent
+// size (trace.V1Size) and its exact packed wire size.
 type datapathStats struct {
 	V1Bytes       int64   `json:"v1_bytes"`
-	V2RawBytes    int64   `json:"v2_raw_bytes"`
 	V2PackedBytes int64   `json:"v2_packed_bytes"`
 	PackedRatio   float64 `json:"packed_ratio"`
 }
 
 // measureHotPaths runs the hot-path microbenchmarks on the shared
-// hotbench fixtures and measures the wire-format sizes. marshal_hot and
-// unmarshal_hot are the throughput-optimized v2 raw mode (the *_packed
-// variants trade CPU for the wire-size win reported in datapath).
+// hotbench fixtures and measures the wire-format sizes.
 func measureHotPaths() (map[string]benchResult, datapathStats) {
 	hot := map[string]benchResult{}
 	const budget = 4_000_000
@@ -329,8 +322,8 @@ func measureHotPaths() (map[string]benchResult, datapathStats) {
 		}
 	}))
 
-	// Wire-format hot paths, all normalized to v1-equivalent bytes so the
-	// MB/s columns compare like for like.
+	// Wire-format hot paths, normalized to v1-equivalent bytes so the MB/s
+	// columns track the session size rather than the compressed blob.
 	v1Bytes := int64(trace.V1Size(decSess))
 	bench := func(name string, fn func()) {
 		hot[name] = toBenchResult(testing.Benchmark(func(b *testing.B) {
@@ -341,19 +334,12 @@ func measureHotPaths() (map[string]benchResult, datapathStats) {
 			}
 		}))
 	}
-	bench("marshal_v1", func() { decSess.MarshalV1() })
-	bench("marshal_hot", func() { decSess.MarshalMode(trace.EncodeRaw) })
 	bench("marshal_hot_packed", func() { decSess.Marshal() })
-	v1Blob := decSess.MarshalV1()
-	rawBlob := decSess.MarshalMode(trace.EncodeRaw)
 	packedBlob := decSess.Marshal()
-	bench("unmarshal_v1", func() { trace.UnmarshalSession(v1Blob) })
-	bench("unmarshal_hot", func() { trace.UnmarshalSession(rawBlob) })
 	bench("unmarshal_hot_packed", func() { trace.UnmarshalSession(packedBlob) })
 
 	dp := datapathStats{
-		V1Bytes:       int64(len(v1Blob)),
-		V2RawBytes:    int64(len(rawBlob)),
+		V1Bytes:       v1Bytes,
 		V2PackedBytes: int64(len(packedBlob)),
 	}
 	dp.PackedRatio = float64(dp.V1Bytes) / float64(dp.V2PackedBytes)
@@ -370,9 +356,26 @@ type benchFile struct {
 	Datapath   *datapathStats         `json:"datapath,omitempty"`
 }
 
-// runBenchCheck re-measures the hot paths and fails if allocs/op or MB/s
-// regressed beyond tol against the recorded baseline, or if the packed
-// compression ratio dropped. Improvements always pass. Throughput is only
+// hotPathRuns is how many times -benchjson and -benchcheck measure the
+// hot paths. Both record each row's median, so one pass disturbed by host
+// noise moves neither the baseline nor the check.
+const hotPathRuns = 3
+
+// measureHotPathMedians runs measureHotPaths hotPathRuns times and returns
+// each row's median with the (deterministic) wire-format sizes.
+func measureHotPathMedians() (map[string]benchResult, datapathStats) {
+	runs := make([]map[string]benchResult, hotPathRuns)
+	var dp datapathStats
+	for i := range runs {
+		runs[i], dp = measureHotPaths()
+	}
+	return medianRows(runs), dp
+}
+
+// runBenchCheck re-measures the hot paths' medians and fails if a row's
+// allocs/op or MB/s regressed beyond tol against the recorded baseline,
+// or if the packed compression ratio dropped. Improvements always pass.
+// Throughput is only
 // compared like-for-like: when the baseline was recorded under a different
 // GOMAXPROCS, MB/s rows are informational and only the scheduler-independent
 // metrics (allocs/op, compression ratio) gate.
@@ -390,7 +393,7 @@ func runBenchCheck(path string, tol float64) error {
 		fmt.Printf("baseline measured at GOMAXPROCS=%d, this run is %d: throughput rows informational only\n",
 			base.GOMAXPROCS, runtime.GOMAXPROCS(0))
 	}
-	hot, dp := measureHotPaths()
+	hot, dp := measureHotPathMedians()
 	var problems []string
 	// A renamed or retargeted hot path must take its gate along to a
 	// regenerated baseline, never drop it silently.
@@ -439,6 +442,37 @@ func runBenchCheck(path string, tol float64) error {
 	return nil
 }
 
+// medianRows returns, for every row of the runs (each run measures the
+// same rows), the median of each field taken independently across runs.
+func medianRows(runs []map[string]benchResult) map[string]benchResult {
+	out := map[string]benchResult{}
+	for name := range runs[0] {
+		var ns, allocs, bytes []int64
+		var mbps []float64
+		for _, run := range runs {
+			r := run[name]
+			ns = append(ns, r.NsPerOp)
+			allocs = append(allocs, r.AllocsPerOp)
+			bytes = append(bytes, r.BytesPerOp)
+			mbps = append(mbps, r.MBPerS)
+		}
+		out[name] = benchResult{
+			NsPerOp:     median(ns),
+			AllocsPerOp: median(allocs),
+			BytesPerOp:  median(bytes),
+			MBPerS:      median(mbps),
+		}
+	}
+	return out
+}
+
+// median returns the middle value of vs (the upper middle for an even
+// count). It sorts vs in place.
+func median[T int64 | float64](vs []T) T {
+	sort.Slice(vs, func(i, j int) bool { return vs[i] < vs[j] })
+	return vs[len(vs)/2]
+}
+
 // rowMismatch returns, sorted, the baseline rows absent from the
 // measurement and the measured rows absent from the baseline.
 func rowMismatch(base, measured map[string]benchResult) (unmeasured, unrecorded []string) {
@@ -458,7 +492,7 @@ func rowMismatch(base, measured map[string]benchResult) (unmeasured, unrecorded 
 }
 
 // writeBenchJSON emits per-experiment wall times plus freshly measured
-// hot-path microbenchmarks on the shared hotbench fixtures.
+// hot-path microbenchmark medians on the shared hotbench fixtures.
 func writeBenchJSON(path string, cfg experiments.Config, reports []experiments.RunReport, total time.Duration) error {
 	// cpu_ms is the process CPU consumed during the experiment's wall
 	// window — exact per-ID attribution only when jobs=1 (see RunReport.CPU).
@@ -468,7 +502,7 @@ func writeBenchJSON(path string, cfg experiments.Config, reports []experiments.R
 		CPUMS  float64 `json:"cpu_ms"`
 		Failed bool    `json:"failed,omitempty"`
 	}
-	hot, dp := measureHotPaths()
+	hot, dp := measureHotPathMedians()
 	out := struct {
 		Quick       bool                   `json:"quick"`
 		Seed        uint64                 `json:"seed"`

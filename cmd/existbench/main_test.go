@@ -22,3 +22,21 @@ func TestRowMismatch(t *testing.T) {
 		t.Errorf("identical rows reported mismatches: %v, %v", u, r)
 	}
 }
+
+// TestMedianRows pins the -benchcheck noise filter: each field gates on
+// its own median across runs, so one outlier pass does not move a row.
+func TestMedianRows(t *testing.T) {
+	runs := []map[string]benchResult{
+		{"a_hot": {NsPerOp: 10, AllocsPerOp: 8, BytesPerOp: 100, MBPerS: 50}, "b_hot": {AllocsPerOp: 3}},
+		{"a_hot": {NsPerOp: 90, AllocsPerOp: 10, BytesPerOp: 300, MBPerS: 5}, "b_hot": {AllocsPerOp: 1}},
+		{"a_hot": {NsPerOp: 20, AllocsPerOp: 8, BytesPerOp: 200, MBPerS: 40}, "b_hot": {AllocsPerOp: 2}},
+	}
+	got := medianRows(runs)
+	want := map[string]benchResult{
+		"a_hot": {NsPerOp: 20, AllocsPerOp: 8, BytesPerOp: 200, MBPerS: 40},
+		"b_hot": {AllocsPerOp: 2},
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("medianRows = %+v, want %+v", got, want)
+	}
+}

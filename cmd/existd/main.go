@@ -17,13 +17,13 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"sort"
 	"time"
 
 	"exist/internal/decode"
 	"exist/internal/faults"
 	"exist/internal/memalloc"
 	"exist/internal/node"
+	"exist/internal/report"
 	"exist/internal/simtime"
 	"exist/internal/spec"
 	"exist/internal/trace"
@@ -134,17 +134,8 @@ func main() {
 		sess.Stats.EnabledCores, m.Stats.Switches)
 
 	if *dump != "" {
-		// Stream the v2 encoding block by block instead of marshaling the
-		// whole session into memory first; existdecode reads it back with
-		// the streaming decoder (v1 dumps from older builds still decode).
-		f, err := os.Create(*dump)
-		if err == nil {
-			err = result.EncodeTo(f, trace.EncodePacked)
-			if cerr := f.Close(); err == nil {
-				err = cerr
-			}
-		}
-		if err != nil {
+		// The same encoding the cluster uploads; existdecode reads it back.
+		if err := os.WriteFile(*dump, result.Marshal(), 0o644); err != nil {
 			fmt.Fprintln(os.Stderr, "dump:", err)
 			os.Exit(1)
 		}
@@ -156,21 +147,12 @@ func main() {
 	fmt.Printf("existd: decoded %d control-flow events across %d threads (%d decode notes)\n",
 		rec.Events, len(rec.ByThread), len(rec.Errors))
 
-	type fnCount struct {
-		name string
-		n    int64
-	}
-	var hot []fnCount
-	for fn, n := range rec.FuncEntries {
-		hot = append(hot, fnCount{prog.Funcs[fn].Name, n})
-	}
-	sort.Slice(hot, func(i, j int) bool { return hot[i].n > hot[j].n })
 	fmt.Println("existd: hottest functions (by traced indirect-call entries):")
-	for i, fc := range hot {
+	for i, fc := range report.RankFunctions(rec, prog) {
 		if i >= 10 {
 			break
 		}
-		fmt.Printf("  %6d  %s\n", fc.n, fc.name)
+		fmt.Printf("  %6d  %s\n", fc.N, fc.Name)
 	}
 
 	grayReport(*grayDelay, *leaseTTL, nodeSeed)

@@ -4,9 +4,8 @@
 // the workload's binary from its profile name and seed, since synthetic
 // binaries are deterministic in both.
 //
-// Sessions in either wire format decode transparently: the current v2
-// block framing is read as a stream, and legacy v1 dumps from older
-// builds still work.
+// The file holds one session in the packed v2 encoding that Marshal
+// writes; existdecode reads it whole and parses it with UnmarshalSession.
 //
 // Usage:
 //
@@ -46,14 +45,12 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
-	f, err := os.Open(*in)
+	blob, err := os.ReadFile(*in)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
-	info, _ := f.Stat()
-	sess, err := trace.DecodeSessionFrom(f)
-	f.Close()
+	sess, err := trace.UnmarshalSession(blob)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "unmarshal:", err)
 		os.Exit(1)
@@ -63,15 +60,9 @@ func main() {
 		len(sess.Switches.Records), sess.SpaceMB())
 
 	if *stats {
-		wireBytes := int64(0)
-		if info != nil {
-			wireBytes = info.Size()
-		}
+		wireBytes := int64(len(blob))
 		v1Bytes := int64(trace.V1Size(sess))
-		ratio := 0.0
-		if wireBytes > 0 {
-			ratio = float64(v1Bytes) / float64(wireBytes)
-		}
+		ratio := float64(v1Bytes) / float64(wireBytes)
 		fmt.Printf("wire bytes:          %d\n", wireBytes)
 		fmt.Printf("v1-equivalent bytes: %d\n", v1Bytes)
 		fmt.Printf("compression ratio:   %.2fx\n", ratio)

@@ -15,65 +15,47 @@ func marshalFixture(b *testing.B) *trace.Session {
 	return Session(prog, 1, 4_000_000)
 }
 
-// BenchmarkMarshalHot measures session serialization across wire
-// formats. SetBytes is the v1-equivalent payload in every variant so the
-// MB/s figures compare like for like.
+// Package-level sinks keep the compiler from discarding measured calls.
+var (
+	marshalSink   []byte
+	unmarshalSink *trace.Session
+)
+
+// BenchmarkMarshalHot measures session serialization. SetBytes is the
+// v1-equivalent payload (trace.V1Size), so MB/s tracks session size
+// rather than the compressed blob.
 func BenchmarkMarshalHot(b *testing.B) {
 	s := marshalFixture(b)
-	v1Bytes := int64(trace.V1Size(s))
-	b.Run("v1", func(b *testing.B) {
-		b.SetBytes(v1Bytes)
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			_ = s.MarshalV1()
-		}
-	})
-	b.Run("v2raw", func(b *testing.B) {
-		b.SetBytes(v1Bytes)
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			_ = s.MarshalMode(trace.EncodeRaw)
-		}
-	})
-	b.Run("v2packed", func(b *testing.B) {
-		b.SetBytes(v1Bytes)
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			_ = s.Marshal()
-		}
-	})
+	b.SetBytes(int64(trace.V1Size(s)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		marshalSink = s.Marshal()
+	}
 }
 
-// BenchmarkUnmarshalHot measures session parsing for each format.
+// BenchmarkUnmarshalHot measures session parsing.
 func BenchmarkUnmarshalHot(b *testing.B) {
 	s := marshalFixture(b)
-	v1Bytes := int64(trace.V1Size(s))
-	for _, v := range []struct {
-		name string
-		blob []byte
-	}{
-		{"v1", s.MarshalV1()},
-		{"v2raw", s.MarshalMode(trace.EncodeRaw)},
-		{"v2packed", s.Marshal()},
-	} {
-		b.Run(v.name, func(b *testing.B) {
-			b.SetBytes(v1Bytes)
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := trace.UnmarshalSession(v.blob); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+	blob := s.Marshal()
+	b.SetBytes(int64(trace.V1Size(s)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		var err error
+		if unmarshalSink, err = trace.UnmarshalSession(blob); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
 // TestMarshalFixtureCompression pins the headline size win on the real
-// fixture: packed v2 must be at least 3x smaller than v1.
+// fixture: packed v2 must be at least 3x smaller than the v1-equivalent
+// size.
 func TestMarshalFixtureCompression(t *testing.T) {
 	prog := Program(1)
 	s := Session(prog, 1, 4_000_000)
-	v1 := s.MarshalV1()
+	v1 := trace.V1Size(s)
 	v2 := s.Marshal()
 	if got, err := trace.UnmarshalSession(v2); err != nil {
 		t.Fatal(err)
@@ -84,8 +66,8 @@ func TestMarshalFixtureCompression(t *testing.T) {
 			}
 		}
 	}
-	ratio := float64(len(v1)) / float64(len(v2))
+	ratio := float64(v1) / float64(len(v2))
 	if ratio < 3 {
-		t.Fatalf("compression ratio %.2fx < 3x (v1 %d, v2 %d)", ratio, len(v1), len(v2))
+		t.Fatalf("compression ratio %.2fx < 3x (v1 %d, v2 %d)", ratio, v1, len(v2))
 	}
 }

@@ -72,33 +72,45 @@ func header(b *strings.Builder, rec *decode.Result, sess *trace.Session) {
 	b.WriteString("\n\n")
 }
 
-func hotFunctions(b *strings.Builder, rec *decode.Result, prog *binary.Program, top int) {
-	type fc struct {
-		name string
-		n    int64
-	}
-	var hot []fc
-	var total int64
+// FuncCount is one function's traced call-entry count.
+type FuncCount struct {
+	Name string
+	N    int64
+}
+
+// RankFunctions returns every function with traced call entries, by
+// count descending and then by name, so tied counts list in the same
+// order on every run.
+func RankFunctions(rec *decode.Result, prog *binary.Program) []FuncCount {
+	hot := make([]FuncCount, 0, len(rec.FuncEntries))
 	for fn, n := range rec.FuncEntries {
-		hot = append(hot, fc{prog.Funcs[fn].Name, n})
-		total += n
+		hot = append(hot, FuncCount{prog.Funcs[fn].Name, n})
+	}
+	sort.Slice(hot, func(i, j int) bool {
+		if hot[i].N != hot[j].N {
+			return hot[i].N > hot[j].N
+		}
+		return hot[i].Name < hot[j].Name
+	})
+	return hot
+}
+
+func hotFunctions(b *strings.Builder, rec *decode.Result, prog *binary.Program, top int) {
+	hot := RankFunctions(rec, prog)
+	var total int64
+	for _, f := range hot {
+		total += f.N
 	}
 	if total == 0 {
 		return
 	}
-	sort.Slice(hot, func(i, j int) bool {
-		if hot[i].n != hot[j].n {
-			return hot[i].n > hot[j].n
-		}
-		return hot[i].name < hot[j].name
-	})
 	b.WriteString("hottest functions (traced call entries):\n")
 	for i, f := range hot {
 		if i >= top {
 			break
 		}
-		frac := float64(f.n) / float64(total)
-		fmt.Fprintf(b, "  %5.1f%% %s %s\n", frac*100, bar(frac, 30), f.name)
+		frac := float64(f.N) / float64(total)
+		fmt.Fprintf(b, "  %5.1f%% %s %s\n", frac*100, bar(frac, 30), f.Name)
 	}
 	b.WriteString("\n")
 }

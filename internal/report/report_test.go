@@ -1,6 +1,7 @@
 package report
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -142,5 +143,29 @@ func TestEmptyReportInputs(t *testing.T) {
 	out := Build(rec, prog, sess, Options{})
 	if !strings.Contains(out, "EXIST behaviour report — empty") {
 		t.Fatalf("header missing for empty input:\n%s", out)
+	}
+}
+
+// TestRankFunctions pins the hottest-function order: count descending,
+// ties broken by name, independent of map iteration order.
+func TestRankFunctions(t *testing.T) {
+	prog := &binary.Program{Funcs: []binary.Func{{Name: "zeta"}, {Name: "alpha"}, {Name: "mid"}, {Name: "beta"}}}
+	for _, tc := range []struct {
+		name    string
+		entries map[int32]int64
+		want    []FuncCount
+	}{
+		{"empty", map[int32]int64{}, []FuncCount{}},
+		{"distinct", map[int32]int64{0: 1, 1: 3, 2: 2},
+			[]FuncCount{{"alpha", 3}, {"mid", 2}, {"zeta", 1}}},
+		{"tied", map[int32]int64{0: 5, 1: 5, 2: 7, 3: 5},
+			[]FuncCount{{"mid", 7}, {"alpha", 5}, {"beta", 5}, {"zeta", 5}}},
+	} {
+		for run := 0; run < 20; run++ {
+			got := RankFunctions(&decode.Result{FuncEntries: tc.entries}, prog)
+			if !reflect.DeepEqual(got, tc.want) {
+				t.Fatalf("%s: RankFunctions = %v, want %v", tc.name, got, tc.want)
+			}
+		}
 	}
 }

@@ -7,16 +7,18 @@ import (
 	"exist/internal/simtime"
 )
 
-// FuzzUnmarshalSession throws arbitrary bytes at the session parser.
-// Both wire formats must reject malformed input with an error — never a
-// panic — and must not size allocations from unvalidated length fields
-// (every make is capped by the remaining reader length, so a lying
-// length can at worst cost a small multiple of the input size).
+// FuzzUnmarshalSession throws arbitrary bytes at the session parser. It
+// must reject malformed input with an error — never a panic — and must
+// not size allocations from unvalidated length fields (every make is
+// capped by the remaining reader length, so a lying length can at worst
+// cost a small multiple of the input size).
 //
 // Run with: go test -fuzz=FuzzUnmarshalSession ./internal/trace
-// The checked-in corpus under testdata/fuzz seeds valid v1 and v2 blobs
-// so mutation starts from deep in the format, plus hand-picked hostile
-// shapes (truncations, lying lengths, huge counts).
+// The checked-in corpus under testdata/fuzz seeds valid packed blobs so
+// mutation starts from deep in the format, plus hand-picked hostile
+// shapes (truncations, lying lengths, huge counts). Its valid-v1,
+// valid-v2-raw and v1-* entries are blobs from the retired legacy layout
+// and raw core encoding: they must now be rejected without panicking.
 func FuzzUnmarshalSession(f *testing.F) {
 	s := &Session{
 		ID: "fuzz", Node: "n0", Workload: "w", PID: 7,
@@ -30,9 +32,10 @@ func FuzzUnmarshalSession(f *testing.F) {
 			{TS: simtime.Time(180), CPU: 1, PID: 7, TID: 8, Op: kernel.OpOut},
 		}},
 	}
-	f.Add(s.Marshal())
-	f.Add(s.MarshalMode(EncodeRaw))
-	f.Add(s.MarshalV1())
+	blob := s.Marshal()
+	f.Add(blob)
+	f.Add((&Session{}).Marshal())
+	f.Add(append([]byte{0x53, 0x49, 0x58, 0x45}, blob[4:]...)) // v1 magic on a v2 body
 	f.Add([]byte{})
 	f.Add([]byte{0x53, 0x49, 0x58, 0x45}) // v1 magic alone
 	f.Add([]byte{0x32, 0x49, 0x58, 0x45}) // v2 magic alone
@@ -46,7 +49,6 @@ func FuzzUnmarshalSession(f *testing.F) {
 			// A session that decodes must re-encode: the writer must not
 			// be panicable from parser-accepted state.
 			_ = got.Marshal()
-			_ = got.MarshalV1()
 		}
 	})
 }

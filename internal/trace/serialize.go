@@ -2,10 +2,8 @@ package trace
 
 import (
 	"fmt"
-	"math"
 
 	"exist/internal/kernel"
-	"exist/internal/simtime"
 	"exist/internal/wire"
 )
 
@@ -13,20 +11,20 @@ import (
 // (OSS) instead of writing node-local files (§4 of the paper); the decoder
 // later fetches them together with the program binary.
 //
-// Two formats exist on the wire. The legacy v1 layout is a flat tagged
-// little-endian dump (magic "EXIS"); the current v2 layout (magic "EXI2",
-// serialize_v2.go) adds varint/delta encoding, a string dictionary, and
-// per-core block framing. Marshal writes v2; UnmarshalSession dispatches
-// on the magic, so v1 sessions written by older builds still decode.
+// One encoding exists on the wire: the v2 layout (magic "EXI2",
+// serialize_v2.go) with varint/delta encoding, a string dictionary,
+// per-core block framing and packed core payloads. Marshal writes it and
+// UnmarshalSession reads it; any other magic is rejected.
 
-const (
-	sessionMagicV1 = 0x45584953 // "EXIS"
-	sessionMagicV2 = 0x45584932 // "EXI2"
-)
+const sessionMagicV2 = 0x45584932 // "EXI2"
 
-// V1Size returns the exact encoded size of the session in the v1 layout.
-// The cluster ledger uses it to report v1-equivalent volume next to the
-// bytes actually shipped, and MarshalV1 uses it to allocate exactly once.
+// V1Size returns the flat fixed-width size of the session: every string
+// and payload length-prefixed with a u32, every scalar at full width,
+// core payloads and switch records uncompressed. It is the
+// "v1-equivalent bytes" figure the ledgers report next to the bytes
+// actually shipped (cluster Uploads.V1Bytes, existdecode -stats, the
+// datapath table, the benchmark's trace.v1_mb), and Marshal uses it to
+// size its output buffer.
 func V1Size(s *Session) int {
 	n := 4 // magic
 	n += 4 + len(s.ID)
@@ -40,120 +38,14 @@ func V1Size(s *Session) int {
 	return n
 }
 
-// MarshalV1 serializes the session in the legacy v1 layout.
-func (s *Session) MarshalV1() []byte {
-	w := make([]byte, 0, V1Size(s))
-	w = wire.AppendU32(w, sessionMagicV1)
-	w = appendV1String(w, s.ID)
-	w = appendV1String(w, s.Node)
-	w = appendV1String(w, s.Workload)
-	w = wire.AppendU32(w, uint32(s.PID))
-	w = wire.AppendU64(w, uint64(s.Start))
-	w = wire.AppendU64(w, uint64(s.End))
-	w = wire.AppendU64(w, math.Float64bits(s.Scale))
-	w = wire.AppendU32(w, uint32(len(s.Cores)))
-	for i := range s.Cores {
-		c := &s.Cores[i]
-		w = wire.AppendU32(w, uint32(c.Core))
-		flags := uint8(0)
-		if c.Wrapped {
-			flags |= 1
-		}
-		if c.Stopped {
-			flags |= 2
-		}
-		w = append(w, flags)
-		w = wire.AppendU64(w, uint64(c.DroppedBytes))
-		w = wire.AppendU32(w, uint32(len(c.Data)))
-		w = append(w, c.Data...)
-	}
-	w = wire.AppendU32(w, uint32(len(s.Switches.Records)*kernel.RecordSize))
-	for _, rec := range s.Switches.Records {
-		w = rec.AppendBinary(w)
-	}
-	return w
-}
-
-func appendV1String(w []byte, s string) []byte {
-	w = wire.AppendU32(w, uint32(len(s)))
-	return append(w, s...)
-}
-
-func getV1String(r *wire.Reader) string {
-	n := r.U32()
-	if int(n) > r.Len() {
-		return ""
-	}
-	return r.String(int(n))
-}
-
-// UnmarshalSession parses a serialized session of either format. Slices
-// in the result may alias data; callers that mutate the session after
-// unmarshaling should copy first (the object store hands out private
-// copies, so the cluster pipeline never needs to).
+// UnmarshalSession parses a session written by Marshal. Slices in the
+// result never alias data: core payloads are unpacked into fresh buffers.
 func UnmarshalSession(data []byte) (*Session, error) {
 	if len(data) < 4 {
 		return nil, fmt.Errorf("trace: session too short (%d bytes)", len(data))
 	}
-	switch wire.U32(data) {
-	case sessionMagicV1:
-		return unmarshalV1(data)
-	case sessionMagicV2:
-		return unmarshalV2(data)
-	default:
-		return nil, fmt.Errorf("trace: bad session magic %#x", wire.U32(data))
+	if magic := wire.U32(data); magic != sessionMagicV2 {
+		return nil, fmt.Errorf("trace: bad session magic %#x", magic)
 	}
-}
-
-// unmarshalV1 parses the legacy flat layout.
-func unmarshalV1(data []byte) (*Session, error) {
-	r := wire.NewReader(data)
-	r.U32() // magic, already checked
-	s := &Session{}
-	s.ID = getV1String(r)
-	s.Node = getV1String(r)
-	s.Workload = getV1String(r)
-	s.PID = int32(r.U32())
-	s.Start = simtime.Time(r.U64())
-	s.End = simtime.Time(r.U64())
-	s.Scale = math.Float64frombits(r.U64())
-	nCores := r.U32()
-	if err := r.Err(); err != nil {
-		return nil, err
-	}
-	if int(nCores) > 1<<16 {
-		return nil, fmt.Errorf("trace: implausible core count %d", nCores)
-	}
-	for i := 0; i < int(nCores); i++ {
-		core := int32(r.U32())
-		flags := r.U8()
-		dropped := int64(r.U64())
-		n := r.U32()
-		if err := r.Err(); err != nil {
-			return nil, err
-		}
-		if int(n) > r.Len() {
-			return nil, fmt.Errorf("trace: core data length %d exceeds remaining %d", n, r.Len())
-		}
-		s.Cores = append(s.Cores, CoreTrace{
-			Core:         int(core),
-			Data:         r.Bytes(int(n)),
-			Wrapped:      flags&1 != 0,
-			Stopped:      flags&2 != 0,
-			DroppedBytes: dropped,
-		})
-	}
-	swLen := r.U32()
-	if err := r.Err(); err != nil {
-		return nil, err
-	}
-	if int(swLen) > r.Len() {
-		return nil, fmt.Errorf("trace: switch log length %d exceeds remaining %d", swLen, r.Len())
-	}
-	log, err := kernel.DecodeSwitchLog(r.Bytes(int(swLen)))
-	if err != nil {
-		return nil, err
-	}
-	s.Switches = *log
-	return s, nil
+	return unmarshalV2(data)
 }

@@ -1,9 +1,7 @@
 package trace
 
 import (
-	"bufio"
 	"fmt"
-	"io"
 	"math"
 
 	"exist/internal/ipt"
@@ -27,8 +25,8 @@ import (
 //	tag 2, core (one per core, in order):
 //	    core id as zigzag delta from the previous core id; flags u8
 //	    (1 wrapped, 2 stopped); dropped bytes zigzag; encoding u8
-//	    (0 raw, 1 packed); if packed, the unpacked length uvarint;
-//	    payload is the rest of the body.
+//	    (always 1, packed); the unpacked length uvarint; the packed
+//	    payload (ipt.PackStream) is the rest of the body.
 //	tag 3, switches:
 //	    record count uvarint; op mode u8 (0 bitpacked, 1 raw); then
 //	    four zigzag-delta columns (TS, CPU, PID, TID) and the op
@@ -36,22 +34,7 @@ import (
 //
 // The columnar split matters: within a column consecutive values are
 // near each other (timestamps increase, CPU/PID/TID repeat), so the
-// deltas stay in the 1-byte varint range. Core payloads default to the
-// packed packet codec (ipt.PackStream) for wire volume; raw mode keeps
-// the bytes verbatim for marshal-throughput-critical paths and decodes
-// with zero copies.
-
-// EncodeMode selects how v2 core payloads are carried.
-type EncodeMode int
-
-const (
-	// EncodePacked runs core payloads through the packet codec —
-	// smallest wire size, the default for uploads.
-	EncodePacked EncodeMode = iota
-	// EncodeRaw carries core payloads verbatim — fastest to encode and
-	// to decode (payloads alias the blob on read).
-	EncodeRaw
-)
+// deltas stay in the 1-byte varint range.
 
 const (
 	blockEnd      = 0
@@ -60,76 +43,24 @@ const (
 	blockSwitches = 3
 )
 
-const (
-	coreEncRaw    = 0
-	coreEncPacked = 1
-)
+// coreEncPacked is the only core payload encoding. The byte stays in the
+// core block so the format can grow another encoding without a new magic.
+const coreEncPacked = 1
 
-// Marshal serializes the session in the v2 format with packed core
-// payloads. Use MarshalMode(EncodeRaw) when encode speed matters more
-// than wire size, and MarshalV1 for the legacy layout.
+// Marshal serializes the session in the v2 layout with packed core
+// payloads, the one encoding the data path writes and reads.
 func (s *Session) Marshal() []byte {
-	return s.MarshalMode(EncodePacked)
-}
-
-// MarshalMode serializes the session in the v2 format with the given
-// payload mode.
-func (s *Session) MarshalMode(mode EncodeMode) []byte {
-	// Raw mode never exceeds v1 by more than the small per-block framing;
-	// packed mode is normally far below. Either way this cap makes the
-	// common case a single allocation.
+	// Packed payloads are normally far below their raw size, so this cap
+	// makes the common case a single allocation.
 	capHint := V1Size(s) + 128 + 32*len(s.Cores) + 4*len(s.Switches.Records)
 	out := make([]byte, 0, capHint)
-	s.encodeV2(mode, func(part []byte) error {
-		out = append(out, part...)
-		return nil
-	})
-	return out
-}
-
-// EncodeTo streams the v2 encoding to w without building the whole
-// session in memory: each block is written as soon as it is produced,
-// and raw core payloads are written straight from the session's buffers.
-func (s *Session) EncodeTo(w io.Writer, mode EncodeMode) error {
-	return s.encodeV2(mode, func(part []byte) error {
-		_, err := w.Write(part)
-		return err
-	})
-}
-
-// encodeV2 drives the block writer; emit is called with each wire
-// fragment in order. Fragments may alias scratch buffers that are
-// reused, so emit must consume (write/copy) before returning.
-func (s *Session) encodeV2(mode EncodeMode, emit func([]byte) error) error {
-	var scratch []byte // reused for every block body except core payloads
-
-	emitBlock := func(tag byte, body ...[]byte) error {
-		n := 0
-		for _, b := range body {
-			n += len(b)
-		}
-		frame := [11]byte{tag}
-		hdr := wire.AppendUvarint(frame[:1], uint64(n))
-		if err := emit(hdr); err != nil {
-			return err
-		}
-		for _, b := range body {
-			if err := emit(b); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-
-	if err := emit(wire.AppendU32(scratch[:0], sessionMagicV2)); err != nil {
-		return err
-	}
+	out = wire.AppendU32(out, sessionMagicV2)
 
 	// Header block with the string dictionary. ID/Node/Workload often
 	// share text across sessions of one workload; within one session the
 	// dictionary mostly removes duplicate strings and fixed-width length
 	// prefixes.
-	scratch = scratch[:0]
+	var scratch []byte // reused for every block body except core payloads
 	dict := make([]string, 0, 3)
 	idx := func(str string) uint64 {
 		for i, d := range dict {
@@ -154,13 +85,9 @@ func (s *Session) encodeV2(mode EncodeMode, emit func([]byte) error) error {
 	scratch = wire.AppendZigzag(scratch, int64(s.End)-int64(s.Start))
 	scratch = wire.AppendU64(scratch, math.Float64bits(s.Scale))
 	scratch = wire.AppendUvarint(scratch, uint64(len(s.Cores)))
-	if err := emitBlock(blockHeader, scratch); err != nil {
-		return err
-	}
+	out = appendBlock(out, blockHeader, scratch, nil)
 
-	// Core blocks. In packed mode the codec output lives in a scratch
-	// buffer reused across cores, so streaming holds at most one core's
-	// packed payload at a time.
+	// Core blocks. The codec output lives in a buffer reused across cores.
 	var packBuf []byte
 	prevCore := int64(0)
 	for i := range s.Cores {
@@ -176,18 +103,10 @@ func (s *Session) encodeV2(mode EncodeMode, emit func([]byte) error) error {
 		}
 		scratch = append(scratch, flags)
 		scratch = wire.AppendZigzag(scratch, c.DroppedBytes)
-		payload := c.Data
-		if mode == EncodePacked {
-			packBuf = ipt.PackStream(packBuf[:0], c.Data)
-			scratch = append(scratch, coreEncPacked)
-			scratch = wire.AppendUvarint(scratch, uint64(len(c.Data)))
-			payload = packBuf
-		} else {
-			scratch = append(scratch, coreEncRaw)
-		}
-		if err := emitBlock(blockCore, scratch, payload); err != nil {
-			return err
-		}
+		scratch = append(scratch, coreEncPacked)
+		scratch = wire.AppendUvarint(scratch, uint64(len(c.Data)))
+		packBuf = ipt.PackStream(packBuf[:0], c.Data)
+		out = appendBlock(out, blockCore, scratch, packBuf)
 	}
 
 	// Switch log, columnar.
@@ -239,15 +158,22 @@ func (s *Session) encodeV2(mode EncodeMode, emit func([]byte) error) error {
 				scratch = append(scratch, byte(rec.Op))
 			}
 		}
-		if err := emitBlock(blockSwitches, scratch); err != nil {
-			return err
-		}
+		out = appendBlock(out, blockSwitches, scratch, nil)
 	}
 
-	return emitBlock(blockEnd)
+	return appendBlock(out, blockEnd, nil, nil)
 }
 
-// unmarshalV2 parses a v2 blob. Raw core payloads alias data.
+// appendBlock appends one framed block whose body is meta followed by
+// payload.
+func appendBlock(out []byte, tag byte, meta, payload []byte) []byte {
+	out = append(out, tag)
+	out = wire.AppendUvarint(out, uint64(len(meta)+len(payload)))
+	out = append(out, meta...)
+	return append(out, payload...)
+}
+
+// unmarshalV2 parses a v2 blob.
 func unmarshalV2(data []byte) (*Session, error) {
 	r := wire.NewReader(data)
 	r.U32() // magic, already checked
@@ -366,7 +292,7 @@ func parseV2Header(s *Session, body []byte) error {
 	return nil
 }
 
-// parseV2Core decodes one core block. Raw payloads alias body.
+// parseV2Core decodes one core block.
 func parseV2Core(body []byte, prevCore int64) (CoreTrace, error) {
 	r := wire.NewReader(body)
 	var ct CoreTrace
@@ -376,35 +302,30 @@ func parseV2Core(body []byte, prevCore int64) (CoreTrace, error) {
 	ct.Stopped = flags&2 != 0
 	ct.DroppedBytes = r.Zigzag()
 	enc := r.U8()
-	switch enc {
-	case coreEncRaw:
-		ct.Data = r.Bytes(r.Len())
-	case coreEncPacked:
-		rawLen := r.Uvarint()
-		if err := r.Err(); err != nil {
-			return ct, err
-		}
-		if rawLen > ipt.MaxUnpackedCoreBytes {
-			return ct, fmt.Errorf("trace: v2 core declares %d unpacked bytes", rawLen)
-		}
-		packed := r.Bytes(r.Len())
-		// Start from a cap derived from the actual input, not the
-		// declared length — a lying length field cannot force a huge
-		// allocation up front; growth is bounded by the codec's exact
-		// output check.
-		capHint := int(rawLen)
-		if limit := 32 * (len(packed) + 64); capHint > limit {
-			capHint = limit
-		}
-		data, err := ipt.UnpackStream(make([]byte, 0, capHint), packed, int(rawLen))
-		if err != nil {
-			return ct, err
-		}
-		ct.Data = data
-	default:
+	rawLen := r.Uvarint()
+	if err := r.Err(); err != nil {
+		return ct, err
+	}
+	if enc != coreEncPacked {
 		return ct, fmt.Errorf("trace: unknown v2 core encoding %d", enc)
 	}
-	return ct, r.Err()
+	if rawLen > ipt.MaxUnpackedCoreBytes {
+		return ct, fmt.Errorf("trace: v2 core declares %d unpacked bytes", rawLen)
+	}
+	packed := r.Bytes(r.Len())
+	// Start from a cap derived from the actual input, not the declared
+	// length — a lying length field cannot force a huge allocation up
+	// front; growth is bounded by the codec's exact output check.
+	capHint := int(rawLen)
+	if limit := 32 * (len(packed) + 64); capHint > limit {
+		capHint = limit
+	}
+	data, err := ipt.UnpackStream(make([]byte, 0, capHint), packed, int(rawLen))
+	if err != nil {
+		return ct, err
+	}
+	ct.Data = data
+	return ct, nil
 }
 
 // parseV2Switches decodes the columnar switch log.
@@ -461,132 +382,4 @@ func parseV2Switches(body []byte) (*kernel.SwitchLog, error) {
 		return nil, err
 	}
 	return &kernel.SwitchLog{Records: recs}, nil
-}
-
-// DecodeSessionFrom reads one serialized session from r, block by block
-// for v2 streams (nothing forces the whole blob into one contiguous
-// read); legacy v1 streams are slurped whole since v1 has no framing.
-func DecodeSessionFrom(rd io.Reader) (*Session, error) {
-	br := bufio.NewReader(rd)
-	var magicBuf [4]byte
-	if _, err := io.ReadFull(br, magicBuf[:]); err != nil {
-		return nil, fmt.Errorf("trace: reading session magic: %w", err)
-	}
-	magic := wire.U32(magicBuf[:])
-	switch magic {
-	case sessionMagicV1:
-		rest, err := io.ReadAll(br)
-		if err != nil {
-			return nil, err
-		}
-		return unmarshalV1(append(magicBuf[:], rest...))
-	case sessionMagicV2:
-		// Fall through to the block reader below.
-	default:
-		return nil, fmt.Errorf("trace: bad session magic %#x", magic)
-	}
-
-	s := &Session{}
-	sawHeader := false
-	coreBlocks := 0
-	for {
-		tag, err := br.ReadByte()
-		if err != nil {
-			return nil, fmt.Errorf("trace: reading v2 block tag: %w", err)
-		}
-		n, err := readStreamUvarint(br)
-		if err != nil {
-			return nil, err
-		}
-		if tag == blockEnd {
-			if n != 0 {
-				return nil, fmt.Errorf("trace: v2 end block with length %d", n)
-			}
-			if !sawHeader {
-				return nil, fmt.Errorf("trace: v2 session missing header block")
-			}
-			return s, nil
-		}
-		body, err := readStreamBody(br, n)
-		if err != nil {
-			return nil, err
-		}
-		switch tag {
-		case blockHeader:
-			if sawHeader {
-				return nil, fmt.Errorf("trace: duplicate v2 header block")
-			}
-			sawHeader = true
-			if err := parseV2Header(s, body); err != nil {
-				return nil, err
-			}
-		case blockCore:
-			if !sawHeader {
-				return nil, fmt.Errorf("trace: v2 core block before header")
-			}
-			if coreBlocks >= cap(s.Cores) {
-				return nil, fmt.Errorf("trace: more core blocks than declared %d", cap(s.Cores))
-			}
-			prev := int64(0)
-			if coreBlocks > 0 {
-				prev = int64(s.Cores[coreBlocks-1].Core)
-			}
-			ct, err := parseV2Core(body, prev)
-			if err != nil {
-				return nil, err
-			}
-			s.Cores = append(s.Cores, ct)
-			coreBlocks++
-		case blockSwitches:
-			log, err := parseV2Switches(body)
-			if err != nil {
-				return nil, err
-			}
-			s.Switches = *log
-		}
-	}
-}
-
-// readStreamUvarint reads a varint byte-by-byte from the stream.
-func readStreamUvarint(br *bufio.Reader) (uint64, error) {
-	var v uint64
-	for shift := uint(0); shift < 64; shift += 7 {
-		b, err := br.ReadByte()
-		if err != nil {
-			return 0, fmt.Errorf("trace: reading v2 block length: %w", err)
-		}
-		v |= uint64(b&0x7f) << shift
-		if b < 0x80 {
-			return v, nil
-		}
-	}
-	return 0, fmt.Errorf("trace: v2 block length varint overflows")
-}
-
-// readStreamBody reads n bytes, growing incrementally so a lying length
-// field only ever costs as much memory as the stream actually delivers.
-func readStreamBody(br *bufio.Reader, n uint64) ([]byte, error) {
-	const chunk = 1 << 20
-	if n <= chunk {
-		body := make([]byte, n)
-		if _, err := io.ReadFull(br, body); err != nil {
-			return nil, fmt.Errorf("trace: reading v2 block body: %w", err)
-		}
-		return body, nil
-	}
-	body := make([]byte, 0, chunk)
-	remaining := n
-	var buf [chunk]byte
-	for remaining > 0 {
-		step := uint64(chunk)
-		if remaining < step {
-			step = remaining
-		}
-		if _, err := io.ReadFull(br, buf[:step]); err != nil {
-			return nil, fmt.Errorf("trace: reading v2 block body: %w", err)
-		}
-		body = append(body, buf[:step]...)
-		remaining -= step
-	}
-	return body, nil
 }

@@ -2,9 +2,14 @@ package trace
 
 import (
 	"bytes"
-	"io"
+	"crypto/sha256"
+	"fmt"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"reflect"
+	"strconv"
+	"strings"
 	"testing"
 
 	"exist/internal/ipt"
@@ -99,105 +104,40 @@ func TestV2RoundTripPacked(t *testing.T) {
 	}
 }
 
-func TestV2RoundTripRaw(t *testing.T) {
-	s := testSession(2)
-	blob := s.MarshalMode(EncodeRaw)
-	got, err := UnmarshalSession(blob)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sessionsEqual(t, s, got)
-}
-
-func TestV2RawUnmarshalAliasesBlob(t *testing.T) {
-	s := testSession(3)
-	blob := s.MarshalMode(EncodeRaw)
-	got, err := UnmarshalSession(blob)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Zero-copy contract: core payloads alias the blob.
-	idx := bytes.Index(blob, s.Cores[0].Data[:16])
-	if idx < 0 {
-		t.Fatal("raw payload not found in blob")
-	}
-	blob[idx] ^= 0xff
-	if got.Cores[0].Data[0] == s.Cores[0].Data[0] {
-		t.Fatal("raw unmarshal copied the payload instead of aliasing")
+// TestMarshalGolden pins the wire bytes: the packed encoding must stay
+// byte-identical to what earlier builds wrote, so stored sessions and
+// freshly uploaded ones are interchangeable.
+func TestMarshalGolden(t *testing.T) {
+	const want = "900993f4899c926dda03e457b6683c091820fc21842a05c312d9412985345f27"
+	sum := sha256.Sum256(testSession(1).Marshal())
+	if got := fmt.Sprintf("%x", sum); got != want {
+		t.Fatalf("Marshal SHA-256 = %s, want %s", got, want)
 	}
 }
 
-func TestV1RoundTrip(t *testing.T) {
-	s := testSession(4)
-	blob := s.MarshalV1()
-	if len(blob) != V1Size(s) {
-		t.Fatalf("V1Size %d != len(MarshalV1) %d", V1Size(s), len(blob))
+// TestV1SizePinned pins the v1-equivalent size the ledgers report to the
+// length of the flat fixed-width dump earlier builds wrote for the same
+// session.
+func TestV1SizePinned(t *testing.T) {
+	if got := V1Size(testSession(4)); got != 15248 {
+		t.Fatalf("V1Size = %d, want 15248", got)
 	}
-	got, err := UnmarshalSession(blob)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sessionsEqual(t, s, got)
 }
 
+// TestV1EmptySession checks the empty session: its v1-equivalent size is
+// the bare fixed-width header, and it round-trips through Marshal.
 func TestV1EmptySession(t *testing.T) {
 	s := &Session{}
-	got, err := UnmarshalSession(s.MarshalV1())
+	if got := V1Size(s); got != 52 {
+		t.Fatalf("empty V1Size = %d, want 52", got)
+	}
+	got, err := UnmarshalSession(s.Marshal())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(got.Cores) != 0 || len(got.Switches.Records) != 0 {
 		t.Fatalf("empty session decoded as %+v", got)
 	}
-	got2, err := UnmarshalSession(s.Marshal())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got2.Cores) != 0 {
-		t.Fatalf("empty v2 session decoded as %+v", got2)
-	}
-}
-
-func TestEncodeToMatchesMarshal(t *testing.T) {
-	s := testSession(5)
-	for _, mode := range []EncodeMode{EncodePacked, EncodeRaw} {
-		var buf bytes.Buffer
-		if err := s.EncodeTo(&buf, mode); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(buf.Bytes(), s.MarshalMode(mode)) {
-			t.Fatalf("mode %d: EncodeTo and MarshalMode disagree", mode)
-		}
-	}
-}
-
-func TestDecodeSessionFromStream(t *testing.T) {
-	s := testSession(6)
-	for _, blob := range [][]byte{s.Marshal(), s.MarshalMode(EncodeRaw), s.MarshalV1()} {
-		got, err := DecodeSessionFrom(bytes.NewReader(blob))
-		if err != nil {
-			t.Fatal(err)
-		}
-		sessionsEqual(t, s, got)
-	}
-	// One byte at a time: block framing must not depend on read sizes.
-	got, err := DecodeSessionFrom(&oneByteReader{data: s.Marshal()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sessionsEqual(t, s, got)
-}
-
-// oneByteReader delivers one byte per Read call.
-type oneByteReader struct{ data []byte }
-
-func (r *oneByteReader) Read(p []byte) (int, error) {
-	if len(r.data) == 0 {
-		return 0, io.EOF
-	}
-	p[0] = r.data[0]
-	r.data = r.data[1:]
-	return 1, nil
 }
 
 func TestV2GarbageOps(t *testing.T) {
@@ -224,5 +164,25 @@ func TestV2SwitchOpsOutOfRange(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got.Switches.Records, s.Switches.Records) {
 		t.Fatalf("wide-op switch log mismatch: %+v", got.Switches.Records)
+	}
+}
+
+// TestLegacyBlobsRejected pins the retirement of the v1 layout and the
+// raw core encoding: the committed fuzz seeds written in them, valid
+// sessions for earlier builds, must now fail to decode with an error.
+func TestLegacyBlobsRejected(t *testing.T) {
+	for _, name := range []string{"valid-v1", "valid-v2-raw", "v1-lying-length", "v1-truncated"} {
+		raw, err := os.ReadFile(filepath.Join("testdata", "fuzz", "FuzzUnmarshalSession", name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		lit := strings.TrimSpace(strings.TrimPrefix(string(raw), "go test fuzz v1\n"))
+		blob, err := strconv.Unquote(strings.TrimSuffix(strings.TrimPrefix(lit, "[]byte("), ")"))
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if _, err := UnmarshalSession([]byte(blob)); err == nil {
+			t.Errorf("%s: legacy blob decoded without error", name)
+		}
 	}
 }
