@@ -256,10 +256,12 @@ type benchResult struct {
 // convention as the publishedSOTA rows in Table 3. decode_hot/encode_hot
 // predate the parallel-harness PR; sched_hot/tracer_hot predate the
 // simulation-engine fast path (per-event closure emission, per-packet
-// output, container/heap event queue).
+// output, container/heap event queue); engine_hot predates same-instant
+// runs in the event queue (one heap entry per pending timer).
 var prePRBaselines = map[string]benchResult{
 	"decode_hot": {NsPerOp: 22_900_000, AllocsPerOp: 1195, BytesPerOp: 15_402_504},
 	"encode_hot": {NsPerOp: 21_900_000, AllocsPerOp: 20, BytesPerOp: 67_111_138},
+	"engine_hot": {NsPerOp: 20_733_180, AllocsPerOp: 0, BytesPerOp: 0},
 	"sched_hot":  {NsPerOp: 63_196, AllocsPerOp: 178, BytesPerOp: 9_025},
 	"tracer_hot": {NsPerOp: 1_478_338, AllocsPerOp: 0, BytesPerOp: 0},
 }
@@ -319,6 +321,16 @@ func measureHotPaths() (map[string]benchResult, datapathStats) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			hotbench.TracerHotOnce(trHot, trBatches)
+		}
+	}))
+
+	// Simulation-clock hot path: the fleet's in-phase heartbeats, one
+	// period per op. It allocates nothing once the free list is warm.
+	eb := hotbench.NewEngineBench()
+	hot["engine_hot"] = toBenchResult(testing.Benchmark(func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			eb.RunPeriod()
 		}
 	}))
 

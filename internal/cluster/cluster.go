@@ -364,6 +364,9 @@ type Node struct {
 	crashes int
 	leaves  int
 	hbSeq   int64
+	// gray caches Faults.GrayNode for the node, a pure function of the
+	// fault seed and the node name, so healthy beats skip the draw.
+	gray bool
 	// hbFn is the cached heartbeat callback; the renewal loop re-arms the
 	// same closure every beat instead of allocating one per period.
 	hbFn func(now simtime.Time)
@@ -761,6 +764,7 @@ func New(cfg Config) *Cluster {
 		c.ODPS.UseFaults(cfg.Faults)
 		for _, n := range c.Nodes {
 			n.LeaseUntil = c.Cfg.LeaseTTL
+			n.gray = cfg.Faults.GrayNode(n.Name)
 			c.scheduleHeartbeat(n)
 			c.scheduleCrash(n)
 			c.scheduleChurn(n)
@@ -936,7 +940,11 @@ func (c *Cluster) heartbeat(n *Node, now simtime.Time) {
 		c.Mgmt.LeaseExpiries++
 	}
 	if !n.Down {
-		if d := c.Cfg.Faults.HeartbeatDelay(n.Name, n.hbSeq); d > 0 {
+		var d simtime.Duration
+		if n.gray {
+			d = c.Cfg.Faults.HeartbeatDelay(n.Name, n.hbSeq)
+		}
+		if d > 0 {
 			c.Eng.AfterDetached(d, func(arrived simtime.Time) {
 				if n.Down {
 					return

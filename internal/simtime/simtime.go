@@ -54,11 +54,15 @@ func (t Time) String() string {
 // Event is a scheduled callback in an Engine. Events are created by
 // Engine.Schedule and may be cancelled until they fire.
 type Event struct {
-	at       Time
-	seq      uint64
-	fn       func(now Time)
-	index    int // queue position (see eventQueue); deadIndex once fired or cancelled
-	engine   *Engine
+	at     Time
+	seq    uint64
+	fn     func(now Time)
+	next   *Event // next member of a same-instant run (see eventQueue); detached only
+	engine *Engine
+	// index is the queue position (see eventQueue), deadIndex once fired
+	// or cancelled. It is 32 bits so that, packed beside detached, the
+	// struct stays in the 48-byte allocation size class.
+	index    int32
 	detached bool // recycled after firing; no handle exists outside the engine
 }
 
@@ -95,14 +99,10 @@ type heapEntry struct {
 	ev  *Event
 }
 
-// entrySeq packs an event's sequence and detached flag into a queue key.
-func entrySeq(ev *Event) uint64 {
-	s := ev.seq << 1
-	if ev.detached {
-		s |= 1
-	}
-	return s
-}
+// handleEntry and detachedEntry build an event's queue entry, packing
+// the detached flag into bit 0 of the key's seq.
+func handleEntry(ev *Event) heapEntry   { return heapEntry{at: ev.at, seq: ev.seq << 1, ev: ev} }
+func detachedEntry(ev *Event) heapEntry { return heapEntry{at: ev.at, seq: ev.seq<<1 | 1, ev: ev} }
 
 // deadIndex marks an event that fired or was cancelled. Live events carry
 // a non-negative heap position.
@@ -111,7 +111,7 @@ const deadIndex = -1
 // setIndex records the heap position on handle-carrying events.
 func (e heapEntry) setIndex(i int) {
 	if e.seq&1 == 0 {
-		e.ev.index = i
+		e.ev.index = int32(i)
 	}
 }
 
@@ -145,21 +145,6 @@ func (h *eventHeap) push(e heapEntry) {
 	q[i] = e
 	e.setIndex(i)
 	*h = q
-}
-
-// popMin removes and returns the earliest event.
-func (h *eventHeap) popMin() *Event {
-	q := *h
-	top := q[0].ev
-	top.index = deadIndex
-	n := len(q) - 1
-	last := q[n]
-	q[n] = heapEntry{}
-	*h = q[:n]
-	if n > 0 {
-		h.siftDown(last, 0)
-	}
-	return top
 }
 
 // siftDown places e at position i, moving smaller children up.
@@ -230,34 +215,100 @@ func (h *eventHeap) remove(i int) {
 }
 
 // eventQueue is the engine's priority queue of events ordered by
-// (at, seq): a single 4-ary min-heap. The seq tiebreak makes simultaneous
-// events fire in scheduling order, which keeps runs deterministic — and
-// because (at, seq) is a total order, the pop sequence is independent of
-// the heap's internal layout, so changing its shape or storage cannot
-// perturb a run. (A two-band near/far variant with batch refill was
-// measured and lost to the plain heap on every workload here: the queues
-// stay small enough that selection scans cost more than deep sifts save.)
+// (at, seq): a 4-ary min-heap whose entries are runs. The seq tiebreak
+// makes simultaneous events fire in scheduling order, which keeps runs
+// deterministic — and because (at, seq) is a total order, the pop
+// sequence is independent of the heap's internal layout, so changing its
+// shape or storage cannot perturb a run.
+//
+// A run is a FIFO chain (Event.next) of detached events that share one
+// exact instant, kept behind a single heap entry under its head's key. A
+// detached push whose time equals that of tail — the last detached event
+// pushed — appends to tail's run in O(1) instead of paying a sift through
+// the heap; every other push gets an entry of its own. Periodic timers
+// armed in phase (100k lease heartbeats re-arming every period) thus
+// cost one entry per distinct instant rather than one per timer, and
+// each pop sifts the run's successor down from the root, usually zero or
+// one level. The order stays exact because Engine.seq only grows: a run
+// is appended in seq order, so it is sorted by (at, seq), and on pop its
+// successor re-enters the heap under its own key, so a handle event
+// pushed between two run members at the same instant still fires
+// between them. Only detached events chain, so Cancel, Pending and the
+// index upkeep see plain heap entries. (A two-band near/far heap was
+// measured on small queues and lost to the plain heap; runs cost one
+// pointer compare per push where nothing coalesces.)
 type eventQueue struct {
 	heap eventHeap
+	n    int    // pending events, run members included
+	tail *Event // last detached event pushed, while it is pending
 }
 
 // Len returns the number of pending events.
-func (q *eventQueue) Len() int { return len(q.heap) }
+func (q *eventQueue) Len() int { return q.n }
 
-// push inserts ev.
+// push inserts a handle-carrying event.
 func (q *eventQueue) push(ev *Event) {
-	q.heap.push(heapEntry{at: ev.at, seq: entrySeq(ev), ev: ev})
+	q.n++
+	q.heap.push(handleEntry(ev))
+}
+
+// pushDetached inserts a detached event, appending it to tail's run when
+// the two share an instant.
+func (q *eventQueue) pushDetached(ev *Event) {
+	q.n++
+	if t := q.tail; t != nil && t.at == ev.at {
+		t.next = ev
+		q.tail = ev
+		return
+	}
+	q.tail = ev
+	q.heap.push(detachedEntry(ev))
 }
 
 // peek returns the key of the earliest event. It must not be called on an
 // empty queue.
 func (q *eventQueue) peek() heapEntry { return q.heap[0] }
 
-// popMin removes and returns the earliest event.
-func (q *eventQueue) popMin() *Event { return q.heap.popMin() }
+// popMin removes and returns the earliest event. It stays small enough
+// to inline into Step, leaving popRoot as the one out-of-line call.
+func (q *eventQueue) popMin() *Event {
+	top := q.heap[0].ev
+	q.n--
+	q.popRoot(top)
+	return top
+}
 
-// remove deletes a pending event.
-func (q *eventQueue) remove(ev *Event) { q.heap.remove(ev.index) }
+// popRoot retires top, the root entry's event: top's run successor takes
+// the root under its own key, or, when top ends its run, the last entry
+// does. Either way the replacement sifts down from the root, so the heap
+// keeps holding the head of every run.
+func (q *eventQueue) popRoot(top *Event) {
+	top.index = deadIndex
+	var e heapEntry
+	if nx := top.next; nx != nil {
+		top.next = nil
+		e = detachedEntry(nx)
+	} else {
+		if top == q.tail {
+			q.tail = nil
+		}
+		h := q.heap
+		n := len(h) - 1
+		e = h[n]
+		h[n] = heapEntry{}
+		q.heap = h[:n]
+		if n == 0 {
+			return
+		}
+	}
+	q.heap.siftDown(e, 0)
+}
+
+// remove deletes a pending handle-carrying event.
+func (q *eventQueue) remove(ev *Event) {
+	q.n--
+	q.heap.remove(int(ev.index))
+}
 
 // Engine is a discrete-event simulation engine: a virtual clock plus a queue
 // of timed callbacks. The zero value is ready to use and starts at time 0.
@@ -317,7 +368,7 @@ func (e *Engine) ScheduleDetached(at Time, fn func(now Time)) {
 		ev = &Event{at: at, seq: e.seq, fn: fn, engine: e, detached: true}
 	}
 	e.seq++
-	e.queue.push(ev)
+	e.queue.pushDetached(ev)
 }
 
 // AfterDetached queues fn to run d nanoseconds from now with no handle;
