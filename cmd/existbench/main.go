@@ -34,6 +34,7 @@ import (
 	"exist/internal/decode"
 	"exist/internal/experiments"
 	"exist/internal/hotbench"
+	"exist/internal/hotbench/litebench"
 	"exist/internal/parallel"
 	"exist/internal/spec"
 	"exist/internal/trace"
@@ -257,13 +258,17 @@ type benchResult struct {
 // predate the parallel-harness PR; sched_hot/tracer_hot predate the
 // simulation-engine fast path (per-event closure emission, per-packet
 // output, container/heap event queue); engine_hot predates same-instant
-// runs in the event queue (one heap entry per pending timer).
+// runs in the event queue (one heap entry per pending timer);
+// lite_session predates the dense-index Lite control plane (string-keyed
+// in-flight and used-node maps, copied blobs, an append-only watch
+// buffer).
 var prePRBaselines = map[string]benchResult{
-	"decode_hot": {NsPerOp: 22_900_000, AllocsPerOp: 1195, BytesPerOp: 15_402_504},
-	"encode_hot": {NsPerOp: 21_900_000, AllocsPerOp: 20, BytesPerOp: 67_111_138},
-	"engine_hot": {NsPerOp: 20_733_180, AllocsPerOp: 0, BytesPerOp: 0},
-	"sched_hot":  {NsPerOp: 63_196, AllocsPerOp: 178, BytesPerOp: 9_025},
-	"tracer_hot": {NsPerOp: 1_478_338, AllocsPerOp: 0, BytesPerOp: 0},
+	"decode_hot":   {NsPerOp: 22_900_000, AllocsPerOp: 1195, BytesPerOp: 15_402_504},
+	"encode_hot":   {NsPerOp: 21_900_000, AllocsPerOp: 20, BytesPerOp: 67_111_138},
+	"engine_hot":   {NsPerOp: 20_733_180, AllocsPerOp: 0, BytesPerOp: 0},
+	"lite_session": {NsPerOp: 8_256, AllocsPerOp: 25, BytesPerOp: 2_681},
+	"sched_hot":    {NsPerOp: 63_196, AllocsPerOp: 178, BytesPerOp: 9_025},
+	"tracer_hot":   {NsPerOp: 1_478_338, AllocsPerOp: 0, BytesPerOp: 0},
 }
 
 // datapathStats records the decode-hot fixture session's v1-equivalent
@@ -331,6 +336,16 @@ func measureHotPaths() (map[string]benchResult, datapathStats) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			eb.RunPeriod()
+		}
+	}))
+
+	// Control-plane hot path: one Lite session opened, finished and
+	// uploaded on a warm cluster (request filed, completed and deleted).
+	lb := litebench.New()
+	hot["lite_session"] = toBenchResult(testing.Benchmark(func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			lb.Session()
 		}
 	}))
 

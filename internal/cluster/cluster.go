@@ -19,8 +19,11 @@
 package cluster
 
 import (
+	"bytes"
 	"fmt"
 	"sort"
+	"strconv"
+	"strings"
 	"sync"
 
 	"exist/internal/binary"
@@ -114,7 +117,7 @@ type TraceRequest struct {
 	// pending counts session slots not yet resolved (landed or given up).
 	pending    int
 	sessions   []*core.Session
-	usedNodes  map[string]bool
+	usedNodes  coverage.NodeSet
 	period     simtime.Duration
 	scale      float64
 	cancelling bool
@@ -290,13 +293,22 @@ func (a *APIServer) Delete(name string) error {
 // merged by the global creation sequence, so the result is identical for
 // any shard count.
 func (a *APIServer) List() []*TraceRequest {
+	all := make([]int, len(a.shards))
+	for i := range all {
+		all[i] = i
+	}
+	return a.listShards(all)
+}
+
+// listShards returns the requests of the given shards in creation order.
+func (a *APIServer) listShards(shards []int) []*TraceRequest {
 	// k-way merge: each shard's order slice is already ascending in the
 	// global creation sequence, so repeatedly taking the smallest head
 	// reproduces creation order exactly.
-	views := make([][]*TraceRequest, len(a.shards))
+	views := make([][]*TraceRequest, len(shards))
 	total := 0
-	for i := range a.shards {
-		views[i] = a.ListShard(i)
+	for i, si := range shards {
+		views[i] = a.ListShard(si)
 		total += len(views[i])
 	}
 	out := make([]*TraceRequest, 0, total)
@@ -361,6 +373,9 @@ type Node struct {
 	// churn fault shape; always false without it.
 	Cordoned bool
 
+	// idx is the node's dense index: its position in Cluster.Nodes and
+	// the value request node sets hold.
+	idx     int32
 	crashes int
 	leaves  int
 	hbSeq   int64
@@ -370,6 +385,9 @@ type Node struct {
 	// hbFn is the cached heartbeat callback; the renewal loop re-arms the
 	// same closure every beat instead of allocating one per period.
 	hbFn func(now simtime.Time)
+	// lite holds the node's in-flight Lite sessions, in no particular
+	// order (each knows its slot); a crash sorts a copy by session ID.
+	lite []*liteSession
 	// eng is the engine the node's machine runs on: the cluster's shared
 	// engine, or the node's own clock under Config.Jobs parallelism.
 	eng *simtime.Engine
@@ -544,10 +562,16 @@ func DefaultConfig() Config {
 	return Config{Nodes: 10, CoresPerNode: 16, Seed: 1}
 }
 
+// sessionPrefix prefixes every session's object key; the rest of the key
+// is the session ID.
+const sessionPrefix = "sessions/"
+
 // sessionRec tracks one in-flight session slot for the control plane.
 type sessionRec struct {
 	req  *TraceRequest
 	node *Node
+	// key is the session's object key: sessionPrefix + session ID.
+	key string
 	// attempt is 0 for an originally planned session, k for the k-th
 	// replacement in its slot's re-sampling chain.
 	attempt int
@@ -563,6 +587,19 @@ type sessionRec struct {
 	openSeq int64
 }
 
+// sessionKey returns the object key of a session: sessionPrefix plus its
+// session ID "<request>/<node>", or "<request>/<node>/r<attempt>" for a
+// replacement, built in one concatenation.
+func sessionKey(r *TraceRequest, n *Node, attempt int) string {
+	if attempt == 0 {
+		return sessionPrefix + r.Name + "/" + n.Name
+	}
+	return sessionPrefix + r.Name + "/" + n.Name + "/r" + strconv.Itoa(attempt)
+}
+
+// id returns the session ID, the key without its prefix (no copy).
+func (rec *sessionRec) id() string { return rec.key[len(sessionPrefix):] }
+
 // doneItem is one session completion buffered during a concurrent node
 // advance, replayed on the control engine at the barrier.
 type doneItem struct {
@@ -575,10 +612,28 @@ type doneItem struct {
 // liteSession is one virtual session in a Lite cluster: bookkeeping and
 // a completion timer, no traced workload.
 type liteSession struct {
-	id     string
-	rec    *sessionRec
+	sessionRec
 	done   *simtime.Event
 	closed bool
+	// slot is the session's position in its node's lite list.
+	slot int
+}
+
+// addLite records an in-flight Lite session on the node.
+func (n *Node) addLite(ls *liteSession) {
+	ls.slot = len(n.lite)
+	n.lite = append(n.lite, ls)
+}
+
+// dropLite removes a Lite session from the node's list by swapping the
+// last one into its slot.
+func (n *Node) dropLite(ls *liteSession) {
+	last := len(n.lite) - 1
+	moved := n.lite[last]
+	n.lite[ls.slot] = moved
+	moved.slot = ls.slot
+	n.lite[last] = nil
+	n.lite = n.lite[:last]
 }
 
 // Cluster is the whole deployment.
@@ -589,7 +644,8 @@ type Cluster struct {
 	Eng *simtime.Engine
 	// API is the control-plane store.
 	API *APIServer
-	// Nodes are the workers.
+	// Nodes are the workers, indexed by their dense index; each points
+	// into one contiguous backing array.
 	Nodes []*Node
 	// OSS is the raw-session object store.
 	OSS *ObjectStore
@@ -610,12 +666,10 @@ type Cluster struct {
 	Readopts []float64
 
 	profiles      map[string]workload.Profile
-	byName        map[string]*Node
 	rng           *xrand.Rand
 	retryRNG      *xrand.Rand
 	resampleRNG   *xrand.Rand
 	inflight      map[*core.Session]*sessionRec
-	liteInflight  map[string]*liteSession
 	pendingUpload []uploadItem
 	batchSeq      int64
 	openSeq       int64
@@ -645,12 +699,9 @@ type UploadStats struct {
 }
 
 // uploadItem is one finished session waiting in the current upload batch.
+// The request, node and object key are on rec.
 type uploadItem struct {
-	req  *TraceRequest
 	rec  *sessionRec
-	node *Node
-	sid  string
-	key  string
 	blob []byte
 	res  *trace.Session
 }
@@ -713,27 +764,27 @@ func New(cfg Config) *Cluster {
 		cfg.UploadBatch = 1
 	}
 	c := &Cluster{
-		Cfg:          cfg,
-		Eng:          simtime.NewEngine(),
-		API:          NewAPIServerShards(cfg.Shards),
-		OSS:          NewObjectStoreShards(cfg.Shards),
-		ODPS:         NewDataStoreShards(cfg.Shards),
-		Binaries:     make(map[string]*binary.Program),
-		profiles:     make(map[string]workload.Profile),
-		byName:       make(map[string]*Node),
-		rng:          xrand.Split(cfg.Seed, "cluster"),
-		retryRNG:     xrand.Split(cfg.Seed, "cluster/retry"),
-		resampleRNG:  xrand.Split(cfg.Seed, "cluster/resample"),
-		inflight:     make(map[*core.Session]*sessionRec),
-		liteInflight: make(map[string]*liteSession),
-		Mgmt:         MgmtStats{MemMB: 40}, // the RCO management pod's footprint
+		Cfg:         cfg,
+		Eng:         simtime.NewEngine(),
+		API:         NewAPIServerShards(cfg.Shards),
+		OSS:         NewObjectStoreShards(cfg.Shards),
+		ODPS:        NewDataStoreShards(cfg.Shards),
+		Binaries:    make(map[string]*binary.Program),
+		profiles:    make(map[string]workload.Profile),
+		rng:         xrand.Split(cfg.Seed, "cluster"),
+		retryRNG:    xrand.Split(cfg.Seed, "cluster/retry"),
+		resampleRNG: xrand.Split(cfg.Seed, "cluster/resample"),
+		inflight:    make(map[*core.Session]*sessionRec),
+		Mgmt:        MgmtStats{MemMB: 40}, // the RCO management pod's footprint
 	}
-	for i := 0; i < cfg.Nodes; i++ {
-		n := &Node{
-			Name:          fmt.Sprintf("node-%d", i),
-			Apps:          make(map[string]*sched.Process),
-			MemCapacityMB: 384 * 1024 / float64(cfg.Nodes), // 384 GB class nodes scaled per config
-		}
+	nodes := make([]Node, cfg.Nodes)
+	c.Nodes = make([]*Node, cfg.Nodes)
+	for i := range nodes {
+		n := &nodes[i]
+		n.Name = nodePrefix + strconv.Itoa(i)
+		n.idx = int32(i)
+		n.Apps = make(map[string]*sched.Process)
+		n.MemCapacityMB = 384 * 1024 / float64(cfg.Nodes) // 384 GB class nodes scaled per config
 		if !cfg.Lite {
 			// Under Jobs parallelism each node's machine runs on its own
 			// clock; the barrier in Run keeps it in lockstep with the
@@ -753,8 +804,7 @@ func New(cfg Config) *Cluster {
 			n.Machine = rt.Machine
 			n.Ctrl = rt.Controller()
 		}
-		c.Nodes = append(c.Nodes, n)
-		c.byName[n.Name] = n
+		c.Nodes[i] = n
 	}
 	// The resilience machinery (leases, crash schedules) is armed only
 	// when fault injection is on, so fault-free runs schedule exactly the
@@ -778,10 +828,21 @@ func New(cfg Config) *Cluster {
 // parallel reports whether node machines run on per-node engines.
 func (c *Cluster) parallel() bool { return c.Cfg.Jobs > 1 && !c.Cfg.Lite }
 
-// Node returns a node by name.
+// nodePrefix prefixes every node name; the rest is the node's index.
+const nodePrefix = "node-"
+
+// Node returns a node by name. Names are nodePrefix plus the dense
+// index, so the lookup parses the index instead of hashing the name.
 func (c *Cluster) Node(name string) (*Node, bool) {
-	n, ok := c.byName[name]
-	return n, ok
+	digits, ok := strings.CutPrefix(name, nodePrefix)
+	if !ok {
+		return nil, false
+	}
+	i, err := strconv.Atoi(digits)
+	if err != nil || i < 0 || i >= len(c.Nodes) || c.Nodes[i].Name != name {
+		return nil, false
+	}
+	return c.Nodes[i], true
 }
 
 // Deploy installs a workload profile on the named nodes (all nodes when
@@ -1001,16 +1062,12 @@ func (c *Cluster) crashNode(n *Node, now simtime.Time) {
 		c.inflight[s].lost = true
 		s.Cancel() // fires OnDone; finishSession sees lost and re-samples
 	}
-	// Lite sessions on the node die the same way, in session-ID order.
-	var doomedLite []*liteSession
-	for _, ls := range c.liteInflight {
-		if ls.rec.node == n {
-			doomedLite = append(doomedLite, ls)
-		}
-	}
-	sort.Slice(doomedLite, func(i, j int) bool { return doomedLite[i].id < doomedLite[j].id })
+	// Lite sessions on the node die the same way, in session-ID order
+	// (keys share their prefix, so key order is ID order).
+	doomedLite := append([]*liteSession(nil), n.lite...)
+	sort.Slice(doomedLite, func(i, j int) bool { return doomedLite[i].key < doomedLite[j].key })
 	for _, ls := range doomedLite {
-		ls.rec.lost = true
+		ls.lost = true
 		ls.done.Cancel()
 		c.finishLite(ls, now)
 	}
@@ -1130,7 +1187,7 @@ func (c *Cluster) plan(r *TraceRequest, now simtime.Time) (period simtime.Durati
 		// scan only runs in the rare nothing-selected case, where the
 		// retry-vs-fail decision needs it.
 		for _, want := range r.Spec.Nodes {
-			n, ok := c.byName[want]
+			n, ok := c.Node(want)
 			if !ok {
 				continue
 			}
@@ -1199,7 +1256,7 @@ func (c *Cluster) start(r *TraceRequest, period simtime.Duration, scale float64,
 	r.period = period
 	r.scale = scale
 	r.Planned = len(selected)
-	r.usedNodes = make(map[string]bool)
+	r.usedNodes = make(coverage.NodeSet, 0, len(selected))
 	for _, n := range selected {
 		if err := c.openSession(r, n, 0); err != nil {
 			if c.Cfg.Faults == nil {
@@ -1234,13 +1291,11 @@ func (c *Cluster) openSession(r *TraceRequest, n *Node, attempt int) error {
 	if c.Cfg.Lite {
 		return c.openLiteSession(r, n, attempt)
 	}
+	key := sessionKey(r, n, attempt)
 	cfg := core.DefaultConfig()
 	cfg.Period = r.period
 	cfg.Scale = r.scale
-	cfg.SessionID = fmt.Sprintf("%s/%s", r.Name, n.Name)
-	if attempt > 0 {
-		cfg.SessionID = fmt.Sprintf("%s/%s/r%d", r.Name, n.Name, attempt)
-	}
+	cfg.SessionID = key[len(sessionPrefix):]
 	cfg.Node = n.Name
 	cfg.Seed = c.Cfg.Seed ^ hashName(cfg.SessionID)
 	if r.Spec.MemBudget > 0 {
@@ -1254,10 +1309,10 @@ func (c *Cluster) openSession(r *TraceRequest, n *Node, attempt int) error {
 	if err != nil {
 		return err
 	}
-	r.usedNodes[n.Name] = true
+	r.usedNodes.Add(n.idx)
 	r.sessions = append(r.sessions, sess)
 	rec := &sessionRec{
-		req: r, node: n, attempt: attempt,
+		req: r, node: n, key: key, attempt: attempt,
 		endAt:   n.eng.Now() + cfg.Period,
 		openSeq: c.openSeq,
 	}
@@ -1280,13 +1335,9 @@ func (c *Cluster) openSession(r *TraceRequest, n *Node, attempt int) error {
 // bookkeeping as a real session, with a completion timer in place of a
 // traced workload.
 func (c *Cluster) openLiteSession(r *TraceRequest, n *Node, attempt int) error {
-	id := fmt.Sprintf("%s/%s", r.Name, n.Name)
-	if attempt > 0 {
-		id = fmt.Sprintf("%s/%s/r%d", r.Name, n.Name, attempt)
-	}
-	r.usedNodes[n.Name] = true
-	ls := &liteSession{id: id, rec: &sessionRec{req: r, node: n, attempt: attempt}}
-	c.liteInflight[id] = ls
+	r.usedNodes.Add(n.idx)
+	ls := &liteSession{sessionRec: sessionRec{req: r, node: n, key: sessionKey(r, n, attempt), attempt: attempt}}
+	n.addLite(ls)
 	// Virtual session length: roughly the request's sampling period,
 	// plus a per-session spread keyed by the session ID so fleet
 	// completions don't all land on one tick and runs stay
@@ -1295,7 +1346,7 @@ func (c *Cluster) openLiteSession(r *TraceRequest, n *Node, attempt int) error {
 	if base <= 0 {
 		base = 20 * simtime.Millisecond
 	}
-	dur := base + simtime.Duration(hashName(id)%uint64(base))
+	dur := base + simtime.Duration(hashName(ls.id())%uint64(base))
 	ls.done = c.Eng.After(dur, func(now simtime.Time) { c.finishLite(ls, now) })
 	return nil
 }
@@ -1307,21 +1358,19 @@ func (c *Cluster) finishLite(ls *liteSession, now simtime.Time) {
 		return
 	}
 	ls.closed = true
-	delete(c.liteInflight, ls.id)
-	r := ls.rec.req
+	ls.node.dropLite(ls)
+	r := ls.req
 	if r.Phase.Terminal() {
 		return
 	}
-	if ls.rec.lost || c.Cfg.Faults.SessionFate(ls.id) == faults.FateLost {
-		c.loseSlot(r, ls.rec.attempt)
+	id := ls.id()
+	if ls.lost || c.Cfg.Faults.SessionFate(id) == faults.FateLost {
+		c.loseSlot(r, ls.attempt)
 		return
 	}
 	// Corruption and truncation don't destroy a lite capture — the blob
 	// is synthetic either way.
-	c.queueUpload(uploadItem{
-		req: r, rec: ls.rec, node: ls.rec.node,
-		sid: ls.id, key: "sessions/" + ls.id, blob: []byte(ls.id),
-	})
+	c.queueUpload(uploadItem{rec: &ls.sessionRec, blob: []byte(id)})
 }
 
 // replacementCandidates lists the request's app repetitions with their
@@ -1332,7 +1381,7 @@ func (c *Cluster) replacementCandidates(r *TraceRequest, now simtime.Time) []cov
 		if _, ok := n.Apps[r.Spec.App]; !ok {
 			continue
 		}
-		reps = append(reps, coverage.Repetition{Node: n.Name, Down: !c.nodeHealthy(n, now)})
+		reps = append(reps, coverage.Repetition{Node: n.Name, Index: n.idx, Down: !c.nodeHealthy(n, now)})
 	}
 	return reps
 }
@@ -1378,7 +1427,7 @@ func (c *Cluster) Delete(name string) error {
 // for the data's fate, upload with retries, decode into the structured
 // store, and complete the request when the last slot resolves.
 func (c *Cluster) finishSession(rec *sessionRec, s *core.Session) {
-	r, n := rec.req, rec.node
+	r := rec.req
 	delete(c.inflight, s)
 	if r.Phase.Terminal() {
 		// Deadline or cancellation already resolved the request; the
@@ -1412,21 +1461,18 @@ func (c *Cluster) finishSession(rec *sessionRec, s *core.Session) {
 		}
 	}
 
-	c.queueUpload(uploadItem{
-		req: r, rec: rec, node: n,
-		sid:  s.Cfg.SessionID,
-		key:  "sessions/" + s.Cfg.SessionID,
-		blob: res.Marshal(),
-		res:  res,
-	})
+	// Marshal reserves room for the raw session and the packed blob is far
+	// smaller; the object store keeps the slice it is handed, so hand it
+	// an exact-size copy instead of pinning the slack.
+	c.queueUpload(uploadItem{rec: rec, blob: bytes.Clone(res.Marshal()), res: res})
 }
 
 // uploadLanded runs the post-upload bookkeeping for one session whose
 // blob is safely in the object store: ledger, structured decode, and
 // slot completion.
 func (c *Cluster) uploadLanded(it uploadItem) {
-	r := it.req
-	r.SessionKeys = append(r.SessionKeys, it.key)
+	r := it.rec.req
+	r.SessionKeys = append(r.SessionKeys, it.rec.key)
 	// Per-session management cost: upload bookkeeping plus the status
 	// append, a store write that pays the shard scan.
 	c.Mgmt.CPUSeconds += 100e-6 + c.storeOpCPU(r.shard)
@@ -1441,15 +1487,16 @@ func (c *Cluster) uploadLanded(it uploadItem) {
 
 	// Decode against the binary repository and persist structured rows.
 	if prog, ok := c.Binaries[r.Spec.App]; ok {
+		sid := it.rec.id()
 		dec := decode.Decode(it.res, prog)
 		rows := make([]Row, 0, len(dec.FuncEntries))
 		for fn, count := range dec.FuncEntries {
 			rows = append(rows, Row{
-				App: r.Spec.App, Node: it.node.Name, Session: it.sid,
+				App: r.Spec.App, Node: it.rec.node.Name, Session: sid,
 				Key: prog.Funcs[fn].Name, Value: float64(count),
 			})
 		}
-		c.insertWithRetry(r, it.sid, rows, 0)
+		c.insertWithRetry(r, sid, rows, 0)
 	}
 	c.sessionDone(r)
 }
@@ -1484,7 +1531,7 @@ func (c *Cluster) flushUploads() {
 	items := c.pendingUpload
 	c.pendingUpload = nil
 	c.batchSeq++
-	key := items[0].key
+	key := items[0].rec.key
 	if len(items) > 1 {
 		key = fmt.Sprintf("batch/%d", c.batchSeq)
 	}
@@ -1505,7 +1552,7 @@ func (c *Cluster) flushUploads() {
 func (c *Cluster) putBatchWithRetry(batchKey string, items []uploadItem, attempt int) {
 	live := items[:0]
 	for _, it := range items {
-		if !it.req.Phase.Terminal() {
+		if !it.rec.req.Phase.Terminal() {
 			live = append(live, it)
 		}
 	}
@@ -1516,7 +1563,7 @@ func (c *Cluster) putBatchWithRetry(batchKey string, items []uploadItem, attempt
 	keys := make([]string, 0, 8)
 	blobs := make([][]byte, 0, 8)
 	for _, it := range live {
-		keys = append(keys, it.key)
+		keys = append(keys, it.rec.key)
 		blobs = append(blobs, it.blob)
 	}
 	err := c.OSS.PutBatch(batchKey, keys, blobs)
@@ -1524,7 +1571,7 @@ func (c *Cluster) putBatchWithRetry(batchKey string, items []uploadItem, attempt
 		c.Uploads.Batches++
 		for _, it := range live {
 			if attempt > 0 {
-				it.req.Message = ""
+				it.rec.req.Message = ""
 			}
 			c.uploadLanded(it)
 		}
@@ -1532,14 +1579,14 @@ func (c *Cluster) putBatchWithRetry(batchKey string, items []uploadItem, attempt
 	}
 	if attempt+1 >= c.Cfg.RetryMax {
 		for _, it := range live {
-			it.req.Message = fmt.Sprintf("upload %s failed after %d attempts: %v", it.key, attempt+1, err)
-			c.loseSlot(it.req, it.rec.attempt)
+			it.rec.req.Message = fmt.Sprintf("upload %s failed after %d attempts: %v", it.rec.key, attempt+1, err)
+			c.loseSlot(it.rec.req, it.rec.attempt)
 		}
 		return
 	}
 	for _, it := range live {
-		if !it.req.Phase.Terminal() {
-			it.req.Message = fmt.Sprintf("%v; retrying", err)
+		if !it.rec.req.Phase.Terminal() {
+			it.rec.req.Message = fmt.Sprintf("%v; retrying", err)
 		}
 	}
 	c.Mgmt.Retries++

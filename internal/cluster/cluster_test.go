@@ -211,8 +211,15 @@ func TestDeployValidation(t *testing.T) {
 		t.Fatal("duplicate deploy should fail")
 	}
 	mc, _ := workload.ByName("mc")
-	if err := c.Deploy(mc, []string{"ghost"}, workload.InstallOpts{Seed: 1}); err == nil {
-		t.Fatal("unknown node should fail")
+	// Node names are parsed, not hashed: only the canonical node-<i> of
+	// an existing index resolves.
+	for _, name := range []string{"ghost", "node-2", "node-01", "node-+1", "node-", "node--1", "Node-1"} {
+		if err := c.Deploy(mc, []string{name}, workload.InstallOpts{Seed: 1}); err == nil {
+			t.Fatalf("unknown node %q should fail", name)
+		}
+	}
+	if n, ok := c.Node("node-1"); !ok || n != c.Nodes[1] {
+		t.Fatal("node-1 did not resolve to Nodes[1]")
 	}
 }
 

@@ -314,24 +314,23 @@ func (ct *Controller) electTick(now simtime.Time) {
 
 // becomeLeader starts an ownership incarnation over the newly acquired
 // shards: drop their stale watch backlog, relist them to rebuild the
-// work set (one merged relist in creation order, so the enqueue order
-// matches what a single queue would have seen), and mark their Running
-// requests as adopted so the failover's re-adoption time can be
-// measured when each shard's set drains.
+// work set (one relist of just those shards, merged in creation order,
+// so the enqueue order — and the queue sequence numbers — match what a
+// single queue would have seen), and mark their Running requests as
+// adopted so the failover's re-adoption time can be measured when each
+// shard's set drains.
 func (ct *Controller) becomeLeader(newly []int, now simtime.Time) {
 	c := ct.c
 	c.Mgmt.Elections++
-	isNew := make(map[int]bool, len(newly))
 	for _, s := range newly {
-		isNew[s] = true
 		c.Mgmt.CPUSeconds += relistCPU(c.API.LiveInShard(s))
 		ct.watches[s].Reset()
 		ct.queues[s].Reset()
 		ct.adopting[s] = make(map[string]bool)
 		ct.electedAt[s] = now
 	}
-	for _, r := range c.API.List() {
-		if r.Phase.Terminal() || !isNew[r.shard] {
+	for _, r := range c.API.listShards(newly) {
+		if r.Phase.Terminal() {
 			continue
 		}
 		ct.queues[r.shard].Add(r.Name)
@@ -601,7 +600,7 @@ func (ct *Controller) syncRunning(r *TraceRequest, now simtime.Time) {
 			burnt = true
 			continue
 		}
-		n, _ := c.Node(reps[idx[0]].Node)
+		n := c.Nodes[reps[idx[0]].Index]
 		if err := c.openSession(r, n, attempt+1); err != nil {
 			if at, ok := c.tracerFreeAt(n); ok && errors.Is(err, core.ErrTracerBusy) {
 				r.resampleSlots = append(r.resampleSlots, attempt)

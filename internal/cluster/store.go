@@ -9,13 +9,30 @@ import (
 	"exist/internal/faults"
 )
 
+// attemptLedger counts the failed attempts of each key whose write has
+// not yet succeeded. Injected fault rolls are keyed by (key, attempt), so
+// the count is what makes a retry roll fresh; once the write succeeds the
+// key is dropped, and the ledger only ever holds keys still retrying.
+type attemptLedger map[string]int
+
+// settle records the outcome of attempt on key: a failure counts one
+// more attempt, a success forgets the key.
+func (l attemptLedger) settle(key string, attempt int, err error) {
+	switch {
+	case err != nil:
+		l[key] = attempt + 1
+	case attempt > 0:
+		delete(l, key)
+	}
+}
+
 // ossShard is one lock domain of the object store: its own blob map,
 // attempt ledger, and mutex. Keys are routed by a stable hash so a key
 // always lands in the same shard regardless of upload order.
 type ossShard struct {
 	mu       sync.Mutex
 	blobs    map[string][]byte
-	attempts map[string]int
+	attempts attemptLedger
 }
 
 // ObjectStore is the unstructured blob store EXIST uploads raw sessions
@@ -51,7 +68,7 @@ func NewObjectStoreShards(n int) *ObjectStore {
 	o := &ObjectStore{shards: make([]ossShard, n)}
 	for i := range o.shards {
 		o.shards[i].blobs = make(map[string][]byte)
-		o.shards[i].attempts = make(map[string]int)
+		o.shards[i].attempts = make(attemptLedger)
 	}
 	return o
 }
@@ -69,7 +86,7 @@ func (o *ObjectStore) storeLocked(s *ossShard, key string, data []byte) {
 	if old, ok := s.blobs[key]; ok {
 		o.bytes.Add(-int64(len(old)))
 	}
-	s.blobs[key] = append([]byte(nil), data...)
+	s.blobs[key] = data
 	o.bytes.Add(int64(len(data)))
 }
 
@@ -80,6 +97,11 @@ func (o *ObjectStore) storeLocked(s *ossShard, key string, data []byte) {
 // upload ledger, and each blob still lands under its own key — possibly
 // across several shards. This is the wire-level amortization behind
 // Config.UploadBatch.
+//
+// The store takes ownership of the blobs on success: it keeps the slices
+// without copying, so the caller must not modify them afterwards. The
+// attempt ledger counts a key's failed attempts and forgets the key once
+// a put succeeds; a key put again after success rolls from attempt 0.
 func (o *ObjectStore) PutBatch(batchKey string, keys []string, blobs [][]byte) error {
 	if len(keys) != len(blobs) {
 		return fmt.Errorf("oss: PutBatch with %d keys, %d blobs", len(keys), len(blobs))
@@ -87,9 +109,10 @@ func (o *ObjectStore) PutBatch(batchKey string, keys []string, blobs [][]byte) e
 	bs := o.shardFor(batchKey)
 	bs.mu.Lock()
 	attempt := bs.attempts[batchKey]
-	bs.attempts[batchKey] = attempt + 1
+	err := o.inj.PutError(batchKey, attempt)
+	bs.attempts.settle(batchKey, attempt, err)
 	bs.mu.Unlock()
-	if err := o.inj.PutError(batchKey, attempt); err != nil {
+	if err != nil {
 		o.failures.Add(1)
 		return err
 	}
@@ -170,7 +193,7 @@ type Row struct {
 type dsShard struct {
 	mu       sync.Mutex
 	rows     []Row
-	attempts map[string]int
+	attempts attemptLedger
 }
 
 // DataStore is the structured, queryable store decoded results land in
@@ -196,7 +219,7 @@ func NewDataStoreShards(n int) *DataStore {
 	}
 	d := &DataStore{shards: make([]dsShard, n)}
 	for i := range d.shards {
-		d.shards[i].attempts = make(map[string]int)
+		d.shards[i].attempts = make(attemptLedger)
 	}
 	return d
 }
@@ -210,13 +233,15 @@ func (d *DataStore) UseFaults(inj *faults.Injector) { d.inj = inj }
 
 // Insert appends rows as one batch identified by batch (typically the
 // session ID). With fault injection enabled the whole batch may fail
-// transiently; no partial batch is ever stored.
+// transiently; no partial batch is ever stored. Like PutBatch, the
+// attempt ledger forgets a batch once its insert succeeds.
 func (d *DataStore) Insert(batch string, rows ...Row) error {
 	s := d.shardFor(batch)
 	s.mu.Lock()
 	attempt := s.attempts[batch]
-	s.attempts[batch] = attempt + 1
-	if err := d.inj.InsertError(batch, attempt); err != nil {
+	err := d.inj.InsertError(batch, attempt)
+	s.attempts.settle(batch, attempt, err)
+	if err != nil {
 		s.mu.Unlock()
 		d.failures.Add(1)
 		return err

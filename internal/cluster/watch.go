@@ -57,8 +57,15 @@ type WatchEvent struct {
 // oldest events are dropped and the stream is marked stale — the
 // consumer must relist to resynchronize, exactly the "resource version
 // too old" contract of a real watch.
+//
+// The buffered events are buf[head:]. Popping advances head, so a drain
+// moves no memory; an emptied buffer rewinds to the start of its storage,
+// and a push that finds the storage full slides the live events down
+// once at least half of it is consumed. A stream that is drained and
+// refilled therefore reuses one array and stops allocating after warm-up.
 type WatchStream struct {
 	buf   []WatchEvent
+	head  int
 	max   int
 	stale bool
 	// notify, when set, fires each time the buffer goes from empty to
@@ -68,23 +75,26 @@ type WatchStream struct {
 
 // Next pops the oldest buffered event.
 func (w *WatchStream) Next() (WatchEvent, bool) {
-	if len(w.buf) == 0 {
+	if w.head == len(w.buf) {
 		return WatchEvent{}, false
 	}
-	ev := w.buf[0]
-	w.buf = w.buf[1:]
+	ev := w.buf[w.head]
+	w.head++
+	if w.head == len(w.buf) {
+		w.buf, w.head = w.buf[:0], 0
+	}
 	return ev, true
 }
 
 // Len returns the number of buffered events.
-func (w *WatchStream) Len() int { return len(w.buf) }
+func (w *WatchStream) Len() int { return len(w.buf) - w.head }
 
 // peek returns the oldest buffered event without removing it.
 func (w *WatchStream) peek() (WatchEvent, bool) {
-	if len(w.buf) == 0 {
+	if w.head == len(w.buf) {
 		return WatchEvent{}, false
 	}
-	return w.buf[0], true
+	return w.buf[w.head], true
 }
 
 // Stale reports whether events were dropped since the last Reset; the
@@ -94,16 +104,22 @@ func (w *WatchStream) Stale() bool { return w.stale }
 // Reset empties the stream and clears the stale flag (called after a
 // relist resynchronizes the consumer).
 func (w *WatchStream) Reset() {
-	w.buf = w.buf[:0]
+	w.buf, w.head = w.buf[:0], 0
 	w.stale = false
 }
 
 // push appends an event, dropping the oldest on overflow.
 func (w *WatchStream) push(ev WatchEvent) {
-	wasEmpty := len(w.buf) == 0
-	if w.max > 0 && len(w.buf) >= w.max {
-		w.buf = w.buf[1:]
+	wasEmpty := w.Len() == 0
+	if w.max > 0 && w.Len() >= w.max {
+		w.head++
 		w.stale = true
+	}
+	if len(w.buf) == cap(w.buf) && w.head > 0 && 2*w.head >= len(w.buf) {
+		// Compacting only once half the storage is consumed keeps every
+		// event's share of the copying constant.
+		n := copy(w.buf, w.buf[w.head:])
+		w.buf, w.head = w.buf[:n], 0
 	}
 	w.buf = append(w.buf, ev)
 	if wasEmpty && w.notify != nil {

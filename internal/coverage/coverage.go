@@ -6,6 +6,7 @@
 package coverage
 
 import (
+	"slices"
 	"sort"
 
 	"exist/internal/decode"
@@ -82,6 +83,8 @@ const (
 type Repetition struct {
 	// Node is the hosting node.
 	Node string
+	// Index is the hosting node's dense index, the value a NodeSet holds.
+	Index int32
 	// Anomalous marks instances implicated in the anomaly under
 	// diagnosis.
 	Anomalous bool
@@ -147,20 +150,40 @@ func SelectRepetitions(reps []Repetition, spec SampleSpec, rng *xrand.Rand) []in
 	return perm
 }
 
+// NodeSet is a set of dense node indices, kept as a sorted slice: the
+// nodes one request has already traced. A request touches a handful of
+// nodes, so the set is a few bytes with no hashing, and a request that
+// traces a whole fleet still answers Has by binary search.
+type NodeSet []int32
+
+// Has reports whether node index i is in the set.
+func (s NodeSet) Has(i int32) bool {
+	_, ok := slices.BinarySearch(s, i)
+	return ok
+}
+
+// Add inserts node index i; adding a member is a no-op.
+func (s *NodeSet) Add(i int32) {
+	k, ok := slices.BinarySearch(*s, i)
+	if !ok {
+		*s = slices.Insert(*s, k, i)
+	}
+}
+
 // SelectReplacements re-runs the spatial sampler after failure: it picks
 // up to n replacement repetitions for lost sessions among instances that
-// are healthy and not already traced for the request (used maps node name
-// to true for traced instances). Selection is random via rng so the
+// are healthy and not already traced for the request (used holds the
+// Index of every traced instance). Selection is random via rng so the
 // replacement choice carries no placement bias; indices come back sorted.
 // When fewer candidates than n remain, all of them are returned — the
 // request degrades to partial coverage instead of failing.
-func SelectReplacements(reps []Repetition, used map[string]bool, n int, rng *xrand.Rand) []int {
+func SelectReplacements(reps []Repetition, used NodeSet, n int, rng *xrand.Rand) []int {
 	if n <= 0 {
 		return nil
 	}
 	var cands []int
 	for i, r := range reps {
-		if !r.Down && !used[r.Node] {
+		if !r.Down && !used.Has(r.Index) {
 			cands = append(cands, i)
 		}
 	}

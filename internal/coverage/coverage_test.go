@@ -1,6 +1,7 @@
 package coverage
 
 import (
+	"slices"
 	"testing"
 
 	"exist/internal/decode"
@@ -78,13 +79,13 @@ func TestSelectRepetitionsProfiling(t *testing.T) {
 
 func TestSelectReplacements(t *testing.T) {
 	reps := []Repetition{
-		{Node: "a"},             // already traced
-		{Node: "b", Down: true}, // failed
-		{Node: "c"},             // candidate
-		{Node: "d"},             // candidate
-		{Node: "e"},             // candidate
+		{Node: "a", Index: 0},             // already traced
+		{Node: "b", Index: 1, Down: true}, // failed
+		{Node: "c", Index: 2},             // candidate
+		{Node: "d", Index: 3},             // candidate
+		{Node: "e", Index: 4},             // candidate
 	}
-	used := map[string]bool{"a": true}
+	used := NodeSet{0}
 
 	// Fewer candidates than requested: all of them come back.
 	all := SelectReplacements(reps, used, 10, xrand.New(1))
@@ -97,12 +98,12 @@ func TestSelectReplacements(t *testing.T) {
 		if len(got) != 1 {
 			t.Fatalf("want one replacement, got %v", got)
 		}
-		if r := reps[got[0]]; r.Down || used[r.Node] {
+		if r := reps[got[0]]; r.Down || used.Has(r.Index) {
 			t.Fatalf("selected unusable repetition %+v", r)
 		}
 	}
 	// Nothing healthy and untraced left: empty, not an error.
-	if got := SelectReplacements(reps, map[string]bool{"a": true, "c": true, "d": true, "e": true}, 1, xrand.New(1)); len(got) != 0 {
+	if got := SelectReplacements(reps, NodeSet{0, 2, 3, 4}, 1, xrand.New(1)); len(got) != 0 {
 		t.Fatalf("exhausted pool gave %v", got)
 	}
 	if got := SelectReplacements(reps, used, 0, xrand.New(1)); got != nil {
@@ -113,6 +114,29 @@ func TestSelectReplacements(t *testing.T) {
 	b := SelectReplacements(reps, used, 2, xrand.New(7))
 	if len(a) != 2 || len(b) != 2 || a[0] != b[0] || a[1] != b[1] {
 		t.Fatalf("not deterministic: %v vs %v", a, b)
+	}
+}
+
+func TestNodeSet(t *testing.T) {
+	var s NodeSet
+	for _, i := range []int32{7, 2, 9, 2, 0, 7} {
+		s.Add(i)
+	}
+	if want := (NodeSet{0, 2, 7, 9}); !slices.Equal(s, want) {
+		t.Fatalf("set = %v, want %v", s, want)
+	}
+	for _, i := range []int32{0, 2, 7, 9} {
+		if !s.Has(i) {
+			t.Fatalf("Has(%d) = false", i)
+		}
+	}
+	for _, i := range []int32{-1, 1, 8, 10} {
+		if s.Has(i) {
+			t.Fatalf("Has(%d) = true", i)
+		}
+	}
+	if (NodeSet(nil)).Has(0) {
+		t.Fatal("empty set has a member")
 	}
 }
 
