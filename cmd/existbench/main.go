@@ -34,6 +34,7 @@ import (
 	"exist/internal/decode"
 	"exist/internal/experiments"
 	"exist/internal/hotbench"
+	"exist/internal/hotbench/clusterbench"
 	"exist/internal/hotbench/litebench"
 	"exist/internal/parallel"
 	"exist/internal/spec"
@@ -348,6 +349,21 @@ func measureHotPaths() (map[string]benchResult, datapathStats) {
 			lb.Session()
 		}
 	}))
+
+	// Machine-node scheduling path: one 6-node walker scenario per op,
+	// its per-node engines advanced on one and on two workers. Setup is
+	// outside the timer.
+	for _, jobs := range []int{1, 2} {
+		hot[fmt.Sprintf("cluster_nodes_j%d", jobs)] = toBenchResult(testing.Benchmark(func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				s := clusterbench.New(jobs)
+				b.StartTimer()
+				s.Run()
+			}
+		}))
+	}
 
 	// Wire-format hot paths, normalized to v1-equivalent bytes so the MB/s
 	// columns track the session size rather than the compressed blob.

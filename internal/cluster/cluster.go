@@ -14,8 +14,10 @@
 // fault injector in package faults; with no injector attached the control
 // plane behaves exactly as a fault-free cluster.
 //
-// All nodes share one virtual clock, so cluster orchestration and
-// node-level scheduling interleave deterministically in a single timeline.
+// The control plane runs on the cluster's engine and each node machine on
+// its own; Run keeps every node clock in lockstep with the control clock
+// at each cross-engine edge, so orchestration and node-level scheduling
+// interleave deterministically at any worker count.
 package cluster
 
 import (
@@ -388,9 +390,6 @@ type Node struct {
 	// lite holds the node's in-flight Lite sessions, in no particular
 	// order (each knows its slot); a crash sorts a copy by session ID.
 	lite []*liteSession
-	// eng is the engine the node's machine runs on: the cluster's shared
-	// engine, or the node's own clock under Config.Jobs parallelism.
-	eng *simtime.Engine
 	// doneBuf collects sessions that closed while the node was advancing
 	// concurrently; the barrier replays them on the control engine.
 	doneBuf []doneItem
@@ -541,12 +540,12 @@ type Config struct {
 	// management CPU (cores) exceeds this budget.
 	AdmitCPUBudget float64
 
-	// Jobs, when > 1, advances the node machines on their own per-node
-	// engines across that many goroutines (DESIGN.md §14). The control
-	// plane stays on Eng and only runs while every node clock is parked
-	// at its time, so results are byte-identical to the single-engine
-	// run at any Jobs value. <= 1 keeps all nodes on the shared engine.
-	// Ignored for Lite clusters, whose nodes have no machines to advance.
+	// Jobs is how many goroutines advance the node machines, each on
+	// its own engine, between control-plane barriers (DESIGN.md §14).
+	// The control plane stays on Eng and only runs while every node
+	// clock is parked at its time, so results are byte-identical at any
+	// Jobs value. <= 1 means one worker. Ignored for Lite clusters,
+	// whose nodes have no machines to advance.
 	Jobs int
 
 	// Lite, when true, builds bookkeeping-only nodes: no machines are
@@ -578,12 +577,13 @@ type sessionRec struct {
 	// lost marks data destroyed by a node crash before upload.
 	lost bool
 	// endAt is when the session's window timer fires (open time + period).
-	// The parallel barrier may not advance any node past the earliest
-	// endAt: the completion calls back into the control plane.
+	// The barrier may not advance any node past the earliest endAt: the
+	// completion calls back into the control plane.
 	endAt simtime.Time
-	// openSeq orders simultaneous window closes during barrier replay the
-	// same way the shared engine fires them: sessions opened earlier armed
-	// their timers earlier, so at equal times they close in open order.
+	// openSeq orders simultaneous window closes during barrier replay:
+	// sessions opened earlier armed their timers earlier, so at equal
+	// times they close in open order, on one node's engine or across
+	// nodes.
 	openSeq int64
 }
 
@@ -640,7 +640,8 @@ func (n *Node) dropLite(ls *liteSession) {
 type Cluster struct {
 	// Cfg is the construction configuration.
 	Cfg Config
-	// Eng is the shared virtual clock.
+	// Eng is the control plane's virtual clock (and a Lite cluster's only
+	// one); node machines run on their own engines.
 	Eng *simtime.Engine
 	// API is the control-plane store.
 	API *APIServer
@@ -706,8 +707,8 @@ type uploadItem struct {
 	res  *trace.Session
 }
 
-// New builds a cluster with a shared engine and starts the controller
-// replicas.
+// New builds a cluster, gives each machine node its own engine, and
+// starts the controller replicas.
 func New(cfg Config) *Cluster {
 	if cfg.Nodes <= 0 || cfg.CoresPerNode <= 0 {
 		panic("cluster: invalid config")
@@ -763,6 +764,9 @@ func New(cfg Config) *Cluster {
 	if cfg.UploadBatch <= 0 {
 		cfg.UploadBatch = 1
 	}
+	if cfg.Jobs <= 0 {
+		cfg.Jobs = 1
+	}
 	c := &Cluster{
 		Cfg:         cfg,
 		Eng:         simtime.NewEngine(),
@@ -786,19 +790,12 @@ func New(cfg Config) *Cluster {
 		n.Apps = make(map[string]*sched.Process)
 		n.MemCapacityMB = 384 * 1024 / float64(cfg.Nodes) // 384 GB class nodes scaled per config
 		if !cfg.Lite {
-			// Under Jobs parallelism each node's machine runs on its own
-			// clock; the barrier in Run keeps it in lockstep with the
-			// control plane. Event order within a node is unchanged either
-			// way, since one engine still serializes all its events.
-			n.eng = c.Eng
-			if c.parallel() {
-				n.eng = simtime.NewEngine()
-			}
+			// The machine runs on its own engine; the barrier in Run
+			// keeps it in lockstep with the control plane.
 			rt := node.Provision(node.Spec{
-				Cores:  cfg.CoresPerNode,
-				HT:     true, // sched default; nodes keep hyperthreaded topology
-				Seed:   cfg.Seed + uint64(i)*7919,
-				Engine: n.eng,
+				Cores: cfg.CoresPerNode,
+				HT:    true, // sched default; nodes keep hyperthreaded topology
+				Seed:  cfg.Seed + uint64(i)*7919,
 			})
 			n.Runtime = rt
 			n.Machine = rt.Machine
@@ -824,9 +821,6 @@ func New(cfg Config) *Cluster {
 	c.startControllers()
 	return c
 }
-
-// parallel reports whether node machines run on per-node engines.
-func (c *Cluster) parallel() bool { return c.Cfg.Jobs > 1 && !c.Cfg.Lite }
 
 // nodePrefix prefixes every node name; the rest is the node's index.
 const nodePrefix = "node-"
@@ -898,15 +892,16 @@ func (c *Cluster) Request(name string, spec TraceRequestSpec) (*TraceRequest, er
 	return r, nil
 }
 
-// Run advances the whole cluster to the given time. With Config.Jobs > 1
-// the node machines advance concurrently between control-plane events;
-// see runParallel for why the result is identical to the shared-engine run.
+// Run advances the whole cluster to the given time. A Lite cluster has
+// only the control engine. Otherwise the node machines advance on
+// Config.Jobs workers between control-plane events; see runParallel for
+// why the result does not depend on the worker count.
 func (c *Cluster) Run(until simtime.Time) {
-	if c.parallel() {
-		c.runParallel(until)
+	if c.Cfg.Lite {
+		c.Eng.RunUntil(until)
 		return
 	}
-	c.Eng.RunUntil(until)
+	c.runParallel(until)
 }
 
 // runParallel is the conservative-barrier scheduler for per-node engines.
@@ -927,9 +922,10 @@ func (c *Cluster) Run(until simtime.Time) {
 // buffered during the advance in (time, open-order), and finally fires
 // the control events at tc with every node clock parked exactly there.
 // Control code therefore always observes node clocks equal to its own,
-// and node sessions open/close in the same order, at the same times, with
-// the same per-engine event interleaving as on the shared engine: the
-// run's output is byte-identical at any Jobs value.
+// and node sessions open and close in the same order and at the same
+// times whatever the worker count. Each node's events run on its own
+// engine in a fixed order, so the run's output is byte-identical at any
+// Jobs value.
 func (c *Cluster) runParallel(until simtime.Time) {
 	for {
 		tc := until
@@ -946,14 +942,14 @@ func (c *Cluster) runParallel(until simtime.Time) {
 		// closes at exactly tc buffer themselves (see openSession).
 		c.advancing = true
 		parallel.ForEach(len(c.Nodes), c.Cfg.Jobs, func(i int) {
-			c.Nodes[i].eng.RunUntil(tc)
+			c.Nodes[i].Machine.Eng.RunUntil(tc)
 		})
 		c.advancing = false
 
 		// Replay buffered window closes on the control clock. They all
-		// landed at tc (earlier closes would have bounded tc), and at equal
-		// times the shared engine fires window timers in session-open order
-		// — the order their timers were armed.
+		// landed at tc (earlier closes would have bounded tc); at equal
+		// times they resolve in session-open order, the order their
+		// timers were armed.
 		var done []doneItem
 		for _, n := range c.Nodes {
 			done = append(done, n.doneBuf...)
@@ -1313,7 +1309,7 @@ func (c *Cluster) openSession(r *TraceRequest, n *Node, attempt int) error {
 	r.sessions = append(r.sessions, sess)
 	rec := &sessionRec{
 		req: r, node: n, key: key, attempt: attempt,
-		endAt:   n.eng.Now() + cfg.Period,
+		endAt:   n.Machine.Eng.Now() + cfg.Period,
 		openSeq: c.openSeq,
 	}
 	c.openSeq++
@@ -1323,7 +1319,7 @@ func (c *Cluster) openSession(r *TraceRequest, n *Node, attempt int) error {
 			// Concurrent node advance: park the completion for the
 			// barrier's replay instead of touching control state from a
 			// node goroutine.
-			n.doneBuf = append(n.doneBuf, doneItem{at: n.eng.Now(), seq: rec.openSeq, rec: rec, s: s})
+			n.doneBuf = append(n.doneBuf, doneItem{at: n.Machine.Eng.Now(), seq: rec.openSeq, rec: rec, s: s})
 			return
 		}
 		c.finishSession(rec, s)

@@ -109,6 +109,10 @@ func TestEndToEndTraceRequest(t *testing.T) {
 	if req.Phase != PhaseCompleted {
 		t.Fatalf("request phase = %s (%s)", req.Phase, req.Message)
 	}
+	// An unset Jobs means one node worker, not GOMAXPROCS of them.
+	if jobs := New(DefaultConfig()).Cfg.Jobs; jobs != 1 {
+		t.Fatalf("default Jobs = %d, want 1", jobs)
+	}
 	// Anomaly purpose with nothing flagged traces all three nodes.
 	if len(req.SessionKeys) != 3 {
 		t.Fatalf("sessions = %v", req.SessionKeys)

@@ -38,7 +38,7 @@ func TestParallelDeterminism(t *testing.T) {
 
 // TestNodeParallelDeterminism pins the node-parallel path's contract: the
 // resilience experiment — whose fault levels fan out across workers AND
-// whose clusters advance per-node engines on goroutines when Jobs > 1 —
+// whose clusters advance their per-node engines on Jobs goroutines —
 // must render byte-identically with exactly equal metrics for every
 // combination of jobs and GOMAXPROCS. This is the property that lets CI
 // diff parallel stdout against serial golden output.

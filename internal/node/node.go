@@ -64,9 +64,6 @@ type Spec struct {
 	Seed uint64
 	// CollectSwitchPeriods enables the Figure 8 period sampling.
 	CollectSwitchPeriods bool
-	// Engine, when non-nil, shares a virtual clock across machines
-	// (cluster nodes interleave on one timeline).
-	Engine *simtime.Engine
 	// Syscalls overrides the syscall table (nil: the kernel default).
 	Syscalls []kernel.SyscallSpec
 
@@ -197,9 +194,6 @@ func Provision(spec Spec) *Runtime {
 	mcfg.CollectSwitchPeriods = spec.CollectSwitchPeriods
 	if spec.Timeslice > 0 {
 		mcfg.Timeslice = spec.Timeslice
-	}
-	if spec.Engine != nil {
-		mcfg.Engine = spec.Engine
 	}
 	if spec.Syscalls != nil {
 		mcfg.Syscalls = spec.Syscalls

@@ -73,10 +73,6 @@ type Config struct {
 	// selects a default chunk; the hint only affects capacity, never
 	// content.
 	SwitchPeriodHint int
-	// Engine, when non-nil, is a shared virtual clock; multi-node
-	// simulations give every machine the same engine so cluster-level
-	// orchestration and node-level scheduling interleave in one timeline.
-	Engine *simtime.Engine
 }
 
 // DefaultConfig returns a 16-core single-socket configuration with a 4 ms
@@ -316,7 +312,8 @@ type MachineStats struct {
 type Machine struct {
 	// Cfg is the construction configuration.
 	Cfg Config
-	// Eng is the virtual-time engine driving the machine.
+	// Eng is the machine's own virtual-time engine; no other machine
+	// shares it.
 	Eng *simtime.Engine
 	// Cores are the logical CPUs.
 	Cores []*Core
@@ -364,13 +361,9 @@ func NewMachine(cfg Config) *Machine {
 	if syscalls == nil {
 		syscalls = kernel.DefaultSyscallTable()
 	}
-	eng := cfg.Engine
-	if eng == nil {
-		eng = simtime.NewEngine()
-	}
 	m := &Machine{
 		Cfg:        cfg,
-		Eng:        eng,
+		Eng:        simtime.NewEngine(),
 		syscalls:   syscalls,
 		rng:        xrand.Split(cfg.Seed, "sched/machine"),
 		llcRunning: make([]int32, cfg.LLCGroups),
