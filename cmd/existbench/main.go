@@ -36,6 +36,7 @@ import (
 	"exist/internal/hotbench"
 	"exist/internal/hotbench/clusterbench"
 	"exist/internal/hotbench/litebench"
+	"exist/internal/hotbench/livenessbench"
 	"exist/internal/parallel"
 	"exist/internal/spec"
 	"exist/internal/trace"
@@ -262,14 +263,17 @@ type benchResult struct {
 // runs in the event queue (one heap entry per pending timer);
 // lite_session predates the dense-index Lite control plane (string-keyed
 // in-flight and used-node maps, copied blobs, an append-only watch
-// buffer).
+// buffer); node_liveness predates the lease sweep and node-fault
+// timetable (one heartbeat timer per node, one crash and one churn
+// closure chain per node).
 var prePRBaselines = map[string]benchResult{
-	"decode_hot":   {NsPerOp: 22_900_000, AllocsPerOp: 1195, BytesPerOp: 15_402_504},
-	"encode_hot":   {NsPerOp: 21_900_000, AllocsPerOp: 20, BytesPerOp: 67_111_138},
-	"engine_hot":   {NsPerOp: 20_733_180, AllocsPerOp: 0, BytesPerOp: 0},
-	"lite_session": {NsPerOp: 8_256, AllocsPerOp: 25, BytesPerOp: 2_681},
-	"sched_hot":    {NsPerOp: 63_196, AllocsPerOp: 178, BytesPerOp: 9_025},
-	"tracer_hot":   {NsPerOp: 1_478_338, AllocsPerOp: 0, BytesPerOp: 0},
+	"decode_hot":    {NsPerOp: 22_900_000, AllocsPerOp: 1195, BytesPerOp: 15_402_504},
+	"encode_hot":    {NsPerOp: 21_900_000, AllocsPerOp: 20, BytesPerOp: 67_111_138},
+	"engine_hot":    {NsPerOp: 20_733_180, AllocsPerOp: 0, BytesPerOp: 0},
+	"lite_session":  {NsPerOp: 8_256, AllocsPerOp: 25, BytesPerOp: 2_681},
+	"node_liveness": {NsPerOp: 43_227_120, AllocsPerOp: 5858, BytesPerOp: 184_625},
+	"sched_hot":     {NsPerOp: 63_196, AllocsPerOp: 178, BytesPerOp: 9_025},
+	"tracer_hot":    {NsPerOp: 1_478_338, AllocsPerOp: 0, BytesPerOp: 0},
 }
 
 // datapathStats records the decode-hot fixture session's v1-equivalent
@@ -347,6 +351,16 @@ func measureHotPaths() (map[string]benchResult, datapathStats) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			lb.Session()
+		}
+	}))
+
+	// Node liveness at fleet scale: one simulated second of a warm
+	// 100k-node Lite cluster with the fleet's faults and no requests.
+	nl := livenessbench.New()
+	hot["node_liveness"] = toBenchResult(testing.Benchmark(func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			nl.Second()
 		}
 	}))
 

@@ -260,6 +260,8 @@ type Program struct {
 	entryIndex map[BlockID]int32
 	superOnce  sync.Once
 	super      []superStep
+	rateOnce   sync.Once
+	branchRate float64
 }
 
 // superStep is the fused form of the maximal straight-line block chain
@@ -317,6 +319,14 @@ func (p *Program) superSteps() []superStep {
 		p.super = sup
 	})
 	return p.super
+}
+
+// BranchPerKCycle returns ComputeStats().BranchPerKCycle, computed once:
+// every walker a program drives reads it, and the full stats pass walks
+// every block and fills two maps.
+func (p *Program) BranchPerKCycle() float64 {
+	p.rateOnce.Do(func() { p.branchRate = p.ComputeStats().BranchPerKCycle })
+	return p.branchRate
 }
 
 // BlockAt resolves a text address to the block starting there.

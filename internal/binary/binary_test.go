@@ -186,6 +186,9 @@ func TestComputeStats(t *testing.T) {
 	if s.BranchPerKCycle <= 0 {
 		t.Fatal("expected nonzero branch density")
 	}
+	if got := p.BranchPerKCycle(); got != s.BranchPerKCycle {
+		t.Fatalf("cached branch density %v, stats pass %v", got, s.BranchPerKCycle)
+	}
 	if s.AvgBlockCycles <= 0 {
 		t.Fatal("expected positive average block cycles")
 	}

@@ -23,6 +23,7 @@ package cluster
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -361,10 +362,6 @@ type Node struct {
 	// (Figure 11: allocation near the ceiling while utilization is low).
 	MemCapacityMB  float64
 	MemAllocatedMB float64
-	// LeaseUntil is the node's health-lease expiry, renewed by
-	// heartbeats. The controller treats a node whose lease has lapsed as
-	// failed. Leases are only maintained when fault injection is on.
-	LeaseUntil simtime.Time
 	// Down marks a crashed node. The flag is the physical truth — the
 	// control plane only learns of it through lease expiry or a failed
 	// contact attempt.
@@ -380,13 +377,14 @@ type Node struct {
 	idx     int32
 	crashes int
 	leaves  int
-	hbSeq   int64
+	// lease is the node's stored health-lease expiry. It is the whole
+	// lease only for a down or gray node; an up, healthy node's lease
+	// also counts the last sweep's renewal (see Cluster.leaseUntil).
+	// Leases are only maintained when fault injection is on.
+	lease simtime.Time
 	// gray caches Faults.GrayNode for the node, a pure function of the
-	// fault seed and the node name, so healthy beats skip the draw.
+	// fault seed and the node name.
 	gray bool
-	// hbFn is the cached heartbeat callback; the renewal loop re-arms the
-	// same closure every beat instead of allocating one per period.
-	hbFn func(now simtime.Time)
 	// lite holds the node's in-flight Lite sessions, in no particular
 	// order (each knows its slot); a crash sorts a copy by session ID.
 	lite []*liteSession
@@ -681,6 +679,21 @@ type Cluster struct {
 	// barriers; session completions observed then are buffered instead of
 	// calling into control-plane state from node goroutines.
 	advancing bool
+
+	// Node liveness, armed only under fault injection. lastBeat is the
+	// time of the last lease sweep and beats the number of sweeps so far.
+	lastBeat simtime.Time
+	beats    int64
+	// downNodes and grayNodes hold, in index order, the nodes whose beat
+	// does more than renew: crashed nodes and gray ones.
+	downNodes []int32
+	grayNodes []int32
+	// faultTable holds every node's next crash and churn leave; faultEv
+	// is the one event armed at its minimum.
+	faultTable faultHeap
+	faultEv    *simtime.Event
+	// sweepFn and faultFn cache the sweep and timetable callbacks.
+	sweepFn, faultFn func(now simtime.Time)
 }
 
 // UploadStats tracks what the data path ships to the object store:
@@ -809,10 +822,13 @@ func New(cfg Config) *Cluster {
 	if cfg.Faults != nil {
 		c.OSS.UseFaults(cfg.Faults)
 		c.ODPS.UseFaults(cfg.Faults)
+		c.sweepFn, c.faultFn = c.sweep, c.fireFaults
+		c.Eng.AfterDetached(cfg.HeartbeatEvery, c.sweepFn)
 		for _, n := range c.Nodes {
-			n.LeaseUntil = c.Cfg.LeaseTTL
-			n.gray = cfg.Faults.GrayNode(n.Name)
-			c.scheduleHeartbeat(n)
+			n.lease = cfg.LeaseTTL
+			if n.gray = cfg.Faults.GrayNode(n.Name); n.gray {
+				c.grayNodes = append(c.grayNodes, n.idx)
+			}
 			c.scheduleCrash(n)
 			c.scheduleChurn(n)
 		}
@@ -977,74 +993,195 @@ func (c *Cluster) runParallel(until simtime.Time) {
 	}
 }
 
-// scheduleHeartbeat arms one node's lease renewal loop. A down node
-// skips renewals, so its lease lapses and the controller detects the
-// failure. A gray node's heartbeats leave on time but arrive late: its
-// lease can lapse while the node is alive and working — a false
-// suspicion, the signature of gray failure.
-func (c *Cluster) scheduleHeartbeat(n *Node) {
-	if n.hbFn == nil {
-		n.hbFn = func(now simtime.Time) { c.heartbeat(n, now) }
-	}
-	c.Eng.AfterDetached(c.Cfg.HeartbeatEvery, n.hbFn)
-}
+// Node liveness. Every node beats at each multiple of HeartbeatEvery, and
+// its k-th beat is the cluster's k-th, so one sweep per period stands for
+// all of them: an up node that is not gray has lease
+// max(n.lease, lastBeat+LeaseTTL), and the sweep visits only the nodes
+// whose beat does more — down nodes, whose lapse it detects, and gray
+// nodes, whose beats arrive late. Node crashes and churn leaves wait in
+// one timetable behind one armed event. The sweep and the timetable event
+// each hold one position among the events at their instant, so another
+// event at exactly that nanosecond fires wholly before or after them
+// (TestCrashAtBeatInstant).
 
-// heartbeat is one beat of a node's lease renewal loop; it re-arms itself.
-// The beat after a down node's lease lapsed counts the lease expiry the
-// control plane detects.
-func (c *Cluster) heartbeat(n *Node, now simtime.Time) {
-	if n.Down && n.LeaseUntil <= now && n.LeaseUntil > now-c.Cfg.HeartbeatEvery {
-		c.Mgmt.LeaseExpiries++
-	}
-	if !n.Down {
-		var d simtime.Duration
-		if n.gray {
-			d = c.Cfg.Faults.HeartbeatDelay(n.Name, n.hbSeq)
+// sweep is one heartbeat period. The sweep after a down node's lease
+// lapsed counts the lease expiry the control plane detects. A gray
+// node's beat leaves on time but arrives late: its lease can lapse while
+// the node is alive and working — a false suspicion, the signature of
+// gray failure.
+func (c *Cluster) sweep(now simtime.Time) {
+	for _, i := range c.downNodes {
+		if l := c.Nodes[i].lease; l <= now && l > now-c.Cfg.HeartbeatEvery {
+			c.Mgmt.LeaseExpiries++
 		}
-		if d > 0 {
+	}
+	for _, i := range c.grayNodes {
+		n := c.Nodes[i]
+		if n.Down {
+			continue
+		}
+		if d := c.Cfg.Faults.HeartbeatDelay(n.Name, c.beats); d > 0 {
 			c.Eng.AfterDetached(d, func(arrived simtime.Time) {
 				if n.Down {
 					return
 				}
-				if n.LeaseUntil <= arrived {
+				if n.lease <= arrived {
 					c.Mgmt.FalseSuspicions++
 				}
-				if until := now + c.Cfg.LeaseTTL; until > n.LeaseUntil {
-					n.LeaseUntil = until
-				}
+				n.lease = max(n.lease, now+c.Cfg.LeaseTTL)
 			})
 		} else {
-			n.LeaseUntil = now + c.Cfg.LeaseTTL
+			n.lease = now + c.Cfg.LeaseTTL
 		}
 	}
-	n.hbSeq++
-	c.Eng.AfterDetached(c.Cfg.HeartbeatEvery, n.hbFn)
+	c.lastBeat = now
+	c.beats++
+	c.Eng.AfterDetached(c.Cfg.HeartbeatEvery, c.sweepFn)
 }
 
-// scheduleCrash arms the node's next injected crash, if crash injection
-// is configured.
-func (c *Cluster) scheduleCrash(n *Node) {
-	d, ok := c.Cfg.Faults.NextCrash(n.Name, n.crashes)
-	if !ok {
+// leaseUntil is the node's lease expiry: the stored lease, renewed by the
+// last sweep when the node is up and not gray.
+func (c *Cluster) leaseUntil(n *Node) simtime.Time {
+	if n.Down || n.gray {
+		return n.lease
+	}
+	return max(n.lease, c.lastBeat+c.Cfg.LeaseTTL)
+}
+
+// faultKind tells a node crash from a churn leave in the timetable.
+type faultKind uint8
+
+const (
+	faultCrash faultKind = iota
+	faultLeave
+)
+
+// nodeFault is one timetable entry: node idx's next fault of a kind.
+type nodeFault struct {
+	at   simtime.Time
+	idx  int32
+	kind faultKind
+}
+
+// before orders entries by (at, idx, kind).
+func (a nodeFault) before(b nodeFault) bool {
+	if a.at != b.at {
+		return a.at < b.at
+	}
+	if a.idx != b.idx {
+		return a.idx < b.idx
+	}
+	return a.kind < b.kind
+}
+
+// faultHeap is a binary min-heap of node faults.
+type faultHeap []nodeFault
+
+func (h *faultHeap) push(f nodeFault) {
+	*h = append(*h, f)
+	s := *h
+	i := len(s) - 1
+	for i > 0 {
+		p := (i - 1) / 2
+		if !f.before(s[p]) {
+			break
+		}
+		s[i] = s[p]
+		i = p
+	}
+	s[i] = f
+}
+
+func (h *faultHeap) pop() nodeFault {
+	s := *h
+	top, last := s[0], s[len(s)-1]
+	s = s[:len(s)-1]
+	*h = s
+	if len(s) == 0 {
+		return top
+	}
+	i := 0
+	for {
+		l := 2*i + 1
+		if l >= len(s) {
+			break
+		}
+		if r := l + 1; r < len(s) && s[r].before(s[l]) {
+			l = r
+		}
+		if !s[l].before(last) {
+			break
+		}
+		s[i] = s[l]
+		i = l
+	}
+	s[i] = last
+	return top
+}
+
+// pushFault adds a timetable entry, re-arming the timetable event when
+// the entry is the new minimum. Entries are pushed only at New and by
+// restarts and rejoins, never while the timetable fires.
+func (c *Cluster) pushFault(f nodeFault) {
+	c.faultTable.push(f)
+	if c.faultEv.Pending() && c.faultEv.At() <= f.at {
 		return
 	}
-	c.Eng.AfterDetached(d, func(now simtime.Time) {
-		n.crashes++
-		c.crashNode(n, now)
-		c.Eng.AfterDetached(c.Cfg.Faults.Config().CrashDowntime, func(now simtime.Time) {
-			n.Down = false
-			n.LeaseUntil = now + c.Cfg.LeaseTTL
-			c.scheduleCrash(n)
-		})
+	c.faultEv.Cancel()
+	c.faultEv = c.Eng.Schedule(f.at, c.faultFn)
+}
+
+// fireFaults runs every timetable entry due now, in (at, idx, kind)
+// order, and re-arms at the next one.
+func (c *Cluster) fireFaults(now simtime.Time) {
+	for len(c.faultTable) > 0 && c.faultTable[0].at <= now {
+		f := c.faultTable.pop()
+		n := c.Nodes[f.idx]
+		if f.kind == faultCrash {
+			c.crash(n, now)
+		} else {
+			c.leave(n, now)
+		}
+	}
+	if len(c.faultTable) > 0 {
+		c.faultEv = c.Eng.Schedule(c.faultTable[0].at, c.faultFn)
+	}
+}
+
+// scheduleCrash enters the node's next injected crash in the timetable,
+// if crash injection is configured.
+func (c *Cluster) scheduleCrash(n *Node) {
+	if d, ok := c.Cfg.Faults.NextCrash(n.Name, n.crashes); ok {
+		c.pushFault(nodeFault{at: c.Eng.Now() + d, idx: n.idx, kind: faultCrash})
+	}
+}
+
+// crash is an injected crash: the node goes down and restarts, with a
+// fresh lease and its next crash scheduled, after the crash downtime.
+func (c *Cluster) crash(n *Node, now simtime.Time) {
+	n.crashes++
+	c.crashNode(n, now)
+	c.Eng.AfterDetached(c.Cfg.Faults.Config().CrashDowntime, func(now simtime.Time) {
+		n.Down = false
+		n.lease = now + c.Cfg.LeaseTTL
+		if i, found := slices.BinarySearch(c.downNodes, n.idx); found {
+			c.downNodes = slices.Delete(c.downNodes, i, i+1)
+		}
+		c.scheduleCrash(n)
 	})
 }
 
-// crashNode takes a node down: every in-flight session on it is destroyed
-// before upload. Sessions are closed in session-ID order so fault runs
-// stay deterministic.
+// crashNode takes a node down: its lease freezes at what the last beat
+// renewed, and every in-flight session on it is destroyed before upload.
+// Sessions are closed in session-ID order so fault runs stay
+// deterministic.
 func (c *Cluster) crashNode(n *Node, now simtime.Time) {
 	c.Cfg.Faults.CountCrash()
+	n.lease = c.leaseUntil(n)
 	n.Down = true
+	if i, found := slices.BinarySearch(c.downNodes, n.idx); !found {
+		c.downNodes = slices.Insert(c.downNodes, i, n.idx)
+	}
 	var doomed []*core.Session
 	for s, rec := range c.inflight {
 		if rec.node == n {
@@ -1079,30 +1216,33 @@ func (c *Cluster) nodeHealthy(n *Node, now simtime.Time) bool {
 	if c.Cfg.Faults == nil {
 		return true
 	}
-	return !n.Cordoned && n.LeaseUntil > now
+	return !n.Cordoned && c.leaseUntil(n) > now
 }
 
-// scheduleChurn arms the node's next graceful leave, if churn injection
-// is configured. Churn is continuous: leave → drain → rejoin → next
-// leave, each interval drawn from the injector's seeded schedule. A
-// leave cordons the node (no new sessions; in-flight ones drain to
-// completion and still upload); the rejoin uncordons it with a fresh
-// lease, making it immediately schedulable again.
+// scheduleChurn enters the node's next graceful leave in the timetable,
+// if churn injection is configured. Churn is continuous: leave → drain →
+// rejoin → next leave, each interval drawn from the injector's seeded
+// schedule.
 func (c *Cluster) scheduleChurn(n *Node) {
-	d, down, ok := c.Cfg.Faults.NextChurn(n.Name, n.leaves)
-	if !ok {
-		return
+	if d, _, ok := c.Cfg.Faults.NextChurn(n.Name, n.leaves); ok {
+		c.pushFault(nodeFault{at: c.Eng.Now() + d, idx: n.idx, kind: faultLeave})
 	}
-	c.Eng.AfterDetached(d, func(now simtime.Time) {
-		n.leaves++
-		c.Cfg.Faults.CountLeave()
-		n.Cordoned = true
-		c.Eng.AfterDetached(down, func(now simtime.Time) {
-			n.Cordoned = false
-			n.LeaseUntil = now + c.Cfg.LeaseTTL
-			c.Cfg.Faults.CountJoin()
-			c.scheduleChurn(n)
-		})
+}
+
+// leave cordons the node (no new sessions; in-flight ones drain to
+// completion and still upload); the rejoin, after the leave's drawn
+// downtime, uncordons it with a fresh lease, making it immediately
+// schedulable again.
+func (c *Cluster) leave(n *Node, now simtime.Time) {
+	_, down, _ := c.Cfg.Faults.NextChurn(n.Name, n.leaves)
+	n.leaves++
+	c.Cfg.Faults.CountLeave()
+	n.Cordoned = true
+	c.Eng.AfterDetached(down, func(now simtime.Time) {
+		n.Cordoned = false
+		n.lease = now + c.Cfg.LeaseTTL
+		c.Cfg.Faults.CountJoin()
+		c.scheduleChurn(n)
 	})
 }
 

@@ -109,11 +109,10 @@ func NewWalkerExec(prog *binary.Program, rng *xrand.Rand, cost cpu.Model, scale 
 	if scale <= 0 {
 		scale = 1
 	}
-	st := prog.ComputeStats()
 	return &WalkerExec{
 		W:         binary.NewWalker(prog, rng),
 		Scale:     scale,
-		PTStretch: PTStretchFor(cost, st.BranchPerKCycle),
+		PTStretch: PTStretchFor(cost, prog.BranchPerKCycle()),
 		paceRNG:   rng,
 	}
 }
