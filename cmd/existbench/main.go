@@ -37,6 +37,7 @@ import (
 	"exist/internal/hotbench/clusterbench"
 	"exist/internal/hotbench/litebench"
 	"exist/internal/hotbench/livenessbench"
+	"exist/internal/hotbench/mergebench"
 	"exist/internal/parallel"
 	"exist/internal/spec"
 	"exist/internal/trace"
@@ -265,12 +266,14 @@ type benchResult struct {
 // in-flight and used-node maps, copied blobs, an append-only watch
 // buffer); node_liveness predates the lease sweep and node-fault
 // timetable (one heartbeat timer per node, one crash and one churn
-// closure chain per node).
+// closure chain per node); merge_hot predates the profile-only merge
+// (every worker's per-thread streams appended into one map).
 var prePRBaselines = map[string]benchResult{
 	"decode_hot":    {NsPerOp: 22_900_000, AllocsPerOp: 1195, BytesPerOp: 15_402_504},
 	"encode_hot":    {NsPerOp: 21_900_000, AllocsPerOp: 20, BytesPerOp: 67_111_138},
 	"engine_hot":    {NsPerOp: 20_733_180, AllocsPerOp: 0, BytesPerOp: 0},
 	"lite_session":  {NsPerOp: 8_256, AllocsPerOp: 25, BytesPerOp: 2_681},
+	"merge_hot":     {NsPerOp: 8_885_681, AllocsPerOp: 53, BytesPerOp: 19_499_556},
 	"node_liveness": {NsPerOp: 43_227_120, AllocsPerOp: 5858, BytesPerOp: 184_625},
 	"sched_hot":     {NsPerOp: 63_196, AllocsPerOp: 178, BytesPerOp: 9_025},
 	"tracer_hot":    {NsPerOp: 1_478_338, AllocsPerOp: 0, BytesPerOp: 0},
@@ -300,6 +303,15 @@ func measureHotPaths() (map[string]benchResult, datapathStats) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			decode.Decode(decSess, decProg)
+		}
+	}))
+	// Cluster-level coverage merge: ten workers' decodes of one program
+	// folded into the augmented profile, one merge per op.
+	mb := mergebench.New()
+	hot["merge_hot"] = toBenchResult(testing.Benchmark(func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			mb.Merge()
 		}
 	}))
 	encProg := hotbench.Program(2)

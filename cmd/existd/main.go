@@ -145,7 +145,7 @@ func main() {
 
 	rec := decode.Decode(result, prog)
 	fmt.Printf("existd: decoded %d control-flow events across %d threads (%d decode notes)\n",
-		rec.Events, len(rec.ByThread), len(rec.Errors))
+		rec.Events, len(rec.ByThread()), len(rec.Errors))
 
 	fmt.Println("existd: hottest functions (by traced indirect-call entries):")
 	for i, fc := range report.RankFunctions(rec, prog) {

@@ -82,7 +82,7 @@ func main() {
 		r.MSROps, m.Stats.Switches)
 
 	rec := decode.Decode(result, prog)
-	score := metrics.PathAccuracy(gt.ByThread, rec.ByThread)
+	score := metrics.PathAccuracy(gt.ByThread, rec.ByThread())
 	fmt.Printf("reconstruction: %d events, %.1f%% of ground truth recovered, %d spurious\n",
 		rec.Events, score.Accuracy*100, score.Spurious)
 }

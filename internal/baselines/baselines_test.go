@@ -147,7 +147,7 @@ func TestNHTReferenceSessionDecodes(t *testing.T) {
 	n.Stop(m.Eng.Now())
 	sess := n.Session("ref")
 	rec := decode.Decode(sess, prog)
-	score := metrics.PathAccuracy(gt.ByThread, rec.ByThread)
+	score := metrics.PathAccuracy(gt.ByThread, rec.ByThread())
 	if score.Truth == 0 {
 		t.Fatal("no ground truth")
 	}

@@ -17,7 +17,9 @@
 package binary
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sync"
 
 	"exist/internal/xrand"
@@ -251,17 +253,100 @@ type Program struct {
 	// stands in for the binary-size input of RCO's complexity model.
 	TextSize uint64
 
-	// The lookup indexes are built lazily under sync.Once so a shared
-	// *Program may be consumed by concurrent decoders (the parallel
-	// experiment harness does exactly that).
-	addrOnce   sync.Once
-	addrIndex  map[uint64]BlockID
-	entryOnce  sync.Once
-	entryIndex map[BlockID]int32
-	superOnce  sync.Once
-	super      []superStep
-	rateOnce   sync.Once
-	branchRate float64
+	// The lookup tables are built lazily under sync.Once so a shared
+	// *Program may be consumed by concurrent decoders and walkers (the
+	// parallel experiment harness does exactly that).
+	addrOnce    sync.Once
+	addrs       addrIndex
+	entryOnce   sync.Once
+	entryFunc   []int32
+	silentOnce  sync.Once
+	silentEnd   []BlockID
+	superOnce   sync.Once
+	super       []superStep
+	weightOnce  sync.Once
+	targetTotal []float64
+	rateOnce    sync.Once
+	branchRate  float64
+}
+
+// SilentSucc returns the block a terminator transfers to without
+// producing a packet: the fall-through of TermFall and TermSyscall, the
+// target of TermJump and TermCall. ok is false for terminators that need
+// trace input (conditional and indirect branches, returns).
+func (b *Block) SilentSucc() (next BlockID, ok bool) {
+	switch b.Term {
+	case TermFall, TermSyscall:
+		return b.Fall, true
+	case TermJump, TermCall:
+		return b.Taken, true
+	}
+	return NoBlock, false
+}
+
+// MaxSilentChain bounds a silent chain: a decoder that follows more
+// blocks than this without reaching one that needs trace input reports
+// the stream as desynchronized.
+const MaxSilentChain = 1 << 20
+
+// SilentEnds returns, per block, the block at which a decoder walking
+// silent edges (SilentSucc) from it stops: the first block on that path
+// whose terminator needs trace input, reached within MaxSilentChain
+// blocks. It is NoBlock when the path never reaches one: a silent cycle,
+// a longer chain, or an out-of-range successor. The table is built once
+// and shared; callers must not modify it.
+func (p *Program) SilentEnds() []BlockID {
+	p.silentOnce.Do(func() {
+		n := len(p.Blocks)
+		end := make([]BlockID, n)
+		// length is the chain length in blocks, end block included; 0
+		// marks a block not yet resolved and -1 one on the current path.
+		length := make([]int32, n)
+		var path []BlockID
+		for i := range p.Blocks {
+			if length[i] != 0 {
+				continue
+			}
+			// Follow the path to a resolved block, a terminator that needs
+			// trace input, or a block already on the path (a cycle).
+			res, l := NoBlock, int32(0)
+			for id := BlockID(i); ; {
+				if length[id] == -1 {
+					break
+				}
+				if length[id] != 0 {
+					res, l = end[id], length[id]
+					break
+				}
+				next, silent := p.Blocks[id].SilentSucc()
+				if !silent {
+					end[id], length[id] = id, 1
+					res, l = id, 1
+					break
+				}
+				length[id] = -1
+				path = append(path, id)
+				if next < 0 || int(next) >= n {
+					break
+				}
+				id = next
+			}
+			// Resolve the path back to front. A block that does not converge
+			// gets length MaxSilentChain+1, so no block leading into it does.
+			for k := len(path) - 1; k >= 0; k-- {
+				id := path[k]
+				if res != NoBlock && l < MaxSilentChain {
+					l++
+				} else {
+					res, l = NoBlock, MaxSilentChain+1
+				}
+				end[id], length[id] = res, l
+			}
+			path = path[:0]
+		}
+		p.silentEnd = end
+	})
+	return p.silentEnd
 }
 
 // superStep is the fused form of the maximal straight-line block chain
@@ -329,16 +414,81 @@ func (p *Program) BranchPerKCycle() float64 {
 	return p.branchRate
 }
 
-// BlockAt resolves a text address to the block starting there.
+// BlockAt resolves a text address to the block starting there. When
+// several blocks share an address, the highest-numbered one wins.
 func (p *Program) BlockAt(addr uint64) (BlockID, bool) {
-	p.addrOnce.Do(func() {
-		p.addrIndex = make(map[uint64]BlockID, len(p.Blocks))
-		for i := range p.Blocks {
-			p.addrIndex[p.Blocks[i].Addr] = BlockID(i)
+	p.addrOnce.Do(func() { p.addrs = newAddrIndex(p.Blocks) })
+	return p.addrs.lookup(addr)
+}
+
+// addrIndex resolves block start addresses without hashing: the distinct
+// addresses sorted, plus a bucket table over the address range with about
+// one bucket per block, so a lookup is one bucket read and a short scan.
+type addrIndex struct {
+	base  uint64
+	shift uint
+	// first[k] is the position of the first address at or above bucket
+	// k's lower bound; first has one entry past the last bucket.
+	first []int32
+	addrs []uint64
+	ids   []BlockID // the block at each position
+}
+
+func newAddrIndex(blocks []Block) addrIndex {
+	var x addrIndex
+	if len(blocks) == 0 {
+		return x
+	}
+	// Sort blocks by address, keeping the last block of each address as
+	// a map assignment in block order would.
+	ids := make([]BlockID, len(blocks))
+	for i := range ids {
+		ids[i] = BlockID(i)
+	}
+	slices.SortStableFunc(ids, func(a, b BlockID) int { return cmp.Compare(blocks[a].Addr, blocks[b].Addr) })
+	for _, id := range ids {
+		a := blocks[id].Addr
+		if n := len(x.addrs); n > 0 && x.addrs[n-1] == a {
+			x.ids[n-1] = id
+			continue
 		}
-	})
-	id, ok := p.addrIndex[addr]
-	return id, ok
+		x.addrs = append(x.addrs, a)
+		x.ids = append(x.ids, id)
+	}
+	x.base = x.addrs[0]
+	span := x.addrs[len(x.addrs)-1] - x.base
+	for span>>x.shift >= uint64(len(x.addrs)) {
+		x.shift++
+	}
+	nb := int(span>>x.shift) + 1
+	x.first = make([]int32, nb+1)
+	pos := 0
+	for k := 0; k <= nb; k++ {
+		for pos < len(x.addrs) && (x.addrs[pos]-x.base)>>x.shift < uint64(k) {
+			pos++
+		}
+		x.first[k] = int32(pos)
+	}
+	return x
+}
+
+func (x *addrIndex) lookup(addr uint64) (BlockID, bool) {
+	if addr < x.base || len(x.first) == 0 {
+		return NoBlock, false
+	}
+	k := (addr - x.base) >> x.shift
+	if k >= uint64(len(x.first)-1) {
+		return NoBlock, false
+	}
+	for i, end := x.first[k], x.first[k+1]; i < end; i++ {
+		if a := x.addrs[i]; a >= addr {
+			if a == addr {
+				return x.ids[i], true
+			}
+			break
+		}
+	}
+	return NoBlock, false
 }
 
 // FuncOf returns the function containing block id.
@@ -350,14 +500,30 @@ func (p *Program) FuncOf(id BlockID) *Func {
 // and if so which function. Trace consumers use it to build function
 // occurrence histograms from branch targets.
 func (p *Program) EntryFuncOf(id BlockID) (int32, bool) {
+	if id < 0 || int(id) >= len(p.Blocks) {
+		return 0, false
+	}
+	fn := p.EntryFuncs()[id]
+	return fn, fn >= 0
+}
+
+// EntryFuncs returns, per block, the index of the function whose entry
+// it is, or -1. When functions share an entry block, the last one wins.
+// The table is built once and shared; callers must not modify it.
+func (p *Program) EntryFuncs() []int32 {
 	p.entryOnce.Do(func() {
-		p.entryIndex = make(map[BlockID]int32, len(p.Funcs))
-		for i := range p.Funcs {
-			p.entryIndex[p.Funcs[i].Entry] = int32(i)
+		tab := make([]int32, len(p.Blocks))
+		for i := range tab {
+			tab[i] = -1
 		}
+		for i := range p.Funcs {
+			if e := p.Funcs[i].Entry; e >= 0 && int(e) < len(tab) {
+				tab[e] = int32(i)
+			}
+		}
+		p.entryFunc = tab
 	})
-	fn, ok := p.entryIndex[id]
-	return fn, ok
+	return p.entryFunc
 }
 
 // Validate checks structural invariants of the program: every successor is
@@ -694,6 +860,7 @@ func (w *Walker) RunBatch(budget int64, sink BranchSink) (used int64, reason Sto
 		w.chainVisits = make([]int64, len(p.Blocks))
 	}
 	sup := p.superSteps()
+	totals := p.targetTotals()
 	blocks := p.Blocks
 	var insns int64
 	for used < budget {
@@ -754,7 +921,7 @@ func (w *Walker) RunBatch(budget int64, sink BranchSink) (used int64, reason Sto
 				})
 			}
 		case TermIndirectJump:
-			next = w.pickTarget(b)
+			next = w.pickTarget(b, totals[id])
 			w.Count.Branches++
 			w.Count.IndirectBranches++
 			if sink != nil {
@@ -771,7 +938,7 @@ func (w *Walker) RunBatch(budget int64, sink BranchSink) (used int64, reason Sto
 			}
 			w.noteEntry(next)
 		case TermIndirectCall:
-			next = w.pickTarget(b)
+			next = w.pickTarget(b, totals[id])
 			w.Count.Branches++
 			w.Count.IndirectBranches++
 			if len(w.stack) < maxCallDepth {
@@ -927,14 +1094,26 @@ func (w *Walker) noteEntry(target BlockID) {
 	w.funcVisits[fn]++
 }
 
-// pickTarget selects an indirect terminator's destination.
-func (w *Walker) pickTarget(b *Block) BlockID {
+// targetTotals returns (building once) each block's summed TargetW,
+// added in slice order: a draw scales by this exact float total.
+func (p *Program) targetTotals() []float64 {
+	p.weightOnce.Do(func() {
+		tot := make([]float64, len(p.Blocks))
+		for i := range p.Blocks {
+			for _, f := range p.Blocks[i].TargetW {
+				tot[i] += float64(f)
+			}
+		}
+		p.targetTotal = tot
+	})
+	return p.targetTotal
+}
+
+// pickTarget selects an indirect terminator's destination; total is the
+// block's summed TargetW.
+func (w *Walker) pickTarget(b *Block, total float64) BlockID {
 	if len(b.Targets) == 1 {
 		return b.Targets[0]
-	}
-	var total float64
-	for _, f := range b.TargetW {
-		total += float64(f)
 	}
 	x := w.rng.Float64() * total
 	for i, f := range b.TargetW {

@@ -155,7 +155,7 @@ func TestAccuracyAgainstGroundTruth(t *testing.T) {
 		t.Fatal(err)
 	}
 	rec := decode.Decode(res, rig.prog)
-	score := metrics.PathAccuracy(rig.gt.ByThread, rec.ByThread)
+	score := metrics.PathAccuracy(rig.gt.ByThread, rec.ByThread())
 	if score.Truth == 0 {
 		t.Fatal("no ground truth")
 	}

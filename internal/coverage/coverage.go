@@ -11,7 +11,6 @@ import (
 
 	"exist/internal/decode"
 	"exist/internal/simtime"
-	"exist/internal/trace"
 	"exist/internal/xrand"
 )
 
@@ -202,7 +201,11 @@ func SelectReplacements(reps []Repetition, used NodeSet, n int, rng *xrand.Rand)
 // Augmented is the cluster-level merge of per-worker reconstructions:
 // redundancy removed, gaps complemented (§3.4, Figure 20).
 type Augmented struct {
-	// Merged is the combined reconstruction.
+	// Merged is the merged profile: the workers' function histograms,
+	// category and memory-access profiles and counters summed, their
+	// Errors and PTWrites appended in worker order. It carries no
+	// per-thread streams (thread IDs are only unique per machine), so its
+	// ByThread is empty.
 	Merged *decode.Result
 	// Workers is the number of inputs merged.
 	Workers int
@@ -215,17 +218,12 @@ type Augmented struct {
 
 // Merge combines per-worker reconstructions of the same program.
 func Merge(results []*decode.Result) *Augmented {
-	a := &Augmented{Workers: len(results)}
-	out := &decode.Result{
-		ByThread:    make(map[int32][]trace.Event),
-		FuncEntries: make(map[int32]int64),
-	}
-	seen := map[int32]bool{}
+	a := &Augmented{Workers: len(results), NewFuncsPerWorker: make([]int, 0, len(results))}
+	out := &decode.Result{FuncEntries: make(map[int32]int64)}
 	for _, r := range results {
 		newFuncs := 0
 		for fn := range r.FuncEntries {
-			if !seen[fn] {
-				seen[fn] = true
+			if _, ok := out.FuncEntries[fn]; !ok {
 				newFuncs++
 			}
 		}
@@ -233,7 +231,7 @@ func Merge(results []*decode.Result) *Augmented {
 		out.Merge(r)
 	}
 	a.Merged = out
-	a.DistinctFuncs = len(seen)
+	a.DistinctFuncs = len(out.FuncEntries)
 	return a
 }
 

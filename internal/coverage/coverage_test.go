@@ -6,7 +6,6 @@ import (
 
 	"exist/internal/decode"
 	"exist/internal/simtime"
-	"exist/internal/trace"
 	"exist/internal/xrand"
 )
 
@@ -141,10 +140,7 @@ func TestNodeSet(t *testing.T) {
 }
 
 func mkResult(funcs ...int32) *decode.Result {
-	r := &decode.Result{
-		ByThread:    map[int32][]trace.Event{1: {{TID: 1}}},
-		FuncEntries: map[int32]int64{},
-	}
+	r := &decode.Result{FuncEntries: map[int32]int64{}}
 	for _, f := range funcs {
 		r.FuncEntries[f] += 3
 	}
@@ -165,6 +161,10 @@ func TestMergeAugmentation(t *testing.T) {
 	}
 	if a.Merged.FuncEntries[3] != 9 {
 		t.Fatalf("merged histogram wrong: %v", a.Merged.FuncEntries)
+	}
+	if a.Merged.Events != 8 || len(a.Merged.ByThread()) != 0 {
+		t.Fatalf("merged profile: %d events, %d streams; want 8 and none",
+			a.Merged.Events, len(a.Merged.ByThread()))
 	}
 }
 

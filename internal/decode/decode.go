@@ -4,9 +4,10 @@
 // program binary, it replays the control-flow graph: silent edges
 // (fall-throughs, direct jumps, direct calls) are followed statically,
 // conditional branches consume TNT bits, and indirect transfers and
-// returns consume TIP payloads. The result is a per-thread branch stream
-// directly comparable to the ground truth, plus the aggregate profiles
-// (function categories, memory-access mix) the paper's case study reports.
+// returns consume TIP payloads. The result carries the aggregate profiles
+// (function histogram, categories, memory-access mix) the paper's case
+// study reports and, on request (Result.ByThread), per-thread branch
+// streams directly comparable to the ground truth.
 package decode
 
 import (
@@ -14,18 +15,20 @@ import (
 	"fmt"
 	"slices"
 	"sort"
+	"sync"
 
 	"exist/internal/binary"
 	"exist/internal/ipt"
 	"exist/internal/kernel"
+	"exist/internal/parallel"
 	"exist/internal/simtime"
 	"exist/internal/trace"
 )
 
-// Result is a reconstruction of one or more packet streams.
+// Result is a reconstruction of one or more packet streams: the
+// aggregate profiles, and for a decoded session its per-thread event
+// streams, which ByThread gathers on first use.
 type Result struct {
-	// ByThread holds each thread's reconstructed event stream, in order.
-	ByThread map[int32][]trace.Event
 	// FuncEntries is the function occurrence histogram (indirect-call
 	// entries, matching trace.GroundTruth's counting rule).
 	FuncEntries map[int32]int64
@@ -51,6 +54,15 @@ type Result struct {
 	// scans forward to the next PSB and resumes instead of discarding the
 	// rest of the buffer.
 	Resyncs int64
+
+	// arena holds every event the session decoded, core by core, in
+	// step form; segs index it in execution order. ByThread expands the
+	// streams from them against prog once and then drops both.
+	prog        *binary.Program
+	arena       []step
+	segs        []segment
+	threadsOnce sync.Once
+	threads     map[int32][]trace.Event
 }
 
 // PTWrite is one decoded PTWRITE operand.
@@ -61,17 +73,40 @@ type PTWrite struct {
 
 // newResult returns an empty result.
 func newResult() *Result {
-	return &Result{
-		ByThread:    make(map[int32][]trace.Event),
-		FuncEntries: make(map[int32]int64),
-	}
+	return &Result{FuncEntries: make(map[int32]int64)}
 }
 
-// Merge folds other into r (used by the cluster-level trace augmentation).
+// ByThread returns each thread's reconstructed event stream, in order:
+// the session's segments re-serialized by timestamp. The streams are
+// gathered on the first call and cached. A merged profile (Merge) has
+// none, and callers that only read the aggregates never pay for them.
+func (r *Result) ByThread() map[int32][]trace.Event {
+	r.threadsOnce.Do(func() {
+		counts := make(map[int32]int)
+		for _, sg := range r.segs {
+			counts[sg.tid] += sg.end - sg.start
+		}
+		r.threads = make(map[int32][]trace.Event, len(counts))
+		for tid, n := range counts {
+			r.threads[tid] = make([]trace.Event, 0, n)
+		}
+		for _, sg := range r.segs {
+			evs := r.threads[sg.tid]
+			for _, st := range r.arena[sg.start:sg.end] {
+				evs = append(evs, st.event(r.prog, sg.tid))
+			}
+			r.threads[sg.tid] = evs
+		}
+		r.prog, r.arena, r.segs = nil, nil, nil
+	})
+	return r.threads
+}
+
+// Merge folds other's profile into r: the function histogram, category
+// and memory-access profiles and counters add up; Errors and PTWrites
+// append. Per-thread streams are not merged: thread IDs are only unique
+// within one machine, and the cluster-level merge reads profiles only.
 func (r *Result) Merge(other *Result) {
-	for tid, evs := range other.ByThread {
-		r.ByThread[tid] = append(r.ByThread[tid], evs...)
-	}
 	for fn, n := range other.FuncEntries {
 		r.FuncEntries[fn] += n
 	}
@@ -139,55 +174,179 @@ func (idx *sidecarIndex) tidAt(cpu int, ts simtime.Time) (int32, bool) {
 // decoder re-serializes each thread's segments by their timestamps so the
 // per-thread event order matches execution order.
 func Decode(s *trace.Session, prog *binary.Program) *Result {
-	res := newResult()
-	idx := buildSidecar(&s.Switches)
-	visits := make([]int64, len(prog.Blocks))
-	var segs []*segment
-	for i := range s.Cores {
-		segs = append(segs, decodeStream(res, prog, idx, visits, s.Cores[i].Core, s.Cores[i].Data, s.Cores[i].Wrapped)...)
-	}
-	flushVisits(res, prog, visits)
-	slices.SortStableFunc(segs, func(a, b *segment) int { return cmp.Compare(a.ts, b.ts) })
-	gatherByThread(res, segs)
-	return res
+	return decodeCores(s.Cores, &s.Switches, prog, 1, true)
+}
+
+// DecodeParallel is Decode with the per-core packet streams decoded
+// concurrently on up to jobs workers. Per-core results fold in core
+// order, so the output is identical to the serial Decode for any jobs
+// value — including Errors order, PTWrite stream order, and the
+// per-thread event streams.
+func DecodeParallel(s *trace.Session, prog *binary.Program, jobs int) *Result {
+	return decodeCores(s.Cores, &s.Switches, prog, jobs, true)
 }
 
 // DecodeStream reconstructs a single core's packet buffer (exported for
-// tests and tools).
+// tests and tools). Its segments keep stream order.
 func DecodeStream(prog *binary.Program, log *kernel.SwitchLog, core int, data []byte) *Result {
-	res := newResult()
 	if log == nil {
 		log = &kernel.SwitchLog{}
 	}
+	return decodeCores([]trace.CoreTrace{{Core: core, Data: data}}, log, prog, 1, false)
+}
+
+// step is one decoded event as the arena stores it: the block whose
+// terminator transferred control, and for a conditional its direction
+// (0 or 1), else the target block. The event's kind is that block's
+// terminator and its thread is its segment's, so 8 bytes carry what a
+// 16-byte trace.Event does.
+type step struct {
+	block binary.BlockID
+	arg   int32
+}
+
+// event expands s into the thread tid's trace.Event.
+func (s step) event(prog *binary.Program, tid int32) trace.Event {
+	b := &prog.Blocks[s.block]
+	ev := trace.Event{TID: tid, Block: s.block, Kind: b.Term, Target: binary.BlockID(s.arg)}
+	if b.Term == binary.TermCond {
+		ev.Taken = s.arg != 0
+		ev.Target = b.Fall
+		if ev.Taken {
+			ev.Target = b.Taken
+		}
+	}
+	return ev
+}
+
+// arenaWindow bounds the events one core's stream of n bytes decodes to.
+// Decoded sessions average 0.26-0.31 events per packet byte and single
+// streams reach 0.53, so 0.6 per byte leaves every observed stream room;
+// a denser one spills (see decodeCores) rather than fails.
+func arenaWindow(n int) int { return 1 + n*3/5 }
+
+// decodeCores decodes the given core streams on up to jobs workers into
+// one result. Each core writes its events into its own window of one
+// session arena; ordered stable-sorts the segments by timestamp.
+func decodeCores(cores []trace.CoreTrace, log *kernel.SwitchLog, prog *binary.Program, jobs int, ordered bool) *Result {
 	idx := buildSidecar(log)
-	visits := make([]int64, len(prog.Blocks))
-	segs := decodeStream(res, prog, idx, visits, core, data, false)
-	flushVisits(res, prog, visits)
-	gatherByThread(res, segs)
+	offs := make([]int, len(cores)+1)
+	for i := range cores {
+		offs[i+1] = offs[i] + arenaWindow(len(cores[i].Data))
+	}
+	arena := make([]step, offs[len(cores)])
+	window := func(i int) []step { return arena[offs[i]:offs[i]:offs[i+1]] }
+
+	res := newResult()
+	t := newTally(prog)
+	streams := make([]stream, len(cores))
+	if jobs <= 1 || len(cores) <= 1 {
+		for i := range cores {
+			streams[i] = decodeStream(res, t, prog, idx, cores[i], window(i))
+		}
+	} else {
+		// Cores are independent until this fold (each gets its own Result
+		// scratch and tally; the sidecar index is shared read-only), and
+		// the fold runs in core order, so the output is identical to the
+		// serial loop: decodeStream touches only additive aggregates and
+		// the append-ordered Errors/PTWrites.
+		type coreOut struct {
+			res   *Result
+			tally *tally
+			st    stream
+		}
+		outs := parallel.Map(len(cores), jobs, func(i int) coreOut {
+			o := coreOut{res: newResult(), tally: newTally(prog)}
+			o.st = decodeStream(o.res, o.tally, prog, idx, cores[i], window(i))
+			return o
+		})
+		for i, o := range outs {
+			res.Merge(o.res)
+			t.add(o.tally)
+			streams[i] = o.st
+		}
+	}
+	t.flush(res, prog)
+
+	// A stream denser than its window spilled into an array of its own;
+	// then the arena is rebuilt exactly, core by core.
+	spilled := false
+	events, nsegs := 0, 0
+	for i := range streams {
+		events += len(streams[i].events)
+		nsegs += len(streams[i].segs)
+		spilled = spilled || len(streams[i].events) > offs[i+1]-offs[i]
+	}
+	if spilled {
+		arena = make([]step, 0, events)
+		for i := range streams {
+			offs[i] = len(arena)
+			arena = append(arena, streams[i].events...)
+		}
+	}
+	res.prog, res.arena = prog, arena
+	res.segs = make([]segment, 0, nsegs)
+	for i := range streams {
+		for _, sg := range streams[i].segs {
+			sg.start += offs[i]
+			sg.end += offs[i]
+			res.segs = append(res.segs, sg)
+		}
+	}
+	if ordered {
+		slices.SortStableFunc(res.segs, func(a, b segment) int { return cmp.Compare(a.ts, b.ts) })
+	}
 	return res
 }
 
-// gatherByThread concatenates segment event ranges into exactly-sized
-// per-thread streams.
-func gatherByThread(res *Result, segs []*segment) {
-	counts := make(map[int32]int)
-	for _, sg := range segs {
-		counts[sg.tid] += len(sg.events)
-	}
-	for tid, n := range counts {
-		res.ByThread[tid] = make([]trace.Event, 0, n)
-	}
-	for _, sg := range segs {
-		res.ByThread[sg.tid] = append(res.ByThread[sg.tid], sg.events...)
+// tally defers per-visit accounting to one pass per decode. The silent
+// walk counts visits per chain start (chains) and its step-by-step
+// fallback per block (visits); indirect-call entries count per function
+// (funcs). flush expands the chains once per distinct start and folds
+// the per-block costs in once per distinct block, instead of 17
+// additions per visited block.
+type tally struct {
+	chains []int64
+	visits []int64
+	funcs  []int64
+}
+
+func newTally(prog *binary.Program) *tally {
+	return &tally{
+		chains: make([]int64, len(prog.Blocks)),
+		visits: make([]int64, len(prog.Blocks)),
+		funcs:  make([]int64, len(prog.Funcs)),
 	}
 }
 
-// flushVisits folds the per-block visit counts into the aggregate
-// profiles. Deferring this from the per-visit fast path to one pass per
-// decode turns 17 additions per visited block into 17 per *distinct*
-// block.
-func flushVisits(res *Result, prog *binary.Program, visits []int64) {
-	for id, n := range visits {
+// add folds another core's tally into t.
+func (t *tally) add(o *tally) {
+	for i, n := range o.chains {
+		t.chains[i] += n
+	}
+	for i, n := range o.visits {
+		t.visits[i] += n
+	}
+	for i, n := range o.funcs {
+		t.funcs[i] += n
+	}
+}
+
+// flush folds the tally into res's aggregate profiles.
+func (t *tally) flush(res *Result, prog *binary.Program) {
+	ends := prog.SilentEnds()
+	for start, n := range t.chains {
+		if n == 0 {
+			continue
+		}
+		for id := binary.BlockID(start); ; id, _ = prog.Blocks[id].SilentSucc() {
+			t.visits[id] += n
+			if id == ends[start] {
+				break
+			}
+		}
+	}
+	for id, n := range t.visits {
 		if n == 0 {
 			continue
 		}
@@ -200,23 +359,33 @@ func flushVisits(res *Result, prog *binary.Program, visits []int64) {
 			}
 		}
 	}
+	for fn, n := range t.funcs {
+		if n != 0 {
+			res.FuncEntries[int32(fn)] += n
+		}
+	}
 }
 
 // segment is one contiguous traced span on one core, attributed to a
-// thread and anchored at its TIP.PGE timestamp. Its events are a subrange
-// of the stream's shared event arena, materialized once the stream is
-// fully decoded (per-segment slices were a top allocation site).
+// thread and anchored at its TIP.PGE timestamp. Its events are the
+// index range [start, end) of the core's event window, and of the
+// session arena once decodeCores rebases it.
 type segment struct {
-	tid    int32
-	ts     simtime.Time
-	start  int
-	events []trace.Event
+	tid        int32
+	ts         simtime.Time
+	start, end int
+}
+
+// stream is one core's decoded events and segments.
+type stream struct {
+	events []step
+	segs   []segment
 }
 
 // silentWalkCap bounds CFG walking between packets; the generator
 // guarantees silent edges make forward progress, so this only trips on a
 // corrupt stream.
-const silentWalkCap = 1 << 20
+const silentWalkCap = binary.MaxSilentChain
 
 // maxResyncs bounds PSB recoveries per core stream so a thoroughly
 // corrupt buffer cannot bloat the error list.
@@ -224,33 +393,35 @@ const maxResyncs = 64
 
 // decoder holds per-stream state.
 type decoder struct {
-	res     *Result
-	prog    *binary.Program
-	idx     *sidecarIndex
-	visits  []int64
-	core    int
-	tracing bool
-	cur     binary.BlockID
-	curOK   bool
-	tid     int32
-	lastTSC simtime.Time
-	seg     *segment
-	segs    []*segment
-	// events is the stream's shared event arena; segments hold index
-	// ranges into it and are materialized as subslices once decoding ends
-	// (the arena may reallocate while growing).
-	events []trace.Event
+	res       *Result
+	tally     *tally
+	prog      *binary.Program
+	silentEnd []binary.BlockID
+	entryFunc []int32
+	idx       *sidecarIndex
+	core      int
+	tracing   bool
+	cur       binary.BlockID
+	curOK     bool
+	tid       int32
+	lastTSC   simtime.Time
+	// seg is the open segment's index in segs, or -1.
+	seg  int
+	segs []segment
+	// events is the core's window of the session arena; an append past
+	// its capacity spills to a new array.
+	events []step
 }
 
-func decodeStream(res *Result, prog *binary.Program, idx *sidecarIndex, visits []int64, core int, data []byte, wrapped bool) []*segment {
-	d := &decoder{res: res, prog: prog, idx: idx, visits: visits, core: core, tid: -1,
-		events: make([]trace.Event, 0, 1+len(data)/4)}
-	p := ipt.NewParser(data)
-	if wrapped {
+func decodeStream(res *Result, t *tally, prog *binary.Program, idx *sidecarIndex, ct trace.CoreTrace, events []step) stream {
+	d := &decoder{res: res, tally: t, prog: prog, silentEnd: prog.SilentEnds(), entryFunc: prog.EntryFuncs(),
+		idx: idx, core: ct.Core, tid: -1, seg: -1, events: events}
+	p := ipt.NewParser(ct.Data)
+	if ct.Wrapped {
 		// Ring-buffer output starts mid-stream: resynchronize at a PSB.
 		if !p.Sync() {
-			res.Errors = append(res.Errors, fmt.Sprintf("core %d: wrapped stream has no PSB", core))
-			return nil
+			res.Errors = append(res.Errors, fmt.Sprintf("core %d: wrapped stream has no PSB", ct.Core))
+			return stream{events: d.events}
 		}
 	}
 	resyncs := 0
@@ -259,7 +430,7 @@ func decodeStream(res *Result, prog *binary.Program, idx *sidecarIndex, visits [
 		if err != nil {
 			// A truncated trailing packet is the normal signature of a
 			// compulsory-drop stop; anything mid-stream is a desync.
-			res.Errors = append(res.Errors, fmt.Sprintf("core %d: %v", core, err))
+			res.Errors = append(res.Errors, fmt.Sprintf("core %d: %v", ct.Core, err))
 			// Graceful recovery: scan forward to the next PSB and resume
 			// instead of discarding the rest of the buffer. The error
 			// position itself can never parse as a full PSB, so Sync always
@@ -278,15 +449,15 @@ func decodeStream(res *Result, prog *binary.Program, idx *sidecarIndex, visits [
 		d.packet(pkt)
 	}
 	res.BytesDecoded += int64(p.Pos())
-	// Materialize segment event ranges against the final arena.
-	for i, sg := range d.segs {
-		end := len(d.events)
+	// Close each segment where the next one opens.
+	for i := range d.segs {
 		if i+1 < len(d.segs) {
-			end = d.segs[i+1].start
+			d.segs[i].end = d.segs[i+1].start
+		} else {
+			d.segs[i].end = len(d.events)
 		}
-		sg.events = d.events[sg.start:end]
 	}
-	return d.segs
+	return stream{events: d.events, segs: d.segs}
 }
 
 // desync resets stream-dependent state after a recovery scan: position
@@ -296,7 +467,7 @@ func decodeStream(res *Result, prog *binary.Program, idx *sidecarIndex, visits [
 func (d *decoder) desync() {
 	d.tracing = false
 	d.curOK = false
-	d.seg = nil
+	d.seg = -1
 }
 
 // packet advances the decoder by one packet.
@@ -316,8 +487,7 @@ func (d *decoder) packet(pkt ipt.Packet) {
 		} else {
 			d.tid = -1
 		}
-		d.seg = &segment{tid: d.tid, ts: d.lastTSC, start: len(d.events)}
-		d.segs = append(d.segs, d.seg)
+		d.openSegment()
 	case ipt.PktTIPPGD:
 		d.tracing = false
 		d.curOK = false
@@ -346,21 +516,22 @@ func (d *decoder) packet(pkt ipt.Packet) {
 }
 
 // walkSilent advances through non-packet-producing edges until the current
-// block's terminator needs trace input. Reports false on desync.
+// block's terminator needs trace input. Reports false on desync. A chain
+// that reaches such a block is one table lookup; a silent cycle is walked
+// block by block, each visit counted, until the cap reports the desync.
 func (d *decoder) walkSilent() bool {
+	if end := d.silentEnd[d.cur]; end != binary.NoBlock {
+		d.tally.chains[d.cur]++
+		d.cur = end
+		return true
+	}
 	for steps := 0; steps < silentWalkCap; steps++ {
-		b := &d.prog.Blocks[d.cur]
-		d.visit(d.cur)
-		switch b.Term {
-		case binary.TermFall, binary.TermSyscall:
-			d.cur = b.Fall
-		case binary.TermJump:
-			d.cur = b.Taken
-		case binary.TermCall:
-			d.cur = b.Taken
-		default:
+		d.tally.visits[d.cur]++
+		next, silent := d.prog.Blocks[d.cur].SilentSucc()
+		if !silent {
 			return true
 		}
+		d.cur = next
 	}
 	d.err("silent walk did not converge at block %d", d.cur)
 	d.curOK = false
@@ -378,12 +549,13 @@ func (d *decoder) consumeCond(taken bool) bool {
 		d.curOK = false
 		return false
 	}
-	target := b.Fall
+	st := step{block: d.cur}
+	d.cur = b.Fall
 	if taken {
-		target = b.Taken
+		st.arg = 1
+		d.cur = b.Taken
 	}
-	d.emit(trace.Event{TID: d.tid, Block: d.cur, Target: target, Kind: binary.TermCond, Taken: taken})
-	d.cur = target
+	d.emit(st)
 	return true
 }
 
@@ -406,32 +578,31 @@ func (d *decoder) consumeTIP(ip uint64) {
 		d.curOK = false
 		return
 	}
-	d.emit(trace.Event{TID: d.tid, Block: d.cur, Target: target, Kind: b.Term})
+	d.emit(step{block: d.cur, arg: int32(target)})
+	// Count function occurrences under the rule trace.GroundTruth uses:
+	// indirect-call entries only (returns restarting the service loop
+	// would swamp the histogram with the loop head).
+	if b.Term == binary.TermIndirectCall {
+		if fn := d.entryFunc[target]; fn >= 0 {
+			d.tally.funcs[fn]++
+		}
+	}
 	d.cur = target
 }
 
-// visit accounts one decoded block. The aggregate profiles are folded in
-// once per decode by flushVisits; the fast path is a single counter bump.
-func (d *decoder) visit(id binary.BlockID) {
-	d.visits[id]++
+// openSegment starts a segment for the current thread at the last TSC.
+func (d *decoder) openSegment() {
+	d.seg = len(d.segs)
+	d.segs = append(d.segs, segment{tid: d.tid, ts: d.lastTSC, start: len(d.events)})
 }
 
-// emit records one reconstructed event into the current segment, counting
-// function occurrences under the same rule trace.GroundTruth uses:
-// indirect-call entries only (returns restarting the service loop would
-// swamp the histogram with the loop head).
-func (d *decoder) emit(ev trace.Event) {
-	if d.seg == nil {
-		d.seg = &segment{tid: d.tid, ts: d.lastTSC, start: len(d.events)}
-		d.segs = append(d.segs, d.seg)
+// emit records one reconstructed event into the current segment.
+func (d *decoder) emit(st step) {
+	if d.seg < 0 {
+		d.openSegment()
 	}
-	d.events = append(d.events, ev)
+	d.events = append(d.events, st)
 	d.res.Events++
-	if ev.Kind == binary.TermIndirectCall {
-		if fn, ok := d.prog.EntryFuncOf(ev.Target); ok {
-			d.res.FuncEntries[fn]++
-		}
-	}
 }
 
 // err records a decode problem.

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"exist/internal/binary"
+	"exist/internal/hotbench"
 	"exist/internal/ipt"
 	"exist/internal/kernel"
 	"exist/internal/metrics"
@@ -86,7 +87,7 @@ func TestLosslessReconstruction(t *testing.T) {
 	if len(res.Errors) != 0 {
 		t.Fatalf("decode errors: %v", res.Errors[:min(3, len(res.Errors))])
 	}
-	score := metrics.PathAccuracy(gt.ByThread, res.ByThread)
+	score := metrics.PathAccuracy(gt.ByThread, res.ByThread())
 	if score.Truth == 0 {
 		t.Fatal("no ground truth generated")
 	}
@@ -111,7 +112,7 @@ func TestLossyReconstructionDegrades(t *testing.T) {
 		t.Fatal("tiny buffer did not stop")
 	}
 	res := Decode(sess, prog)
-	score := metrics.PathAccuracy(gt.ByThread, res.ByThread)
+	score := metrics.PathAccuracy(gt.ByThread, res.ByThread())
 	if score.Accuracy >= 0.9 {
 		t.Fatalf("expected heavy loss, accuracy = %.4f", score.Accuracy)
 	}
@@ -123,14 +124,14 @@ func TestLossyReconstructionDegrades(t *testing.T) {
 func TestMultiThreadAttribution(t *testing.T) {
 	sess, gt, prog := pipeline(t, 1<<22, 3, 50*simtime.Millisecond)
 	res := Decode(sess, prog)
-	score := metrics.PathAccuracy(gt.ByThread, res.ByThread)
+	score := metrics.PathAccuracy(gt.ByThread, res.ByThread())
 	if score.Accuracy < 0.95 {
 		t.Fatalf("multi-thread accuracy = %.4f (truth %d, matched %d, errors %d)",
 			score.Accuracy, score.Truth, score.Matched, len(res.Errors))
 	}
 	// Every ground-truth thread should be present in the reconstruction.
 	for tid := range gt.ByThread {
-		if len(res.ByThread[tid]) == 0 {
+		if len(res.ByThread()[tid]) == 0 {
 			t.Fatalf("thread %d missing from reconstruction", tid)
 		}
 	}
@@ -191,8 +192,8 @@ func TestDecodeStreamStandalone(t *testing.T) {
 		t.Fatalf("decoded %d events, walker emitted %d (errors: %v)", res.Events, want, res.Errors)
 	}
 	// Without a sidecar, events land on the unknown thread.
-	if len(res.ByThread[-1]) != want {
-		t.Fatalf("events not attributed to unknown thread: %d", len(res.ByThread[-1]))
+	if len(res.ByThread()[-1]) != want {
+		t.Fatalf("events not attributed to unknown thread: %d", len(res.ByThread()[-1]))
 	}
 }
 
@@ -231,24 +232,44 @@ func TestWrappedRingDecode(t *testing.T) {
 	}
 }
 
+// TestMerge pins the profile-only merge: histograms, profiles and
+// counters add up, Errors and PTWrites append in order, and no
+// per-thread stream is carried over.
 func TestMerge(t *testing.T) {
-	a, b := newResult(), newResult()
-	a.ByThread[1] = []trace.Event{{TID: 1}}
+	prog := hotbench.Program(1)
+	b := Decode(hotbench.Session(prog, 1, 200_000), prog)
+	if b.Events == 0 || len(b.ByThread()) == 0 {
+		t.Fatal("fixture decoded no streams")
+	}
+	b.Errors = []string{"b"}
+	b.PTWrites = []PTWrite{{TID: 2, Val: 8}}
+	a := newResult()
 	a.FuncEntries[3] = 2
-	a.Events, a.Blocks = 1, 5
-	b.ByThread[2] = []trace.Event{{TID: 2}}
-	b.FuncEntries[3] = 1
-	b.FuncEntries[4] = 7
-	b.Events, b.Blocks = 1, 3
+	a.Events, a.Blocks, a.BytesDecoded, a.Resyncs = 1, 5, 7, 1
+	a.CatHits[1], a.MemOps[2][3] = 4, 6
+	a.Errors = []string{"a"}
+	a.PTWrites = []PTWrite{{TID: 1, Val: 9}}
 	a.Merge(b)
-	if a.Events != 2 || a.Blocks != 8 {
+	if a.Events != 1+b.Events || a.Blocks != 5+b.Blocks || a.BytesDecoded != 7+b.BytesDecoded || a.Resyncs != 1+b.Resyncs {
 		t.Fatalf("merge totals wrong: %+v", a)
 	}
-	if a.FuncEntries[3] != 3 || a.FuncEntries[4] != 7 {
-		t.Fatalf("merge histograms wrong: %v", a.FuncEntries)
+	if a.CatHits[1] != 4+b.CatHits[1] || a.MemOps[2][3] != 6+b.MemOps[2][3] {
+		t.Fatalf("merge profiles wrong: %v %v", a.CatHits, a.MemOps)
 	}
-	if len(a.ByThread) != 2 {
-		t.Fatalf("merge threads wrong: %v", a.ByThread)
+	for fn, n := range b.FuncEntries {
+		want := n
+		if fn == 3 {
+			want += 2
+		}
+		if a.FuncEntries[fn] != want {
+			t.Fatalf("merge histogram: func %d = %d, want %d", fn, a.FuncEntries[fn], want)
+		}
+	}
+	if len(a.Errors) != 2 || a.Errors[1] != "b" || len(a.PTWrites) != 2 || a.PTWrites[1].Val != 8 {
+		t.Fatalf("merge appends wrong: %v %v", a.Errors, a.PTWrites)
+	}
+	if len(a.ByThread()) != 0 {
+		t.Fatalf("merge carried %d thread streams", len(a.ByThread()))
 	}
 }
 
@@ -294,7 +315,7 @@ func TestDecodeBitflipRobustness(t *testing.T) {
 		mut.Cores = append([]trace.CoreTrace(nil), sess.Cores...)
 		mut.Cores[0] = trace.CoreTrace{Core: 0, Data: data}
 		res := Decode(&mut, prog)
-		score := metrics.PathAccuracy(gt.ByThread, res.ByThread)
+		score := metrics.PathAccuracy(gt.ByThread, res.ByThread())
 		// A single flip may desync one segment; wholesale invention of
 		// events would indicate the decoder wandering off the CFG.
 		if score.Spurious > score.Truth/4 {

@@ -211,8 +211,8 @@ func runAblationDrop(cfg Config) (*Result, error) {
 			return 0, 0, err
 		}
 		rec := decode.Decode(sres, prog)
-		a := metrics.PathAccuracy(gtFirst.ByThread, rec.ByThread)
-		b := metrics.PathAccuracy(gtSecond.ByThread, rec.ByThread)
+		a := metrics.PathAccuracy(gtFirst.ByThread, rec.ByThread())
+		b := metrics.PathAccuracy(gtSecond.ByThread, rec.ByThread())
 		return a.Accuracy, b.Accuracy, nil
 	}
 

@@ -490,7 +490,7 @@ func runAccBench(cfg Config) (*Result, error) {
 			return benchOut{}, err
 		}
 		rec := decode.Decode(sres, prog)
-		score := metrics.PathAccuracy(gt.ByThread, rec.ByThread)
+		score := metrics.PathAccuracy(gt.ByThread, rec.ByThread())
 		return benchOut{
 			row: []string{p.Name, fmt.Sprintf("%d", p.Threads), pct(score.Accuracy),
 				fmt.Sprintf("%d", score.Spurious), fmt.Sprintf("%d", len(rec.Errors))},

@@ -65,7 +65,7 @@ func header(b *strings.Builder, rec *decode.Result, sess *trace.Session) {
 		}
 	}
 	fmt.Fprintf(b, "reconstruction: %d control-flow events, %d blocks, %d threads",
-		rec.Events, rec.Blocks, len(rec.ByThread))
+		rec.Events, rec.Blocks, len(rec.ByThread()))
 	if stopped > 0 {
 		fmt.Fprintf(b, " (%d/%d buffers hit the compulsory-drop threshold)", stopped, len(sess.Cores))
 	}
@@ -186,7 +186,7 @@ func threadViews(rec *decode.Result, sess *trace.Session) []threadView {
 		}
 		return v
 	}
-	for tid, evs := range rec.ByThread {
+	for tid, evs := range rec.ByThread() {
 		get(tid).events = len(evs)
 	}
 	records := append([]kernel.SwitchRecord(nil), sess.Switches.Records...)
