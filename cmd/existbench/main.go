@@ -38,6 +38,7 @@ import (
 	"exist/internal/hotbench/litebench"
 	"exist/internal/hotbench/livenessbench"
 	"exist/internal/hotbench/mergebench"
+	"exist/internal/hotbench/storebench"
 	"exist/internal/parallel"
 	"exist/internal/spec"
 	"exist/internal/trace"
@@ -267,7 +268,9 @@ type benchResult struct {
 // buffer); node_liveness predates the lease sweep and node-fault
 // timetable (one heartbeat timer per node, one crash and one churn
 // closure chain per node); merge_hot predates the profile-only merge
-// (every worker's per-thread streams appended into one map).
+// (every worker's per-thread streams appended into one map); store_put
+// predates the one-write blob store (a byte-ledger probe before each
+// blob write, the batch key's attempt ledger probed on every put).
 var prePRBaselines = map[string]benchResult{
 	"decode_hot":    {NsPerOp: 22_900_000, AllocsPerOp: 1195, BytesPerOp: 15_402_504},
 	"encode_hot":    {NsPerOp: 21_900_000, AllocsPerOp: 20, BytesPerOp: 67_111_138},
@@ -276,6 +279,7 @@ var prePRBaselines = map[string]benchResult{
 	"merge_hot":     {NsPerOp: 8_885_681, AllocsPerOp: 53, BytesPerOp: 19_499_556},
 	"node_liveness": {NsPerOp: 43_227_120, AllocsPerOp: 5858, BytesPerOp: 184_625},
 	"sched_hot":     {NsPerOp: 63_196, AllocsPerOp: 178, BytesPerOp: 9_025},
+	"store_put":     {NsPerOp: 427, AllocsPerOp: 0, BytesPerOp: 0},
 	"tracer_hot":    {NsPerOp: 1_478_338, AllocsPerOp: 0, BytesPerOp: 0},
 }
 
@@ -363,6 +367,20 @@ func measureHotPaths() (map[string]benchResult, datapathStats) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			lb.Session()
+		}
+	}))
+
+	// Object-store hot path: one 1-blob PutBatch of a fresh key into a
+	// warm 8-shard store; the periodic reset runs outside the timer.
+	sp := storebench.New()
+	hot["store_put"] = toBenchResult(testing.Benchmark(func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if sp.Put() {
+				b.StopTimer()
+				sp.Reset()
+				b.StartTimer()
+			}
 		}
 	}))
 

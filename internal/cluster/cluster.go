@@ -356,7 +356,9 @@ type Node struct {
 	Machine *sched.Machine
 	// Ctrl is the node's EXIST controller.
 	Ctrl *core.Controller
-	// Apps maps app name to its process on this node.
+	// Apps maps app name to its process on a machine node. Lite nodes run
+	// no processes and keep it nil; placement reads the cluster's
+	// per-app node bitsets.
 	Apps map[string]*sched.Process
 	// MemCapacityMB and MemAllocatedMB model the node's memory ledger
 	// (Figure 11: allocation near the ceiling while utilization is low).
@@ -383,7 +385,8 @@ type Node struct {
 	// Leases are only maintained when fault injection is on.
 	lease simtime.Time
 	// gray caches Faults.GrayNode for the node, a pure function of the
-	// fault seed and the node name.
+	// fault seed and the node name; the node's beat-delay key sits in
+	// Cluster.grayNodes.
 	gray bool
 	// lite holds the node's in-flight Lite sessions, in no particular
 	// order (each knows its slot); a crash sorts a copy by session ID.
@@ -664,7 +667,10 @@ type Cluster struct {
 	// change took to re-adopt every in-flight request.
 	Readopts []float64
 
-	profiles      map[string]workload.Profile
+	profiles map[string]workload.Profile
+	// apps holds one bitset per deployed app: bit i is set when the app
+	// is deployed on the node with index i.
+	apps          map[string]nodeBits
 	rng           *xrand.Rand
 	retryRNG      *xrand.Rand
 	resampleRNG   *xrand.Rand
@@ -687,7 +693,7 @@ type Cluster struct {
 	// downNodes and grayNodes hold, in index order, the nodes whose beat
 	// does more than renew: crashed nodes and gray ones.
 	downNodes []int32
-	grayNodes []int32
+	grayNodes []grayNode
 	// faultTable holds every node's next crash and churn leave; faultEv
 	// is the one event armed at its minimum.
 	faultTable faultHeap
@@ -710,6 +716,28 @@ type UploadStats struct {
 	WireBytes int64
 	// V1Bytes is the v1-equivalent volume of the same sessions.
 	V1Bytes int64
+}
+
+// nodeBits is a set of nodes by dense index, one bit per node.
+type nodeBits []uint64
+
+// newNodeBits returns an empty set sized for n nodes.
+func newNodeBits(n int) nodeBits { return make(nodeBits, (n+63)/64) }
+
+// has reports whether node index i is in the set (false for a nil set).
+func (b nodeBits) has(i int32) bool {
+	w := int(i >> 6)
+	return w < len(b) && b[w]&(1<<(uint(i)&63)) != 0
+}
+
+// add puts node index i into the set.
+func (b nodeBits) add(i int32) { b[i>>6] |= 1 << (uint(i) & 63) }
+
+// grayNode is one gray node in the lease sweep: its index and the label
+// hash its beat delays are drawn from (faults.Injector.GrayBeats).
+type grayNode struct {
+	idx   int32
+	beats xrand.SplitHash
 }
 
 // uploadItem is one finished session waiting in the current upload batch.
@@ -788,6 +816,7 @@ func New(cfg Config) *Cluster {
 		ODPS:        NewDataStoreShards(cfg.Shards),
 		Binaries:    make(map[string]*binary.Program),
 		profiles:    make(map[string]workload.Profile),
+		apps:        make(map[string]nodeBits),
 		rng:         xrand.Split(cfg.Seed, "cluster"),
 		retryRNG:    xrand.Split(cfg.Seed, "cluster/retry"),
 		resampleRNG: xrand.Split(cfg.Seed, "cluster/resample"),
@@ -800,9 +829,9 @@ func New(cfg Config) *Cluster {
 		n := &nodes[i]
 		n.Name = nodePrefix + strconv.Itoa(i)
 		n.idx = int32(i)
-		n.Apps = make(map[string]*sched.Process)
 		n.MemCapacityMB = 384 * 1024 / float64(cfg.Nodes) // 384 GB class nodes scaled per config
 		if !cfg.Lite {
+			n.Apps = make(map[string]*sched.Process)
 			// The machine runs on its own engine; the barrier in Run
 			// keeps it in lockstep with the control plane.
 			rt := node.Provision(node.Spec{
@@ -827,7 +856,7 @@ func New(cfg Config) *Cluster {
 		for _, n := range c.Nodes {
 			n.lease = cfg.LeaseTTL
 			if n.gray = cfg.Faults.GrayNode(n.Name); n.gray {
-				c.grayNodes = append(c.grayNodes, n.idx)
+				c.grayNodes = append(c.grayNodes, grayNode{idx: n.idx, beats: cfg.Faults.GrayBeats(n.Name)})
 			}
 			c.scheduleCrash(n)
 			c.scheduleChurn(n)
@@ -856,13 +885,9 @@ func (c *Cluster) Node(name string) (*Node, bool) {
 }
 
 // Deploy installs a workload profile on the named nodes (all nodes when
-// names is nil) and registers its binary in the repository.
+// names is nil) and registers its binary in the repository. Placement is
+// the app's node bitset; a machine node also records the process.
 func (c *Cluster) Deploy(p workload.Profile, names []string, opt workload.InstallOpts) error {
-	if names == nil {
-		for _, n := range c.Nodes {
-			names = append(names, n.Name)
-		}
-	}
 	if opt.Walker && opt.Prog == nil {
 		opt.Prog = node.Program(p, opt.Seed)
 	}
@@ -870,21 +895,34 @@ func (c *Cluster) Deploy(p workload.Profile, names []string, opt workload.Instal
 	if opt.Prog != nil {
 		c.Binaries[p.Name] = opt.Prog
 	}
-	for _, name := range names {
-		n, ok := c.Node(name)
-		if !ok {
-			return fmt.Errorf("cluster: unknown node %q", name)
-		}
-		if _, dup := n.Apps[p.Name]; dup {
-			return fmt.Errorf("cluster: app %q already on %q", p.Name, name)
-		}
-		if c.Cfg.Lite {
-			// Bookkeeping-only deployment: the app is present on the node
-			// (placement, health, sessions all work) but no process runs.
-			n.Apps[p.Name] = nil
+	placed := c.apps[p.Name]
+	if placed == nil {
+		placed = newNodeBits(len(c.Nodes))
+		c.apps[p.Name] = placed
+	}
+	count := len(names)
+	if names == nil {
+		count = len(c.Nodes)
+	}
+	for i := 0; i < count; i++ {
+		var n *Node
+		if names == nil {
+			n = c.Nodes[i]
 		} else {
+			var ok bool
+			if n, ok = c.Node(names[i]); !ok {
+				return fmt.Errorf("cluster: unknown node %q", names[i])
+			}
+		}
+		if placed.has(n.idx) {
+			return fmt.Errorf("cluster: app %q already on %q", p.Name, n.Name)
+		}
+		placed.add(n.idx)
+		// A Lite deployment is bookkeeping only: the app is placed on the
+		// node (placement, health, sessions all work) but no process runs.
+		if !c.Cfg.Lite {
 			nodeOpt := opt
-			nodeOpt.Seed = opt.Seed ^ hashName(name)
+			nodeOpt.Seed = opt.Seed ^ hashName(n.Name)
 			n.Apps[p.Name] = p.Install(n.Machine, nodeOpt)
 		}
 		// Ledger: services reserve memory aggressively (Figure 11).
@@ -1015,12 +1053,12 @@ func (c *Cluster) sweep(now simtime.Time) {
 			c.Mgmt.LeaseExpiries++
 		}
 	}
-	for _, i := range c.grayNodes {
-		n := c.Nodes[i]
+	for _, g := range c.grayNodes {
+		n := c.Nodes[g.idx]
 		if n.Down {
 			continue
 		}
-		if d := c.Cfg.Faults.HeartbeatDelay(n.Name, c.beats); d > 0 {
+		if d := c.Cfg.Faults.GrayBeatDelay(g.beats, c.beats); d > 0 {
 			c.Eng.AfterDetached(d, func(arrived simtime.Time) {
 				if n.Down {
 					return
@@ -1299,6 +1337,7 @@ func (c *Cluster) terminate(r *TraceRequest, phase Phase, msg string) {
 func (c *Cluster) plan(r *TraceRequest, now simtime.Time) (period simtime.Duration, scale float64, selected []*Node, retry bool, err error) {
 	profile := c.profiles[r.Spec.App]
 	prog := c.Binaries[r.Spec.App]
+	placed := c.apps[r.Spec.App]
 
 	// Temporal decider: period from app complexity unless overridden.
 	period = r.Spec.Period
@@ -1327,14 +1366,14 @@ func (c *Cluster) plan(r *TraceRequest, now simtime.Time) (period simtime.Durati
 			if !ok {
 				continue
 			}
-			if _, hosted := n.Apps[r.Spec.App]; hosted && c.nodeHealthy(n, now) {
+			if placed.has(n.idx) && c.nodeHealthy(n, now) {
 				selected = append(selected, n)
 			}
 		}
 		if len(selected) == 0 {
 			healthyAnywhere := false
 			for _, n := range c.Nodes {
-				if _, ok := n.Apps[r.Spec.App]; ok && c.nodeHealthy(n, now) {
+				if placed.has(n.idx) && c.nodeHealthy(n, now) {
 					healthyAnywhere = true
 					break
 				}
@@ -1350,7 +1389,7 @@ func (c *Cluster) plan(r *TraceRequest, now simtime.Time) (period simtime.Durati
 	} else {
 		var hosts []*Node
 		for _, n := range c.Nodes {
-			if _, ok := n.Apps[r.Spec.App]; ok && c.nodeHealthy(n, now) {
+			if placed.has(n.idx) && c.nodeHealthy(n, now) {
 				hosts = append(hosts, n)
 			}
 		}
@@ -1513,8 +1552,9 @@ func (c *Cluster) finishLite(ls *liteSession, now simtime.Time) {
 // current health, for the re-sampler.
 func (c *Cluster) replacementCandidates(r *TraceRequest, now simtime.Time) []coverage.Repetition {
 	var reps []coverage.Repetition
+	placed := c.apps[r.Spec.App]
 	for _, n := range c.Nodes {
-		if _, ok := n.Apps[r.Spec.App]; !ok {
+		if !placed.has(n.idx) {
 			continue
 		}
 		reps = append(reps, coverage.Repetition{Node: n.Name, Index: n.idx, Down: !c.nodeHealthy(n, now)})
@@ -1608,6 +1648,10 @@ func (c *Cluster) finishSession(rec *sessionRec, s *core.Session) {
 // slot completion.
 func (c *Cluster) uploadLanded(it uploadItem) {
 	r := it.rec.req
+	if r.SessionKeys == nil {
+		// Sized once, when the first session lands.
+		r.SessionKeys = make([]string, 0, r.Planned)
+	}
 	r.SessionKeys = append(r.SessionKeys, it.rec.key)
 	// Per-session management cost: upload bookkeeping plus the status
 	// append, a store write that pays the shard scan.
@@ -1669,7 +1713,7 @@ func (c *Cluster) flushUploads() {
 	c.batchSeq++
 	key := items[0].rec.key
 	if len(items) > 1 {
-		key = fmt.Sprintf("batch/%d", c.batchSeq)
+		key = "batch/" + strconv.FormatInt(c.batchSeq, 10)
 	}
 	c.putBatchWithRetry(key, items, 0)
 	if len(c.pendingUpload) == 0 {

@@ -40,20 +40,23 @@ type ossShard struct {
 // store instead of node-local files, avoiding node memory and file I/O.
 //
 // The store is sharded by key hash (DESIGN.md §15): each shard has its
-// own map and mutex, and the aggregate counters are atomics, so parallel
-// uploads from concurrently running node engines contend only within a
-// shard and counter reads never race. With one shard the behavior is
-// identical to the historical single-map store.
+// own map and mutex, and the put and failure counters are atomics, so
+// parallel uploads from concurrently running node engines contend only
+// within a shard and counter reads never race. Storing a blob is one map
+// write; Bytes sums the stored blobs when asked. With one shard the
+// behavior is identical to the historical single-map store.
 //
-// PutBatch is fault-aware: with an injector attached, attempts can fail
-// with transient errors (the control plane retries with backoff).
-// Without one, PutBatch never fails.
+// PutBatch is fault-aware: with an injector that can fail puts attached,
+// attempts can fail with transient errors (the control plane retries
+// with backoff). Without one, PutBatch never fails and never reads the
+// attempt ledger.
 type ObjectStore struct {
 	shards   []ossShard
-	bytes    atomic.Int64
 	puts     atomic.Int64
 	failures atomic.Int64
 	inj      *faults.Injector
+	// putsFail caches whether inj can fail a put at all.
+	putsFail bool
 }
 
 // NewObjectStore returns an empty single-shard store.
@@ -78,16 +81,9 @@ func (o *ObjectStore) shardFor(key string) *ossShard {
 }
 
 // UseFaults attaches a fault injector; nil detaches it.
-func (o *ObjectStore) UseFaults(inj *faults.Injector) { o.inj = inj }
-
-// storeLocked writes one blob into a shard the caller holds locked,
-// keeping the byte ledger balanced on overwrite.
-func (o *ObjectStore) storeLocked(s *ossShard, key string, data []byte) {
-	if old, ok := s.blobs[key]; ok {
-		o.bytes.Add(-int64(len(old)))
-	}
-	s.blobs[key] = data
-	o.bytes.Add(int64(len(data)))
+func (o *ObjectStore) UseFaults(inj *faults.Injector) {
+	o.inj = inj
+	o.putsFail = inj.Config().PutFailProb > 0
 }
 
 // PutBatch stores several blobs in one upload, replacing any previous
@@ -102,28 +98,38 @@ func (o *ObjectStore) storeLocked(s *ossShard, key string, data []byte) {
 // without copying, so the caller must not modify them afterwards. The
 // attempt ledger counts a key's failed attempts and forgets the key once
 // a put succeeds; a key put again after success rolls from attempt 0.
+// Only an injector that can fail puts is consulted: without one every
+// roll would succeed at attempt 0, so the ledger would stay empty.
 func (o *ObjectStore) PutBatch(batchKey string, keys []string, blobs [][]byte) error {
 	if len(keys) != len(blobs) {
 		return fmt.Errorf("oss: PutBatch with %d keys, %d blobs", len(keys), len(blobs))
 	}
-	bs := o.shardFor(batchKey)
-	bs.mu.Lock()
-	attempt := bs.attempts[batchKey]
-	err := o.inj.PutError(batchKey, attempt)
-	bs.attempts.settle(batchKey, attempt, err)
-	bs.mu.Unlock()
-	if err != nil {
-		o.failures.Add(1)
-		return err
+	if o.putsFail {
+		if err := o.rollPut(batchKey); err != nil {
+			o.failures.Add(1)
+			return err
+		}
 	}
 	for i, key := range keys {
 		s := o.shardFor(key)
 		s.mu.Lock()
-		o.storeLocked(s, key, blobs[i])
+		s.blobs[key] = blobs[i]
 		s.mu.Unlock()
 	}
 	o.puts.Add(1)
 	return nil
+}
+
+// rollPut draws the injected fault of the batch key's next attempt and
+// settles its attempt ledger.
+func (o *ObjectStore) rollPut(batchKey string) error {
+	bs := o.shardFor(batchKey)
+	bs.mu.Lock()
+	defer bs.mu.Unlock()
+	attempt := bs.attempts[batchKey]
+	err := o.inj.PutError(batchKey, attempt)
+	bs.attempts.settle(batchKey, attempt, err)
+	return err
 }
 
 // Get retrieves a blob.
@@ -139,15 +145,10 @@ func (o *ObjectStore) Get(key string) ([]byte, bool) {
 func (o *ObjectStore) Delete(key string) bool {
 	s := o.shardFor(key)
 	s.mu.Lock()
-	b, ok := s.blobs[key]
-	if !ok {
-		s.mu.Unlock()
-		return false
-	}
+	_, ok := s.blobs[key]
 	delete(s.blobs, key)
 	s.mu.Unlock()
-	o.bytes.Add(-int64(len(b)))
-	return true
+	return ok
 }
 
 // List returns all keys with the prefix, sorted. The merge across shards
@@ -169,8 +170,20 @@ func (o *ObjectStore) List(prefix string) []string {
 	return keys
 }
 
-// Bytes returns the stored volume.
-func (o *ObjectStore) Bytes() int64 { return o.bytes.Load() }
+// Bytes returns the stored volume, summed over the blobs each shard holds
+// under its lock.
+func (o *ObjectStore) Bytes() int64 {
+	var n int64
+	for i := range o.shards {
+		s := &o.shards[i]
+		s.mu.Lock()
+		for _, b := range s.blobs {
+			n += int64(len(b))
+		}
+		s.mu.Unlock()
+	}
+	return n
+}
 
 // Puts returns the number of successful uploads.
 func (o *ObjectStore) Puts() int64 { return o.puts.Load() }

@@ -9,8 +9,9 @@ import (
 
 // TestStoreCountersConcurrentWithWrites hammers the object and data
 // stores from writer goroutines while readers poll the aggregate
-// counters. The counters are atomics — not guarded by any shard lock —
-// so this test runs meaningfully under -race: before the atomic fix a
+// counters. Puts and Failures are atomics, not guarded by any shard
+// lock, and Bytes sums the blobs under each shard's lock in turn, so
+// this test runs meaningfully under -race: before the atomic fix a
 // reader summing per-shard fields while a writer bumped them was a
 // data race and could observe torn totals.
 func TestStoreCountersConcurrentWithWrites(t *testing.T) {

@@ -114,7 +114,7 @@ func runCtrlCell(cfg Config, cell ctrlCell) (ctrlOutcome, error) {
 		names := make([]string, 0, stripe)
 		start := (i * stripe) % cell.nodes
 		for j := 0; j < stripe; j++ {
-			names = append(names, fmt.Sprintf("node-%d", (start+j)%cell.nodes))
+			names = append(names, c.Nodes[(start+j)%cell.nodes].Name)
 		}
 		at := fileStart + simtime.Time(i)*simtime.Time(stagger)
 		c.Eng.Schedule(at, func(now simtime.Time) {

@@ -276,8 +276,13 @@ func (in *Injector) InsertError(batch string, attempt int) error {
 // SessionFate decides what happens to one completed session's data,
 // keyed by session ID. At most one fate applies per session; loss
 // dominates corruption dominates truncation.
+//
+// With all three probabilities at or below zero every draw would be
+// false, so no stream is derived. Each decision reseeds the scratch
+// stream from its own label hash, so the skipped draw shifts no other
+// decision.
 func (in *Injector) SessionFate(sessionID string) Fate {
-	if in == nil {
+	if in == nil || (in.cfg.SessionLossProb <= 0 && in.cfg.CorruptProb <= 0 && in.cfg.TruncateProb <= 0) {
 		return FateHealthy
 	}
 	rng := in.draw("session", sessionID)
@@ -432,7 +437,22 @@ func (in *Injector) HeartbeatDelay(node string, seq int64) simtime.Duration {
 	if in == nil || !in.GrayNode(node) {
 		return 0
 	}
-	d := in.drawN("graydelay", node, seq).Exp(float64(in.cfg.GrayDelayMean))
+	return in.GrayBeatDelay(in.GrayBeats(node), seq)
+}
+
+// GrayBeats returns the label hash of a gray node's heartbeat delays,
+// "faults/graydelay/<node>#" folded once, for GrayBeatDelay. A caller
+// that already knows the node is gray keeps it instead of re-drawing
+// GrayNode and re-hashing the name on every beat.
+func (in *Injector) GrayBeats(node string) xrand.SplitHash {
+	return in.begin("graydelay").String(node).String("#")
+}
+
+// GrayBeatDelay is HeartbeatDelay(node, seq) for a node known to be gray,
+// with beats = GrayBeats(node): folding the beat number into the stored
+// hash equals hashing the concatenated label.
+func (in *Injector) GrayBeatDelay(beats xrand.SplitHash, seq int64) simtime.Duration {
+	d := in.reseed(beats.Int(seq)).Exp(float64(in.cfg.GrayDelayMean))
 	if d <= 0 {
 		return 0
 	}

@@ -1,9 +1,11 @@
 package faults
 
 import (
+	"strconv"
 	"testing"
 
 	"exist/internal/simtime"
+	"exist/internal/xrand"
 )
 
 // TestNilInjector is the nil-receiver contract: every Injector method is
@@ -307,5 +309,68 @@ func TestChurnSchedule(t *testing.T) {
 	in.CountJoin()
 	if s := in.Stats(); s.Leaves != 2 || s.Joins != 1 {
 		t.Fatalf("stats leaves=%d joins=%d, want 2/1", s.Leaves, s.Joins)
+	}
+}
+
+// TestGrayBeatDelayMatchesHeartbeatDelay pins the keyed gray-beat draw
+// against the long way: for every gray node the delay drawn from the
+// stored label hash, and HeartbeatDelay, equal the draw from the
+// concatenated label "faults/graydelay/<name>#<k>" for each of the first
+// 10,000 beats, and every injector counts the same delayed beats.
+func TestGrayBeatDelayMatchesHeartbeatDelay(t *testing.T) {
+	cfg := Config{Seed: 7, GrayNodeProb: 0.2}
+	long, beat, keyed := New(cfg), New(cfg), New(cfg)
+	gray, delayed := 0, int64(0)
+	for i := 0; i < 40; i++ {
+		name := "node-" + strconv.Itoa(i)
+		if !keyed.GrayNode(name) {
+			continue
+		}
+		gray++
+		beats := keyed.GrayBeats(name)
+		for k := int64(0); k < 10_000; k++ {
+			var want simtime.Duration
+			if d := xrand.Split(cfg.Seed, "faults/graydelay/"+name+"#"+strconv.FormatInt(k, 10)).Exp(float64(long.cfg.GrayDelayMean)); d > 0 {
+				want = simtime.Duration(d)
+				delayed++
+			}
+			if got := keyed.GrayBeatDelay(beats, k); got != want {
+				t.Fatalf("%s beat %d: keyed delay %v, want %v", name, k, got, want)
+			}
+			if got := beat.HeartbeatDelay(name, k); got != want {
+				t.Fatalf("%s beat %d: HeartbeatDelay %v, want %v", name, k, got, want)
+			}
+		}
+	}
+	if gray == 0 || delayed == 0 {
+		t.Fatalf("%d gray nodes among 40, %d delayed beats", gray, delayed)
+	}
+	if b, k := beat.Stats().GrayDelays, keyed.Stats().GrayDelays; b != delayed || k != delayed {
+		t.Fatalf("GrayDelays: HeartbeatDelay %d, keyed %d, want %d", b, k, delayed)
+	}
+}
+
+// TestSessionFateSkipsZeroProbabilities checks the no-draw shortcut:
+// with every session probability at zero SessionFate is healthy and
+// counts nothing, and skipping its draws leaves the other decision
+// streams exactly where an injector that never asked would have them.
+func TestSessionFateSkipsZeroProbabilities(t *testing.T) {
+	cfg := Config{Seed: 4, PutFailProb: 0.5}
+	asked, never := New(cfg), New(cfg)
+	for i := 0; i < 1000; i++ {
+		id := "req/node-" + string(rune('a'+i%26))
+		before := asked.Stats()
+		if f := asked.SessionFate(id); f != FateHealthy {
+			t.Fatalf("fate of %s = %v with zero probabilities", id, f)
+		}
+		if asked.Stats() != before {
+			t.Fatalf("SessionFate changed the stats: %+v -> %+v", before, asked.Stats())
+		}
+		if a, n := asked.PutError(id, i), never.PutError(id, i); (a == nil) != (n == nil) {
+			t.Fatalf("put %s attempt %d: %v after SessionFate, %v without", id, i, a, n)
+		}
+	}
+	if asked.Stats() != never.Stats() {
+		t.Fatalf("stats %+v, want %+v", asked.Stats(), never.Stats())
 	}
 }
