@@ -137,7 +137,7 @@ func TestBatchedUploadRetriesAsUnit(t *testing.T) {
 
 func TestBatchedUploadExhaustionResamplesOnce(t *testing.T) {
 	// Every PUT fails: each batch exhausts its retries and every slot in
-	// it re-samples, eventually giving up after ResampleMax attempts. The
+	// it re-samples, eventually giving up after resampleMax attempts. The
 	// slot ledger must balance exactly — no session may be double-counted
 	// as both lost and landed, or re-sampled twice per failure.
 	c := batchedCluster(t, 3, 2, &faults.Config{Seed: 7, PutFailProb: 1})

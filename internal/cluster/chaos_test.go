@@ -74,14 +74,10 @@ func checkNoLostNoDup(t *testing.T, c *Cluster) {
 }
 
 // TestBackoffClampedAfterJitter pins the retry-backoff bounds: the
-// configured cap is applied to the jittered delay, not only to the
-// pre-jitter base, so no retry ever waits longer than RetryMaxBackoff.
+// cap is applied to the jittered delay, not only to the pre-jitter base,
+// so no retry ever waits longer than retryMaxBackoff.
 func TestBackoffClampedAfterJitter(t *testing.T) {
-	c := liteCluster(t, func(cfg *Config) {
-		cfg.Nodes = 1
-		cfg.RetryBase = 400 * simtime.Millisecond
-		cfg.RetryMaxBackoff = simtime.Second
-	})
+	c := liteCluster(t, func(cfg *Config) { cfg.Nodes = 1 })
 	sawCap := false
 	for attempt := 0; attempt < 10; attempt++ {
 		for i := 0; i < 200; i++ {
@@ -92,13 +88,14 @@ func TestBackoffClampedAfterJitter(t *testing.T) {
 			if d <= 0 {
 				t.Fatalf("backoff(attempt=%d) = %v not positive", attempt, d)
 			}
-			if attempt >= 2 && d == simtime.Second {
+			if attempt >= 7 && d == simtime.Second {
 				sawCap = true
 			}
 		}
 	}
-	// With base 400ms, attempt >= 2 saturates the pre-jitter cap, and
-	// +50% jitter must actually hit the clamp sometimes.
+	// With base 10ms, attempt >= 7 saturates the pre-jitter cap
+	// (10ms·2⁷ = 1.28s), and +50% jitter must actually hit the clamp
+	// sometimes.
 	if !sawCap {
 		t.Fatal("jittered backoff never reached the clamp; cap not exercised")
 	}
@@ -108,7 +105,7 @@ func TestBackoffClampedAfterJitter(t *testing.T) {
 // deterministic exponential bounds.
 func TestWorkQueue(t *testing.T) {
 	c := liteCluster(t, func(cfg *Config) { cfg.Nodes = 1 })
-	q := newWorkQueue(c, 5*simtime.Millisecond, simtime.Second, nil)
+	q := newWorkQueue(c, nil)
 	q.Add("a")
 	q.Add("b")
 	q.Add("a") // dedup

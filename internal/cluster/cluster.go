@@ -478,32 +478,16 @@ type Config struct {
 	// opt-in: a nil injector leaves every fault path dormant and the
 	// cluster bit-identical to a fault-free run.
 	Faults *faults.Injector
-	// HeartbeatEvery is the node lease heartbeat period (default 200 ms;
-	// only used when Faults is set).
-	HeartbeatEvery simtime.Duration
-	// LeaseTTL is how long a heartbeat keeps a node's lease valid
-	// (default 500 ms).
-	LeaseTTL simtime.Duration
 	// RequestDeadline is the default per-request deadline applied when
 	// Faults is set and the spec gives none (default 10 s).
 	RequestDeadline simtime.Duration
-	// RetryBase is the initial store-retry backoff (default 10 ms),
-	// doubled per attempt with ±50% jitter, capped at RetryMaxBackoff.
-	RetryBase simtime.Duration
-	// RetryMaxBackoff caps the store-retry backoff after jitter
-	// (default 1 s): no retry ever waits longer than this.
-	RetryMaxBackoff simtime.Duration
-	// RetryMax bounds attempts per store operation (default 5).
-	RetryMax int
-	// ResampleMax bounds replacement attempts per lost session slot
-	// (default 3).
-	ResampleMax int
 
 	// UploadBatch coalesces that many finished sessions into one
 	// object-store PUT, amortizing per-upload overhead; a partially
-	// filled batch flushes QueueTick after its first session joined. A
-	// batch retries as a unit with exponential backoff and jitter. 0 or 1
-	// ships each session alone, keyed by its own object key.
+	// filled batch flushes queueTick (20 ms) after its first session
+	// joined. A batch retries as a unit with exponential backoff and
+	// jitter. 0 or 1 ships each session alone, keyed by its own object
+	// key.
 	UploadBatch int
 
 	// Replicas is the number of controller replicas running lease-based
@@ -514,32 +498,12 @@ type Config struct {
 	// the request name, letting replicas own disjoint shard ranges and
 	// reconcile concurrently. <= 1 keeps a single shard.
 	Shards int
-	// ElectionTTL is how long a leader lease stays valid without
-	// renewal (default 400 ms).
-	ElectionTTL simtime.Duration
-	// ElectionRetry is each replica's election/renewal tick period
-	// (default 100 ms), staggered one millisecond per replica.
-	ElectionRetry simtime.Duration
-	// QueueLatency is the watch-to-pump dispatch latency (default 2 ms).
-	QueueLatency simtime.Duration
-	// QueueTick is the pump's re-arm period while backlog remains
-	// (default 20 ms).
-	QueueTick simtime.Duration
-	// QueueBurst bounds the syncs one pump run performs (default 64).
-	QueueBurst int
-	// QueueBaseDelay and QueueMaxDelay bound the work queue's per-item
-	// exponential-backoff requeue delay (defaults 5 ms and 1 s).
-	QueueBaseDelay simtime.Duration
-	QueueMaxDelay  simtime.Duration
 	// WatchBuf bounds each controller's watch-stream buffer (default
 	// 1024); overflow marks the stream stale and forces a relist.
 	WatchBuf int
 	// AdmitQueueMax, when > 0, sheds Pending requests to PhaseDegraded
 	// while the leader's queue backlog is at or over this depth.
 	AdmitQueueMax int
-	// AdmitCPUBudget, when > 0, sheds Pending requests while average
-	// management CPU (cores) exceeds this budget.
-	AdmitCPUBudget float64
 
 	// Jobs is how many goroutines advance the node machines, each on
 	// its own engine, between control-plane barriers (DESIGN.md §14).
@@ -754,47 +718,8 @@ func New(cfg Config) *Cluster {
 	if cfg.Nodes <= 0 || cfg.CoresPerNode <= 0 {
 		panic("cluster: invalid config")
 	}
-	if cfg.HeartbeatEvery <= 0 {
-		cfg.HeartbeatEvery = 200 * simtime.Millisecond
-	}
-	if cfg.LeaseTTL <= 0 {
-		cfg.LeaseTTL = 500 * simtime.Millisecond
-	}
 	if cfg.RequestDeadline <= 0 {
 		cfg.RequestDeadline = 10 * simtime.Second
-	}
-	if cfg.RetryBase <= 0 {
-		cfg.RetryBase = 10 * simtime.Millisecond
-	}
-	if cfg.RetryMaxBackoff <= 0 {
-		cfg.RetryMaxBackoff = simtime.Second
-	}
-	if cfg.RetryMax <= 0 {
-		cfg.RetryMax = 5
-	}
-	if cfg.ResampleMax <= 0 {
-		cfg.ResampleMax = 3
-	}
-	if cfg.ElectionTTL <= 0 {
-		cfg.ElectionTTL = 400 * simtime.Millisecond
-	}
-	if cfg.ElectionRetry <= 0 {
-		cfg.ElectionRetry = 100 * simtime.Millisecond
-	}
-	if cfg.QueueLatency <= 0 {
-		cfg.QueueLatency = 2 * simtime.Millisecond
-	}
-	if cfg.QueueTick <= 0 {
-		cfg.QueueTick = 20 * simtime.Millisecond
-	}
-	if cfg.QueueBurst <= 0 {
-		cfg.QueueBurst = 64
-	}
-	if cfg.QueueBaseDelay <= 0 {
-		cfg.QueueBaseDelay = 5 * simtime.Millisecond
-	}
-	if cfg.QueueMaxDelay <= 0 {
-		cfg.QueueMaxDelay = simtime.Second
 	}
 	if cfg.Shards <= 0 {
 		cfg.Shards = 1
@@ -852,9 +777,9 @@ func New(cfg Config) *Cluster {
 		c.OSS.UseFaults(cfg.Faults)
 		c.ODPS.UseFaults(cfg.Faults)
 		c.sweepFn, c.faultFn = c.sweep, c.fireFaults
-		c.Eng.AfterDetached(cfg.HeartbeatEvery, c.sweepFn)
+		c.Eng.AfterDetached(heartbeatEvery, c.sweepFn)
 		for _, n := range c.Nodes {
-			n.lease = cfg.LeaseTTL
+			n.lease = leaseTTL
 			if n.gray = cfg.Faults.GrayNode(n.Name); n.gray {
 				c.grayNodes = append(c.grayNodes, grayNode{idx: n.idx, beats: cfg.Faults.GrayBeats(n.Name)})
 			}
@@ -1031,16 +956,22 @@ func (c *Cluster) runParallel(until simtime.Time) {
 	}
 }
 
-// Node liveness. Every node beats at each multiple of HeartbeatEvery, and
+// Node liveness. Every node beats at each multiple of heartbeatEvery, and
 // its k-th beat is the cluster's k-th, so one sweep per period stands for
 // all of them: an up node that is not gray has lease
-// max(n.lease, lastBeat+LeaseTTL), and the sweep visits only the nodes
+// max(n.lease, lastBeat+leaseTTL), and the sweep visits only the nodes
 // whose beat does more — down nodes, whose lapse it detects, and gray
 // nodes, whose beats arrive late. Node crashes and churn leaves wait in
 // one timetable behind one armed event. The sweep and the timetable event
 // each hold one position among the events at their instant, so another
 // event at exactly that nanosecond fires wholly before or after them
-// (TestCrashAtBeatInstant).
+// (TestCrashAtBeatInstant). Liveness runs only when Faults is set.
+const (
+	// heartbeatEvery is the node lease heartbeat period.
+	heartbeatEvery = 200 * simtime.Millisecond
+	// leaseTTL is how long a heartbeat keeps a node's lease valid.
+	leaseTTL = 500 * simtime.Millisecond
+)
 
 // sweep is one heartbeat period. The sweep after a down node's lease
 // lapsed counts the lease expiry the control plane detects. A gray
@@ -1049,7 +980,7 @@ func (c *Cluster) runParallel(until simtime.Time) {
 // gray failure.
 func (c *Cluster) sweep(now simtime.Time) {
 	for _, i := range c.downNodes {
-		if l := c.Nodes[i].lease; l <= now && l > now-c.Cfg.HeartbeatEvery {
+		if l := c.Nodes[i].lease; l <= now && l > now-heartbeatEvery {
 			c.Mgmt.LeaseExpiries++
 		}
 	}
@@ -1066,15 +997,15 @@ func (c *Cluster) sweep(now simtime.Time) {
 				if n.lease <= arrived {
 					c.Mgmt.FalseSuspicions++
 				}
-				n.lease = max(n.lease, now+c.Cfg.LeaseTTL)
+				n.lease = max(n.lease, now+leaseTTL)
 			})
 		} else {
-			n.lease = now + c.Cfg.LeaseTTL
+			n.lease = now + leaseTTL
 		}
 	}
 	c.lastBeat = now
 	c.beats++
-	c.Eng.AfterDetached(c.Cfg.HeartbeatEvery, c.sweepFn)
+	c.Eng.AfterDetached(heartbeatEvery, c.sweepFn)
 }
 
 // leaseUntil is the node's lease expiry: the stored lease, renewed by the
@@ -1083,7 +1014,7 @@ func (c *Cluster) leaseUntil(n *Node) simtime.Time {
 	if n.Down || n.gray {
 		return n.lease
 	}
-	return max(n.lease, c.lastBeat+c.Cfg.LeaseTTL)
+	return max(n.lease, c.lastBeat+leaseTTL)
 }
 
 // faultKind tells a node crash from a churn leave in the timetable.
@@ -1201,7 +1132,7 @@ func (c *Cluster) crash(n *Node, now simtime.Time) {
 	c.crashNode(n, now)
 	c.Eng.AfterDetached(c.Cfg.Faults.Config().CrashDowntime, func(now simtime.Time) {
 		n.Down = false
-		n.lease = now + c.Cfg.LeaseTTL
+		n.lease = now + leaseTTL
 		if i, found := slices.BinarySearch(c.downNodes, n.idx); found {
 			c.downNodes = slices.Delete(c.downNodes, i, i+1)
 		}
@@ -1278,7 +1209,7 @@ func (c *Cluster) leave(n *Node, now simtime.Time) {
 	n.Cordoned = true
 	c.Eng.AfterDetached(down, func(now simtime.Time) {
 		n.Cordoned = false
-		n.lease = now + c.Cfg.LeaseTTL
+		n.lease = now + leaseTTL
 		c.Cfg.Faults.CountJoin()
 		c.scheduleChurn(n)
 	})
@@ -1683,7 +1614,7 @@ func (c *Cluster) uploadLanded(it uploadItem) {
 
 // queueUpload adds a finished session to the current upload batch and
 // ships the batch once it holds UploadBatch sessions. The first session
-// of a batch arms a flush one QueueTick out, so a partially filled batch
+// of a batch arms a flush one queueTick out, so a partially filled batch
 // never waits longer than that.
 func (c *Cluster) queueUpload(it uploadItem) {
 	c.pendingUpload = append(c.pendingUpload, it)
@@ -1693,7 +1624,7 @@ func (c *Cluster) queueUpload(it uploadItem) {
 	}
 	if len(c.pendingUpload) == 1 {
 		seq := c.batchSeq
-		c.Eng.AfterDetached(c.Cfg.QueueTick, func(simtime.Time) {
+		c.Eng.AfterDetached(queueTick, func(simtime.Time) {
 			if c.batchSeq == seq { // the batch has not shipped yet
 				c.flushUploads()
 			}
@@ -1757,7 +1688,7 @@ func (c *Cluster) putBatchWithRetry(batchKey string, items []uploadItem, attempt
 		}
 		return
 	}
-	if attempt+1 >= c.Cfg.RetryMax {
+	if attempt+1 >= retryMax {
 		for _, it := range live {
 			it.rec.req.Message = fmt.Sprintf("upload %s failed after %d attempts: %v", it.rec.key, attempt+1, err)
 			c.loseSlot(it.rec.req, it.rec.attempt)
@@ -1788,7 +1719,7 @@ func (c *Cluster) insertWithRetry(r *TraceRequest, batch string, rows []Row, att
 		}
 		return
 	}
-	if attempt+1 >= c.Cfg.RetryMax {
+	if attempt+1 >= retryMax {
 		return
 	}
 	if !r.Phase.Terminal() {
@@ -1801,24 +1732,26 @@ func (c *Cluster) insertWithRetry(r *TraceRequest, batch string, rows []Row, att
 	})
 }
 
+// Store-retry policy: uploads and inserts back off exponentially from
+// retryBase with ±50% jitter, capped at retryMaxBackoff, and give up
+// after retryMax attempts.
+const (
+	retryBase       = 10 * simtime.Millisecond
+	retryMaxBackoff = simtime.Second
+	retryMax        = 5
+)
+
 // backoff returns the jittered exponential delay for a retry attempt,
-// clamped to RetryMaxBackoff after jittering — the cap is a hard bound
+// clamped to retryMaxBackoff after jittering — the cap is a hard bound
 // on the wait, not on the pre-jitter base (which +50% jitter could
 // otherwise exceed by half).
 func (c *Cluster) backoff(attempt int) simtime.Duration {
-	max := c.Cfg.RetryMaxBackoff
-	d := c.Cfg.RetryBase
-	for i := 0; i < attempt && d < max; i++ {
+	d := retryBase
+	for i := 0; i < attempt && d < retryMaxBackoff; i++ {
 		d *= 2
 	}
-	if d > max {
-		d = max
-	}
-	j := simtime.Duration(c.retryRNG.Jitter(float64(d), 0.5))
-	if j > max {
-		j = max
-	}
-	return j
+	d = min(d, retryMaxBackoff)
+	return min(simtime.Duration(c.retryRNG.Jitter(float64(d), 0.5)), retryMaxBackoff)
 }
 
 // sessionDone resolves one session slot and completes the request when

@@ -135,7 +135,7 @@ func (c *Cluster) startControllers() {
 		ct.skew = c.Cfg.Faults.ClockSkew(ct.Name)
 		for s := 0; s < nShards; s++ {
 			ct.watches[s] = c.API.WatchShard(s, c.Cfg.WatchBuf, ct.kick)
-			ct.queues[s] = newWorkQueue(c, c.Cfg.QueueBaseDelay, c.Cfg.QueueMaxDelay, ct.kick)
+			ct.queues[s] = newWorkQueue(c, ct.kick)
 		}
 		c.Controllers = append(c.Controllers, ct)
 		c.scheduleElect(ct, simtime.Duration(i+1)*simtime.Millisecond)
@@ -146,11 +146,19 @@ func (c *Cluster) startControllers() {
 	}
 }
 
+// Leader election: a leader lease stays valid electionTTL without
+// renewal, and each replica ticks every electionRetry (its first tick
+// staggered one millisecond per replica).
+const (
+	electionTTL   = 400 * simtime.Millisecond
+	electionRetry = 100 * simtime.Millisecond
+)
+
 // scheduleElect arms a replica's next election tick.
 func (c *Cluster) scheduleElect(ct *Controller, d simtime.Duration) {
 	c.Eng.AfterDetached(d, func(now simtime.Time) {
 		ct.electTick(now)
-		c.scheduleElect(ct, c.Cfg.ElectionRetry)
+		c.scheduleElect(ct, electionRetry)
 	})
 }
 
@@ -257,12 +265,12 @@ func (ct *Controller) electTick(now simtime.Time) {
 	}
 	nShards := c.API.Shards()
 	if nShards > 1 {
-		c.Leases.Heartbeat(ct.Name, obs, c.Cfg.ElectionTTL)
+		c.Leases.Heartbeat(ct.Name, obs, electionTTL)
 	}
 	var newly []int
 	for s := 0; s < nShards; s++ {
 		if ct.owned[s] {
-			token, ok := c.Leases.TryAcquireShard(s, ct.Name, obs, c.Cfg.ElectionTTL)
+			token, ok := c.Leases.TryAcquireShard(s, ct.Name, obs, electionTTL)
 			if !ok {
 				// Another replica's lease is valid from where this one
 				// stands: deposed on this shard.
@@ -292,7 +300,7 @@ func (ct *Controller) electTick(now simtime.Time) {
 		if nShards > 1 && c.homeOf(s) != ct.idx && !c.Leases.Expired(s, obs) {
 			continue
 		}
-		token, ok := c.Leases.TryAcquireShard(s, ct.Name, obs, c.Cfg.ElectionTTL)
+		token, ok := c.Leases.TryAcquireShard(s, ct.Name, obs, electionTTL)
 		if !ok {
 			continue
 		}
@@ -305,7 +313,7 @@ func (ct *Controller) electTick(now simtime.Time) {
 		ct.becomeLeader(newly, now)
 	}
 	// The renewal tick also turns an owner's work loop, so the pump runs
-	// at least once per ElectionRetry even with no watch traffic: an idle
+	// at least once per electionRetry even with no watch traffic: an idle
 	// owner still rechecks its fencing tokens at the store.
 	if ct.nOwned > 0 {
 		ct.kick()
@@ -344,6 +352,16 @@ func (ct *Controller) becomeLeader(newly []int, now simtime.Time) {
 	ct.kick()
 }
 
+// Work-loop timing: a watch event or queue add reaches the pump
+// queueLatency later, one pump run syncs at most queueBurst items, and
+// the pump re-arms every queueTick while backlog remains (queueTick also
+// bounds how long a partially filled upload batch waits).
+const (
+	queueLatency = 2 * simtime.Millisecond
+	queueTick    = 20 * simtime.Millisecond
+	queueBurst   = 64
+)
+
 // kick schedules a pump after the queue latency, if one is not already
 // armed. It is the notify hook for the watch streams and work queues.
 func (ct *Controller) kick() {
@@ -351,7 +369,7 @@ func (ct *Controller) kick() {
 		return
 	}
 	ct.pumpArmed = true
-	ct.rearmPump(ct.c.Cfg.QueueLatency)
+	ct.rearmPump(queueLatency)
 }
 
 // rearmPump schedules a pump run after d, bound to the current epoch so
@@ -380,7 +398,7 @@ func (ct *Controller) backlog() bool {
 
 // pump is an owner's work loop: drain the owned shards' watch streams
 // into their queues (relisting a shard whose stream went stale), sync up
-// to QueueBurst items popped in global FIFO order across the owned
+// to queueBurst items popped in global FIFO order across the owned
 // queues, and re-arm while backlog remains. A pump on a replica owning
 // nothing is a no-op; a deposed owner is fenced per shard by the store
 // before it can act on that shard.
@@ -397,7 +415,7 @@ func (ct *Controller) pump(now simtime.Time) {
 		c.Mgmt.CPUSeconds += syncBaseCPU
 		if ct.backlog() {
 			ct.pumpArmed = true
-			ct.rearmPump(c.Cfg.QueueTick)
+			ct.rearmPump(queueTick)
 		}
 		return
 	}
@@ -406,7 +424,7 @@ func (ct *Controller) pump(now simtime.Time) {
 		// tick; if the partition outlives the leases other replicas take
 		// the shards over and this backlog is superseded by their relists.
 		ct.pumpArmed = true
-		ct.rearmPump(c.Cfg.QueueTick)
+		ct.rearmPump(queueTick)
 		return
 	}
 	for s, own := range ct.owned {
@@ -459,7 +477,7 @@ func (ct *Controller) pump(now simtime.Time) {
 	}
 	// Pop the globally oldest head across the owned queues: the merged
 	// drain is the FIFO a single queue would have produced.
-	for i := 0; i < c.Cfg.QueueBurst; i++ {
+	for i := 0; i < queueBurst; i++ {
 		best := -1
 		var bestSeq int64
 		for s, own := range ct.owned {
@@ -478,7 +496,7 @@ func (ct *Controller) pump(now simtime.Time) {
 	}
 	if ct.backlog() {
 		ct.pumpArmed = true
-		ct.rearmPump(c.Cfg.QueueTick)
+		ct.rearmPump(queueTick)
 	}
 }
 
@@ -567,6 +585,9 @@ func (ct *Controller) syncPending(r *TraceRequest, now simtime.Time) {
 	ct.queues[r.shard].Forget(r.Name)
 }
 
+// resampleMax bounds replacement attempts per lost session slot.
+const resampleMax = 3
+
 // syncRunning re-samples the request's recorded lost slots. Slots are
 // persisted on the object (not in controller memory), so a failover's
 // relist recovers them; a slot with no healthy candidate stays recorded
@@ -589,7 +610,7 @@ func (ct *Controller) syncRunning(r *TraceRequest, now simtime.Time) {
 		if r.Phase.Terminal() {
 			break
 		}
-		if attempt >= c.Cfg.ResampleMax {
+		if attempt >= resampleMax {
 			c.giveUpSlot(r)
 			continue
 		}
@@ -641,16 +662,11 @@ func (c *Cluster) tracerFreeAt(n *Node) (simtime.Time, bool) {
 	return at, found
 }
 
-// overloaded applies the admission budgets: queue depth and management
-// CPU. Zero budgets disable a check.
+// overloaded applies the admission budget on queue depth. A zero
+// budget disables the check.
 func (c *Cluster) overloaded(depth int) (bool, string) {
 	if c.Cfg.AdmitQueueMax > 0 && depth >= c.Cfg.AdmitQueueMax {
 		return true, fmt.Sprintf("queue depth %d over budget %d", depth, c.Cfg.AdmitQueueMax)
-	}
-	if c.Cfg.AdmitCPUBudget > 0 {
-		if cores := c.ManagementCores(); cores > c.Cfg.AdmitCPUBudget {
-			return true, fmt.Sprintf("management CPU %.3f cores over budget %.3f", cores, c.Cfg.AdmitCPUBudget)
-		}
 	}
 	return false, ""
 }

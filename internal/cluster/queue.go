@@ -13,8 +13,6 @@ type workQueue struct {
 	items  []queueItem
 	queued map[string]bool
 	fails  map[string]int
-	base   simtime.Duration // first-retry delay
-	max    simtime.Duration // backoff cap
 	// notify, when set, fires each time the queue goes from empty to
 	// non-empty, so the owning controller can schedule a drain.
 	notify func()
@@ -30,14 +28,19 @@ type queueItem struct {
 	seq  int64
 }
 
+// The rate limiter's requeue delay starts at queueBaseDelay and doubles
+// per consecutive failure up to queueMaxDelay.
+const (
+	queueBaseDelay = 5 * simtime.Millisecond
+	queueMaxDelay  = simtime.Second
+)
+
 // newWorkQueue builds an empty queue.
-func newWorkQueue(c *Cluster, base, max simtime.Duration, notify func()) *workQueue {
+func newWorkQueue(c *Cluster, notify func()) *workQueue {
 	return &workQueue{
 		c:      c,
 		queued: make(map[string]bool),
 		fails:  make(map[string]int),
-		base:   base,
-		max:    max,
 		notify: notify,
 	}
 }
@@ -65,8 +68,9 @@ func (q *workQueue) AddAfter(name string, d simtime.Duration) {
 }
 
 // AddRateLimited re-enqueues a failing item with exponential backoff:
-// base doubled per consecutive failure, capped at max. Forget resets
-// the item's failure count once it syncs cleanly.
+// queueBaseDelay doubled per consecutive failure, capped at
+// queueMaxDelay. Forget resets the item's failure count once it syncs
+// cleanly.
 func (q *workQueue) AddRateLimited(name string) {
 	n := q.fails[name]
 	q.fails[name] = n + 1
@@ -76,14 +80,11 @@ func (q *workQueue) AddRateLimited(name string) {
 
 // delayFor is the rate limiter's delay after n consecutive failures.
 func (q *workQueue) delayFor(n int) simtime.Duration {
-	d := q.base
-	for i := 0; i < n && d < q.max; i++ {
+	d := queueBaseDelay
+	for i := 0; i < n && d < queueMaxDelay; i++ {
 		d *= 2
 	}
-	if d > q.max {
-		d = q.max
-	}
-	return d
+	return min(d, queueMaxDelay)
 }
 
 // Forget clears the item's rate-limiter state after a clean sync.

@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 
-	"exist/internal/metrics"
 	"exist/internal/node"
 	"exist/internal/parallel"
 	"exist/internal/service"
@@ -309,6 +308,3 @@ func safeDiv(a, b float64) float64 {
 	}
 	return a / b
 }
-
-// metricsGuard keeps the metrics import used by sibling files.
-var _ = metrics.Mean

@@ -45,11 +45,9 @@ type Config struct {
 	// core buffer (default 8).
 	CorruptBits int
 	// TruncateProb is the per-session probability that a core buffer's
-	// tail is chopped (partial upload).
+	// tail is chopped (partial upload); up to truncateFracMax of the
+	// buffer is lost.
 	TruncateProb float64
-	// TruncateFracMax bounds the chopped fraction (default 0.5: up to
-	// half the buffer tail is lost).
-	TruncateFracMax float64
 
 	// StallProb is the per-run probability that a controller's pump
 	// (its reconcile loop) stalls and does no work (management pod CPU
@@ -185,9 +183,6 @@ type Injector struct {
 func New(cfg Config) *Injector {
 	if cfg.CorruptBits <= 0 {
 		cfg.CorruptBits = 8
-	}
-	if cfg.TruncateFracMax <= 0 || cfg.TruncateFracMax > 1 {
-		cfg.TruncateFracMax = 0.5
 	}
 	if cfg.CrashDowntime <= 0 {
 		cfg.CrashDowntime = 1 * simtime.Second
@@ -480,13 +475,17 @@ func (in *Injector) CorruptBuffer(id string, data []byte) int {
 	return FlipBits(data, in.cfg.CorruptBits, in.cfg.Seed^hash(id))
 }
 
+// truncateFracMax bounds the fraction of a buffer TruncateBuffer chops:
+// up to half the tail is lost.
+const truncateFracMax = 0.5
+
 // TruncateBuffer chops a seeded fraction of data's tail, keyed by id,
 // returning the shortened slice.
 func (in *Injector) TruncateBuffer(id string, data []byte) []byte {
 	if in == nil || len(data) == 0 {
 		return data
 	}
-	frac := in.draw("truncfrac", id).Float64() * in.cfg.TruncateFracMax
+	frac := in.draw("truncfrac", id).Float64() * truncateFracMax
 	return Truncate(data, frac)
 }
 

@@ -21,36 +21,31 @@ import (
 	"exist/internal/trace"
 )
 
-// Options controls report contents.
+// Options controls report contents. The findings use fixed rules: a
+// thread whose longest off-CPU gap reaches gapThreshold (100 ms) is
+// flagged, and PTWRITE operands are named from
+// kernel.DefaultSyscallTable.
 type Options struct {
 	// TopFuncs bounds the hottest-function list (default 10).
 	TopFuncs int
-	// GapThreshold flags threads scheduled out longer than this as
-	// anomalies (default 100 ms).
-	GapThreshold simtime.Duration
-	// Syscalls names PTWRITE operands as syscalls using this table
-	// (nil: kernel.DefaultSyscallTable).
-	Syscalls []kernel.SyscallSpec
 }
+
+// gapThreshold is the off-CPU gap at which a thread is flagged as an
+// anomaly.
+const gapThreshold = 100 * simtime.Millisecond
 
 // Build renders the behaviour report.
 func Build(rec *decode.Result, prog *binary.Program, sess *trace.Session, opt Options) string {
 	if opt.TopFuncs <= 0 {
 		opt.TopFuncs = 10
 	}
-	if opt.GapThreshold <= 0 {
-		opt.GapThreshold = 100 * simtime.Millisecond
-	}
-	if opt.Syscalls == nil {
-		opt.Syscalls = kernel.DefaultSyscallTable()
-	}
 	var b strings.Builder
 	header(&b, rec, sess)
 	hotFunctions(&b, rec, prog, opt.TopFuncs)
 	categories(&b, rec)
 	memWidths(&b, rec)
-	threads(&b, rec, sess, opt)
-	anomalies(&b, rec, sess, opt)
+	threads(&b, rec, sess)
+	anomalies(&b, rec, sess)
 	return b.String()
 }
 
@@ -224,7 +219,7 @@ func threadViews(rec *decode.Result, sess *trace.Session) []threadView {
 	return out
 }
 
-func threads(b *strings.Builder, rec *decode.Result, sess *trace.Session, opt Options) {
+func threads(b *strings.Builder, rec *decode.Result, sess *trace.Session) {
 	views := threadViews(rec, sess)
 	if len(views) == 0 {
 		return
@@ -244,10 +239,10 @@ func threads(b *strings.Builder, rec *decode.Result, sess *trace.Session, opt Op
 	b.WriteString("\n")
 }
 
-func anomalies(b *strings.Builder, rec *decode.Result, sess *trace.Session, opt Options) {
+func anomalies(b *strings.Builder, rec *decode.Result, sess *trace.Session) {
 	var notes []string
 	for _, v := range threadViews(rec, sess) {
-		if v.tid >= 0 && v.maxGap >= opt.GapThreshold {
+		if v.tid >= 0 && v.maxGap >= gapThreshold {
 			notes = append(notes, fmt.Sprintf(
 				"thread %d left the CPU at %v and stayed away for %v — look for a blocking call",
 				v.tid, v.gapFrom, v.maxGap))
@@ -268,14 +263,15 @@ func anomalies(b *strings.Builder, rec *decode.Result, sess *trace.Session, opt 
 	}
 	sort.Slice(ks, func(i, j int) bool { return ks[i].n > ks[j].n })
 	if len(ks) > 0 {
+		syscalls := kernel.DefaultSyscallTable()
 		parts := make([]string, 0, 4)
 		for i, k := range ks {
 			if i >= 4 {
 				break
 			}
 			name := fmt.Sprintf("class %d", k.val)
-			if int(k.val) < len(opt.Syscalls) {
-				name = opt.Syscalls[k.val].Name
+			if int(k.val) < len(syscalls) {
+				name = syscalls[k.val].Name
 			}
 			parts = append(parts, fmt.Sprintf("%s x%d", name, k.n))
 		}

@@ -169,3 +169,30 @@ func TestRankFunctions(t *testing.T) {
 		}
 	}
 }
+
+// TestReportFlagsLongGaps pins the gap anomaly's boundary: a thread whose
+// longest off-CPU gap is exactly gapThreshold is flagged, and one whose
+// gap falls a nanosecond short is not.
+func TestReportFlagsLongGaps(t *testing.T) {
+	prog := binary.Synthesize(binary.DefaultSpec("gaps", 1))
+	rec := decode.DecodeStream(prog, nil, 0, nil)
+	out := 10 * simtime.Millisecond
+	sess := &trace.Session{Workload: "gaps", Scale: 1, End: 200 * simtime.Millisecond}
+	for _, r := range []kernel.SwitchRecord{
+		{TS: 0, TID: 1, Op: kernel.OpIn},
+		{TS: 0, TID: 2, Op: kernel.OpIn},
+		{TS: out, TID: 1, Op: kernel.OpOut},
+		{TS: out, TID: 2, Op: kernel.OpOut},
+		{TS: out + 100*simtime.Millisecond, TID: 1, Op: kernel.OpIn},
+		{TS: out + 100*simtime.Millisecond - 1, TID: 2, Op: kernel.OpIn},
+	} {
+		sess.Switches.Add(r)
+	}
+	report := Build(rec, prog, sess, Options{})
+	if !strings.Contains(report, "thread 1 left the CPU") {
+		t.Fatalf("thread 1's 100 ms gap not flagged:\n%s", report)
+	}
+	if strings.Contains(report, "thread 2 left the CPU") {
+		t.Fatalf("thread 2's gap is under 100 ms but flagged:\n%s", report)
+	}
+}

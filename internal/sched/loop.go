@@ -33,17 +33,17 @@ func (e *branchEmitter) EmitBranches(evs []binary.BranchEvent, tnt *binary.TNTPa
 }
 
 // setCur installs t (or nil) as the core's running thread, maintaining the
-// per-LLC occupancy counters consulted by interference. Every mutation of
+// occupancy counters consulted by interference. Every mutation of
 // c.cur must go through here.
 func (m *Machine) setCur(c *Core, t *Thread) {
 	if old := c.cur; old != nil {
-		m.llcRunning[c.LLC]--
-		old.Proc.llcRunning[c.LLC]--
+		m.running--
+		old.Proc.running--
 	}
 	c.cur = t
 	if t != nil {
-		m.llcRunning[c.LLC]++
-		t.Proc.llcRunning[c.LLC]++
+		m.running++
+		t.Proc.running++
 	}
 }
 
@@ -210,7 +210,7 @@ func (m *Machine) recordSwitchPeriods(c *Core, next *Thread, now simtime.Time) {
 
 // interference computes the execution inflation for a segment starting on
 // core c: hyperthread-sibling contention, time-sharing pollution, and LLC
-// sharing with other processes in the same cache domain.
+// sharing with other processes (the machine is one cache domain).
 func (m *Machine) interference(c *Core, t *Thread) float64 {
 	cost := m.Cfg.Cost
 	f := 1.0
@@ -224,7 +224,7 @@ func (m *Machine) interference(c *Core, t *Thread) float64 {
 	// point, so it contributes one to both counters and cancels; any
 	// positive difference is a core in the domain running a different
 	// process. O(1) instead of a scan over all cores.
-	if m.llcRunning[c.LLC]-t.Proc.llcRunning[c.LLC] > 0 {
+	if m.running-t.Proc.running > 0 {
 		f *= cost.LLCShare
 	}
 	return f

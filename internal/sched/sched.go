@@ -49,15 +49,15 @@ func (m ProvisionMode) String() string {
 	return "cpu-share"
 }
 
-// Config parameterizes a Machine.
+// Config parameterizes a Machine. Two properties are fixed rather than
+// configured: every machine is one last-level-cache domain (all its cores
+// share the LLC), and the Figure 8 sample slices start with capacity
+// switchPeriodChunk (4096).
 type Config struct {
 	// Cores is the number of logical cores.
 	Cores int
 	// HTSiblings pairs core i with core i+Cores/2 on one physical core.
 	HTSiblings bool
-	// LLCGroups splits cores into that many last-level-cache domains
-	// (dual-socket servers have 2). Zero means one domain.
-	LLCGroups int
 	// Timeslice is the scheduler quantum and the maximum run segment.
 	Timeslice simtime.Duration
 	// Cost is the processor cost model.
@@ -68,11 +68,6 @@ type Config struct {
 	Seed uint64
 	// CollectSwitchPeriods enables the Figure 8 period sampling.
 	CollectSwitchPeriods bool
-	// SwitchPeriodHint presizes the Figure 8 sample slices: an estimate of
-	// the total switch count over the run (window / switch period). Zero
-	// selects a default chunk; the hint only affects capacity, never
-	// content.
-	SwitchPeriodHint int
 }
 
 // DefaultConfig returns a 16-core single-socket configuration with a 4 ms
@@ -81,7 +76,6 @@ func DefaultConfig() Config {
 	return Config{
 		Cores:      16,
 		HTSiblings: true,
-		LLCGroups:  1,
 		Timeslice:  4 * simtime.Millisecond,
 		Cost:       cpu.Default(),
 		Seed:       1,
@@ -167,9 +161,9 @@ type Process struct {
 	// allowedMask is the Allowed core set as a bitmask (one uint64 word
 	// per 64 cores), so affinity checks cost one load instead of a scan.
 	allowedMask []uint64
-	// llcRunning counts, per LLC domain, how many cores currently run one
-	// of this process's threads; see Machine.interference.
-	llcRunning []int32
+	// running counts the cores currently running one of this process's
+	// threads; see Machine.interference.
+	running int32
 }
 
 // allowedHas reports whether core id is in the process's mapped core set.
@@ -211,8 +205,6 @@ type Core struct {
 	ID int
 	// Sibling is the hyperthread sibling core index (-1 if none).
 	Sibling int
-	// LLC is the core's last-level-cache domain.
-	LLC int
 	// Tracer is the core's PT engine.
 	Tracer *ipt.Tracer
 
@@ -339,12 +331,15 @@ type Machine struct {
 	nextPID      int
 	nextTID      int
 	rng          *xrand.Rand
-	// llcRunning counts, per LLC domain, the cores with a running thread;
-	// together with Process.llcRunning it gives interference its
-	// "another process runs in my cache domain" answer in O(1) instead of
-	// a scan over all cores.
-	llcRunning []int32
+	// running counts the cores with a running thread; together with
+	// Process.running it gives interference its "another process runs in
+	// the cache domain" answer in O(1) instead of a scan over all cores.
+	running int32
 }
+
+// switchPeriodChunk presizes the Figure 8 sample slices; it only affects
+// their capacity, never their content.
+const switchPeriodChunk = 4096
 
 // NewMachine builds a machine from cfg.
 func NewMachine(cfg Config) *Machine {
@@ -354,30 +349,21 @@ func NewMachine(cfg Config) *Machine {
 	if cfg.Timeslice <= 0 {
 		cfg.Timeslice = 4 * simtime.Millisecond
 	}
-	if cfg.LLCGroups <= 0 {
-		cfg.LLCGroups = 1
-	}
 	syscalls := cfg.Syscalls
 	if syscalls == nil {
 		syscalls = kernel.DefaultSyscallTable()
 	}
 	m := &Machine{
-		Cfg:        cfg,
-		Eng:        simtime.NewEngine(),
-		syscalls:   syscalls,
-		rng:        xrand.Split(cfg.Seed, "sched/machine"),
-		llcRunning: make([]int32, cfg.LLCGroups),
+		Cfg:      cfg,
+		Eng:      simtime.NewEngine(),
+		syscalls: syscalls,
+		rng:      xrand.Split(cfg.Seed, "sched/machine"),
 	}
 	if cfg.CollectSwitchPeriods {
-		hint := cfg.SwitchPeriodHint
-		if hint <= 0 {
-			hint = 4096
-		}
-		m.Stats.SwitchPeriodsAll = make([]float64, 0, hint)
-		m.Stats.SwitchPeriodsByCore = make([]float64, 0, hint)
-		m.Stats.SwitchPeriodsByProc = make([]float64, 0, hint)
+		m.Stats.SwitchPeriodsAll = make([]float64, 0, switchPeriodChunk)
+		m.Stats.SwitchPeriodsByCore = make([]float64, 0, switchPeriodChunk)
+		m.Stats.SwitchPeriodsByProc = make([]float64, 0, switchPeriodChunk)
 	}
-	perLLC := (cfg.Cores + cfg.LLCGroups - 1) / cfg.LLCGroups
 	for i := 0; i < cfg.Cores; i++ {
 		sib := -1
 		if cfg.HTSiblings && cfg.Cores%2 == 0 {
@@ -391,7 +377,6 @@ func NewMachine(cfg Config) *Machine {
 		m.Cores = append(m.Cores, &Core{
 			ID:      i,
 			Sibling: sib,
-			LLC:     i / perLLC,
 			Tracer:  ipt.NewTracer(i),
 			m:       m,
 		})
@@ -427,7 +412,6 @@ func (m *Machine) AddProcess(name string, prog *binary.Program, mode ProvisionMo
 		Mode:        mode,
 		Allowed:     append([]int(nil), allowed...),
 		allowedMask: make([]uint64, (len(m.Cores)+63)/64),
-		llcRunning:  make([]int32, m.Cfg.LLCGroups),
 	}
 	for _, c := range allowed {
 		p.allowedMask[c>>6] |= 1 << (uint(c) & 63)

@@ -40,9 +40,6 @@ func (e *EXIST) Attach(m *sched.Machine, target *sched.Process) error {
 	if e.opts.Mem != nil {
 		c.Mem = *e.opts.Mem
 	}
-	if e.opts.Ctl != 0 {
-		c.Ctl = e.opts.Ctl
-	}
 	c.SessionID, c.Node = e.opts.SessionID, e.opts.Node
 	s, err := ctrl.Trace(target, c)
 	if err != nil {

@@ -71,8 +71,6 @@ type Options struct {
 	// Mem overrides EXIST's memory-allocator configuration (nil: the
 	// deployment default).
 	Mem *memalloc.Config
-	// Ctl overrides EXIST's PT control configuration (0: ipt.DefaultCtl).
-	Ctl uint64
 	// SessionID and Node label EXIST sessions for the cluster pipeline.
 	SessionID, Node string
 	// FilterTarget restricts NHT collection to the target via the CR3

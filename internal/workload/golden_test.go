@@ -166,7 +166,7 @@ func frozenCaseStudy() []Profile {
 		BranchPerKCycle: 32, IndirectFrac: 0.12, IPC: 1.7,
 		MeanCyclesPerSyscall: 250_000,
 		SyscallClassWeights:  frozenWeightMap(kernel.SysNetRecv, 2, kernel.SysNetSend, 1, kernel.SysFutex, 4, kernel.SysWrite, 1),
-		Threads:             16, Mode: sched.CPUShare, CoresWanted: 0,
+		Threads:              16, Mode: sched.CPUShare, CoresWanted: 0,
 		BranchMissPerKInsn: 4, L1MissPerKInsn: 24, LLCMissPerKInsn: 4,
 		Priority: 8, PastIssues: 5, Funcs: 100, AvgBlockCycles: 26,
 		CategoryMix: frozenMix(binary.CatKernelIRQ, 4, binary.CatSyncMutex, 3, binary.CatMemCopy, 2, binary.CatMemTC, 1, binary.CatSyncAtomic, 1),
