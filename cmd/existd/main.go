@@ -159,9 +159,8 @@ func main() {
 }
 
 // loadSpecPlacement reads a scenario document (spec.Load: a file path or
-// a bundled scenario name), compiles its profiles against the built-in
-// table and returns the traced app plus the node spec its placement
-// lowers to.
+// a bundled scenario name) and returns the traced app plus the node spec
+// its placement lowers to.
 func loadSpecPlacement(path string) (workload.Profile, node.Spec, error) {
 	doc, err := spec.Load(path)
 	if err != nil {
@@ -170,33 +169,11 @@ func loadSpecPlacement(path string) (workload.Profile, node.Spec, error) {
 	if doc.Scenario == nil || doc.Scenario.App == "" {
 		return workload.Profile{}, node.Spec{}, fmt.Errorf("%s: document needs a scenario with an app to trace", doc.Src)
 	}
-	ctx := map[string]workload.Profile{}
-	for _, p := range workload.All() {
-		ctx[p.Name] = p
-	}
-	compiled, err := workload.CompileProfiles(doc, ctx)
+	sc, err := node.CompileScenario(doc)
 	if err != nil {
 		return workload.Profile{}, node.Spec{}, err
 	}
-	byName := map[string]workload.Profile{}
-	for _, p := range compiled {
-		byName[p.Name] = p
-	}
-	lookup := func(name string) (workload.Profile, error) {
-		if p, ok := byName[name]; ok {
-			return p, nil
-		}
-		return workload.ByName(name)
-	}
-	app, err := lookup(doc.Scenario.App)
-	if err != nil {
-		return workload.Profile{}, node.Spec{}, err
-	}
-	ns, err := node.SpecFromPlacement(doc.Scenario.Node, app, lookup)
-	if err != nil {
-		return workload.Profile{}, node.Spec{}, err
-	}
-	return app, ns, nil
+	return sc.App, sc.Node, nil
 }
 
 // grayReport prints the gray-failure view when enabled.

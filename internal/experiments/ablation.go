@@ -84,11 +84,11 @@ func runAblationControl(cfg Config) (*Result, error) {
 	t.AddRowf("per-core (EXIST)", perCoreOps, int64(0), sw1, cyc1)
 	t.AddRowf("per-thread (conventional)", perThreadOps, swaps, sw2, cyc2)
 	t.Notes = append(t.Notes,
-		fmt.Sprintf("per-thread control issues %.0fx the MSR operations", float64(perThreadOps)/float64(max64(perCoreOps, 1))),
+		fmt.Sprintf("per-thread control issues %.0fx the MSR operations", float64(perThreadOps)/float64(max(perCoreOps, 1))),
 		"the paper's CDF (Figure 8) makes the same point: most entities switch within 1 ms, so per-switch control is ~1000x per-second control")
 	res.Metric("msr_ops_per_core_mode", float64(perCoreOps))
 	res.Metric("msr_ops_per_thread_mode", float64(perThreadOps))
-	res.Metric("throughput_penalty", float64(cyc1)/float64(max64(cyc2, 1))-1)
+	res.Metric("throughput_penalty", float64(cyc1)/float64(max(cyc2, 1))-1)
 	res.Tables = append(res.Tables, t)
 	return res, nil
 }
@@ -150,7 +150,7 @@ func runAblationHotswap(cfg Config) (*Result, error) {
 	res.Metric("cold_ops", float64(coldOps))
 	res.Metric("hot_ops", float64(hotOps))
 	res.Metric("exist_ops", float64(existOps))
-	res.Metric("hot_recovery", float64(hotCyc-coldCyc)/float64(max64(existCyc-coldCyc, 1)))
+	res.Metric("hot_recovery", float64(hotCyc-coldCyc)/float64(max(existCyc-coldCyc, 1)))
 	res.Tables = append(res.Tables, t)
 	return res, nil
 }

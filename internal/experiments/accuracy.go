@@ -58,94 +58,44 @@ func init() {
 	})
 }
 
-// traceWindow runs one node hosting the walker-backed app plus a
-// best-effort co-runner and captures one tracing window: EXIST's bounded
-// session, or the exhaustive NHT reference when nhtRef is set. The warmup
-// offset de-phases reference and subject runs, as two captures of a
-// long-running service inevitably are.
-func traceWindow(cfg Config, p workload.Profile, prog *binary.Program,
-	period simtime.Duration, sampleRatio float64, seed uint64, nhtRef bool,
-	warmup simtime.Duration) (*trace.Session, error) {
-
-	noise, err := workload.ByName("Cache")
-	if err != nil {
-		return nil, err
-	}
-	spec := node.Spec{
-		Cores:     16,
-		Timeslice: 500 * simtime.Microsecond,
-		Seed:      cfg.Seed ^ seed,
-
-		Workload: p,
-		Walker:   true,
-		Scale:    trace.SpaceScale,
-		Prog:     prog,
-
-		CoRunners:    []node.CoRunner{{Profile: noise, SeedOffset: 55}},
-		Housekeeping: true,
-
-		Warmup:      warmup,
-		Dur:         period,
-		KeepSession: true,
-	}
-	if nhtRef {
-		spec.Backend = "NHT"
-		spec.Tracer.FilterTarget = true
-	} else {
-		spec.Backend = "EXIST"
-		// EXIST's HRT closes the window itself; a short drain lets the
-		// closing event fire before harvest.
-		spec.Drain = 10 * simtime.Millisecond
-		mem := memalloc.DefaultConfig()
-		mem.SampleRatio = sampleRatio
-		spec.Tracer.Mem = &mem
-	}
-	r, err := node.Run(spec)
-	if err != nil {
-		return nil, err
-	}
-	return r.Session, nil
-}
-
 // accuracyPair holds one EXIST-vs-reference comparison.
 type accuracyPair struct {
-	exist, ref       *decode.Result
-	existMB, refMB   float64
-	accuracy         float64
-	funcRatio        float64
-	existFuncs, refN int
+	existMB, refMB float64
+	accuracy       float64
+	funcRatio      float64
 }
 
-// comparePair decodes both sessions and scores the histogram match.
-func comparePair(prog *binary.Program, existSess, refSess *trace.Session) accuracyPair {
-	pr := accuracyPair{
-		exist:   decode.Decode(existSess, prog),
-		ref:     decode.Decode(refSess, prog),
-		existMB: existSess.SpaceMB(),
-		refMB:   refSess.SpaceMB(),
+// accuracyCells declares one EXIST window and its NHT reference on the
+// same app and program, de-phased by seed and warmup.
+func accuracyCells(noise, p workload.Profile, prog *binary.Program, period simtime.Duration,
+	sampleRatio float64, seed uint64) []cell {
+	return []cell{
+		windowCell(noise, p, prog, period, sampleRatio, seed, false, 100*simtime.Millisecond),
+		windowCell(noise, p, prog, period, 1, seed+7, true, 300*simtime.Millisecond),
 	}
-	pr.accuracy = metrics.WeightMatch(pr.ref.FuncEntries, pr.exist.FuncEntries)
-	pr.existFuncs = len(pr.exist.FuncEntries)
-	pr.refN = len(pr.ref.FuncEntries)
-	if pr.refN > 0 {
-		pr.funcRatio = float64(pr.existFuncs) / float64(pr.refN)
-	}
-	return pr
 }
 
-// runAccuracyPair performs the two runs and compares them.
-func runAccuracyPair(cfg Config, p workload.Profile, period simtime.Duration,
-	sampleRatio float64, seed uint64) (accuracyPair, error) {
-	prog := p.Synthesize(cfg.Seed ^ 0xACC0)
-	existSess, err := traceWindow(cfg, p, prog, period, sampleRatio, seed, false, 100*simtime.Millisecond)
+// accuracyPairs scores consecutive (EXIST, reference) windows from
+// accuracyCells by histogram match.
+func accuracyPairs(cfg Config, cells []cell) ([]accuracyPair, error) {
+	ws, err := runWindows(cfg, cells)
 	if err != nil {
-		return accuracyPair{}, err
+		return nil, err
 	}
-	refSess, err := traceWindow(cfg, p, prog, period, 1, seed+7, true, 300*simtime.Millisecond)
-	if err != nil {
-		return accuracyPair{}, err
+	out := make([]accuracyPair, len(ws)/2)
+	for k := range out {
+		exist, ref := ws[2*k], ws[2*k+1]
+		pr := accuracyPair{
+			existMB:  exist.mb,
+			refMB:    ref.mb,
+			accuracy: metrics.WeightMatch(ref.rec.FuncEntries, exist.rec.FuncEntries),
+		}
+		if n := len(ref.rec.FuncEntries); n > 0 {
+			pr.funcRatio = float64(len(exist.rec.FuncEntries)) / float64(n)
+		}
+		out[k] = pr
 	}
-	return comparePair(prog, existSess, refSess), nil
+	return out, nil
 }
 
 func runFig18(cfg Config) (*Result, error) {
@@ -159,12 +109,20 @@ func runFig18(cfg Config) (*Result, error) {
 		Title:  "Figure 18: accuracy on real-world applications (Wall's weight matching vs NHT reference)",
 		Header: []string{"app", "period", "accuracy", "function ratio (EXIST/NHT)"},
 	}
-	// Flatten the (app, period) grid: each cell's seed depends only on the
-	// app index, so cells fan out freely.
-	pairs, err := parallel.MapErr(len(apps)*len(periods), cfg.Jobs, func(i int) (accuracyPair, error) {
-		ai, pi := i/len(periods), i%len(periods)
-		return runAccuracyPair(cfg, apps[ai], periods[pi], 0, uint64(1800+ai*13))
-	})
+	noise, err := workload.ByName("Cache")
+	if err != nil {
+		return nil, err
+	}
+	// One (app, period) grid of window pairs: each pair's seed depends only
+	// on the app index.
+	var cells []cell
+	for ai, app := range apps {
+		prog := app.Synthesize(cfg.Seed ^ 0xACC0)
+		for _, period := range periods {
+			cells = append(cells, accuracyCells(noise, app, prog, period, 0, uint64(1800+ai*13))...)
+		}
+	}
+	pairs, err := accuracyPairs(cfg, cells)
 	if err != nil {
 		return nil, err
 	}
@@ -202,10 +160,18 @@ func runFig19(cfg Config) (*Result, error) {
 		Title:  "Figure 19: core sampling on CPU-share Search2 — accuracy vs space",
 		Header: []string{"period", "sample ratio", "accuracy", "space ratio (EXIST/NHT)", "function ratio"},
 	}
-	pairs, err := parallel.MapErr(len(periods)*len(ratios), cfg.Jobs, func(i int) (accuracyPair, error) {
-		pi, ri := i/len(ratios), i%len(ratios)
-		return runAccuracyPair(cfg, s2, periods[pi], ratios[ri], 1900)
-	})
+	noise, err := workload.ByName("Cache")
+	if err != nil {
+		return nil, err
+	}
+	prog := s2.Synthesize(cfg.Seed ^ 0xACC0)
+	var cells []cell
+	for _, period := range periods {
+		for _, r := range ratios {
+			cells = append(cells, accuracyCells(noise, s2, prog, period, r, 1900)...)
+		}
+	}
+	pairs, err := accuracyPairs(cfg, cells)
 	if err != nil {
 		return nil, err
 	}
@@ -255,39 +221,31 @@ func runFig20(cfg Config) (*Result, error) {
 		Title:  "Figure 20: accuracy under cluster-level sampling and trace augmentation",
 		Header: header,
 	}
-	type periodOut struct {
-		row  []string
-		accs []float64
+	noise, err := workload.ByName("Cache")
+	if err != nil {
+		return nil, err
 	}
-	// The reference and every worker window are independent runs; the shared
-	// prog is safe to decode concurrently (its lazy indexes build under
-	// sync.Once). Index 0 is the exhaustive reference, 1.. the workers.
-	outs, err := parallel.MapErr(len(periods), cfg.Jobs, func(pi int) (periodOut, error) {
-		period := periods[pi]
-		decoded, err := parallel.MapErr(maxWorkers+1, cfg.Jobs, func(i int) (*decode.Result, error) {
-			if i == 0 {
-				refSess, err := traceWindow(cfg, s1, prog, period, 1, 2099, true, 300*simtime.Millisecond)
-				if err != nil {
-					return nil, err
-				}
-				return decode.Decode(refSess, prog), nil
-			}
-			sess, err := traceWindow(cfg, s1, prog, period, 0, uint64(2000+(i-1)*17), false, 100*simtime.Millisecond)
-			if err != nil {
-				return nil, err
-			}
-			// Decode every worker's session once; prefixes give the k-curves.
-			return decode.Decode(sess, prog), nil
-		})
-		if err != nil {
-			return periodOut{}, err
+	// Per period: the exhaustive reference, then every worker window. The
+	// shared prog is safe to walk and decode concurrently (its lazy indexes
+	// build under sync.Once).
+	perPeriod := maxWorkers + 1
+	var cells []cell
+	for _, period := range periods {
+		cells = append(cells, windowCell(noise, s1, prog, period, 1, 2099, true, 300*simtime.Millisecond))
+		for w := 0; w < maxWorkers; w++ {
+			cells = append(cells, windowCell(noise, s1, prog, period, 0, uint64(2000+w*17), false, 100*simtime.Millisecond))
 		}
-		ref, perWorker := decoded[0], decoded[1:]
-		out := periodOut{row: []string{period.String()}}
+	}
+	ws, err := runWindows(cfg, cells)
+	if err != nil {
+		return nil, err
+	}
+	for pi, period := range periods {
+		ref := ws[pi*perPeriod].rec
+		perWorker := recs(ws[pi*perPeriod+1 : (pi+1)*perPeriod])
+		row := []string{period.String()}
+		var first, last float64
 		for _, k := range workers {
-			if k > len(perWorker) {
-				k = len(perWorker)
-			}
 			var acc float64
 			if k == 1 {
 				// Average single-worker accuracy over all workers, as the
@@ -296,29 +254,19 @@ func runFig20(cfg Config) (*Result, error) {
 					acc += metrics.WeightMatch(ref.FuncEntries, r.FuncEntries) / float64(len(perWorker))
 				}
 			} else {
+				// Every worker's session is decoded once; prefixes give the
+				// k-curves.
 				merged := coverage.Merge(perWorker[:k])
 				acc = metrics.WeightMatch(ref.FuncEntries, merged.Merged.FuncEntries)
 			}
-			out.row = append(out.row, pct(acc))
-			out.accs = append(out.accs, acc)
-		}
-		return out, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	for pi, period := range periods {
-		out := outs[pi]
-		var first, last float64
-		for ki, k := range workers {
-			acc := out.accs[ki]
+			row = append(row, pct(acc))
 			if first == 0 {
 				first = acc
 			}
 			last = acc
 			res.Metric(fmt.Sprintf("acc_w%d_%s", k, period), acc)
 		}
-		t.AddRow(out.row...)
+		t.AddRow(row...)
 		res.Metric("improvement_"+period.String(), last-first)
 	}
 	t.Notes = append(t.Notes,
@@ -340,17 +288,19 @@ func runFig12(cfg Config) (*Result, error) {
 	if cfg.Quick {
 		n = 3
 	}
-	period := 50 * simtime.Millisecond
-	results, err := parallel.MapErr(n, cfg.Jobs, func(w int) (*decode.Result, error) {
-		sess, err := traceWindow(cfg, s1, prog, period, 0, uint64(1200+w*29), false, 100*simtime.Millisecond)
-		if err != nil {
-			return nil, err
-		}
-		return decode.Decode(sess, prog), nil
-	})
+	noise, err := workload.ByName("Cache")
 	if err != nil {
 		return nil, err
 	}
+	cells := make([]cell, n)
+	for w := range cells {
+		cells[w] = windowCell(noise, s1, prog, 50*simtime.Millisecond, 0, uint64(1200+w*29), false, 100*simtime.Millisecond)
+	}
+	ws, err := runWindows(cfg, cells)
+	if err != nil {
+		return nil, err
+	}
+	results := recs(ws)
 	sim := coverage.SimilarityCurve(results)
 	cov := coverage.CoverageCurve(results, len(prog.Funcs))
 

@@ -11,7 +11,6 @@ import (
 	"exist/internal/kernel"
 	"exist/internal/memalloc"
 	"exist/internal/node"
-	"exist/internal/parallel"
 	"exist/internal/sched"
 	"exist/internal/simtime"
 	"exist/internal/tabular"
@@ -47,15 +46,21 @@ func init() {
 	})
 }
 
-// caseStudyDecode traces one case-study app with EXIST and decodes it.
-func caseStudyDecode(cfg Config, p workload.Profile, seed uint64) (*decode.Result, *binary.Program, error) {
-	prog := p.Synthesize(cfg.Seed ^ 0xCA5E)
-	period := durQuick(cfg, 200*simtime.Millisecond, 500*simtime.Millisecond)
-	sess, err := traceWindow(cfg, p, prog, period, 0, seed, false, 100*simtime.Millisecond)
+// caseStudyProfiles traces each case-study app with EXIST, the i-th at
+// seed base+7·i, and returns each decoded profile.
+func caseStudyProfiles(cfg Config, apps []workload.Profile, base uint64) ([]*decode.Result, error) {
+	noise, err := workload.ByName("Cache")
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	return decode.Decode(sess, prog), prog, nil
+	period := durQuick(cfg, 200*simtime.Millisecond, 500*simtime.Millisecond)
+	cells := make([]cell, len(apps))
+	for ai, p := range apps {
+		prog := p.Synthesize(cfg.Seed ^ 0xCA5E)
+		cells[ai] = windowCell(noise, p, prog, period, 0, base+uint64(ai*7), false, 100*simtime.Millisecond)
+	}
+	ws, err := runWindows(cfg, cells)
+	return recs(ws), err
 }
 
 // categoryGroups defines the three panels of Figure 21.
@@ -75,10 +80,7 @@ var categoryGroups = []struct {
 func runFig21(cfg Config) (*Result, error) {
 	apps := workload.CaseStudyApps()
 	res := &Result{ID: "fig21"}
-	decoded, err := parallel.MapErr(len(apps), cfg.Jobs, func(ai int) (*decode.Result, error) {
-		rec, _, err := caseStudyDecode(cfg, apps[ai], uint64(2100+ai*7))
-		return rec, err
-	})
+	decoded, err := caseStudyProfiles(cfg, apps, 2100)
 	if err != nil {
 		return nil, err
 	}
@@ -133,10 +135,7 @@ func runFig22(cfg Config) (*Result, error) {
 	res := &Result{ID: "fig22"}
 	// One trace+decode per app, shared by every memory-class panel (the
 	// per-app seed never depended on the class).
-	decoded, err := parallel.MapErr(len(apps), cfg.Jobs, func(ai int) (*decode.Result, error) {
-		rec, _, err := caseStudyDecode(cfg, apps[ai], uint64(2200+ai*7))
-		return rec, err
-	})
+	decoded, err := caseStudyProfiles(cfg, apps, 2200)
 	if err != nil {
 		return nil, err
 	}

@@ -35,59 +35,41 @@ func init() {
 // computeOverheads measures per-benchmark slowdowns for all schemes on the
 // SPEC profiles, co-locating each benchmark with a filler (the shared
 // datacenter setting).
-func computeOverheads(cfg Config) (map[string]map[SchemeKind]float64, []workload.Profile, error) {
-	specs := workload.SPEC()
-	filler, err := workload.ByName("xz")
-	if err != nil {
-		return nil, nil, err
-	}
-	dur := durQuick(cfg, 500*simtime.Millisecond, 2*simtime.Second)
-	rows, err := parallel.MapErr(len(specs), cfg.Jobs, func(i int) (map[SchemeKind]float64, error) {
-		p := specs[i]
-		cores := p.CoresWanted
-		if cores < 1 {
-			cores = 1
-		}
-		spec := node.Spec{
-			Cores: cores * 2,
-			Dur:   dur,
-			Seed:  uint64(len(p.Name))*31 + 7,
-		}
-		// Co-locate the filler on the same cores as the target (Figure
-		// 3a's shared-pod setting).
-		tc := make([]int, cores)
-		for i := range tc {
-			tc[i] = i
-		}
-		spec.TargetCores = tc
-		spec.CoRunners = coRunners([]workload.Profile{filler}, [][]int{tc})
-
-		results, err := sweepSchemes(cfg, p, spec)
+func computeOverheads(cfg Config) (map[string]map[SchemeKind]float64, error) {
+	return cfg.sweep("fig13", func() (map[string]map[SchemeKind]float64, error) {
+		filler, err := workload.ByName("xz")
 		if err != nil {
 			return nil, err
 		}
-		base := results[SchemeOracle]
-		row := make(map[SchemeKind]float64, len(ComparisonSchemes))
-		for _, s := range ComparisonSchemes {
-			row[s] = results[s].Overhead(base)
+		dur := durQuick(cfg, 500*simtime.Millisecond, 2*simtime.Second)
+		apps := workload.SPEC()
+		specs := make([]node.Spec, len(apps))
+		for i, p := range apps {
+			cores := max(p.CoresWanted, 1)
+			// Co-locate the filler on the same cores as the target (Figure
+			// 3a's shared-pod setting).
+			tc := make([]int, cores)
+			for c := range tc {
+				tc[c] = c
+			}
+			specs[i] = node.Spec{
+				Cores:       cores * 2,
+				Dur:         dur,
+				Seed:        uint64(len(p.Name))*31 + 7,
+				TargetCores: tc,
+				CoRunners:   coRunners([]workload.Profile{filler}, [][]int{tc}),
+			}
 		}
-		return row, nil
+		return schemeRows(cfg, apps, specs, node.Result.Overhead)
 	})
-	if err != nil {
-		return nil, nil, err
-	}
-	out := make(map[string]map[SchemeKind]float64, len(specs))
-	for i, p := range specs {
-		out[p.Name] = rows[i]
-	}
-	return out, specs, nil
 }
 
 func runFig13(cfg Config) (*Result, error) {
-	overheads, specs, err := computeOverheads(cfg)
+	overheads, err := computeOverheads(cfg)
 	if err != nil {
 		return nil, err
 	}
+	specs := workload.SPEC()
 	res := &Result{ID: "fig13"}
 	t := &tabular.Table{
 		Title:  "Figure 13: execution slowdown of tracing SPEC-like benchmarks (normalized to Oracle)",
@@ -128,28 +110,15 @@ func runFig13(cfg Config) (*Result, error) {
 // onlineNodeOverheads measures each online benchmark's node-level
 // overhead per scheme (stage 1 of Figure 14).
 func onlineNodeOverheads(cfg Config) (map[string]map[SchemeKind]float64, error) {
-	dur := durQuick(cfg, 500*simtime.Millisecond, 2*simtime.Second)
-	benches := workload.OnlineBenchmarks()
-	rows, err := parallel.MapErr(len(benches), cfg.Jobs, func(i int) (map[SchemeKind]float64, error) {
-		results, err := sweepSchemes(cfg, benches[i], node.Spec{Cores: 8, Dur: dur, Seed: 17})
-		if err != nil {
-			return nil, err
+	return cfg.sweep("fig14", func() (map[string]map[SchemeKind]float64, error) {
+		dur := durQuick(cfg, 500*simtime.Millisecond, 2*simtime.Second)
+		benches := workload.OnlineBenchmarks()
+		specs := make([]node.Spec, len(benches))
+		for i := range specs {
+			specs[i] = node.Spec{Cores: 8, Dur: dur, Seed: 17}
 		}
-		base := results[SchemeOracle]
-		row := make(map[SchemeKind]float64)
-		for _, s := range ComparisonSchemes {
-			row[s] = results[s].Inflation(base)
-		}
-		return row, nil
+		return schemeRows(cfg, benches, specs, node.Result.Inflation)
 	})
-	if err != nil {
-		return nil, err
-	}
-	out := make(map[string]map[SchemeKind]float64, len(benches))
-	for i, p := range benches {
-		out[p.Name] = rows[i]
-	}
-	return out, nil
 }
 
 // schemeServiceOverhead maps a scheme's node-level overhead to its
@@ -259,7 +228,7 @@ var publishedSOTA = []sotaRow{
 }
 
 func runTab03(cfg Config) (*Result, error) {
-	compute, specs, err := computeOverheads(cfg)
+	compute, err := computeOverheads(cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -267,21 +236,16 @@ func runTab03(cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	var cAvg, cWorst, oAvg, oWorst float64
-	for _, p := range specs {
-		v := compute[p.Name][SchemeEXIST]
-		cAvg += v / float64(len(specs))
-		if v > cWorst {
-			cWorst = v
+	existAvgWorst := func(rows map[string]map[SchemeKind]float64, benches []workload.Profile) (avg, worst float64) {
+		for _, p := range benches {
+			v := rows[p.Name][SchemeEXIST]
+			avg += v / float64(len(benches))
+			worst = max(worst, v)
 		}
+		return avg, worst
 	}
-	for _, row := range online {
-		v := row[SchemeEXIST]
-		oAvg += v / float64(len(online))
-		if v > oWorst {
-			oWorst = v
-		}
-	}
+	cAvg, cWorst := existAvgWorst(compute, workload.SPEC())
+	oAvg, oWorst := existAvgWorst(online, workload.OnlineBenchmarks())
 
 	res := &Result{ID: "tab03"}
 	t := &tabular.Table{

@@ -8,31 +8,75 @@ import (
 
 // TestParallelDeterminism verifies the harness's core contract: a sweep
 // experiment produces byte-identical tables and identical metrics whether
-// its cells run serially or on many workers.
+// its cells run serially or on many workers. fig13 is a scheme sweep;
+// fig15 and tab04 run app × scheme grids as one flat cell list.
 func TestParallelDeterminism(t *testing.T) {
-	e, err := ByID("fig13")
+	for _, id := range []string{"fig13", "fig15", "tab04"} {
+		t.Run(id, func(t *testing.T) {
+			e, err := ByID(id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			runWith := func(jobs int) *Result {
+				res, err := e.Run(Config{Quick: true, Seed: 1, Jobs: jobs})
+				if err != nil {
+					t.Fatalf("jobs=%d: %v", jobs, err)
+				}
+				return res
+			}
+			serial := runWith(1)
+			par := runWith(8)
+			if got, want := par.Render(), serial.Render(); got != want {
+				t.Errorf("rendered tables differ between jobs=1 and jobs=8:\n--- serial ---\n%s\n--- parallel ---\n%s", want, got)
+			}
+			if got, want := len(par.Metrics), len(serial.Metrics); got != want {
+				t.Fatalf("metric count differs: jobs=8 has %d, jobs=1 has %d", got, want)
+			}
+			for name, want := range serial.Metrics {
+				if got, ok := par.Metrics[name]; !ok || got != want {
+					t.Errorf("metric %s: jobs=8 %v, jobs=1 %v", name, got, want)
+				}
+			}
+		})
+	}
+}
+
+// TestRunAllSharesSweeps checks the per-RunAll sweep memo: tab03 run after
+// (or alongside) fig13 and fig14 reads their sweeps instead of re-running
+// them, and must still render exactly what tab03 computes on its own.
+func TestRunAllSharesSweeps(t *testing.T) {
+	cfg := Config{Quick: true, Seed: 1, Jobs: 1}
+	e, err := ByID("tab03")
 	if err != nil {
 		t.Fatal(err)
 	}
-	runWith := func(jobs int) *Result {
-		res, err := e.Run(Config{Quick: true, Seed: 1, Jobs: jobs})
-		if err != nil {
-			t.Fatalf("jobs=%d: %v", jobs, err)
-		}
-		return res
+	alone, err := e.Run(cfg)
+	if err != nil {
+		t.Fatal(err)
 	}
-	serial := runWith(1)
-	par := runWith(8)
-	if got, want := par.Render(), serial.Render(); got != want {
-		t.Errorf("rendered tables differ between jobs=1 and jobs=8:\n--- serial ---\n%s\n--- parallel ---\n%s", want, got)
-	}
-	if got, want := len(par.Metrics), len(serial.Metrics); got != want {
-		t.Fatalf("metric count differs: jobs=8 has %d, jobs=1 has %d", got, want)
-	}
-	for name, want := range serial.Metrics {
-		if got, ok := par.Metrics[name]; !ok || got != want {
-			t.Errorf("metric %s: jobs=8 %v, jobs=1 %v", name, got, want)
-		}
+	for _, jobs := range []int{1, 4} {
+		t.Run(fmt.Sprintf("jobs=%d", jobs), func(t *testing.T) {
+			cfg := cfg
+			cfg.Jobs = jobs
+			reports := RunAll(cfg, []string{"fig13", "fig14", "tab03"})
+			for _, rep := range reports {
+				if rep.Err != nil {
+					t.Fatalf("%s: %v", rep.ID, rep.Err)
+				}
+			}
+			shared := reports[2].Result
+			if got, want := shared.Render(), alone.Render(); got != want {
+				t.Errorf("tab03 in RunAll differs from tab03 alone:\n--- alone ---\n%s\n--- RunAll ---\n%s", want, got)
+			}
+			if got, want := len(shared.Metrics), len(alone.Metrics); got != want {
+				t.Fatalf("metric count %d, want %d", got, want)
+			}
+			for name, want := range alone.Metrics {
+				if got, ok := shared.Metrics[name]; !ok || got != want {
+					t.Errorf("metric %s: RunAll %v, alone %v", name, got, want)
+				}
+			}
+		})
 	}
 }
 

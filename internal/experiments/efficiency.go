@@ -50,74 +50,45 @@ func runFig15(cfg Config) (*Result, error) {
 		Header: []string{"app", "scheme", "CPI ovh (low)", "CPI ovh (high)", "util increase (pts)"},
 	}
 	schemes := []SchemeKind{SchemeEXIST, SchemeStaSam, SchemeEBPF, SchemeNHT}
-	type appOut struct {
-		rows         [][]string
-		existCPIHigh float64
-		existUtilPts float64
+	// Per app, Oracle then each scheme, each at low and high thread
+	// counts. Every cell of an app seeds from the app index alone (paired
+	// comparisons need identical workload realizations).
+	perApp := 2 * (1 + len(schemes))
+	var cells []cell
+	for ai, app := range apps {
+		lowThreads := max(app.Threads/4, 1)
+		for _, s := range append([]SchemeKind{SchemeOracle}, schemes...) {
+			for _, threads := range []int{lowThreads, app.Threads} {
+				cells = append(cells, cell{app, s, node.Spec{
+					Cores: 8, Dur: dur, Seed: 1500 + uint64(ai), Threads: threads,
+				}})
+			}
+		}
 	}
-	// Each (app, scheme, thread-count) cell seeds from the app index alone
-	// (paired comparisons need identical workload realizations), so the
-	// whole grid fans out; rows are assembled in app order below.
-	outs, err := parallel.MapErr(len(apps), cfg.Jobs, func(ai int) (appOut, error) {
-		app := apps[ai]
-		lowThreads := app.Threads / 4
-		if lowThreads < 1 {
-			lowThreads = 1
-		}
-		type pair struct{ cpi, util float64 }
-		type cell struct {
-			scheme  SchemeKind
-			threads int
-		}
-		cells := []cell{{SchemeOracle, lowThreads}, {SchemeOracle, app.Threads}}
-		for _, s := range schemes {
-			cells = append(cells, cell{s, lowThreads}, cell{s, app.Threads})
-		}
-		pairs, err := parallel.MapErr(len(cells), cfg.Jobs, func(ci int) (pair, error) {
-			r, err := measure(cfg, app, cells[ci].scheme, node.Spec{
-				Cores: 8, Dur: dur, Seed: 1500 + uint64(ai), Threads: cells[ci].threads,
-			})
-			if err != nil {
-				return pair{}, err
-			}
-			return pair{cpi: r.CPI, util: r.UtilFrac}, nil
-		})
-		if err != nil {
-			return appOut{}, err
-		}
-		baseLow, baseHigh := pairs[0], pairs[1]
-		var out appOut
-		for si, s := range schemes {
-			low, high := pairs[2+2*si], pairs[3+2*si]
-			cpiLow := low.cpi/baseLow.cpi - 1
-			cpiHigh := high.cpi/baseHigh.cpi - 1
-			utilPts := (high.util - baseHigh.util) * 100
-			out.rows = append(out.rows, []string{
-				app.Name, s.String(), pct(cpiLow), pct(cpiHigh), fmt.Sprintf("%.2f", utilPts),
-			})
-			if s == SchemeEXIST {
-				out.existCPIHigh = cpiHigh
-				out.existUtilPts = utilPts
-			}
-		}
-		return out, nil
-	})
+	rs, err := runCells(cfg, cells, numbers)
 	if err != nil {
 		return nil, err
 	}
-	var existUtilSum, existCnt float64
+	var existUtilSum float64
 	for ai, app := range apps {
-		for _, row := range outs[ai].rows {
-			t.AddRow(row...)
+		runs := rs[ai*perApp : (ai+1)*perApp]
+		baseLow, baseHigh := runs[0], runs[1]
+		for si, s := range schemes {
+			low, high := runs[2+2*si], runs[3+2*si]
+			cpiLow := low.CPI/baseLow.CPI - 1
+			cpiHigh := high.CPI/baseHigh.CPI - 1
+			utilPts := (high.UtilFrac - baseHigh.UtilFrac) * 100
+			t.AddRow(app.Name, s.String(), pct(cpiLow), pct(cpiHigh), fmt.Sprintf("%.2f", utilPts))
+			if s == SchemeEXIST {
+				existUtilSum += utilPts
+				res.Metric("exist_cpi_high_"+app.Name, cpiHigh)
+			}
 		}
-		existUtilSum += outs[ai].existUtilPts
-		existCnt++
-		res.Metric("exist_cpi_high_"+app.Name, outs[ai].existCPIHigh)
 	}
 	t.Notes = append(t.Notes,
 		"paper: EXIST induces ~1.1% average utilization increase (2.4x/2.8x/12.2x better than baselines)",
 		"CPU-set Search1 shows the smallest EXIST overhead (bounded scheduling; maximal per-core buffers)")
-	res.Metric("exist_avg_util_pts", existUtilSum/existCnt)
+	res.Metric("exist_avg_util_pts", existUtilSum/float64(len(apps)))
 	res.Tables = append(res.Tables, t)
 	return res, nil
 }
@@ -128,11 +99,11 @@ func runFig16(cfg Config) (*Result, error) {
 		return nil, err
 	}
 	dur := durQuick(cfg, 500*simtime.Millisecond, 2*simtime.Second)
-	sweep, err := sweepSchemes(cfg, s1, node.Spec{Cores: 8, Dur: dur, Seed: 1600})
+	rows, err := schemeRows(cfg, []workload.Profile{s1}, []node.Spec{{Cores: 8, Dur: dur, Seed: 1600}}, node.Result.Inflation)
 	if err != nil {
 		return nil, err
 	}
-	base := sweep[SchemeOracle]
+	inflation := rows[s1.Name]
 
 	res := &Result{ID: "fig16"}
 	t := &tabular.Table{
@@ -157,8 +128,7 @@ func runFig16(cfg Config) (*Result, error) {
 		oracleSum := avgSummariesRate(cfg, rate, d, reps, nil)
 		row := []string{fmt.Sprintf("Load=%.0e", load), fmt.Sprintf("%.1f", oracleSum.P99)}
 		for _, s := range []SchemeKind{SchemeEXIST, SchemeStaSam, SchemeEBPF, SchemeNHT} {
-			frac := sweep[s].Inflation(base)
-			ov := schemeServiceOverheadSingleTier(s, frac)
+			ov := schemeServiceOverheadSingleTier(s, inflation[s])
 			sum := avgSummariesRate(cfg, rate, d, reps, ov)
 			slow := sum.P99/oracleSum.P99 - 1
 			row = append(row, fmt.Sprintf("%.1f (%s)", sum.P99, pct(slow)))
@@ -201,52 +171,42 @@ func runTab04(cfg Config) (*Result, error) {
 		return nil, err
 	}
 	schemes := []SchemeKind{SchemeStaSam, SchemeEBPF, SchemeNHT, SchemeEXIST}
-	type wOut struct {
-		skip           bool
-		row            []string
-		existMB, nhtMB float64
-	}
-	outs, err := parallel.MapErr(len(workloads), cfg.Jobs, func(wi int) (wOut, error) {
-		p := workloads[wi]
+	var shown []workload.Profile
+	var cells []cell
+	for wi, p := range workloads {
 		if cfg.Quick && wi%3 != 0 && p.Class == workload.Compute {
-			return wOut{skip: true}, nil // sample the suite in quick mode
+			continue // sample the suite in quick mode
 		}
+		shown = append(shown, p)
 		// The profile's own thread count runs on four cores, with the
 		// node agent co-located: NHT's unfiltered tracers capture the
 		// co-runner too, while EXIST's CR3 filter excludes it.
-		rs, err := parallel.MapErr(len(schemes), cfg.Jobs, func(si int) (node.Result, error) {
-			return measure(cfg, p, schemes[si], node.Spec{
+		for _, s := range schemes {
+			cells = append(cells, cell{p, s, node.Spec{
 				Cores: 4, Dur: dur, Seed: 1700 + uint64(wi),
 				TargetCores: []int{0, 1, 2, 3},
 				CoRunners:   coRunners([]workload.Profile{agent}, [][]int{{0, 1, 2, 3}}),
 				MemBudget:   500 << 20,
-			})
-		})
-		if err != nil {
-			return wOut{}, err
+			}})
 		}
-		o := wOut{row: []string{p.Name}}
-		for si, s := range schemes {
-			o.row = append(o.row, fmt.Sprintf("%.1f", rs[si].SpaceMB))
-			switch s {
-			case SchemeEXIST:
-				o.existMB = rs[si].SpaceMB
-			case SchemeNHT:
-				o.nhtMB = rs[si].SpaceMB
-			}
-		}
-		return o, nil
-	})
+	}
+	mbs, err := runCells(cfg, cells, func(_ int, r node.Result) float64 { return r.SpaceMB })
 	if err != nil {
 		return nil, err
 	}
-	for wi, p := range workloads {
-		if outs[wi].skip {
-			continue
+	for pi, p := range shown {
+		row := []string{p.Name}
+		for si, s := range schemes {
+			mb := mbs[pi*len(schemes)+si]
+			row = append(row, fmt.Sprintf("%.1f", mb))
+			switch s {
+			case SchemeEXIST:
+				res.Metric("exist_mb_"+p.Name, mb)
+			case SchemeNHT:
+				res.Metric("nht_mb_"+p.Name, mb)
+			}
 		}
-		t.AddRow(outs[wi].row...)
-		res.Metric("exist_mb_"+p.Name, outs[wi].existMB)
-		res.Metric("nht_mb_"+p.Name, outs[wi].nhtMB)
+		t.AddRow(row...)
 	}
 	t.Notes = append(t.Notes,
 		"StaSam stores sampled stacks and eBPF stores sys_enter records: small but non-chronological/instruction-blind",

@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"sync"
 
 	"exist/internal/tabular"
 )
@@ -28,6 +29,10 @@ type Config struct {
 	// GOMAXPROCS, 1 forces serial). Every cell derives its randomness
 	// from stable identifiers, so results are identical for any value.
 	Jobs int
+
+	// memo shares scheme sweeps between the experiments of one RunAll,
+	// by name (nil: every experiment measures everything itself).
+	memo *sync.Map
 }
 
 // DefaultConfig returns the full-fidelity configuration.

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"sync"
 	"syscall"
 	"time"
 
@@ -40,8 +41,11 @@ func cpuTime() time.Duration {
 // — and returns reports in input order. Output is identical for any job
 // count: every experiment derives randomness from cfg.Seed and stable cell
 // identifiers, never from scheduling. Unknown IDs surface as per-report
-// errors; validate up front with ByID to fail fast instead.
+// errors; validate up front with ByID to fail fast instead. The
+// experiments of one call share a sweep memo, so a table that summarizes
+// another experiment's sweep (tab03) reads it instead of re-running it.
 func RunAll(cfg Config, ids []string) []RunReport {
+	cfg.memo = &sync.Map{}
 	return parallel.Map(len(ids), cfg.Jobs, func(i int) RunReport {
 		rep := RunReport{ID: ids[i]}
 		e, err := ByID(ids[i])

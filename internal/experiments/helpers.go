@@ -3,10 +3,7 @@ package experiments
 import (
 	"fmt"
 
-	"exist/internal/node"
-	"exist/internal/parallel"
 	"exist/internal/simtime"
-	"exist/internal/workload"
 )
 
 // SchemeKind selects a tracing scheme in comparison sweeps. It is a thin
@@ -47,61 +44,6 @@ func (k SchemeKind) Backend() string { return k.String() }
 
 // ComparisonSchemes is the standard sweep order.
 var ComparisonSchemes = []SchemeKind{SchemeOracle, SchemeEXIST, SchemeStaSam, SchemeEBPF, SchemeNHT}
-
-// measure runs one workload under one scheme on the standard measurement
-// substrate: spec.Seed is the per-run perturbation (folded into cfg.Seed
-// here), the timeslice is fixed at 1 ms so round-robin quantization stays
-// well below the per-mille effects being measured, and node supplies the
-// 8-core / 2 s defaults.
-//
-// The machine seed must NOT depend on the scheme: overhead comparisons
-// are paired, so every scheme must see the identical workload realization
-// (same syscall draws, same block durations). Per-thread RNG streams make
-// the realization robust to the small timing shifts the schemes
-// themselves introduce.
-func measure(cfg Config, p workload.Profile, scheme SchemeKind, spec node.Spec) (node.Result, error) {
-	spec.Workload = p
-	spec.Backend = scheme.Backend()
-	spec.Seed = cfg.Seed ^ spec.Seed
-	spec.Timeslice = 1 * simtime.Millisecond
-	return node.Run(spec)
-}
-
-// coRunners pairs co-located profiles with optional core pins under the
-// measurement convention's seed offsets: the i-th co-runner installs at
-// machine seed + 101·i.
-func coRunners(ps []workload.Profile, cores [][]int) []node.CoRunner {
-	out := make([]node.CoRunner, len(ps))
-	for i, p := range ps {
-		out[i] = node.CoRunner{Profile: p, SeedOffset: uint64(i) * 101}
-		if cores != nil && i < len(cores) {
-			out[i].Cores = cores[i]
-		}
-	}
-	return out
-}
-
-// sweepSchemes runs a workload under every comparison scheme with a shared
-// spec and returns results indexed by scheme. Schemes run concurrently
-// (each cell builds its own machine; seeds never depend on run order).
-func sweepSchemes(cfg Config, p workload.Profile, spec node.Spec) (map[SchemeKind]node.Result, error) {
-	results, err := parallel.MapErr(len(ComparisonSchemes), cfg.Jobs, func(i int) (node.Result, error) {
-		s := ComparisonSchemes[i]
-		r, err := measure(cfg, p, s, spec)
-		if err != nil {
-			return r, fmt.Errorf("%s under %s: %w", p.Name, s, err)
-		}
-		return r, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	out := make(map[SchemeKind]node.Result, len(ComparisonSchemes))
-	for i, s := range ComparisonSchemes {
-		out[s] = results[i]
-	}
-	return out, nil
-}
 
 // durQuick picks a duration based on Quick mode.
 func durQuick(cfg Config, quick, full simtime.Duration) simtime.Duration {

@@ -6,9 +6,11 @@ import (
 	"exist/internal/cpu"
 	"exist/internal/metrics"
 	"exist/internal/node"
+	"exist/internal/sched"
 	"exist/internal/service"
 	"exist/internal/simtime"
 	"exist/internal/tabular"
+	"exist/internal/workload"
 )
 
 func init() {
@@ -49,33 +51,35 @@ func runFig03a(cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	dur := durQuick(cfg, 500*simtime.Millisecond, 2*simtime.Second)
+	ns.Dur = durQuick(cfg, 500*simtime.Millisecond, 2*simtime.Second)
+	exclusive := ns
+	exclusive.CoRunners = nil
 
-	type setting struct {
-		name   string
-		shared bool
+	// Six distinct runs: pod A alone and pod A sharing its cores with pod B
+	// (the xz co-runner), each under Oracle, sampling and IPT tracing. The
+	// shared runs serve both pod A's and pod B's rows.
+	schemes := []SchemeKind{SchemeOracle, SchemeStaSam, SchemeNHT}
+	var cells []cell
+	for _, spec := range []node.Spec{exclusive, ns} {
+		for _, s := range schemes {
+			cells = append(cells, cell{a, s, spec})
+		}
 	}
-	// measure runs A (optionally sharing cores with B) under a scheme and
-	// returns both processes' cycle counts.
-	measureAB := func(scheme SchemeKind, shared bool) (aCyc, bCyc int64, err error) {
-		spec := ns
-		spec.Dur = dur
-		if !shared {
-			spec.CoRunners = nil
-		}
-		r, err := measure(cfg, a, scheme, spec)
-		if err != nil {
-			return 0, 0, err
-		}
-		aCyc = r.Stats.Cycles
-		if shared {
-			for _, p := range r.Machine.Procs {
-				if p.Name == "xz" {
-					bCyc = p.Stats().Cycles
-				}
+	type podRun struct {
+		a     node.Result
+		bCycs int64
+	}
+	runs, err := runCells(cfg, cells, func(i int, r node.Result) podRun {
+		out := podRun{a: numbers(i, r)}
+		for _, p := range r.Machine.Procs {
+			if p.Name == "xz" {
+				out.bCycs = p.Stats().Cycles
 			}
 		}
-		return aCyc, bCyc, nil
+		return out
+	})
+	if err != nil {
+		return nil, err
 	}
 
 	res := &Result{ID: "fig03a"}
@@ -83,41 +87,17 @@ func runFig03a(cfg Config) (*Result, error) {
 		Title:  "Figure 3a: execution-time slowdown of profiling in exclusive vs shared pods",
 		Header: []string{"setting", "Sampling F=4000", "Tracing w/ IPT"},
 	}
-	for _, s := range []setting{{"Exclusive Pod A w/ Profiling", false}, {"Shared Pod A w/ Profiling", true}} {
-		baseA, _, err := measureAB(SchemeOracle, s.shared)
-		if err != nil {
-			return nil, err
-		}
-		samA, _, err := measureAB(SchemeStaSam, s.shared)
-		if err != nil {
-			return nil, err
-		}
-		iptA, _, err := measureAB(SchemeNHT, s.shared)
-		if err != nil {
-			return nil, err
-		}
-		sam := float64(baseA)/float64(samA) - 1
-		ipt := float64(baseA)/float64(iptA) - 1
-		t.AddRow(s.name, pct(sam), pct(ipt))
-		if !s.shared {
-			res.Metric("exclusive_ipt", ipt)
-		} else {
-			res.Metric("shared_ipt", ipt)
-		}
+	for k, row := range []struct{ name, metric string }{
+		{"Exclusive Pod A w/ Profiling", "exclusive_ipt"},
+		{"Shared Pod A w/ Profiling", "shared_ipt"},
+	} {
+		base, sam, ipt := runs[3*k], runs[3*k+1], runs[3*k+2]
+		iptSlow := ipt.a.Overhead(base.a)
+		t.AddRow(row.name, pct(sam.a.Overhead(base.a)), pct(iptSlow))
+		res.Metric(row.metric, iptSlow)
 	}
 	// The innocent co-located pod.
-	_, baseB, err := measureAB(SchemeOracle, true)
-	if err != nil {
-		return nil, err
-	}
-	_, samB, err := measureAB(SchemeStaSam, true)
-	if err != nil {
-		return nil, err
-	}
-	_, iptB, err := measureAB(SchemeNHT, true)
-	if err != nil {
-		return nil, err
-	}
+	baseB, samB, iptB := runs[3].bCycs, runs[4].bCycs, runs[5].bCycs
 	samLoss := float64(baseB)/float64(samB) - 1
 	iptLoss := float64(baseB)/float64(iptB) - 1
 	t.AddRow("Shared Pod B w/o Profiling", pct(samLoss), pct(iptLoss))
@@ -207,7 +187,7 @@ func runFig04(cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	dur := durQuick(cfg, 500*simtime.Millisecond, 2*simtime.Second)
+	ns.Dur = durQuick(cfg, 500*simtime.Millisecond, 2*simtime.Second)
 
 	// The document declares the full antagonist stack; rows take prefixes.
 	scenarios := []struct {
@@ -218,40 +198,51 @@ func runFig04(cfg Config) (*Result, error) {
 		{"Shared A with B", 1},
 		{"Shared A with B and C", 2},
 	}
+	schemes := []SchemeKind{SchemeOracle, SchemeNHT}
+	var cells []cell
+	for _, sc := range scenarios {
+		spec := ns
+		spec.CoRunners = ns.CoRunners[:sc.cos]
+		for _, s := range schemes {
+			cells = append(cells, cell{a, s, spec})
+		}
+	}
+	type events struct {
+		switches, migrations int64
+		kernelMS             float64
+		hw                   workload.HWEvents
+	}
+	evs, err := runCells(cfg, cells, func(i int, r node.Result) events {
+		m, traced := r.Machine, cells[i].scheme == SchemeNHT
+		interference := 1.0 + 0.15*float64(len(cells[i].spec.CoRunners))
+		return events{
+			switches:   m.Stats.Switches,
+			migrations: m.Stats.Migrations,
+			kernelMS:   float64(m.TotalKernelNS()) / 1e6,
+			hw:         a.ComputeHWEvents(r.Stats.Insns, interference, traced, m.Cfg.Cost),
+		}
+	})
+	if err != nil {
+		return nil, err
+	}
+
 	res := &Result{ID: "fig04"}
 	t := &tabular.Table{
 		Title: "Figure 4: software and hardware events, with and without hardware tracing",
 		Header: []string{"scenario", "tracing", "ctx switches", "migrations", "kernel ms",
 			"branch miss (M)", "L1 miss (M)", "LLC miss (M)"},
 	}
-	var prevSwitches int64
-	for _, sc := range scenarios {
-		for _, scheme := range []SchemeKind{SchemeOracle, SchemeNHT} {
-			spec := ns
-			spec.Dur = dur
-			spec.CoRunners = ns.CoRunners[:sc.cos]
-			r, err := measure(cfg, a, scheme, spec)
-			if err != nil {
-				return nil, err
-			}
-			m := r.Machine
-			interference := 1.0 + 0.15*float64(sc.cos)
-			hw := a.ComputeHWEvents(r.Stats.Insns, interference, scheme == SchemeNHT, m.Cfg.Cost)
-			label := "w/o"
-			if scheme == SchemeNHT {
-				label = "w/"
-			}
-			t.AddRowf(sc.name, label,
-				m.Stats.Switches, m.Stats.Migrations,
-				float64(m.TotalKernelNS())/1e6,
-				float64(hw.BranchMisses)/1e6, float64(hw.L1Misses)/1e6, float64(hw.LLCMisses)/1e6)
-			if scheme == SchemeOracle {
-				prevSwitches = m.Stats.Switches
-			} else if sc.name == "Shared A with B and C" {
-				res.Metric("switches_ratio_traced", float64(m.Stats.Switches)/float64(max64(prevSwitches, 1)))
-			}
+	for i, ev := range evs {
+		label := "w/o"
+		if cells[i].scheme == SchemeNHT {
+			label = "w/"
 		}
+		t.AddRowf(scenarios[i/len(schemes)].name, label, ev.switches, ev.migrations, ev.kernelMS,
+			float64(ev.hw.BranchMisses)/1e6, float64(ev.hw.L1Misses)/1e6, float64(ev.hw.LLCMisses)/1e6)
 	}
+	// The fully shared scenario's traced switches over its untraced ones.
+	last := len(evs) - 1
+	res.Metric("switches_ratio_traced", float64(evs[last].switches)/float64(max(evs[last-1].switches, 1)))
 	t.Notes = append(t.Notes,
 		"paper: switches rise sharply with co-location; tracing raises kernel time; LLC misses rise only ~1.3% from tracing itself")
 	res.Tables = append(res.Tables, t)
@@ -283,7 +274,7 @@ func runFig05(cfg Config) (*Result, error) {
 		Title:  "Figure 5: MySQL-like throughput under resource sharing, with (X+T) and without tracing",
 		Header: []string{"setting", "normalized thpt", "with tracing", "tracing slowdown"},
 	}
-	var exclusiveBase int64
+	var cells []cell
 	for _, ar := range arrangements {
 		// The document declares the antagonist; each row re-pins it to the
 		// resource under test (HT siblings, the app's cores, or LLC-only
@@ -298,20 +289,18 @@ func runFig05(cfg Config) (*Result, error) {
 		} else {
 			spec.CoRunners = nil
 		}
-		base, err := measure(cfg, ms, SchemeOracle, spec)
-		if err != nil {
-			return nil, err
-		}
-		traced, err := measure(cfg, ms, SchemeNHT, spec)
-		if err != nil {
-			return nil, err
-		}
-		if ar.kind == cpu.ShareNone {
-			exclusiveBase = base.Stats.Cycles
-		}
-		norm := float64(base.Stats.Cycles) / float64(max64(exclusiveBase, 1))
-		normT := float64(traced.Stats.Cycles) / float64(max64(exclusiveBase, 1))
-		slow := float64(base.Stats.Cycles)/float64(traced.Stats.Cycles) - 1
+		cells = append(cells, cell{ms, SchemeOracle, spec}, cell{ms, SchemeNHT, spec})
+	}
+	rs, err := runCells(cfg, cells, numbers)
+	if err != nil {
+		return nil, err
+	}
+	exclusiveBase := float64(max(rs[0].Stats.Cycles, 1)) // arrangements[0] is Exclusive
+	for ai, ar := range arrangements {
+		base, traced := rs[2*ai], rs[2*ai+1]
+		norm := float64(base.Stats.Cycles) / exclusiveBase
+		normT := float64(traced.Stats.Cycles) / exclusiveBase
+		slow := traced.Overhead(base)
 		t.AddRow(ar.name, tabular.FormatFloat(norm), tabular.FormatFloat(normT), pct(slow))
 		res.Metric("tracing_slowdown_"+ar.kind.String(), slow)
 	}
@@ -326,14 +315,14 @@ func runFig08(cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	dur := durQuick(cfg, 1*simtime.Second, 5*simtime.Second)
-	spec := ns
-	spec.Dur = dur
-	r, err := measure(cfg, mc, SchemeOracle, spec)
+	ns.Dur = durQuick(cfg, 1*simtime.Second, 5*simtime.Second)
+	stats, err := runCells(cfg, []cell{{mc, SchemeOracle, ns}}, func(_ int, r node.Result) sched.MachineStats {
+		return r.Machine.Stats
+	})
 	if err != nil {
 		return nil, err
 	}
-	st := r.Machine.Stats
+	st := stats[0]
 	res := &Result{ID: "fig08"}
 	t := &tabular.Table{
 		Title:  "Figure 8: CDF of context-switch periods (fraction of periods <= x ms)",
@@ -364,11 +353,4 @@ func runFig08(cfg Config) (*Result, error) {
 		"per-core and per-process groupings shift right of the all-switches curve")
 	res.Tables = append(res.Tables, t)
 	return res, nil
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }

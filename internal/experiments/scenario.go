@@ -5,6 +5,7 @@ import (
 
 	"exist/internal/cluster"
 	"exist/internal/coverage"
+	"exist/internal/node"
 	"exist/internal/parallel"
 	"exist/internal/service"
 	"exist/internal/simtime"
@@ -53,49 +54,62 @@ type scenarioRun struct {
 	cluster  *scenarioClusterRun
 }
 
-// runScenarioDoc drives one scenario document through every phase it
+// runScenarioDocs drives scenario documents through every phase each
 // declares: a paired Oracle/EXIST node run on its placement (overhead), an
 // open-loop service run over its compiled arrival schedule with that
 // overhead applied (availability, per-class SLO attainment), and a cluster
-// phase issuing trace requests under its fault config (coverage). All
-// randomness keys off cfg.Seed and the document, so the run is identical
-// at any parallelism.
-func runScenarioDoc(cfg Config, doc *spec.Document) (*scenarioRun, error) {
-	sc := doc.Scenario
-	if sc == nil {
-		return nil, fmt.Errorf("%s: document has no scenario section", doc.Src)
+// phase issuing trace requests under its fault config (coverage). Every
+// document's node runs share one cell list; the later phases fan out per
+// document. All randomness keys off cfg.Seed and the document, so the run
+// is identical at any parallelism.
+func runScenarioDocs(cfg Config, docs []*spec.Document) ([]*scenarioRun, error) {
+	apps := make([]workload.Profile, len(docs))
+	var cells []cell
+	var owners []int // owners[k] is the document of cells 2k and 2k+1
+	for i, doc := range docs {
+		sc := doc.Scenario
+		if sc == nil {
+			return nil, fmt.Errorf("%s: document has no scenario section", doc.Src)
+		}
+		cs, err := node.CompileScenario(doc)
+		if err != nil {
+			return nil, err
+		}
+		apps[i] = cs.App
+		// Phase 1: node overhead. The placement runs paired under Oracle
+		// and EXIST (same machine seed, same workload realization); the
+		// cycle gap is the tracing overhead the traffic phase then charges
+		// the chain.
+		if sc.Node != nil && sc.App != "" {
+			ns := cs.Node
+			ns.Dur = durQuick(cfg, 300*simtime.Millisecond, 1*simtime.Second)
+			cells = append(cells, cell{cs.App, SchemeOracle, ns}, cell{cs.App, SchemeEXIST, ns})
+			owners = append(owners, i)
+		}
 	}
-	cs, err := compileScenario(doc)
+	rs, err := runCells(cfg, cells, numbers)
 	if err != nil {
 		return nil, err
 	}
+	overheads := make([]float64, len(docs))
+	for k, i := range owners {
+		overheads[i] = max(rs[2*k+1].Overhead(rs[2*k]), 0)
+	}
+	return parallel.MapErr(len(docs), cfg.Jobs, func(i int) (*scenarioRun, error) {
+		return runScenarioDoc(cfg, docs[i], apps[i], overheads[i])
+	})
+}
+
+// runScenarioDoc runs one document's traffic and cluster phases against
+// its resolved app, with its measured node overhead.
+func runScenarioDoc(cfg Config, doc *spec.Document, app workload.Profile, overhead float64) (*scenarioRun, error) {
+	sc := doc.Scenario
 	name := doc.Name
 	if name == "" {
 		name = doc.Src
 	}
-	run := &scenarioRun{name: name}
+	run := &scenarioRun{name: name, overhead: overhead}
 	seed := cfg.Seed ^ doc.Seed
-
-	// Phase 1: node overhead. The placement runs paired under Oracle and
-	// EXIST (same machine seed, same workload realization); the cycle gap
-	// is the tracing overhead the traffic phase then charges the chain.
-	if sc.Node != nil && sc.App != "" {
-		ns := cs.node
-		ns.Dur = durQuick(cfg, 300*simtime.Millisecond, 1*simtime.Second)
-		base, err := measure(cfg, cs.app, SchemeOracle, ns)
-		if err != nil {
-			return nil, err
-		}
-		traced, err := measure(cfg, cs.app, SchemeEXIST, ns)
-		if err != nil {
-			return nil, err
-		}
-		if traced.Stats.Cycles > 0 {
-			if ov := float64(base.Stats.Cycles)/float64(traced.Stats.Cycles) - 1; ov > 0 {
-				run.overhead = ov
-			}
-		}
-	}
 
 	// Phase 2: traffic. Quick mode truncates the window; the schedule is
 	// compiled at the truncated duration, so it stays a pure function of
@@ -154,7 +168,7 @@ func runScenarioDoc(cfg Config, doc *spec.Document) (*scenarioRun, error) {
 	// Phase 3: cluster. The document's cluster/faults sections configure a
 	// distributed run issuing trace requests against the scenario app.
 	if sc.Cluster != nil && sc.App != "" {
-		cr, err := runScenarioCluster(cfg, cs, sc, seed)
+		cr, err := runScenarioCluster(cfg, app, sc, seed)
 		if err != nil {
 			return nil, err
 		}
@@ -166,11 +180,11 @@ func runScenarioDoc(cfg Config, doc *spec.Document) (*scenarioRun, error) {
 // runScenarioCluster issues alternating profiling/anomaly trace requests
 // against a cluster sized by the document and reports termination and
 // coverage, resilience-style.
-func runScenarioCluster(cfg Config, cs *compiledScenario, sc *spec.Scenario, seed uint64) (*scenarioClusterRun, error) {
+func runScenarioCluster(cfg Config, app workload.Profile, sc *spec.Scenario, seed uint64) (*scenarioClusterRun, error) {
 	ccfg := cluster.ConfigFromSpec(sc.Cluster, sc.Faults, seed)
 	ccfg.Jobs = parallel.Workers(cfg.Jobs)
 	c := cluster.New(ccfg)
-	if err := c.Deploy(cs.app, nil, workload.InstallOpts{Walker: true, Scale: 1e-4, Seed: seed + 5}); err != nil {
+	if err := c.Deploy(app, nil, workload.InstallOpts{Walker: true, Scale: 1e-4, Seed: seed + 5}); err != nil {
 		return nil, err
 	}
 	n := sc.Cluster.Requests
@@ -191,7 +205,7 @@ func runScenarioCluster(cfg Config, cs *compiledScenario, sc *spec.Scenario, see
 		at := simtime.Time(i) * simtime.Time(500*simtime.Millisecond)
 		c.Eng.Schedule(at, func(simtime.Time) {
 			r, err := c.Request(reqName, cluster.TraceRequestSpec{
-				App:     cs.app.Name,
+				App:     app.Name,
 				Purpose: purpose,
 				Period:  200 * simtime.Millisecond,
 			})
@@ -307,13 +321,15 @@ func buildScenarioResult(id string, runs []*scenarioRun) *Result {
 // byte-identical to a serial run.
 func runScenario(cfg Config) (*Result, error) {
 	names := spec.BuiltinNames()
-	runs, err := parallel.MapErr(len(names), cfg.Jobs, func(i int) (*scenarioRun, error) {
-		doc, err := spec.LoadBuiltin(names[i])
+	docs := make([]*spec.Document, len(names))
+	for i, name := range names {
+		doc, err := spec.LoadBuiltin(name)
 		if err != nil {
 			return nil, err
 		}
-		return runScenarioDoc(cfg, doc)
-	})
+		docs[i] = doc
+	}
+	runs, err := runScenarioDocs(cfg, docs)
 	if err != nil {
 		return nil, err
 	}
@@ -325,7 +341,7 @@ func runScenario(cfg Config) (*Result, error) {
 // (no scenario section) render their compiled profiles instead.
 func RunSpec(cfg Config, doc *spec.Document) (*Result, error) {
 	if doc.Scenario == nil {
-		cs, err := compileScenario(doc)
+		cs, err := node.CompileScenario(doc)
 		if err != nil {
 			return nil, err
 		}
@@ -338,7 +354,7 @@ func RunSpec(cfg Config, doc *spec.Document) (*Result, error) {
 			if p.Abstract {
 				continue
 			}
-			cp, ok := cs.profiles[p.Name]
+			cp, ok := cs.Profiles[p.Name]
 			if !ok {
 				continue
 			}
@@ -348,9 +364,9 @@ func RunSpec(cfg Config, doc *spec.Document) (*Result, error) {
 		res.Tables = append(res.Tables, t)
 		return res, nil
 	}
-	run, err := runScenarioDoc(cfg, doc)
+	runs, err := runScenarioDocs(cfg, []*spec.Document{doc})
 	if err != nil {
 		return nil, err
 	}
-	return buildScenarioResult("spec", []*scenarioRun{run}), nil
+	return buildScenarioResult("spec", runs), nil
 }

@@ -16,56 +16,6 @@ import (
 //go:embed scenarios/*.yaml
 var figureFS embed.FS
 
-// compiledScenario is a scenario document compiled against the runtime:
-// document-defined profiles resolved, the traced app picked, and the node
-// placement lowered to a node.Spec.
-type compiledScenario struct {
-	doc      *spec.Document
-	app      workload.Profile
-	profiles map[string]workload.Profile
-	node     node.Spec
-}
-
-// compileScenario lowers a parsed document. Document profiles compile
-// against the built-in table (so bases like "Search1" resolve); the
-// scenario app and co-runners resolve document-first, then built-in; the
-// placement becomes a node.Spec ready for measure().
-func compileScenario(doc *spec.Document) (*compiledScenario, error) {
-	ctx := map[string]workload.Profile{}
-	for _, p := range workload.All() {
-		ctx[p.Name] = p
-	}
-	compiled, err := workload.CompileProfiles(doc, ctx)
-	if err != nil {
-		return nil, err
-	}
-	cs := &compiledScenario{doc: doc, profiles: map[string]workload.Profile{}}
-	for _, p := range compiled {
-		cs.profiles[p.Name] = p
-	}
-	lookup := func(name string) (workload.Profile, error) {
-		if p, ok := cs.profiles[name]; ok {
-			return p, nil
-		}
-		return workload.ByName(name)
-	}
-	if sc := doc.Scenario; sc != nil {
-		if sc.App != "" {
-			app, err := lookup(sc.App)
-			if err != nil {
-				return nil, fmt.Errorf("%s: scenario app: %w", doc.Src, err)
-			}
-			cs.app = app
-		}
-		ns, err := node.SpecFromPlacement(sc.Node, cs.app, lookup)
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", doc.Src, err)
-		}
-		cs.node = ns
-	}
-	return cs, nil
-}
-
 // figureSpec loads an embedded per-figure arrangement by name and returns
 // the traced app plus the compiled node spec. Durations and schemes stay
 // with the experiment; the document records the placement.
@@ -79,12 +29,12 @@ func figureSpec(name string) (workload.Profile, node.Spec, error) {
 	if err != nil {
 		return workload.Profile{}, node.Spec{}, err
 	}
-	cs, err := compileScenario(doc)
+	if doc.Scenario == nil || doc.Scenario.App == "" {
+		return workload.Profile{}, node.Spec{}, fmt.Errorf("%s: figure scenario needs an app", path)
+	}
+	sc, err := node.CompileScenario(doc)
 	if err != nil {
 		return workload.Profile{}, node.Spec{}, err
 	}
-	if cs.doc.Scenario == nil || cs.doc.Scenario.App == "" {
-		return workload.Profile{}, node.Spec{}, fmt.Errorf("%s: figure scenario needs an app", path)
-	}
-	return cs.app, cs.node, nil
+	return sc.App, sc.Node, nil
 }

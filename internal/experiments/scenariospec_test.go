@@ -11,9 +11,9 @@ import (
 // TestFigureSpecsMatchFrozenLiterals pins the compiled per-figure node
 // arrangements to the hard-coded node.Spec literals the motivation
 // experiments used before the placements moved into scenario documents.
-// The experiments overwrite Dur (quick/full mode) and measure() supplies
-// Workload/Backend/Seed/Timeslice, so the comparison covers everything a
-// document controls.
+// The experiments overwrite Dur (quick/full mode) and runCells supplies
+// Backend/Seed/Timeslice, so the comparison covers everything a document
+// controls.
 func TestFigureSpecsMatchFrozenLiterals(t *testing.T) {
 	byName := func(name string) workload.Profile {
 		p, err := workload.ByName(name)

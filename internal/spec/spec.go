@@ -9,7 +9,7 @@
 //
 // The package is a leaf: it knows nothing of the workload, node, or
 // cluster packages. Those compile spec structures into their own types
-// (workload.CompileProfiles, node.SpecFromPlacement, cluster.ConfigFromSpec),
+// (workload.CompileProfiles, node.CompileScenario, cluster.ConfigFromSpec),
 // so the dependency arrow points from the runtime layers to the DSL —
 // experiments consume compiled scenarios instead of constructing traffic
 // imperatively.
