@@ -37,41 +37,49 @@ func init() {
 	})
 }
 
-func runAblationControl(cfg Config) (*Result, error) {
+// ablationRun is what an ablation window keeps: the session's control
+// operations and buffer swaps, the machine's context switches and the
+// traced workload's cycles.
+type ablationRun struct {
+	ops, swaps, switches, cycles int64
+}
+
+// ablationWindow traces mc on an 8-core node for one window under the
+// given buffer mode, with or without hypothetical hot switching.
+func ablationWindow(cfg Config, seed uint64, mode core.BufferMode, hot bool) (ablationRun, error) {
 	mc, err := workload.ByName("mc")
 	if err != nil {
-		return nil, err
+		return ablationRun{}, err
 	}
 	dur := durQuick(cfg, 500*simtime.Millisecond, 2*simtime.Second)
-
-	run := func(mode core.BufferMode, hot bool) (ops, swaps, switches int64, cycles int64, err error) {
-		rt := node.Provision(node.Spec{
-			Cores:     8,
-			Timeslice: 1 * simtime.Millisecond,
-			Seed:      cfg.Seed ^ 0xAB1,
-			Workload:  mc,
-		})
-		m, proc := rt.Machine, rt.Proc
-		ctrl := rt.Controller()
-		ccfg := core.DefaultConfig()
-		ccfg.Period = dur
-		ccfg.Buffers = mode
-		ccfg.HotSwap = hot
-		ccfg.Seed = m.Cfg.Seed
-		ccfg.Mem = memalloc.Config{Budget: 64 << 20, PerCoreMin: 2 << 20, PerCoreMax: 16 << 20}
-		sess, err := ctrl.Trace(proc, ccfg)
-		if err != nil {
-			return 0, 0, 0, 0, err
-		}
-		m.Run(dur + 10*simtime.Millisecond)
-		return sess.Stats.MSROps, sess.Stats.BufferSwaps, m.Stats.Switches, proc.Stats().Cycles, nil
+	rt := node.Provision(node.Spec{
+		Cores:     8,
+		Timeslice: 1 * simtime.Millisecond,
+		Seed:      cfg.Seed ^ seed,
+		Workload:  mc,
+	})
+	m, proc := rt.Machine, rt.Proc
+	ctrl := rt.Controller()
+	ccfg := core.DefaultConfig()
+	ccfg.Period = dur
+	ccfg.Buffers = mode
+	ccfg.HotSwap = hot
+	ccfg.Seed = m.Cfg.Seed
+	ccfg.Mem = memalloc.Config{Budget: 64 << 20, PerCoreMin: 2 << 20, PerCoreMax: 16 << 20}
+	sess, err := ctrl.Trace(proc, ccfg)
+	if err != nil {
+		return ablationRun{}, err
 	}
+	m.Run(dur + 10*simtime.Millisecond)
+	return ablationRun{sess.Stats.MSROps, sess.Stats.BufferSwaps, m.Stats.Switches, proc.Stats().Cycles}, nil
+}
 
-	perCoreOps, _, sw1, cyc1, err := run(core.PerCore, false)
+func runAblationControl(cfg Config) (*Result, error) {
+	perCore, err := ablationWindow(cfg, 0xAB1, core.PerCore, false)
 	if err != nil {
 		return nil, err
 	}
-	perThreadOps, swaps, sw2, cyc2, err := run(core.PerThread, false)
+	perThread, err := ablationWindow(cfg, 0xAB1, core.PerThread, false)
 	if err != nil {
 		return nil, err
 	}
@@ -81,14 +89,14 @@ func runAblationControl(cfg Config) (*Result, error) {
 		Title:  "Ablation: control operations under per-core (OTC) vs per-thread buffers",
 		Header: []string{"mode", "MSR ops", "buffer swaps", "context switches", "workload cycles"},
 	}
-	t.AddRowf("per-core (EXIST)", perCoreOps, int64(0), sw1, cyc1)
-	t.AddRowf("per-thread (conventional)", perThreadOps, swaps, sw2, cyc2)
+	t.AddRowf("per-core (EXIST)", perCore.ops, int64(0), perCore.switches, perCore.cycles)
+	t.AddRowf("per-thread (conventional)", perThread.ops, perThread.swaps, perThread.switches, perThread.cycles)
 	t.Notes = append(t.Notes,
-		fmt.Sprintf("per-thread control issues %.0fx the MSR operations", float64(perThreadOps)/float64(max(perCoreOps, 1))),
+		fmt.Sprintf("per-thread control issues %.0fx the MSR operations", float64(perThread.ops)/float64(max(perCore.ops, 1))),
 		"the paper's CDF (Figure 8) makes the same point: most entities switch within 1 ms, so per-switch control is ~1000x per-second control")
-	res.Metric("msr_ops_per_core_mode", float64(perCoreOps))
-	res.Metric("msr_ops_per_thread_mode", float64(perThreadOps))
-	res.Metric("throughput_penalty", float64(cyc1)/float64(max(cyc2, 1))-1)
+	res.Metric("msr_ops_per_core_mode", float64(perCore.ops))
+	res.Metric("msr_ops_per_thread_mode", float64(perThread.ops))
+	res.Metric("throughput_penalty", float64(perCore.cycles)/float64(max(perThread.cycles, 1))-1)
 	res.Tables = append(res.Tables, t)
 	return res, nil
 }
@@ -97,42 +105,15 @@ func runAblationControl(cfg Config) (*Result, error) {
 // of the conventional per-thread design's cost is purely the
 // disable/reprogram/enable dance that shipping hardware mandates.
 func runAblationHotswap(cfg Config) (*Result, error) {
-	mc, err := workload.ByName("mc")
+	cold, err := ablationWindow(cfg, 0xAB7, core.PerThread, false)
 	if err != nil {
 		return nil, err
 	}
-	dur := durQuick(cfg, 500*simtime.Millisecond, 2*simtime.Second)
-	run := func(mode core.BufferMode, hot bool) (ops int64, cycles int64, err error) {
-		rt := node.Provision(node.Spec{
-			Cores:     8,
-			Timeslice: 1 * simtime.Millisecond,
-			Seed:      cfg.Seed ^ 0xAB7,
-			Workload:  mc,
-		})
-		m, proc := rt.Machine, rt.Proc
-		ctrl := rt.Controller()
-		ccfg := core.DefaultConfig()
-		ccfg.Period = dur
-		ccfg.Buffers = mode
-		ccfg.HotSwap = hot
-		ccfg.Seed = m.Cfg.Seed
-		ccfg.Mem = memalloc.Config{Budget: 64 << 20, PerCoreMin: 2 << 20, PerCoreMax: 16 << 20}
-		sess, err := ctrl.Trace(proc, ccfg)
-		if err != nil {
-			return 0, 0, err
-		}
-		m.Run(dur + 10*simtime.Millisecond)
-		return sess.Stats.MSROps, proc.Stats().Cycles, nil
-	}
-	coldOps, coldCyc, err := run(core.PerThread, false)
+	hot, err := ablationWindow(cfg, 0xAB7, core.PerThread, true)
 	if err != nil {
 		return nil, err
 	}
-	hotOps, hotCyc, err := run(core.PerThread, true)
-	if err != nil {
-		return nil, err
-	}
-	existOps, existCyc, err := run(core.PerCore, false)
+	exist, err := ablationWindow(cfg, 0xAB7, core.PerCore, false)
 	if err != nil {
 		return nil, err
 	}
@@ -142,15 +123,15 @@ func runAblationHotswap(cfg Config) (*Result, error) {
 		Title:  "Ablation: per-thread buffer control with hypothetical hot switching (§6.1)",
 		Header: []string{"design", "MSR ops", "workload cycles"},
 	}
-	t.AddRowf("per-thread, shipping hardware (disable/enable)", coldOps, coldCyc)
-	t.AddRowf("per-thread, hot switching (what-if)", hotOps, hotCyc)
-	t.AddRowf("per-core (EXIST, shipping hardware)", existOps, existCyc)
+	t.AddRowf("per-thread, shipping hardware (disable/enable)", cold.ops, cold.cycles)
+	t.AddRowf("per-thread, hot switching (what-if)", hot.ops, hot.cycles)
+	t.AddRowf("per-core (EXIST, shipping hardware)", exist.ops, exist.cycles)
 	t.Notes = append(t.Notes,
 		"hot switching would recover much of the per-thread design's cost — but O(#cores) control needs no new hardware")
-	res.Metric("cold_ops", float64(coldOps))
-	res.Metric("hot_ops", float64(hotOps))
-	res.Metric("exist_ops", float64(existOps))
-	res.Metric("hot_recovery", float64(hotCyc-coldCyc)/float64(max(existCyc-coldCyc, 1)))
+	res.Metric("cold_ops", float64(cold.ops))
+	res.Metric("hot_ops", float64(hot.ops))
+	res.Metric("exist_ops", float64(exist.ops))
+	res.Metric("hot_recovery", float64(hot.cycles-cold.cycles)/float64(max(exist.cycles-cold.cycles, 1)))
 	res.Tables = append(res.Tables, t)
 	return res, nil
 }

@@ -65,18 +65,19 @@ type accuracyPair struct {
 	funcRatio      float64
 }
 
-// accuracyCells declares one EXIST window and its NHT reference on the
-// same app and program, de-phased by seed and warmup.
-func accuracyCells(noise, p workload.Profile, prog *binary.Program, period simtime.Duration,
-	sampleRatio float64, seed uint64) []cell {
-	return []cell{
-		windowCell(noise, p, prog, period, sampleRatio, seed, false, 100*simtime.Millisecond),
-		windowCell(noise, p, prog, period, 1, seed+7, true, 300*simtime.Millisecond),
-	}
+// existWindow and refWindow declare an EXIST window and its NHT reference
+// on the same app and program, de-phased by seed and warmup.
+func existWindow(noise, p workload.Profile, prog *binary.Program, period simtime.Duration,
+	sampleRatio float64, seed uint64) cell {
+	return windowCell(noise, p, prog, period, sampleRatio, seed, false, 100*simtime.Millisecond)
 }
 
-// accuracyPairs scores consecutive (EXIST, reference) windows from
-// accuracyCells by histogram match.
+func refWindow(noise, p workload.Profile, prog *binary.Program, period simtime.Duration, seed uint64) cell {
+	return windowCell(noise, p, prog, period, 1, seed+7, true, 300*simtime.Millisecond)
+}
+
+// accuracyPairs scores consecutive (existWindow, refWindow) windows by
+// histogram match.
 func accuracyPairs(cfg Config, cells []cell) ([]accuracyPair, error) {
 	ws, err := runWindows(cfg, cells)
 	if err != nil {
@@ -84,18 +85,22 @@ func accuracyPairs(cfg Config, cells []cell) ([]accuracyPair, error) {
 	}
 	out := make([]accuracyPair, len(ws)/2)
 	for k := range out {
-		exist, ref := ws[2*k], ws[2*k+1]
-		pr := accuracyPair{
-			existMB:  exist.mb,
-			refMB:    ref.mb,
-			accuracy: metrics.WeightMatch(ref.rec.FuncEntries, exist.rec.FuncEntries),
-		}
-		if n := len(ref.rec.FuncEntries); n > 0 {
-			pr.funcRatio = float64(len(exist.rec.FuncEntries)) / float64(n)
-		}
-		out[k] = pr
+		out[k] = scorePair(ws[2*k], ws[2*k+1])
 	}
 	return out, nil
+}
+
+// scorePair scores an EXIST window against its reference window.
+func scorePair(exist, ref window) accuracyPair {
+	pr := accuracyPair{
+		existMB:  exist.mb,
+		refMB:    ref.mb,
+		accuracy: metrics.WeightMatch(ref.rec.FuncEntries, exist.rec.FuncEntries),
+	}
+	if n := len(ref.rec.FuncEntries); n > 0 {
+		pr.funcRatio = float64(len(exist.rec.FuncEntries)) / float64(n)
+	}
+	return pr
 }
 
 func runFig18(cfg Config) (*Result, error) {
@@ -119,7 +124,8 @@ func runFig18(cfg Config) (*Result, error) {
 	for ai, app := range apps {
 		prog := app.Synthesize(cfg.Seed ^ 0xACC0)
 		for _, period := range periods {
-			cells = append(cells, accuracyCells(noise, app, prog, period, 0, uint64(1800+ai*13))...)
+			seed := uint64(1800 + ai*13)
+			cells = append(cells, existWindow(noise, app, prog, period, 0, seed), refWindow(noise, app, prog, period, seed))
 		}
 	}
 	pairs, err := accuracyPairs(cfg, cells)
@@ -165,19 +171,25 @@ func runFig19(cfg Config) (*Result, error) {
 		return nil, err
 	}
 	prog := s2.Synthesize(cfg.Seed ^ 0xACC0)
+	// Per period: one NHT reference, then an EXIST window per sample
+	// ratio. The reference ignores the ratio, so every ratio scores
+	// against the same one.
+	perPeriod := len(ratios) + 1
 	var cells []cell
 	for _, period := range periods {
+		cells = append(cells, refWindow(noise, s2, prog, period, 1900))
 		for _, r := range ratios {
-			cells = append(cells, accuracyCells(noise, s2, prog, period, r, 1900)...)
+			cells = append(cells, existWindow(noise, s2, prog, period, r, 1900))
 		}
 	}
-	pairs, err := accuracyPairs(cfg, cells)
+	ws, err := runWindows(cfg, cells)
 	if err != nil {
 		return nil, err
 	}
 	for pi, period := range periods {
+		ref := ws[pi*perPeriod]
 		for ri, r := range ratios {
-			pr := pairs[pi*len(ratios)+ri]
+			pr := scorePair(ws[pi*perPeriod+1+ri], ref)
 			spaceRatio := 0.0
 			if pr.refMB > 0 {
 				spaceRatio = pr.existMB / pr.refMB

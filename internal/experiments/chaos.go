@@ -23,34 +23,15 @@ func init() {
 
 // chaosOutcome is one scenario's scorecard.
 type chaosOutcome struct {
-	requests  int
-	terminal  int
-	completed int
-	degraded  int
-	failed    int
-	shed      int64
-	coverage  float64 // mean CoverageFraction over filed requests
-
+	tally
 	availability float64
 	gaps         int
 	elections    int
 	failovers    int
 	readoptMs    float64 // mean time for a new leader to re-adopt all in-flight requests
 	maxLeaders   int     // max concurrently active leaders ever sampled
-
-	dupKeys     int // duplicated session uploads (must be 0)
-	unaccounted int // planned slots neither landed nor given up (must be 0 outside deadline expiry)
-
-	nodeCrashes int64
-	ctrlCrashes int64
-	partitions  int64
-	grayDelays  int64
-	falseSusp   int64
-	syncs       int64
-	requeues    int64
-	conflicts   int64
-	fenced      int64
-	resamples   int64
+	mgmt         cluster.MgmtStats
+	faults       faults.Stats
 }
 
 // chaosScenario names one fault shape; a nil config is the no-fault
@@ -95,130 +76,65 @@ func chaosScenarios(seed uint64, quick bool) []chaosScenario {
 	}
 }
 
-// runChaosScenario drives one replicated lite fleet through a request
-// stream under the given fault shape and scores the run.
-func runChaosScenario(cfg Config, nodes int, fc *faults.Config) (chaosOutcome, error) {
-	ccfg := cluster.DefaultConfig()
-	ccfg.Lite = true
-	ccfg.Nodes = nodes
-	ccfg.CoresPerNode = 4
-	ccfg.Seed = cfg.Seed
-	ccfg.Replicas = 3
-	if fc != nil {
-		ccfg.Faults = faults.New(*fc)
-	}
-	c := cluster.New(ccfg)
+// chaosRuns declares one replicated lite fleet per scenario, each driven
+// through the same request stream under the scenario's fault shape.
+func chaosRuns(cfg Config, nodes int, scenarios []chaosScenario) ([]fleetRun, error) {
 	agent, err := workload.ByName("Agent")
 	if err != nil {
-		return chaosOutcome{}, err
+		return nil, err
 	}
-	if err := c.Deploy(agent, nil, workload.InstallOpts{}); err != nil {
-		return chaosOutcome{}, err
-	}
-
 	// Each request traces a 24-node stripe of the fleet; stripes stride
 	// across it so failures anywhere land on someone's request.
 	reqN := 60
-	stripe := 24
 	if cfg.Quick {
 		reqN = 16
 	}
-	var reqs []*cluster.TraceRequest
-	for i := 0; i < reqN; i++ {
-		name := fmt.Sprintf("trace-%03d", i)
-		names := make([]string, 0, stripe)
-		start := (i * 397) % nodes
-		for j := 0; j < stripe; j++ {
-			names = append(names, fmt.Sprintf("node-%d", (start+j)%nodes))
-		}
-		at := simtime.Time(i) * simtime.Time(300*simtime.Millisecond)
-		c.Eng.Schedule(at, func(simtime.Time) {
-			r, err := c.Request(name, cluster.TraceRequestSpec{
+	names := nodeNames(nodes)
+	files := make([]filing, reqN)
+	for i := range files {
+		files[i] = filing{
+			at:   simtime.Time(i) * simtime.Time(300*simtime.Millisecond),
+			name: fmt.Sprintf("trace-%03d", i),
+			spec: cluster.TraceRequestSpec{
 				App:     "Agent",
 				Purpose: coverage.PurposeAnomaly,
-				Nodes:   names,
+				Nodes:   stripe(names, i*397%nodes, 24),
 				Period:  500 * simtime.Millisecond,
-			})
-			if err == nil {
-				reqs = append(reqs, r)
-			}
-		})
+			},
+		}
 	}
+	runs := make([]fleetRun, len(scenarios))
+	for i, sc := range scenarios {
+		ccfg := cluster.DefaultConfig()
+		ccfg.Lite = true
+		ccfg.Nodes = nodes
+		ccfg.CoresPerNode = 4
+		ccfg.Seed = cfg.Seed
+		ccfg.Replicas = 3
+		if sc.fc != nil {
+			ccfg.Faults = faults.New(*sc.fc)
+		}
+		// The safety probe samples each shard's fencing-valid owner count
+		// through the run; the chaos cluster has one shard, so this is its
+		// leader count.
+		runs[i] = fleetRun{
+			name: "chaos " + sc.name, cfg: ccfg, app: agent, files: files,
+			stop:       simtime.Time(reqN)*simtime.Time(300*simtime.Millisecond) + 15*simtime.Second,
+			sampleFrom: simtime.Time(10 * simtime.Millisecond), sampleEvery: 10 * simtime.Millisecond,
+		}
+	}
+	return runs, nil
+}
 
-	// Safety probe: sample each shard's fencing-valid owner count through
-	// the run; the chaos cluster has one shard, so this is its leader count.
-	out := chaosOutcome{}
-	var sample func(now simtime.Time)
-	horizon := simtime.Time(reqN)*simtime.Time(300*simtime.Millisecond) + 15*simtime.Second
-	sample = func(now simtime.Time) {
-		for s := 0; s < c.API.Shards(); s++ {
-			out.maxLeaders = max(out.maxLeaders, c.ActiveOwnersShard(s, now))
-		}
-		if now < horizon {
-			c.Eng.AfterDetached(10*simtime.Millisecond, sample)
-		}
-	}
-	c.Eng.AfterDetached(10*simtime.Millisecond, sample)
-
-	c.Run(horizon)
-
-	out.requests = len(reqs)
-	var covSum float64
-	seen := make(map[string]bool)
-	for _, r := range reqs {
-		if r.Phase.Terminal() {
-			out.terminal++
-		}
-		switch r.Phase {
-		case cluster.PhaseCompleted:
-			out.completed++
-		case cluster.PhaseDegraded:
-			out.degraded++
-		case cluster.PhaseFailed:
-			out.failed++
-		}
-		covSum += r.CoverageFraction()
-		for _, k := range r.SessionKeys {
-			if seen[k] {
-				out.dupKeys++
-			}
-			seen[k] = true
-		}
-		// Slot accounting: outside deadline expiry (which abandons
-		// in-flight slots by design) every planned slot must be landed
-		// or given up — nothing silently lost.
-		if r.Planned > 0 && !expiredByDeadline(r) {
-			if diff := r.Planned - len(r.SessionKeys) - r.Lost; diff > 0 {
-				out.unaccounted += diff
-			}
-		}
-	}
-	if len(reqs) > 0 {
-		out.coverage = covSum / float64(len(reqs))
-	}
+// readChaos scores one finished chaos fleet.
+func readChaos(_ int, f *fleet) chaosOutcome {
+	c := f.c
+	out := chaosOutcome{tally: f.tally, maxLeaders: f.maxOwners, mgmt: c.Mgmt, faults: c.Cfg.Faults.Stats()}
 	out.availability, out.gaps = c.Leases.Availability(c.Eng.Now().Seconds())
 	out.elections = c.Leases.Elections()
 	out.failovers = c.Leases.Failovers()
 	out.readoptMs = metrics.Mean(c.Readopts)
-	out.shed = c.Mgmt.Shed
-	out.syncs = c.Mgmt.Syncs
-	out.requeues = c.Mgmt.Requeues
-	out.conflicts = c.Mgmt.Conflicts
-	out.fenced = c.Mgmt.FencedOps
-	out.falseSusp = c.Mgmt.FalseSuspicions
-	out.resamples = c.Mgmt.Resamples
-	fs := c.Cfg.Faults.Stats()
-	out.nodeCrashes = fs.Crashes
-	out.ctrlCrashes = fs.CtrlCrashes
-	out.partitions = fs.Partitions
-	out.grayDelays = fs.GrayDelays
-	return out, nil
-}
-
-// expiredByDeadline reports whether the request was forced terminal by
-// its deadline (abandoning in-flight slots).
-func expiredByDeadline(r *cluster.TraceRequest) bool {
-	return len(r.Message) >= 17 && r.Message[:17] == "deadline exceeded"
+	return out
 }
 
 func runChaosExperiment(cfg Config) (*Result, error) {
@@ -234,12 +150,17 @@ func runChaosExperiment(cfg Config) (*Result, error) {
 		Header: []string{"scenario", "terminal", "completed", "degraded", "availability", "failovers",
 			"readopt ms", "max leaders", "coverage", "retained", "dup/unacct"},
 	}
+	runs, err := chaosRuns(cfg, nodes, scenarios)
+	if err != nil {
+		return nil, err
+	}
+	outs, err := runFleets(cfg, runs, readChaos)
+	if err != nil {
+		return nil, err
+	}
 	var baseline float64
-	for _, sc := range scenarios {
-		out, err := runChaosScenario(cfg, nodes, sc.fc)
-		if err != nil {
-			return nil, err
-		}
+	for i, sc := range scenarios {
+		out := outs[i]
 		if sc.fc == nil {
 			baseline = out.coverage
 		}
@@ -258,7 +179,7 @@ func runChaosExperiment(cfg Config) (*Result, error) {
 			fmt.Sprintf("%d", out.maxLeaders),
 			fmt.Sprintf("%.3f", out.coverage),
 			fmt.Sprintf("%.3f", retained),
-			fmt.Sprintf("%d/%d", out.dupKeys, out.unaccounted),
+			fmt.Sprintf("%d/%d", out.dupKeys, out.unacct),
 		)
 		tag := tagFor(sc.name)
 		res.Metric("terminal_frac_"+tag, frac(out.terminal, out.requests))
@@ -274,19 +195,19 @@ func runChaosExperiment(cfg Config) (*Result, error) {
 				Title:  "Full-storm control-plane counters (the machinery holding the line)",
 				Header: []string{"counter", "value"},
 			}
-			t2.AddRow("node crashes", fmt.Sprintf("%d", out.nodeCrashes))
-			t2.AddRow("controller crashes", fmt.Sprintf("%d", out.ctrlCrashes))
-			t2.AddRow("controller-store partitions", fmt.Sprintf("%d", out.partitions))
-			t2.AddRow("gray heartbeat delays", fmt.Sprintf("%d", out.grayDelays))
-			t2.AddRow("false suspicions (live node, lapsed lease)", fmt.Sprintf("%d", out.falseSusp))
+			t2.AddRow("node crashes", fmt.Sprintf("%d", out.faults.Crashes))
+			t2.AddRow("controller crashes", fmt.Sprintf("%d", out.faults.CtrlCrashes))
+			t2.AddRow("controller-store partitions", fmt.Sprintf("%d", out.faults.Partitions))
+			t2.AddRow("gray heartbeat delays", fmt.Sprintf("%d", out.faults.GrayDelays))
+			t2.AddRow("false suspicions (live node, lapsed lease)", fmt.Sprintf("%d", out.mgmt.FalseSuspicions))
 			t2.AddRow("leader elections", fmt.Sprintf("%d", out.elections))
 			t2.AddRow("leadership gaps", fmt.Sprintf("%d", out.gaps))
-			t2.AddRow("work-queue syncs", fmt.Sprintf("%d", out.syncs))
-			t2.AddRow("rate-limited requeues", fmt.Sprintf("%d", out.requeues))
-			t2.AddRow("CAS conflicts", fmt.Sprintf("%d", out.conflicts))
-			t2.AddRow("fenced stale-leader ops", fmt.Sprintf("%d", out.fenced))
-			t2.AddRow("sessions re-sampled", fmt.Sprintf("%d", out.resamples))
-			t2.AddRow("requests shed by admission", fmt.Sprintf("%d", out.shed))
+			t2.AddRow("work-queue syncs", fmt.Sprintf("%d", out.mgmt.Syncs))
+			t2.AddRow("rate-limited requeues", fmt.Sprintf("%d", out.mgmt.Requeues))
+			t2.AddRow("CAS conflicts", fmt.Sprintf("%d", out.mgmt.Conflicts))
+			t2.AddRow("fenced stale-leader ops", fmt.Sprintf("%d", out.mgmt.FencedOps))
+			t2.AddRow("sessions re-sampled", fmt.Sprintf("%d", out.mgmt.Resamples))
+			t2.AddRow("requests shed by admission", fmt.Sprintf("%d", out.mgmt.Shed))
 			t2.Notes = append(t2.Notes,
 				"every fault decision is seeded and keyed by stable identifiers: reruns inject the identical storm")
 			res.Tables = append(res.Tables, t2)

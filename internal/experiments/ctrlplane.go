@@ -7,7 +7,6 @@ import (
 	"exist/internal/coverage"
 	"exist/internal/faults"
 	"exist/internal/metrics"
-	"exist/internal/parallel"
 	"exist/internal/simtime"
 	"exist/internal/tabular"
 	"exist/internal/workload"
@@ -34,16 +33,11 @@ type ctrlCell struct {
 
 // ctrlOutcome is one cell's scorecard.
 type ctrlOutcome struct {
-	requests  int
-	terminal  int
-	completed int
-	degraded  int
-
-	p50Ms       float64 // Pending→Running latency percentiles
+	tally
+	p50Ms       float64 // filing→Running latency percentiles
 	p99Ms       float64
 	makespanS   float64 // filing of the first request to the last terminal phase
 	reqPerSec   float64 // terminal requests per makespan second
-	syncs       int64
 	syncsPerSec float64 // reconcile throughput over the makespan
 	qMean       float64 // mean sampled aggregate work-queue depth
 	qMax        int     // max sampled aggregate work-queue depth
@@ -53,18 +47,25 @@ type ctrlOutcome struct {
 	relists     int64
 	readoptMs   float64
 	maxOwners   int // max lease-valid owners ever sampled on one shard
-	leaves      int64
-	joins       int64
-	dupKeys     int
-	unacct      int
+	faults      faults.Stats
 }
 
 // rxs renders a replicas×shards configuration label.
 func (cc ctrlCell) rxs() string { return fmt.Sprintf("r%d s%d", cc.replicas, cc.shards) }
 
-// runCtrlCell drives one lite fleet through a burst of striped requests
-// and scores throughput, latency, and management cost.
-func runCtrlCell(cfg Config, cell ctrlCell) (ctrlOutcome, error) {
+// fileStart is when a cell's burst starts filing: after a 2 s pre-roll,
+// so shard ownership has converged to the home assignment and the cells
+// measure the steady-state protocol, not startup handbacks.
+const fileStart = simtime.Time(2 * simtime.Second)
+
+// ctrlRun declares one cell's lite fleet and its request burst. The whole
+// burst files at a 10 µs stagger — a mass rollout hitting the API server
+// all at once. Each request traces an 8-node stripe, stripes tiling the
+// fleet. The burst outruns one owner's drain rate, so the single-shard
+// queue builds; sharded owners drain it concurrently. The run goes in
+// 250 ms steps until the burst fully drains (bounded at 90 s), sampling
+// queue depth and shard owners every 20 ms.
+func ctrlRun(cfg Config, agent workload.Profile, names []string, cell ctrlCell) fleetRun {
 	ccfg := cluster.DefaultConfig()
 	ccfg.Lite = true
 	ccfg.Nodes = cell.nodes
@@ -76,157 +77,47 @@ func runCtrlCell(cfg Config, cell ctrlCell) (ctrlOutcome, error) {
 		ccfg.Faults = faults.New(*cell.fc)
 		ccfg.RequestDeadline = 30 * simtime.Second
 	}
-	c := cluster.New(ccfg)
-	agent, err := workload.ByName("Agent")
-	if err != nil {
-		return ctrlOutcome{}, err
-	}
-	if err := c.Deploy(agent, nil, workload.InstallOpts{}); err != nil {
-		return ctrlOutcome{}, err
-	}
-
-	// Pending→Running latency probe: record each request's first Running
-	// transition. The watcher observes phase changes only — it never
-	// feeds back into the run.
-	runningAt := make(map[string]simtime.Time, cell.reqN)
-	c.API.Watch(func(r *cluster.TraceRequest) {
-		if r.Phase == cluster.PhaseRunning {
-			if _, ok := runningAt[r.Name]; !ok {
-				runningAt[r.Name] = c.Eng.Now()
-			}
-		}
-	})
-
-	// File the whole request burst at a 10 µs stagger — a mass rollout
-	// hitting the API server all at once. Each request traces an 8-node
-	// stripe, stripes tiling the fleet. Filing starts after a 2 s
-	// pre-roll so shard ownership has converged to the home assignment
-	// and the cells measure the steady-state protocol, not startup
-	// handbacks. The burst outruns one owner's drain rate, so the
-	// single-shard queue builds; sharded owners drain it concurrently.
-	const stripe = 8
-	const stagger = 10 * simtime.Microsecond
-	const fileStart = simtime.Time(2 * simtime.Second)
-	filedAt := make(map[string]simtime.Time, cell.reqN)
-	var reqs []*cluster.TraceRequest
-	for i := 0; i < cell.reqN; i++ {
-		name := fmt.Sprintf("cp-%05d", i)
-		names := make([]string, 0, stripe)
-		start := (i * stripe) % cell.nodes
-		for j := 0; j < stripe; j++ {
-			names = append(names, c.Nodes[(start+j)%cell.nodes].Name)
-		}
-		at := fileStart + simtime.Time(i)*simtime.Time(stagger)
-		c.Eng.Schedule(at, func(now simtime.Time) {
-			r, err := c.Request(name, cluster.TraceRequestSpec{
+	const width = 8
+	files := make([]filing, cell.reqN)
+	for i := range files {
+		files[i] = filing{
+			at:   fileStart + simtime.Time(i)*simtime.Time(10*simtime.Microsecond),
+			name: fmt.Sprintf("cp-%05d", i),
+			spec: cluster.TraceRequestSpec{
 				App:     "Agent",
 				Purpose: coverage.PurposeAnomaly,
-				Nodes:   names,
+				Nodes:   stripe(names, i*width%cell.nodes, width),
 				Period:  400 * simtime.Millisecond,
-			})
-			if err == nil {
-				reqs = append(reqs, r)
-				filedAt[name] = now
-			}
-		})
+			},
+		}
 	}
+	return fleetRun{
+		name: "ctrlplane " + cell.name + " " + cell.rxs(), cfg: ccfg, app: agent, files: files,
+		stop: simtime.Time(90 * simtime.Second), step: 250 * simtime.Millisecond,
+		sampleFrom: fileStart + simtime.Time(20*simtime.Millisecond), sampleEvery: 20 * simtime.Millisecond,
+	}
+}
 
-	// Samplers: aggregate queue depth and per-shard owner count every
-	// 20 ms until every request is terminal.
-	out := ctrlOutcome{}
-	var qSamples []float64
-	done := false
-	var sample func(now simtime.Time)
-	sample = func(now simtime.Time) {
-		depth := 0
-		for _, ct := range c.Controllers {
-			depth += ct.QueueDepth()
-		}
-		qSamples = append(qSamples, float64(depth))
-		if depth > out.qMax {
-			out.qMax = depth
-		}
-		for s := 0; s < c.API.Shards(); s++ {
-			if n := c.ActiveOwnersShard(s, now); n > out.maxOwners {
-				out.maxOwners = n
-			}
-		}
-		if !done {
-			c.Eng.AfterDetached(20*simtime.Millisecond, sample)
-		}
-	}
-	c.Eng.Schedule(fileStart+simtime.Time(20*simtime.Millisecond), sample)
-
-	// Run in 250 ms steps until the burst fully drains (bounded at 90 s);
-	// the stop test reads sim state at fixed virtual times, so the
-	// makespan is deterministic at any -jobs value.
-	step := 250 * simtime.Millisecond
-	maxT := simtime.Time(90 * simtime.Second)
-	var end simtime.Time
-	for end = fileStart + simtime.Time(step); ; end += simtime.Time(step) {
-		c.Run(end)
-		terminal := 0
-		for _, r := range reqs {
-			if r.Phase.Terminal() {
-				terminal++
-			}
-		}
-		if (len(reqs) == cell.reqN && terminal == len(reqs)) || end >= maxT {
-			done = true
-			break
-		}
-	}
-
-	var lat []float64
-	seen := make(map[string]bool)
-	for _, r := range reqs {
-		if r.Phase.Terminal() {
-			out.terminal++
-		}
-		switch r.Phase {
-		case cluster.PhaseCompleted:
-			out.completed++
-		case cluster.PhaseDegraded:
-			out.degraded++
-		}
-		if at, ok := runningAt[r.Name]; ok {
-			lat = append(lat, (at-filedAt[r.Name]).Seconds()*1e3)
-		}
-		for _, k := range r.SessionKeys {
-			if seen[k] {
-				out.dupKeys++
-			}
-			seen[k] = true
-		}
-		if r.Planned > 0 && !expiredByDeadline(r) {
-			if diff := r.Planned - len(r.SessionKeys) - r.Lost; diff > 0 {
-				out.unacct += diff
-			}
-		}
-	}
-	out.requests = len(reqs)
-	out.p50Ms = metrics.Percentile(lat, 50)
-	out.p99Ms = metrics.Percentile(lat, 99)
-	out.makespanS = (end - fileStart).Seconds()
+// readCtrl scores one finished cell's throughput, latency and management
+// cost.
+func readCtrl(_ int, f *fleet) ctrlOutcome {
+	c := f.c
+	out := ctrlOutcome{tally: f.tally, qMean: f.queueMean, qMax: f.queueMax, maxOwners: f.maxOwners,
+		relists: c.Mgmt.Relists, faults: c.Cfg.Faults.Stats()}
+	out.p50Ms = metrics.Percentile(f.runningMs, 50)
+	out.p99Ms = metrics.Percentile(f.runningMs, 99)
+	out.makespanS = (f.end - fileStart).Seconds()
 	if out.makespanS > 0 {
 		out.reqPerSec = float64(out.terminal) / out.makespanS
 		out.syncsPerSec = float64(c.Mgmt.Syncs) / out.makespanS
 	}
-	out.syncs = c.Mgmt.Syncs
-	out.qMean = metrics.Mean(qSamples)
 	if out.requests > 0 {
 		out.cpuPerReq = c.Mgmt.CPUSeconds / float64(out.requests)
 	}
 	out.avail, _ = c.Leases.Availability(c.Eng.Now().Seconds())
 	out.rebalances = c.ShardRebalances()
-	out.relists = c.Mgmt.Relists
 	out.readoptMs = metrics.Mean(c.Readopts)
-	if c.Cfg.Faults != nil {
-		fs := c.Cfg.Faults.Stats()
-		out.leaves = fs.Leaves
-		out.joins = fs.Joins
-	}
-	return out, nil
+	return out
 }
 
 // ctrlCells builds the cell matrix: a replicas×shards grid at the base
@@ -273,10 +164,20 @@ func ctrlCells(seed uint64, quick bool) []ctrlCell {
 
 func runCtrlPlaneExperiment(cfg Config) (*Result, error) {
 	res := &Result{ID: "ctrlplane"}
+	agent, err := workload.ByName("Agent")
+	if err != nil {
+		return nil, err
+	}
 	cells := ctrlCells(cfg.Seed, cfg.Quick)
-	outs, err := parallel.MapErr(len(cells), cfg.Jobs, func(i int) (ctrlOutcome, error) {
-		return runCtrlCell(cfg, cells[i])
-	})
+	runs := make([]fleetRun, len(cells))
+	names := map[int][]string{} // node names by fleet size, shared by the cells' stripes
+	for i, cc := range cells {
+		if names[cc.nodes] == nil {
+			names[cc.nodes] = nodeNames(cc.nodes)
+		}
+		runs[i] = ctrlRun(cfg, agent, names[cc.nodes], cc)
+	}
+	outs, err := runFleets(cfg, runs, readCtrl)
 	if err != nil {
 		return nil, err
 	}
@@ -338,7 +239,7 @@ func runCtrlPlaneExperiment(cfg Config) (*Result, error) {
 				fmt.Sprintf("%d", o.rebalances),
 				fmt.Sprintf("%d", o.relists),
 				fmt.Sprintf("%.1f", o.readoptMs),
-				fmt.Sprintf("%d/%d", o.leaves, o.joins),
+				fmt.Sprintf("%d/%d", o.faults.Leaves, o.faults.Joins),
 				fmt.Sprintf("%d/%d", o.dupKeys, o.unacct))
 		}
 		res.Metric("p99_ms_"+tag, o.p99Ms)

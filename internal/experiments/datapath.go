@@ -7,7 +7,6 @@ import (
 	"exist/internal/cluster"
 	"exist/internal/coverage"
 	"exist/internal/hotbench"
-	"exist/internal/parallel"
 	"exist/internal/simtime"
 	"exist/internal/tabular"
 	"exist/internal/trace"
@@ -68,46 +67,38 @@ func runDatapath(cfg Config) (*Result, error) {
 
 	// Batched uploads on a live cluster: same deployment run with one
 	// PUT per session and with four sessions per PUT.
-	runCluster := func(batch int) (*cluster.Cluster, error) {
+	agent, err := workload.ByName("Agent")
+	if err != nil {
+		return nil, err
+	}
+	var runs []fleetRun
+	for _, batch := range []int{0, 4} {
 		ccfg := cluster.DefaultConfig()
 		ccfg.Seed = cfg.Seed
 		ccfg.Nodes = 6
 		ccfg.CoresPerNode = 4
-		ccfg.Jobs = parallel.Workers(cfg.Jobs)
 		ccfg.UploadBatch = batch
-		c := cluster.New(ccfg)
-		agent, err := workload.ByName("Agent")
-		if err != nil {
-			return nil, err
-		}
-		if err := c.Deploy(agent, nil, workload.InstallOpts{Walker: true, Scale: 1e-4, Seed: cfg.Seed + 5}); err != nil {
-			return nil, err
-		}
-		if _, err := c.Request("dp", cluster.TraceRequestSpec{
-			App: "Agent", Purpose: coverage.PurposeAnomaly, Period: 200 * simtime.Millisecond,
-		}); err != nil {
-			return nil, err
-		}
-		c.Run(5 * simtime.Second)
-		return c, nil
+		runs = append(runs, fleetRun{name: fmt.Sprintf("datapath batch %d", batch), cfg: ccfg, app: agent,
+			opts: workload.InstallOpts{Walker: true, Scale: 1e-4, Seed: cfg.Seed + 5},
+			files: []filing{{name: "dp", spec: cluster.TraceRequestSpec{
+				App: "Agent", Purpose: coverage.PurposeAnomaly, Period: 200 * simtime.Millisecond,
+			}}},
+			stop: 5 * simtime.Second})
 	}
-	single, err := runCluster(0)
+	uploads, err := runFleets(cfg, runs, func(_ int, f *fleet) cluster.UploadStats { return f.c.Uploads })
 	if err != nil {
 		return nil, err
 	}
-	batched, err := runCluster(4)
-	if err != nil {
-		return nil, err
-	}
+	single, batched := uploads[0], uploads[1]
 	bt := &tabular.Table{
 		Title:  "Upload batching (6-node cluster, one anomaly request)",
 		Header: []string{"mode", "sessions", "PUTs", "wire KB", "v1-equiv KB"},
 	}
 	for _, row := range []struct {
 		name string
-		c    *cluster.Cluster
+		u    cluster.UploadStats
 	}{{"1 session/PUT", single}, {"4 sessions/PUT", batched}} {
-		u := row.c.Uploads
+		u := row.u
 		bt.AddRow(row.name, fmt.Sprintf("%d", u.Sessions), fmt.Sprintf("%d", u.Batches),
 			fmt.Sprintf("%.1f", float64(u.WireBytes)/1024), fmt.Sprintf("%.1f", float64(u.V1Bytes)/1024))
 	}
@@ -115,14 +106,14 @@ func runDatapath(cfg Config) (*Result, error) {
 		"batching amortizes per-PUT overhead; batches retry as a unit and degrade per the resilience semantics")
 	res.Tables = append(res.Tables, bt)
 
-	if single.Uploads.Sessions != batched.Uploads.Sessions {
+	if single.Sessions != batched.Sessions {
 		return nil, fmt.Errorf("batching changed landed sessions: %d vs %d",
-			single.Uploads.Sessions, batched.Uploads.Sessions)
+			single.Sessions, batched.Sessions)
 	}
 
 	res.Metric("packed_ratio", float64(totalV1)/float64(totalPacked))
-	res.Metric("wire_bytes_per_session", float64(single.Uploads.WireBytes)/float64(single.Uploads.Sessions))
-	res.Metric("puts_single", float64(single.Uploads.Batches))
-	res.Metric("puts_batched", float64(batched.Uploads.Batches))
+	res.Metric("wire_bytes_per_session", float64(single.WireBytes)/float64(single.Sessions))
+	res.Metric("puts_single", float64(single.Batches))
+	res.Metric("puts_batched", float64(batched.Batches))
 	return res, nil
 }

@@ -9,9 +9,10 @@ import (
 // TestParallelDeterminism verifies the harness's core contract: a sweep
 // experiment produces byte-identical tables and identical metrics whether
 // its cells run serially or on many workers. fig13 is a scheme sweep;
-// fig15 and tab04 run app × scheme grids as one flat cell list.
+// fig15 and tab04 run app × scheme grids as one flat cell list; chaos,
+// ctrlplane, datapath and fig17 run their clusters as one fleet list.
 func TestParallelDeterminism(t *testing.T) {
-	for _, id := range []string{"fig13", "fig15", "tab04"} {
+	for _, id := range []string{"fig13", "fig15", "tab04", "chaos", "ctrlplane", "datapath", "fig17"} {
 		t.Run(id, func(t *testing.T) {
 			e, err := ByID(id)
 			if err != nil {

@@ -7,7 +7,6 @@ import (
 	"exist/internal/core"
 	"exist/internal/coverage"
 	"exist/internal/node"
-	"exist/internal/parallel"
 	"exist/internal/service"
 	"exist/internal/simtime"
 	"exist/internal/tabular"
@@ -219,34 +218,35 @@ func runTab04(cfg Config) (*Result, error) {
 func runFig17(cfg Config) (*Result, error) {
 	ccfg := cluster.DefaultConfig()
 	ccfg.Seed = cfg.Seed
-	ccfg.Jobs = parallel.Workers(cfg.Jobs)
 	if cfg.Quick {
 		ccfg.Nodes = 4
 		ccfg.CoresPerNode = 4
 	}
-	c := cluster.New(ccfg)
 	agent, err := workload.ByName("Agent")
 	if err != nil {
-		return nil, err
-	}
-	if err := c.Deploy(agent, nil, workload.InstallOpts{Walker: true, Scale: 1e-4, Seed: cfg.Seed}); err != nil {
 		return nil, err
 	}
 	// Periodic tracing: a request every second, as in the paper's
 	// periodical tracing scenario.
 	total := durQuick(cfg, 3*simtime.Second, 10*simtime.Second)
+	var files []filing
 	for i := simtime.Duration(0); i < total/simtime.Second; i++ {
-		name := fmt.Sprintf("periodic-%d", i)
-		i := i
-		c.Eng.Schedule(simtime.Time(i)*simtime.Second, func(simtime.Time) {
-			_, _ = c.Request(name, cluster.TraceRequestSpec{
-				App:     "Agent",
-				Purpose: coverage.PurposeProfiling,
-				Period:  200 * simtime.Millisecond,
-			})
-		})
+		files = append(files, filing{at: simtime.Time(i) * simtime.Second, name: fmt.Sprintf("periodic-%d", i),
+			spec: cluster.TraceRequestSpec{App: "Agent", Purpose: coverage.PurposeProfiling, Period: 200 * simtime.Millisecond}})
 	}
-	c.Run(simtime.Time(total))
+	type orchestration struct {
+		mgmtCores, memMB float64
+		puts, v1Bytes    int64
+	}
+	outs, err := runFleets(cfg, []fleetRun{{name: "fig17", cfg: ccfg, app: agent,
+		opts: workload.InstallOpts{Walker: true, Scale: 1e-4, Seed: cfg.Seed}, files: files, stop: simtime.Time(total)}},
+		func(_ int, f *fleet) orchestration {
+			return orchestration{f.c.ManagementCores(), f.c.Mgmt.MemMB, f.c.OSS.Puts(), f.c.Uploads.V1Bytes}
+		})
+	if err != nil {
+		return nil, err
+	}
+	o := outs[0]
 
 	res := &Result{ID: "fig17"}
 	t := &tabular.Table{
@@ -254,23 +254,22 @@ func runFig17(cfg Config) (*Result, error) {
 		Header: []string{"component", "value"},
 	}
 	t.AddRow("insmod startup cost (one-time, per node)", core.InsmodCost.String())
-	mgmtCores := c.ManagementCores()
-	t.AddRow(fmt.Sprintf("RCO management CPU (%d nodes)", ccfg.Nodes), fmt.Sprintf("%.2e cores", mgmtCores))
-	t.AddRow("RCO management memory", fmt.Sprintf("%.0f MB", c.Mgmt.MemMB))
+	t.AddRow(fmt.Sprintf("RCO management CPU (%d nodes)", ccfg.Nodes), fmt.Sprintf("%.2e cores", o.mgmtCores))
+	t.AddRow("RCO management memory", fmt.Sprintf("%.0f MB", o.memMB))
 	// Report v1-equivalent volume: the figure tracks how much trace data
 	// the deployment produced, independent of the wire encoding shipping
 	// it (Uploads.WireBytes is the compressed v2 volume actually stored).
-	t.AddRow("trace sessions uploaded", fmt.Sprintf("%d (%.1f KB)", c.OSS.Puts(), float64(c.Uploads.V1Bytes)/1024))
+	t.AddRow("trace sessions uploaded", fmt.Sprintf("%d (%.1f KB)", o.puts, float64(o.v1Bytes)/1024))
 	// Extrapolate to a thousand-node cluster: management grows with
 	// active requests, giving per-node cost.
-	perNode := mgmtCores / float64(ccfg.Nodes)
+	perNode := o.mgmtCores / float64(ccfg.Nodes)
 	thousand := perNode * 1000
 	permille := thousand / 1000 * 1000 // cores per thousand cores of capacity... expressed in permille of one core per node
 	t.AddRow("extrapolated management for 1000 nodes", fmt.Sprintf("%.2e cores (%.3f permille/node)", thousand, permille))
 	t.Notes = append(t.Notes,
 		"paper: <3e-3 cores and ~40 MB for the ten-node cluster; <1 permille management overhead at thousand-node scale")
-	res.Metric("mgmt_cores", mgmtCores)
-	res.Metric("oss_puts", float64(c.OSS.Puts()))
+	res.Metric("mgmt_cores", o.mgmtCores)
+	res.Metric("oss_puts", float64(o.puts))
 	res.Tables = append(res.Tables, t)
 	return res, nil
 }

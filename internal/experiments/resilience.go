@@ -6,9 +6,7 @@ import (
 	"sort"
 
 	"exist/internal/cluster"
-	"exist/internal/coverage"
 	"exist/internal/faults"
-	"exist/internal/parallel"
 	"exist/internal/simtime"
 	"exist/internal/tabular"
 	"exist/internal/workload"
@@ -25,103 +23,11 @@ func init() {
 
 // resilienceRun is one cluster run's outcome at a given fault level.
 type resilienceRun struct {
-	requests  int
-	terminal  int
-	covered   int // terminal with at least one session landed
-	degraded  int
-	completed int
-	coverage  float64 // mean CoverageFraction
+	tally
 	accuracy  float64 // decoded histogram vs fault-free reference
 	resamples int64
 	retries   int64
-}
-
-// runResilienceLevel runs the standard request mix against a cluster with
-// the given fault config and scores it against ref (the fault-free
-// decoded histogram; nil to just collect it).
-func runResilienceLevel(cfg Config, fc faults.Config, ref map[string]float64) (resilienceRun, map[string]float64, error) {
-	ccfg := cluster.DefaultConfig()
-	ccfg.Seed = cfg.Seed
-	ccfg.Nodes = 8
-	ccfg.CoresPerNode = 4
-	ccfg.Jobs = parallel.Workers(cfg.Jobs)
-	if cfg.Quick {
-		ccfg.Nodes = 6
-	}
-	if fc != (faults.Config{}) {
-		ccfg.Faults = faults.New(fc)
-	}
-	c := cluster.New(ccfg)
-	agent, err := workload.ByName("Agent")
-	if err != nil {
-		return resilienceRun{}, nil, err
-	}
-	if err := c.Deploy(agent, nil, workload.InstallOpts{Walker: true, Scale: 1e-4, Seed: cfg.Seed + 5}); err != nil {
-		return resilienceRun{}, nil, err
-	}
-
-	// A steady stream of requests alternating the two RCO purposes.
-	// Profiling samples a subset of instances, leaving healthy spares the
-	// re-sampler can recover onto; anomaly diagnosis traces every
-	// instance, so a lost session has nowhere to go and the request must
-	// degrade to partial coverage instead of failing.
-	n := 20
-	if cfg.Quick {
-		n = 8
-	}
-	var reqs []*cluster.TraceRequest
-	for i := 0; i < n; i++ {
-		purpose := coverage.PurposeProfiling
-		name := fmt.Sprintf("prof-%d", i)
-		if i%2 == 1 {
-			purpose = coverage.PurposeAnomaly
-			name = fmt.Sprintf("diag-%d", i)
-		}
-		at := simtime.Time(i) * simtime.Time(500*simtime.Millisecond)
-		c.Eng.Schedule(at, func(simtime.Time) {
-			r, err := c.Request(name, cluster.TraceRequestSpec{
-				App:     "Agent",
-				Purpose: purpose,
-				Period:  200 * simtime.Millisecond,
-			})
-			if err == nil {
-				reqs = append(reqs, r)
-			}
-		})
-	}
-	// Generous horizon: deadlines guarantee termination well before it.
-	c.Run(simtime.Time(n)*simtime.Time(500*simtime.Millisecond) + simtime.Time(15*simtime.Second))
-
-	run := resilienceRun{requests: len(reqs)}
-	var covSum float64
-	for _, r := range reqs {
-		if r.Phase.Terminal() {
-			run.terminal++
-		}
-		if r.Phase.Terminal() && len(r.SessionKeys) > 0 {
-			run.covered++
-		}
-		switch r.Phase {
-		case cluster.PhaseDegraded:
-			run.degraded++
-		case cluster.PhaseCompleted:
-			run.completed++
-		}
-		covSum += r.CoverageFraction()
-	}
-	if len(reqs) > 0 {
-		run.coverage = covSum / float64(len(reqs))
-	}
-	run.resamples = c.Mgmt.Resamples
-	run.retries = c.Mgmt.Retries
-
-	hist := c.ODPS.AggregateApp("Agent")
-	if ref == nil {
-		run.accuracy = 1
-	} else {
-		run.accuracy = histMatch(ref, hist)
-	}
-	return run, hist, nil
+	hist      map[string]float64 // decoded function histogram
 }
 
 // histMatch is the distribution-overlap accuracy of a decoded function
@@ -180,17 +86,10 @@ func runResilience(cfg Config) (*Result, error) {
 		Header: []string{"loss rate", "terminal", "with coverage", "completed", "degraded",
 			"mean coverage", "accuracy", "resamples"},
 	}
-	// The fault-free level runs first: its decoded histogram is the
-	// accuracy reference every other level scores against. The faulted
-	// levels (and the mixed-fault stress below) only depend on that
-	// reference, so they fan out across the worker pool; results are
-	// harvested in input order, keeping the output byte-identical to the
-	// serial sweep.
-	refRun, ref, err := runResilienceLevel(cfg, faults.Config{}, nil)
-	if err != nil {
-		return nil, err
-	}
-	levelCfgs := make([]faults.Config, 0, len(lossRates))
+	// Every level, fault-free first, runs the standard request mix on the
+	// same cluster. The fault-free level's decoded histogram is the
+	// accuracy reference the others score against once all have run.
+	levelCfgs := []faults.Config{{}}
 	for _, rate := range lossRates[1:] {
 		levelCfgs = append(levelCfgs, faults.Config{
 			Seed:            cfg.Seed + 77,
@@ -199,7 +98,7 @@ func runResilience(cfg Config) (*Result, error) {
 			TruncateProb:    rate / 2,
 		})
 	}
-	mixedFc := faults.Config{
+	levelCfgs = append(levelCfgs, faults.Config{
 		Seed:            cfg.Seed + 177,
 		PutFailProb:     0.15,
 		InsertFailProb:  0.15,
@@ -209,20 +108,42 @@ func runResilience(cfg Config) (*Result, error) {
 		StallProb:       0.10,
 		CrashMTBF:       4 * simtime.Second,
 		CrashDowntime:   1 * simtime.Second,
+	})
+	agent, err := workload.ByName("Agent")
+	if err != nil {
+		return nil, err
 	}
-	levelCfgs = append(levelCfgs, mixedFc)
-	faulted, err := parallel.MapErr(len(levelCfgs), cfg.Jobs, func(i int) (resilienceRun, error) {
-		run, _, err := runResilienceLevel(cfg, levelCfgs[i], ref)
-		return run, err
+	n := 20
+	ccfg := cluster.DefaultConfig()
+	ccfg.Seed = cfg.Seed
+	ccfg.Nodes = 8
+	ccfg.CoresPerNode = 4
+	if cfg.Quick {
+		n = 8
+		ccfg.Nodes = 6
+	}
+	files, stop := mixedFilings("", "Agent", n)
+	runs := make([]fleetRun, len(levelCfgs))
+	for i, fc := range levelCfgs {
+		runs[i] = fleetRun{name: fmt.Sprintf("resilience level %d", i), cfg: ccfg, app: agent,
+			opts: workload.InstallOpts{Walker: true, Scale: 1e-4, Seed: cfg.Seed + 5}, files: files, stop: stop}
+		if i > 0 {
+			runs[i].cfg.Faults = faults.New(fc)
+		}
+	}
+	levels, err := runFleets(cfg, runs, func(_ int, f *fleet) resilienceRun {
+		return resilienceRun{tally: f.tally, resamples: f.c.Mgmt.Resamples, retries: f.c.Mgmt.Retries,
+			hist: f.c.ODPS.AggregateApp("Agent")}
 	})
 	if err != nil {
 		return nil, err
 	}
+	levels[0].accuracy = 1
+	for i := 1; i < len(levels); i++ {
+		levels[i].accuracy = histMatch(levels[0].hist, levels[i].hist)
+	}
 	for li, rate := range lossRates {
-		run := refRun
-		if li > 0 {
-			run = faulted[li-1]
-		}
+		run := levels[li]
 		t1.AddRow(
 			fmt.Sprintf("%.0f%%", rate*100),
 			fmt.Sprintf("%d/%d", run.terminal, run.requests),
@@ -247,8 +168,8 @@ func runResilience(cfg Config) (*Result, error) {
 	// Sweep 2: the full fault soup — crashes, store errors, stalls — to
 	// show the control plane machinery (leases, retries, deadlines)
 	// holding the line rather than a single fault type. It already ran as
-	// the last fanned-out level above.
-	run := faulted[len(faulted)-1]
+	// the last level above.
+	run := levels[len(levels)-1]
 	t2 := &tabular.Table{
 		Title:  "Mixed-fault stress (crashes + store errors + stalls + 10% loss): control-plane counters",
 		Header: []string{"counter", "value"},

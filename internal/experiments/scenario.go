@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"exist/internal/cluster"
-	"exist/internal/coverage"
 	"exist/internal/node"
 	"exist/internal/parallel"
 	"exist/internal/service"
@@ -33,14 +32,6 @@ type clientOutcome struct {
 	attain    float64 // fraction of completed requests within sloMS (latency class)
 }
 
-// scenarioClusterRun is the optional distributed phase's outcome.
-type scenarioClusterRun struct {
-	requests int
-	terminal int
-	covered  int
-	coverage float64
-}
-
 // scenarioRun is one compiled document driven end to end.
 type scenarioRun struct {
 	name     string
@@ -51,7 +42,7 @@ type scenarioRun struct {
 	p99Base  float64
 	p99      float64
 	clients  []clientOutcome
-	cluster  *scenarioClusterRun
+	cluster  *tally // the optional distributed phase's outcome
 }
 
 // runScenarioDocs drives scenario documents through every phase each
@@ -59,9 +50,10 @@ type scenarioRun struct {
 // open-loop service run over its compiled arrival schedule with that
 // overhead applied (availability, per-class SLO attainment), and a cluster
 // phase issuing trace requests under its fault config (coverage). Every
-// document's node runs share one cell list; the later phases fan out per
-// document. All randomness keys off cfg.Seed and the document, so the run
-// is identical at any parallelism.
+// document's node runs share one cell list, the traffic phases fan out per
+// document, and the cluster phases share one fleet list. All randomness
+// keys off cfg.Seed and the document, so the run is identical at any
+// parallelism.
 func runScenarioDocs(cfg Config, docs []*spec.Document) ([]*scenarioRun, error) {
 	apps := make([]workload.Profile, len(docs))
 	var cells []cell
@@ -95,14 +87,49 @@ func runScenarioDocs(cfg Config, docs []*spec.Document) ([]*scenarioRun, error) 
 	for k, i := range owners {
 		overheads[i] = max(rs[2*k+1].Overhead(rs[2*k]), 0)
 	}
-	return parallel.MapErr(len(docs), cfg.Jobs, func(i int) (*scenarioRun, error) {
-		return runScenarioDoc(cfg, docs[i], apps[i], overheads[i])
+	runs, err := parallel.MapErr(len(docs), cfg.Jobs, func(i int) (*scenarioRun, error) {
+		return runScenarioTraffic(cfg, docs[i], overheads[i])
 	})
+	if err != nil {
+		return nil, err
+	}
+
+	// Phase 3: cluster. A document's cluster/faults sections configure a
+	// distributed run issuing alternating profiling/anomaly trace requests
+	// against the scenario app, resilience-style.
+	var fleets []fleetRun
+	var fleetDocs []int // fleetDocs[k] is the document of fleets[k]
+	for i, doc := range docs {
+		sc := doc.Scenario
+		if sc.Cluster == nil || sc.App == "" {
+			continue
+		}
+		seed := cfg.Seed ^ doc.Seed
+		n := sc.Cluster.Requests
+		if n <= 0 {
+			n = 6
+		}
+		if cfg.Quick && n > 4 {
+			n = 4
+		}
+		files, stop := mixedFilings("scn-", apps[i].Name, n)
+		fleets = append(fleets, fleetRun{name: "scenario " + runs[i].name, cfg: cluster.ConfigFromSpec(sc.Cluster, sc.Faults, seed),
+			app: apps[i], opts: workload.InstallOpts{Walker: true, Scale: 1e-4, Seed: seed + 5}, files: files, stop: stop})
+		fleetDocs = append(fleetDocs, i)
+	}
+	tallies, err := runFleets(cfg, fleets, func(_ int, f *fleet) tally { return f.tally })
+	if err != nil {
+		return nil, err
+	}
+	for k, i := range fleetDocs {
+		runs[i].cluster = &tallies[k]
+	}
+	return runs, nil
 }
 
-// runScenarioDoc runs one document's traffic and cluster phases against
-// its resolved app, with its measured node overhead.
-func runScenarioDoc(cfg Config, doc *spec.Document, app workload.Profile, overhead float64) (*scenarioRun, error) {
+// runScenarioTraffic runs one document's traffic phase with its measured
+// node overhead.
+func runScenarioTraffic(cfg Config, doc *spec.Document, overhead float64) (*scenarioRun, error) {
 	sc := doc.Scenario
 	name := doc.Name
 	if name == "" {
@@ -165,72 +192,7 @@ func runScenarioDoc(cfg Config, doc *spec.Document, app workload.Profile, overhe
 		}
 	}
 
-	// Phase 3: cluster. The document's cluster/faults sections configure a
-	// distributed run issuing trace requests against the scenario app.
-	if sc.Cluster != nil && sc.App != "" {
-		cr, err := runScenarioCluster(cfg, app, sc, seed)
-		if err != nil {
-			return nil, err
-		}
-		run.cluster = cr
-	}
 	return run, nil
-}
-
-// runScenarioCluster issues alternating profiling/anomaly trace requests
-// against a cluster sized by the document and reports termination and
-// coverage, resilience-style.
-func runScenarioCluster(cfg Config, app workload.Profile, sc *spec.Scenario, seed uint64) (*scenarioClusterRun, error) {
-	ccfg := cluster.ConfigFromSpec(sc.Cluster, sc.Faults, seed)
-	ccfg.Jobs = parallel.Workers(cfg.Jobs)
-	c := cluster.New(ccfg)
-	if err := c.Deploy(app, nil, workload.InstallOpts{Walker: true, Scale: 1e-4, Seed: seed + 5}); err != nil {
-		return nil, err
-	}
-	n := sc.Cluster.Requests
-	if n <= 0 {
-		n = 6
-	}
-	if cfg.Quick && n > 4 {
-		n = 4
-	}
-	var reqs []*cluster.TraceRequest
-	for i := 0; i < n; i++ {
-		purpose := coverage.PurposeProfiling
-		reqName := fmt.Sprintf("scn-prof-%d", i)
-		if i%2 == 1 {
-			purpose = coverage.PurposeAnomaly
-			reqName = fmt.Sprintf("scn-diag-%d", i)
-		}
-		at := simtime.Time(i) * simtime.Time(500*simtime.Millisecond)
-		c.Eng.Schedule(at, func(simtime.Time) {
-			r, err := c.Request(reqName, cluster.TraceRequestSpec{
-				App:     app.Name,
-				Purpose: purpose,
-				Period:  200 * simtime.Millisecond,
-			})
-			if err == nil {
-				reqs = append(reqs, r)
-			}
-		})
-	}
-	c.Run(simtime.Time(n)*simtime.Time(500*simtime.Millisecond) + simtime.Time(15*simtime.Second))
-
-	out := &scenarioClusterRun{requests: len(reqs)}
-	var covSum float64
-	for _, r := range reqs {
-		if r.Phase.Terminal() {
-			out.terminal++
-			if len(r.SessionKeys) > 0 {
-				out.covered++
-			}
-		}
-		covSum += r.CoverageFraction()
-	}
-	if len(reqs) > 0 {
-		out.coverage = covSum / float64(len(reqs))
-	}
-	return out, nil
 }
 
 // pctOf returns the p-th percentile of a copy of xs.
