@@ -388,9 +388,6 @@ type Node struct {
 	// fault seed and the node name; the node's beat-delay key sits in
 	// Cluster.grayNodes.
 	gray bool
-	// lite holds the node's in-flight Lite sessions, in no particular
-	// order (each knows its slot); a crash sorts a copy by session ID.
-	lite []*liteSession
 	// doneBuf collects sessions that closed while the node was advancing
 	// concurrently; the barrier replays them on the control engine.
 	doneBuf []doneItem
@@ -530,7 +527,8 @@ func DefaultConfig() Config {
 // is the session ID.
 const sessionPrefix = "sessions/"
 
-// sessionRec tracks one in-flight session slot for the control plane.
+// sessionRec tracks one in-flight machine session for the control plane
+// (Lite sessions live in the liteSlab).
 type sessionRec struct {
 	req  *TraceRequest
 	node *Node
@@ -562,9 +560,6 @@ func sessionKey(r *TraceRequest, n *Node, attempt int) string {
 	return sessionPrefix + r.Name + "/" + n.Name + "/r" + strconv.Itoa(attempt)
 }
 
-// id returns the session ID, the key without its prefix (no copy).
-func (rec *sessionRec) id() string { return rec.key[len(sessionPrefix):] }
-
 // doneItem is one session completion buffered during a concurrent node
 // advance, replayed on the control engine at the barrier.
 type doneItem struct {
@@ -575,30 +570,69 @@ type doneItem struct {
 }
 
 // liteSession is one virtual session in a Lite cluster: bookkeeping and
-// a completion timer, no traced workload.
+// a completion timer, no traced workload. It lives in the cluster's
+// liteSlab from open until its timer fires; a free slot has a nil node.
 type liteSession struct {
-	sessionRec
-	done   *simtime.Event
+	req  *TraceRequest
+	node *Node
+	// key and attempt are as on sessionRec.
+	key     string
+	attempt int
+	// fire is the slot's timer callback, built once when the slot is
+	// made and reused by every session that takes the slot.
+	fire func(now simtime.Time)
+	// slot is the session's slab index.
+	slot int32
+	// lost marks data destroyed by a node crash before upload.
+	lost bool
+	// closed marks a resolved session: by its timer, or earlier by a
+	// crash, in which case the timer is still pending.
 	closed bool
-	// slot is the session's position in its node's lite list.
-	slot int
 }
 
-// addLite records an in-flight Lite session on the node.
-func (n *Node) addLite(ls *liteSession) {
-	ls.slot = len(n.lite)
-	n.lite = append(n.lite, ls)
+// id returns the session ID, the key without its prefix (no copy).
+func (ls *liteSession) id() string { return ls.key[len(sessionPrefix):] }
+
+// liteChunk is the slot count of one liteSlab chunk.
+const liteChunk = 1024
+
+// liteSlab holds a Lite cluster's sessions in fixed-size chunks, so a
+// slot never moves as the slab grows and its fire closure can keep
+// pointing at it. Freed slots are reused from a free list. A slot is
+// freed only when its timer fires, so a crash-closed slot is not handed
+// out again while its old timer is pending.
+type liteSlab struct {
+	chunks []*[liteChunk]liteSession
+	free   []int32
+	// n is the number of slots ever made: the slab's high-water mark.
+	n int32
 }
 
-// dropLite removes a Lite session from the node's list by swapping the
-// last one into its slot.
-func (n *Node) dropLite(ls *liteSession) {
-	last := len(n.lite) - 1
-	moved := n.lite[last]
-	n.lite[ls.slot] = moved
-	moved.slot = ls.slot
-	n.lite[last] = nil
-	n.lite = n.lite[:last]
+// at returns slot i.
+func (s *liteSlab) at(i int32) *liteSession { return &s.chunks[i/liteChunk][i%liteChunk] }
+
+// alloc takes a free slot, or makes one whose fire callback is
+// c.fireLite on it.
+func (s *liteSlab) alloc(c *Cluster) *liteSession {
+	if k := len(s.free); k > 0 {
+		i := s.free[k-1]
+		s.free = s.free[:k-1]
+		return s.at(i)
+	}
+	if s.n%liteChunk == 0 {
+		s.chunks = append(s.chunks, new([liteChunk]liteSession))
+	}
+	ls := s.at(s.n)
+	ls.slot = s.n
+	ls.fire = func(simtime.Time) { c.fireLite(ls) }
+	s.n++
+	return ls
+}
+
+// release clears a slot, so it pins no request, and frees it.
+func (s *liteSlab) release(ls *liteSession) {
+	ls.req, ls.node, ls.key = nil, nil, ""
+	s.free = append(s.free, ls.slot)
 }
 
 // Cluster is the whole deployment.
@@ -639,6 +673,7 @@ type Cluster struct {
 	retryRNG      *xrand.Rand
 	resampleRNG   *xrand.Rand
 	inflight      map[*core.Session]*sessionRec
+	lite          liteSlab
 	pendingUpload []uploadItem
 	batchSeq      int64
 	openSeq       int64
@@ -704,13 +739,23 @@ type grayNode struct {
 	beats xrand.SplitHash
 }
 
-// uploadItem is one finished session waiting in the current upload batch.
-// The request, node and object key are on rec.
+// uploadItem is one finished session waiting in the current upload batch:
+// its request, node, object key and attempt, and the blob to ship.
 type uploadItem struct {
-	rec  *sessionRec
-	blob []byte
-	res  *trace.Session
+	req     *TraceRequest
+	node    *Node
+	key     string
+	attempt int
+	blob    []byte
+	res     *trace.Session
 }
+
+// blobsPerNode sizes the object store: the session blobs a cluster is
+// expected to hold per node. It is the measured traffic of the Lite
+// fleets (the fleet benchmark files about 1.6 sessions per node, the
+// ctrlplane experiment exactly 2), whose store maps would otherwise grow
+// from empty through every rehash.
+const blobsPerNode = 2
 
 // New builds a cluster, gives each machine node its own engine, and
 // starts the controller replicas.
@@ -737,7 +782,7 @@ func New(cfg Config) *Cluster {
 		Cfg:         cfg,
 		Eng:         simtime.NewEngine(),
 		API:         NewAPIServerShards(cfg.Shards),
-		OSS:         NewObjectStoreShards(cfg.Shards),
+		OSS:         newObjectStore(cfg.Shards, blobsPerNode*cfg.Nodes),
 		ODPS:        NewDataStoreShards(cfg.Shards),
 		Binaries:    make(map[string]*binary.Program),
 		profiles:    make(map[string]workload.Profile),
@@ -1129,7 +1174,7 @@ func (c *Cluster) scheduleCrash(n *Node) {
 // fresh lease and its next crash scheduled, after the crash downtime.
 func (c *Cluster) crash(n *Node, now simtime.Time) {
 	n.crashes++
-	c.crashNode(n, now)
+	c.crashNode(n)
 	c.Eng.AfterDetached(c.Cfg.Faults.Config().CrashDowntime, func(now simtime.Time) {
 		n.Down = false
 		n.lease = now + leaseTTL
@@ -1144,7 +1189,7 @@ func (c *Cluster) crash(n *Node, now simtime.Time) {
 // renewed, and every in-flight session on it is destroyed before upload.
 // Sessions are closed in session-ID order so fault runs stay
 // deterministic.
-func (c *Cluster) crashNode(n *Node, now simtime.Time) {
+func (c *Cluster) crashNode(n *Node) {
 	c.Cfg.Faults.CountCrash()
 	n.lease = c.leaseUntil(n)
 	n.Down = true
@@ -1165,13 +1210,19 @@ func (c *Cluster) crashNode(n *Node, now simtime.Time) {
 		s.Cancel() // fires OnDone; finishSession sees lost and re-samples
 	}
 	// Lite sessions on the node die the same way, in session-ID order
-	// (keys share their prefix, so key order is ID order).
-	doomedLite := append([]*liteSession(nil), n.lite...)
+	// (keys share their prefix, so key order is ID order). Crashes are
+	// rare, so they scan the slab rather than every session paying for a
+	// per-node list. Each slot stays taken until its pending timer fires.
+	var doomedLite []*liteSession
+	for i := int32(0); i < c.lite.n; i++ {
+		if ls := c.lite.at(i); ls.node == n && !ls.closed {
+			doomedLite = append(doomedLite, ls)
+		}
+	}
 	sort.Slice(doomedLite, func(i, j int) bool { return doomedLite[i].key < doomedLite[j].key })
 	for _, ls := range doomedLite {
 		ls.lost = true
-		ls.done.Cancel()
-		c.finishLite(ls, now)
+		c.closeLite(ls)
 	}
 }
 
@@ -1442,8 +1493,9 @@ func (c *Cluster) openSession(r *TraceRequest, n *Node, attempt int) error {
 // traced workload.
 func (c *Cluster) openLiteSession(r *TraceRequest, n *Node, attempt int) error {
 	r.usedNodes.Add(n.idx)
-	ls := &liteSession{sessionRec: sessionRec{req: r, node: n, key: sessionKey(r, n, attempt), attempt: attempt}}
-	n.addLite(ls)
+	ls := c.lite.alloc(c)
+	ls.req, ls.node, ls.key, ls.attempt = r, n, sessionKey(r, n, attempt), attempt
+	ls.lost, ls.closed = false, false
 	// Virtual session length: roughly the request's sampling period,
 	// plus a per-session spread keyed by the session ID so fleet
 	// completions don't all land on one tick and runs stay
@@ -1453,18 +1505,24 @@ func (c *Cluster) openLiteSession(r *TraceRequest, n *Node, attempt int) error {
 		base = 20 * simtime.Millisecond
 	}
 	dur := base + simtime.Duration(hashName(ls.id())%uint64(base))
-	ls.done = c.Eng.After(dur, func(now simtime.Time) { c.finishLite(ls, now) })
+	c.Eng.AfterDetached(dur, ls.fire)
 	return nil
 }
 
-// finishLite resolves one virtual session: fate from the injector and
+// fireLite is a Lite session's timer: it closes the session unless a
+// crash already did, then frees the slot.
+func (c *Cluster) fireLite(ls *liteSession) {
+	c.closeLite(ls)
+	c.lite.release(ls)
+}
+
+// closeLite resolves one virtual session: fate from the injector and
 // a synthetic upload through the same batched, retrying data path.
-func (c *Cluster) finishLite(ls *liteSession, now simtime.Time) {
+func (c *Cluster) closeLite(ls *liteSession) {
 	if ls.closed {
 		return
 	}
 	ls.closed = true
-	ls.node.dropLite(ls)
 	r := ls.req
 	if r.Phase.Terminal() {
 		return
@@ -1476,7 +1534,7 @@ func (c *Cluster) finishLite(ls *liteSession, now simtime.Time) {
 	}
 	// Corruption and truncation don't destroy a lite capture — the blob
 	// is synthetic either way.
-	c.queueUpload(uploadItem{rec: &ls.sessionRec, blob: []byte(id)})
+	c.queueUpload(uploadItem{req: r, node: ls.node, key: ls.key, attempt: ls.attempt, blob: []byte(id)})
 }
 
 // replacementCandidates lists the request's app repetitions with their
@@ -1571,19 +1629,20 @@ func (c *Cluster) finishSession(rec *sessionRec, s *core.Session) {
 	// Marshal reserves room for the raw session and the packed blob is far
 	// smaller; the object store keeps the slice it is handed, so hand it
 	// an exact-size copy instead of pinning the slack.
-	c.queueUpload(uploadItem{rec: rec, blob: bytes.Clone(res.Marshal()), res: res})
+	c.queueUpload(uploadItem{req: r, node: rec.node, key: rec.key, attempt: rec.attempt,
+		blob: bytes.Clone(res.Marshal()), res: res})
 }
 
 // uploadLanded runs the post-upload bookkeeping for one session whose
 // blob is safely in the object store: ledger, structured decode, and
 // slot completion.
 func (c *Cluster) uploadLanded(it uploadItem) {
-	r := it.rec.req
+	r := it.req
 	if r.SessionKeys == nil {
 		// Sized once, when the first session lands.
 		r.SessionKeys = make([]string, 0, r.Planned)
 	}
-	r.SessionKeys = append(r.SessionKeys, it.rec.key)
+	r.SessionKeys = append(r.SessionKeys, it.key)
 	// Per-session management cost: upload bookkeeping plus the status
 	// append, a store write that pays the shard scan.
 	c.Mgmt.CPUSeconds += 100e-6 + c.storeOpCPU(r.shard)
@@ -1598,12 +1657,12 @@ func (c *Cluster) uploadLanded(it uploadItem) {
 
 	// Decode against the binary repository and persist structured rows.
 	if prog, ok := c.Binaries[r.Spec.App]; ok {
-		sid := it.rec.id()
+		sid := it.key[len(sessionPrefix):]
 		dec := decode.Decode(it.res, prog)
 		rows := make([]Row, 0, len(dec.FuncEntries))
 		for fn, count := range dec.FuncEntries {
 			rows = append(rows, Row{
-				App: r.Spec.App, Node: it.rec.node.Name, Session: sid,
+				App: r.Spec.App, Node: it.node.Name, Session: sid,
 				Key: prog.Funcs[fn].Name, Value: float64(count),
 			})
 		}
@@ -1642,7 +1701,7 @@ func (c *Cluster) flushUploads() {
 	items := c.pendingUpload
 	c.pendingUpload = nil
 	c.batchSeq++
-	key := items[0].rec.key
+	key := items[0].key
 	if len(items) > 1 {
 		key = "batch/" + strconv.FormatInt(c.batchSeq, 10)
 	}
@@ -1663,7 +1722,7 @@ func (c *Cluster) flushUploads() {
 func (c *Cluster) putBatchWithRetry(batchKey string, items []uploadItem, attempt int) {
 	live := items[:0]
 	for _, it := range items {
-		if !it.rec.req.Phase.Terminal() {
+		if !it.req.Phase.Terminal() {
 			live = append(live, it)
 		}
 	}
@@ -1674,7 +1733,7 @@ func (c *Cluster) putBatchWithRetry(batchKey string, items []uploadItem, attempt
 	keys := make([]string, 0, 8)
 	blobs := make([][]byte, 0, 8)
 	for _, it := range live {
-		keys = append(keys, it.rec.key)
+		keys = append(keys, it.key)
 		blobs = append(blobs, it.blob)
 	}
 	err := c.OSS.PutBatch(batchKey, keys, blobs)
@@ -1682,7 +1741,7 @@ func (c *Cluster) putBatchWithRetry(batchKey string, items []uploadItem, attempt
 		c.Uploads.Batches++
 		for _, it := range live {
 			if attempt > 0 {
-				it.rec.req.Message = ""
+				it.req.Message = ""
 			}
 			c.uploadLanded(it)
 		}
@@ -1690,14 +1749,14 @@ func (c *Cluster) putBatchWithRetry(batchKey string, items []uploadItem, attempt
 	}
 	if attempt+1 >= retryMax {
 		for _, it := range live {
-			it.rec.req.Message = fmt.Sprintf("upload %s failed after %d attempts: %v", it.rec.key, attempt+1, err)
-			c.loseSlot(it.rec.req, it.rec.attempt)
+			it.req.Message = fmt.Sprintf("upload %s failed after %d attempts: %v", it.key, attempt+1, err)
+			c.loseSlot(it.req, it.attempt)
 		}
 		return
 	}
 	for _, it := range live {
-		if !it.rec.req.Phase.Terminal() {
-			it.rec.req.Message = fmt.Sprintf("%v; retrying", err)
+		if !it.req.Phase.Terminal() {
+			it.req.Message = fmt.Sprintf("%v; retrying", err)
 		}
 	}
 	c.Mgmt.Retries++

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -91,6 +92,17 @@ func TestWatchStreamReusesBuffer(t *testing.T) {
 	}
 }
 
+// openLite lists the Lite sessions open on node n, in slab order.
+func openLite(c *Cluster, n *Node) []*liteSession {
+	var out []*liteSession
+	for i := int32(0); i < c.lite.n; i++ {
+		if ls := c.lite.at(i); ls.node == n && !ls.closed {
+			out = append(out, ls)
+		}
+	}
+	return out
+}
+
 // TestLiteCrashResamplesOnlyThatNode crashes a Lite node that holds
 // sessions of three requests, opened in an order other than session-ID
 // order. Exactly those sessions become resample slots, recorded in
@@ -113,13 +125,20 @@ func TestLiteCrashResamplesOnlyThatNode(t *testing.T) {
 	}
 	c.Run(200 * simtime.Millisecond)
 	crashed, _ := c.Node("node-3")
-	if len(crashed.lite) != 3 {
-		t.Fatalf("node-3 holds %d lite sessions, want 3", len(crashed.lite))
+	if got := len(openLite(c, crashed)); got != 3 {
+		t.Fatalf("node-3 holds %d lite sessions, want 3", got)
 	}
-	others := map[*Node][]*liteSession{}
+	type snap struct {
+		ls  *liteSession
+		key string
+	}
+	others := map[*Node][]snap{}
 	for _, n := range c.Nodes {
-		if n != crashed && len(n.lite) > 0 {
-			others[n] = append([]*liteSession(nil), n.lite...)
+		if n == crashed {
+			continue
+		}
+		for _, ls := range openLite(c, n) {
+			others[n] = append(others[n], snap{ls, ls.key})
 		}
 	}
 	if len(others) != 3 {
@@ -127,9 +146,9 @@ func TestLiteCrashResamplesOnlyThatNode(t *testing.T) {
 	}
 
 	w := c.API.WatchStream(0, nil)
-	c.crashNode(crashed, c.Eng.Now())
-	if len(crashed.lite) != 0 {
-		t.Fatalf("crashed node still lists %d sessions", len(crashed.lite))
+	c.crashNode(crashed)
+	if got := len(openLite(c, crashed)); got != 0 {
+		t.Fatalf("crashed node still holds %d open sessions", got)
 	}
 	var order []string
 	for ev, ok := w.Next(); ok; ev, ok = w.Next() {
@@ -144,11 +163,12 @@ func TestLiteCrashResamplesOnlyThatNode(t *testing.T) {
 		}
 	}
 	for n, before := range others {
-		if len(n.lite) != len(before) {
+		open := openLite(c, n)
+		if len(open) != len(before) {
 			t.Fatalf("%s lost sessions to another node's crash", n.Name)
 		}
-		for i, ls := range n.lite {
-			if ls != before[i] || ls.closed || ls.lost || ls.slot != i {
+		for i, ls := range open {
+			if ls != before[i].ls || ls.key != before[i].key || ls.closed || ls.lost {
 				t.Fatalf("%s session %s disturbed by the crash", n.Name, ls.key)
 			}
 		}
@@ -161,7 +181,7 @@ func TestLiteCrashResamplesOnlyThatNode(t *testing.T) {
 		}
 		var repl *liteSession
 		for _, n := range c.Nodes {
-			for _, ls := range n.lite {
+			for _, ls := range openLite(c, n) {
 				if ls.req == r && ls.attempt == 1 {
 					repl = ls
 				}
@@ -179,6 +199,133 @@ func TestLiteCrashResamplesOnlyThatNode(t *testing.T) {
 			t.Fatalf("replacement key %q, want %q", repl.key, want)
 		}
 	}
+}
+
+// TestLiteSlotsRecycle pins the Lite session slab's slot lifetime. A
+// crash-closed slot stays taken until its pending timer fires, so no
+// other session gets it meanwhile, and that firing changes no request.
+// After a drained run every slot is on the free list, and the slab's
+// high-water mark is the peak number of sessions in flight.
+func TestLiteSlotsRecycle(t *testing.T) {
+	c := liteCluster(t, func(cfg *Config) { cfg.Faults = faults.New(faults.Config{Seed: 5}) })
+	var reqs []*TraceRequest
+	file := func(k int) {
+		nodes := []string{fmt.Sprintf("node-%d", k%20), fmt.Sprintf("node-%d", (k+3)%20), "node-3"}
+		r, err := c.Request(fmt.Sprintf("req-%02d", k), TraceRequestSpec{App: "Agent", Nodes: nodes, Period: 400 * simtime.Millisecond})
+		if err != nil {
+			t.Fatal(err)
+		}
+		reqs = append(reqs, r)
+	}
+	for k := 0; k < 6; k++ {
+		file(k)
+	}
+	// Later filings open sessions, replacements included, while the
+	// crashed slots' timers are pending.
+	for k := 6; k < 12; k++ {
+		c.Eng.Schedule(simtime.Time(k)*simtime.Time(120*simtime.Millisecond), func(simtime.Time) { file(k) })
+	}
+
+	// state is what a timer firing could change on a request.
+	type state struct {
+		phase                Phase
+		rv                   int64
+		keys, lost, pending  int
+		resamples, resampled int
+		message              string
+	}
+	states := func() []state {
+		var out []state
+		for _, r := range reqs {
+			out = append(out, state{r.Phase, r.ResourceVersion, len(r.SessionKeys), r.Lost, r.pending,
+				len(r.resampleSlots), r.Resampled, r.Message})
+		}
+		return out
+	}
+	peak := 0
+	step := func() {
+		c.Eng.Step()
+		inUse := 0
+		for i := int32(0); i < c.lite.n; i++ {
+			if c.lite.at(i).node != nil {
+				inUse++
+			}
+		}
+		if inUse+len(c.lite.free) != int(c.lite.n) {
+			t.Fatalf("%d slots in use and %d free, of %d made", inUse, len(c.lite.free), c.lite.n)
+		}
+		peak = max(peak, inUse)
+	}
+	isFree := func(ls *liteSession) bool { return slices.Contains(c.lite.free, ls.slot) }
+
+	for c.Eng.Now() < 200*simtime.Millisecond {
+		step()
+	}
+	crashed, _ := c.Node("node-3")
+	doomed := openLite(c, crashed)
+	if len(doomed) < 3 {
+		t.Fatalf("node-3 holds %d sessions at the crash, want at least 3", len(doomed))
+	}
+	keys := make([]string, len(doomed))
+	for i, ls := range doomed {
+		keys[i] = ls.key
+	}
+	c.crashNode(crashed)
+
+	fired := 0
+	for fired < len(doomed) && c.Eng.Now() < 2*simtime.Second {
+		before := states()
+		step()
+		for i, ls := range doomed {
+			if keys[i] == "" {
+				continue // already fired
+			}
+			if !isFree(ls) {
+				if ls.key != keys[i] || !ls.closed || !ls.lost {
+					t.Fatalf("crash-closed slot %d reused before its timer fired: holds %q", ls.slot, ls.key)
+				}
+				continue
+			}
+			if after := states(); !slices.Equal(before, after) {
+				t.Fatalf("firing crash-closed slot %d changed a request:\nbefore %+v\nafter  %+v", ls.slot, before, after)
+			}
+			keys[i] = ""
+			fired++
+		}
+	}
+
+	if fired != len(doomed) {
+		t.Fatalf("%d of %d crash-closed slots freed by 2 s", fired, len(doomed))
+	}
+	for (!allTerminal(reqs) || c.Eng.Now() < 5*simtime.Second) && c.Eng.Now() < 20*simtime.Second {
+		step()
+	}
+	if len(reqs) != 12 {
+		t.Fatalf("%d requests filed, want 12", len(reqs))
+	}
+	if len(c.lite.free) != int(c.lite.n) {
+		t.Fatalf("drained run left %d of %d slots off the free list", int(c.lite.n)-len(c.lite.free), c.lite.n)
+	}
+	if int(c.lite.n) != peak {
+		t.Fatalf("slab made %d slots for a peak of %d sessions in flight", c.lite.n, peak)
+	}
+	opened := 0
+	for _, r := range reqs {
+		opened += len(r.usedNodes)
+	}
+	if opened <= peak {
+		t.Fatalf("%d sessions opened on %d slots: no slot was reused", opened, peak)
+	}
+}
+
+// allTerminal reports whether every request has reached a terminal phase.
+func allTerminal(reqs []*TraceRequest) bool {
+	for _, r := range reqs {
+		if !r.Phase.Terminal() {
+			return false
+		}
+	}
+	return true
 }
 
 // TestAttemptLedgersForgetSucceededKeys pins the attempt ledgers'

@@ -94,7 +94,7 @@ func TestCrashAtBeatInstant(t *testing.T) {
 			})
 			n := c.Nodes[2]
 			c.Run(tc.armAt)
-			c.Eng.Schedule(at, func(now simtime.Time) { c.crashNode(n, now) })
+			c.Eng.Schedule(at, func(simtime.Time) { c.crashNode(n) })
 			c.Run(at)
 			if !n.Down {
 				t.Fatal("crash did not fire")

@@ -64,13 +64,17 @@ func NewObjectStore() *ObjectStore { return NewObjectStoreShards(1) }
 
 // NewObjectStoreShards returns an empty store with n lock shards
 // (n < 1 is treated as 1).
-func NewObjectStoreShards(n int) *ObjectStore {
+func NewObjectStoreShards(n int) *ObjectStore { return newObjectStore(n, 0) }
+
+// newObjectStore returns an empty store with n lock shards whose blob
+// maps are sized to hold blobs keys in all without growing.
+func newObjectStore(n, blobs int) *ObjectStore {
 	if n < 1 {
 		n = 1
 	}
 	o := &ObjectStore{shards: make([]ossShard, n)}
 	for i := range o.shards {
-		o.shards[i].blobs = make(map[string][]byte)
+		o.shards[i].blobs = make(map[string][]byte, blobs/n)
 		o.shards[i].attempts = make(attemptLedger)
 	}
 	return o

@@ -90,18 +90,21 @@ func chaosRuns(cfg Config, nodes int, scenarios []chaosScenario) ([]fleetRun, er
 		reqN = 16
 	}
 	names := nodeNames(nodes)
-	files := make([]filing, reqN)
-	for i := range files {
-		files[i] = filing{
-			at:   simtime.Time(i) * simtime.Time(300*simtime.Millisecond),
-			name: fmt.Sprintf("trace-%03d", i),
-			spec: cluster.TraceRequestSpec{
-				App:     "Agent",
-				Purpose: coverage.PurposeAnomaly,
-				Nodes:   stripe(names, i*397%nodes, 24),
-				Period:  500 * simtime.Millisecond,
-			},
+	files := func() []filing {
+		fs := make([]filing, reqN)
+		for i := range fs {
+			fs[i] = filing{
+				at:   simtime.Time(i) * simtime.Time(300*simtime.Millisecond),
+				name: fmt.Sprintf("trace-%03d", i),
+				spec: cluster.TraceRequestSpec{
+					App:     "Agent",
+					Purpose: coverage.PurposeAnomaly,
+					Nodes:   stripe(names, i*397%nodes, 24),
+					Period:  500 * simtime.Millisecond,
+				},
+			}
 		}
+		return fs
 	}
 	runs := make([]fleetRun, len(scenarios))
 	for i, sc := range scenarios {

@@ -77,19 +77,22 @@ func ctrlRun(cfg Config, agent workload.Profile, names []string, cell ctrlCell) 
 		ccfg.Faults = faults.New(*cell.fc)
 		ccfg.RequestDeadline = 30 * simtime.Second
 	}
-	const width = 8
-	files := make([]filing, cell.reqN)
-	for i := range files {
-		files[i] = filing{
-			at:   fileStart + simtime.Time(i)*simtime.Time(10*simtime.Microsecond),
-			name: fmt.Sprintf("cp-%05d", i),
-			spec: cluster.TraceRequestSpec{
-				App:     "Agent",
-				Purpose: coverage.PurposeAnomaly,
-				Nodes:   stripe(names, i*width%cell.nodes, width),
-				Period:  400 * simtime.Millisecond,
-			},
+	files := func() []filing {
+		const width = 8
+		fs := make([]filing, cell.reqN)
+		for i := range fs {
+			fs[i] = filing{
+				at:   fileStart + simtime.Time(i)*simtime.Time(10*simtime.Microsecond),
+				name: fmt.Sprintf("cp-%05d", i),
+				spec: cluster.TraceRequestSpec{
+					App:     "Agent",
+					Purpose: coverage.PurposeAnomaly,
+					Nodes:   stripe(names, i*width%cell.nodes, width),
+					Period:  400 * simtime.Millisecond,
+				},
+			}
 		}
+		return fs
 	}
 	return fleetRun{
 		name: "ctrlplane " + cell.name + " " + cell.rxs(), cfg: ccfg, app: agent, files: files,

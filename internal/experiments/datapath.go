@@ -80,9 +80,11 @@ func runDatapath(cfg Config) (*Result, error) {
 		ccfg.UploadBatch = batch
 		runs = append(runs, fleetRun{name: fmt.Sprintf("datapath batch %d", batch), cfg: ccfg, app: agent,
 			opts: workload.InstallOpts{Walker: true, Scale: 1e-4, Seed: cfg.Seed + 5},
-			files: []filing{{name: "dp", spec: cluster.TraceRequestSpec{
-				App: "Agent", Purpose: coverage.PurposeAnomaly, Period: 200 * simtime.Millisecond,
-			}}},
+			files: func() []filing {
+				return []filing{{name: "dp", spec: cluster.TraceRequestSpec{
+					App: "Agent", Purpose: coverage.PurposeAnomaly, Period: 200 * simtime.Millisecond,
+				}}}
+			},
 			stop: 5 * simtime.Second})
 	}
 	uploads, err := runFleets(cfg, runs, func(_ int, f *fleet) cluster.UploadStats { return f.c.Uploads })

@@ -229,10 +229,13 @@ func runFig17(cfg Config) (*Result, error) {
 	// Periodic tracing: a request every second, as in the paper's
 	// periodical tracing scenario.
 	total := durQuick(cfg, 3*simtime.Second, 10*simtime.Second)
-	var files []filing
-	for i := simtime.Duration(0); i < total/simtime.Second; i++ {
-		files = append(files, filing{at: simtime.Time(i) * simtime.Second, name: fmt.Sprintf("periodic-%d", i),
-			spec: cluster.TraceRequestSpec{App: "Agent", Purpose: coverage.PurposeProfiling, Period: 200 * simtime.Millisecond}})
+	files := func() []filing {
+		var fs []filing
+		for i := simtime.Duration(0); i < total/simtime.Second; i++ {
+			fs = append(fs, filing{at: simtime.Time(i) * simtime.Second, name: fmt.Sprintf("periodic-%d", i),
+				spec: cluster.TraceRequestSpec{App: "Agent", Purpose: coverage.PurposeProfiling, Period: 200 * simtime.Millisecond}})
+		}
+		return fs
 	}
 	type orchestration struct {
 		mgmtCores, memMB float64

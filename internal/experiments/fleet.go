@@ -23,11 +23,13 @@ type filing struct {
 // fleetRun is one cluster run of an experiment: the cluster to build, the
 // app to deploy on every node, the requests to file and when to stop.
 type fleetRun struct {
-	name  string // names the run in errors
-	cfg   cluster.Config
-	app   workload.Profile
-	opts  workload.InstallOpts
-	files []filing // in filing order
+	name string // names the run in errors
+	cfg  cluster.Config
+	app  workload.Profile
+	opts workload.InstallOpts
+	// files returns the run's filings in filing order. The worker calls
+	// it when the run starts, so only running runs hold their filings.
+	files func() []filing
 	stop  simtime.Time
 	// step, when set, ends the run at the first step boundary after the
 	// first filing where every request is filed and terminal; stop bounds
@@ -78,9 +80,10 @@ func runFleets[T any](cfg Config, runs []fleetRun, read func(i int, f *fleet) T)
 		// Filing→Running latency probe: the watcher observes each
 		// request's first Running transition and never feeds back into
 		// the run.
+		files := run.files()
 		var reqs []*cluster.TraceRequest
-		filed := make(map[*cluster.TraceRequest]simtime.Time, len(run.files))
-		waitMs := make(map[*cluster.TraceRequest]float64, len(run.files))
+		filed := make(map[*cluster.TraceRequest]simtime.Time, len(files))
+		waitMs := make(map[*cluster.TraceRequest]float64, len(files))
 		c.API.Watch(func(r *cluster.TraceRequest) {
 			if at, ok := filed[r]; ok && r.Phase == cluster.PhaseRunning {
 				if _, seen := waitMs[r]; !seen {
@@ -88,8 +91,8 @@ func runFleets[T any](cfg Config, runs []fleetRun, read func(i int, f *fleet) T)
 				}
 			}
 		})
-		for i := range run.files {
-			f := &run.files[i]
+		for i := range files {
+			f := &files[i]
 			c.Eng.Schedule(f.at, func(now simtime.Time) {
 				if r, err := c.Request(f.name, f.spec); err == nil {
 					reqs = append(reqs, r)
@@ -121,9 +124,9 @@ func runFleets[T any](cfg Config, runs []fleetRun, read func(i int, f *fleet) T)
 			out.end = run.stop
 			c.Run(out.end)
 		} else {
-			for out.end = run.files[0].at + simtime.Time(run.step); ; out.end += simtime.Time(run.step) {
+			for out.end = files[0].at + simtime.Time(run.step); ; out.end += simtime.Time(run.step) {
 				c.Run(out.end)
-				if (len(reqs) == len(run.files) && allTerminal(reqs)) || out.end >= run.stop {
+				if (len(reqs) == len(files) && allTerminal(reqs)) || out.end >= run.stop {
 					break
 				}
 			}
@@ -214,26 +217,29 @@ func allTerminal(reqs []*cluster.TraceRequest) bool {
 }
 
 // mixedFilings files n requests against app every 500 ms, alternating
-// RCO's two purposes, and returns them with a generous stop time that
-// deadlines guarantee termination well before. Profiling samples a
-// subset of instances, leaving healthy spares the re-sampler can recover
-// onto; anomaly diagnosis traces every instance, so a lost session has
-// nowhere to go and the request must degrade to partial coverage instead
-// of failing.
-func mixedFilings(prefix, app string, n int) ([]filing, simtime.Time) {
-	fs := make([]filing, n)
-	for i := range fs {
-		purpose, kind := coverage.PurposeProfiling, "prof-"
-		if i%2 == 1 {
-			purpose, kind = coverage.PurposeAnomaly, "diag-"
+// RCO's two purposes, and returns their generator with a generous stop
+// time that deadlines guarantee termination well before. Profiling
+// samples a subset of instances, leaving healthy spares the re-sampler
+// can recover onto; anomaly diagnosis traces every instance, so a lost
+// session has nowhere to go and the request must degrade to partial
+// coverage instead of failing.
+func mixedFilings(prefix, app string, n int) (func() []filing, simtime.Time) {
+	files := func() []filing {
+		fs := make([]filing, n)
+		for i := range fs {
+			purpose, kind := coverage.PurposeProfiling, "prof-"
+			if i%2 == 1 {
+				purpose, kind = coverage.PurposeAnomaly, "diag-"
+			}
+			fs[i] = filing{
+				at:   simtime.Time(i) * simtime.Time(500*simtime.Millisecond),
+				name: prefix + kind + strconv.Itoa(i),
+				spec: cluster.TraceRequestSpec{App: app, Purpose: purpose, Period: 200 * simtime.Millisecond},
+			}
 		}
-		fs[i] = filing{
-			at:   simtime.Time(i) * simtime.Time(500*simtime.Millisecond),
-			name: prefix + kind + strconv.Itoa(i),
-			spec: cluster.TraceRequestSpec{App: app, Purpose: purpose, Period: 200 * simtime.Millisecond},
-		}
+		return fs
 	}
-	return fs, simtime.Time(n)*simtime.Time(500*simtime.Millisecond) + simtime.Time(15*simtime.Second)
+	return files, simtime.Time(n)*simtime.Time(500*simtime.Millisecond) + simtime.Time(15*simtime.Second)
 }
 
 // nodeNames returns an n-node fleet's node names by index.
