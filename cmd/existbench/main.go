@@ -360,6 +360,17 @@ func measureHotPaths() (map[string]benchResult, datapathStats) {
 		}
 	}))
 
+	// Machine-node event shape: eight cores' chained segment ends,
+	// same-instant dispatches and wake timers, 10 ms of simulated time
+	// per op. It allocates nothing once the free list is warm.
+	cb := hotbench.NewChainBench()
+	hot["engine_chain"] = toBenchResult(testing.Benchmark(func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			cb.RunWindow()
+		}
+	}))
+
 	// Control-plane hot path: one Lite session opened, finished and
 	// uploaded on a warm cluster (request filed, completed and deleted).
 	lb := litebench.New()

@@ -139,7 +139,7 @@ type Session struct {
 	active   bool
 	finished bool
 	log      kernel.SwitchLog
-	topas    map[int]*ipt.ToPA
+	topas    []*ipt.ToPA       // by core ID; nil for an unplanned core
 	perThr   map[int]*ipt.ToPA // PerThread mode: tid -> buffer
 	result   *trace.Session
 	onDone   []func(*Session)
@@ -198,7 +198,7 @@ func (c *Controller) Trace(target *sched.Process, cfg Config) (*Session, error) 
 		ctrl:   c,
 		bus:    kernel.NewMSRBus(c.m.Cfg.Cost),
 		active: true,
-		topas:  make(map[int]*ipt.ToPA),
+		topas:  make([]*ipt.ToPA, len(c.m.Cores)),
 	}
 	if cfg.Buffers == PerThread {
 		s.perThr = make(map[int]*ipt.ToPA)
@@ -279,8 +279,8 @@ func (s *Session) onSwitch(ev sched.SwitchEvent) simtime.Duration {
 	cost += costModel.SwitchRecord
 
 	tr := ev.Core.Tracer
-	topa, planned := s.topas[ev.Core.ID]
-	if !planned {
+	topa := s.topas[ev.Core.ID]
+	if topa == nil {
 		return cost
 	}
 

@@ -43,3 +43,82 @@ func NewEngineBench() *EngineBench {
 func (b *EngineBench) RunPeriod() {
 	b.eng.RunUntil(b.eng.Now() + enginePeriod)
 }
+
+// Machine-node event shape of the chained engine fixture: one 8-core node
+// whose cores each pop a segment end and push the next, with a blocking
+// thread's dispatch at the same instant and its wake timer among a few
+// dozen pending ones.
+const (
+	chainCores  = 8
+	chainWindow = 10 * simtime.Millisecond
+	// chainBlock is one in chainBlock segments ending in a blocking
+	// syscall: the core pushes a dispatch at the current instant and a
+	// wake timer instead of its next segment end.
+	chainBlock = 4
+	// A mean wake of about 4 ms against about 8 blocks per simulated
+	// millisecond keeps some 32 wake timers pending.
+	chainWakes = 32
+)
+
+// ChainBench drives a simtime engine with a machine node's chained
+// traffic: the pattern the front slot of the event queue serves.
+type ChainBench struct {
+	eng      *simtime.Engine
+	x        uint64 // xorshift state
+	segEnd   [chainCores]func(simtime.Time)
+	dispatch [chainCores]func(simtime.Time)
+	wake     func(simtime.Time)
+	kick     func(simtime.Time)
+}
+
+// NewChainBench arms every core's first segment end and chainWakes wake
+// timers, then runs one warm-up window so the engine's free list is in
+// its steady state.
+func NewChainBench() *ChainBench {
+	b := &ChainBench{eng: simtime.NewEngine(), x: 0x9e3779b97f4a7c15}
+	// A wake finds its core busy: the dispatch it kicks does nothing.
+	b.kick = func(simtime.Time) {}
+	b.wake = func(now simtime.Time) { b.eng.ScheduleDetached(now, b.kick) }
+	for c := range b.segEnd {
+		b.segEnd[c] = func(now simtime.Time) {
+			if b.next()%chainBlock == 0 {
+				b.eng.ScheduleDetached(now, b.dispatch[c])
+				b.eng.ScheduleDetached(now+b.wakeDelay(), b.wake)
+				return
+			}
+			b.eng.ScheduleDetached(now+b.segment(), b.segEnd[c])
+		}
+		b.dispatch[c] = func(now simtime.Time) {
+			b.eng.ScheduleDetached(now+b.segment(), b.segEnd[c])
+		}
+		b.eng.ScheduleDetached(b.segment(), b.segEnd[c])
+	}
+	for i := 0; i < chainWakes; i++ {
+		b.eng.ScheduleDetached(b.wakeDelay(), b.wake)
+	}
+	b.RunWindow()
+	return b
+}
+
+// next steps the xorshift generator.
+func (b *ChainBench) next() uint64 {
+	b.x ^= b.x << 13
+	b.x ^= b.x >> 7
+	b.x ^= b.x << 17
+	return b.x
+}
+
+// segment draws a segment length in [10 µs, 500 µs).
+func (b *ChainBench) segment() simtime.Duration {
+	return 10*simtime.Microsecond + simtime.Duration(b.next()%uint64(490*simtime.Microsecond))
+}
+
+// wakeDelay draws a blocking duration in [100 µs, 8 ms).
+func (b *ChainBench) wakeDelay() simtime.Duration {
+	return 100*simtime.Microsecond + simtime.Duration(b.next()%uint64(7900*simtime.Microsecond))
+}
+
+// RunWindow advances the engine one chainWindow of simulated time.
+func (b *ChainBench) RunWindow() {
+	b.eng.RunUntil(b.eng.Now() + chainWindow)
+}

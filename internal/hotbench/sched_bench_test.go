@@ -5,17 +5,18 @@ import (
 )
 
 // TestSchedWindowAllocs pins the steady-state allocation rate of the
-// segment loop. Batched emission means segments no longer allocate a
-// closure each; what remains is the engine's event traffic. A regression
-// back to per-segment allocation trips the bound.
+// segment loop. Batched emission means segments allocate no closure,
+// detached events are recycled, and run queues keep their capacity, so a
+// warm window allocates nothing; the bound leaves a little slack, and a
+// regression back to per-segment or per-enqueue allocation trips it.
 func TestSchedWindowAllocs(t *testing.T) {
 	s := NewSchedBench(1)
 	for i := 0; i < 4; i++ {
 		s.RunWindow() // warm buffer pools and slice capacities
 	}
 	avg := testing.AllocsPerRun(8, func() { s.RunWindow() })
-	if avg > 160 {
-		t.Fatalf("sched window allocates too much: %.1f allocs/run (want <= 160)", avg)
+	if avg > 8 {
+		t.Fatalf("sched window allocates too much: %.1f allocs/run (want <= 8)", avg)
 	}
 }
 

@@ -142,8 +142,12 @@ func (m *Machine) dispatch(c *Core, now simtime.Time) {
 		}
 		return
 	}
+	// Shift in place rather than re-slicing past the head, so the
+	// backing array keeps its capacity and enqueue never reallocates.
 	next := c.runq[0]
-	c.runq = c.runq[1:]
+	n := copy(c.runq, c.runq[1:])
+	c.runq[n] = nil
+	c.runq = c.runq[:n]
 	next.queued = false
 	m.contextSwitch(c, next, now)
 }

@@ -61,6 +61,22 @@ func TestDetachedEventsRecycle(t *testing.T) {
 	}
 }
 
+// TestFreeListTrims checks that a burst of detached timers does not pin
+// its recycled events after it drains: the free list ends no longer than
+// freeFloor.
+func TestFreeListTrims(t *testing.T) {
+	e := NewEngine()
+	const burst = 50_000
+	noop := func(Time) {}
+	for i := 0; i < burst; i++ {
+		e.ScheduleDetached(Time(i), noop)
+	}
+	e.Run()
+	if len(e.free) > freeFloor {
+		t.Fatalf("free list holds %d events after a %d-event burst, want at most %d", len(e.free), burst, freeFloor)
+	}
+}
+
 func TestDetachedRescheduleFromCallback(t *testing.T) {
 	e := NewEngine()
 	count := 0

@@ -20,6 +20,19 @@ func BenchmarkEngineSameInstant(b *testing.B) {
 	}
 }
 
+// BenchmarkEngineChain measures a machine node's chained traffic: eight
+// cores each popping a segment end and pushing the next, dispatches at the
+// current instant, and a few dozen wake timers. One op is 10 ms of
+// simulated time. It is the engine_chain row of existbench -benchjson.
+func BenchmarkEngineChain(b *testing.B) {
+	cb := hotbench.NewChainBench()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		cb.RunWindow()
+	}
+}
+
 // BenchmarkEngineDistinct measures node-shaped traffic, where almost no
 // two timers share an instant: 256 detached timers each re-arm at a
 // pseudo-random offset. One op is one Step.

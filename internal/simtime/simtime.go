@@ -104,11 +104,16 @@ type heapEntry struct {
 func handleEntry(ev *Event) heapEntry   { return heapEntry{at: ev.at, seq: ev.seq << 1, ev: ev} }
 func detachedEntry(ev *Event) heapEntry { return heapEntry{at: ev.at, seq: ev.seq<<1 | 1, ev: ev} }
 
-// deadIndex marks an event that fired or was cancelled. Live events carry
-// a non-negative heap position.
-const deadIndex = -1
+// deadIndex marks an event that fired or was cancelled, and frontIndex a
+// handle event held in the queue's front slot. Live events in the heap
+// carry a non-negative heap position.
+const (
+	deadIndex  = -1
+	frontIndex = -2
+)
 
-// setIndex records the heap position on handle-carrying events.
+// setIndex records the queue position (a heap index or frontIndex) on
+// handle-carrying events.
 func (e heapEntry) setIndex(i int) {
 	if e.seq&1 == 0 {
 		e.ev.index = int32(i)
@@ -215,32 +220,43 @@ func (h *eventHeap) remove(i int) {
 }
 
 // eventQueue is the engine's priority queue of events ordered by
-// (at, seq): a 4-ary min-heap whose entries are runs. The seq tiebreak
-// makes simultaneous events fire in scheduling order, which keeps runs
-// deterministic — and because (at, seq) is a total order, the pop
-// sequence is independent of the heap's internal layout, so changing its
-// shape or storage cannot perturb a run.
+// (at, seq): a one-entry front slot ahead of a 4-ary min-heap, both
+// holding entries that are runs. The seq tiebreak makes simultaneous
+// events fire in scheduling order, which keeps runs deterministic — and
+// because (at, seq) is a total order, the pop sequence is independent of
+// the queue's internal layout, so changing its shape or storage cannot
+// perturb a run.
+//
+// The front slot, when occupied, is strictly before every heap entry. A
+// push strictly earlier than both the slot and the heap minimum takes
+// the slot, and the old occupant moves into the heap; any other push
+// goes to the heap. Pop and peek read the slot first. A machine node's
+// common chain — pop a segment end, push the next segment end or a
+// dispatch at the current instant — thus costs no sift whenever the new
+// event is the earliest. A handle event in the slot carries frontIndex,
+// so Cancel and Pending find it there.
 //
 // A run is a FIFO chain (Event.next) of detached events that share one
-// exact instant, kept behind a single heap entry under its head's key. A
+// exact instant, kept behind a single entry under its head's key. A
 // detached push whose time equals that of tail — the last detached event
 // pushed — appends to tail's run in O(1) instead of paying a sift through
 // the heap; every other push gets an entry of its own. Periodic timers
 // armed in phase (100k lease heartbeats re-arming every period) thus
-// cost one entry per distinct instant rather than one per timer, and
-// each pop sifts the run's successor down from the root, usually zero or
-// one level. The order stays exact because Engine.seq only grows: a run
-// is appended in seq order, so it is sorted by (at, seq), and on pop its
-// successor re-enters the heap under its own key, so a handle event
-// pushed between two run members at the same instant still fires
-// between them. Only detached events chain, so Cancel, Pending and the
-// index upkeep see plain heap entries. (A two-band near/far heap was
-// measured on small queues and lost to the plain heap; runs cost one
-// pointer compare per push where nothing coalesces.)
+// cost one entry per distinct instant rather than one per timer. When a
+// run's head pops, its successor is placed under its own key: from the
+// heap root it sifts down, usually zero or one level; from the slot it
+// is placed again by the push rule. The order stays exact because
+// Engine.seq only grows: a run is appended in seq order, so it is sorted
+// by (at, seq), and a handle event pushed between two run members at the
+// same instant still fires between them. Only detached events chain, so
+// Cancel, Pending and the index upkeep see single entries. (A two-band
+// near/far heap was measured on small queues and lost to the plain heap;
+// runs cost one pointer compare per push where nothing coalesces.)
 type eventQueue struct {
-	heap eventHeap
-	n    int    // pending events, run members included
-	tail *Event // last detached event pushed, while it is pending
+	front heapEntry // the front slot; empty when front.ev is nil
+	heap  eventHeap
+	n     int    // pending events, run members included
+	tail  *Event // last detached event pushed, while it is pending
 }
 
 // Len returns the number of pending events.
@@ -249,7 +265,7 @@ func (q *eventQueue) Len() int { return q.n }
 // push inserts a handle-carrying event.
 func (q *eventQueue) push(ev *Event) {
 	q.n++
-	q.heap.push(handleEntry(ev))
+	q.place(handleEntry(ev))
 }
 
 // pushDetached inserts a detached event, appending it to tail's run when
@@ -262,27 +278,55 @@ func (q *eventQueue) pushDetached(ev *Event) {
 		return
 	}
 	q.tail = ev
-	q.heap.push(detachedEntry(ev))
+	q.place(detachedEntry(ev))
+}
+
+// place puts e in the front slot when it is strictly before both the
+// slot's occupant and the heap minimum, moving the occupant into the
+// heap, and into the heap otherwise.
+func (q *eventQueue) place(e heapEntry) {
+	if f := q.front; f.ev != nil {
+		if !entryBefore(e, f) {
+			q.heap.push(e)
+			return
+		}
+		q.heap.push(f)
+	} else if len(q.heap) > 0 && !entryBefore(e, q.heap[0]) {
+		q.heap.push(e)
+		return
+	}
+	q.front = e
+	e.setIndex(frontIndex)
 }
 
 // peek returns the key of the earliest event. It must not be called on an
 // empty queue.
-func (q *eventQueue) peek() heapEntry { return q.heap[0] }
-
-// popMin removes and returns the earliest event. It stays small enough
-// to inline into Step, leaving popRoot as the one out-of-line call.
-func (q *eventQueue) popMin() *Event {
-	top := q.heap[0].ev
-	q.n--
-	q.popRoot(top)
-	return top
+func (q *eventQueue) peek() heapEntry {
+	if q.front.ev != nil {
+		return q.front
+	}
+	return q.heap[0]
 }
 
-// popRoot retires top, the root entry's event: top's run successor takes
-// the root under its own key, or, when top ends its run, the last entry
-// does. Either way the replacement sifts down from the root, so the heap
-// keeps holding the head of every run.
-func (q *eventQueue) popRoot(top *Event) {
+// popMin removes and returns the earliest event: the front slot's, or
+// else the heap root's. A run head's successor takes its place under its
+// own key: from the slot it is placed again by the push rule; at the root
+// it sifts down, as does the last entry when the root ends its run, so
+// the heap keeps holding the head of every run outside the slot.
+func (q *eventQueue) popMin() *Event {
+	q.n--
+	if top := q.front.ev; top != nil {
+		top.index = deadIndex
+		q.front = heapEntry{}
+		if nx := top.next; nx != nil {
+			top.next = nil
+			q.place(detachedEntry(nx))
+		} else if top == q.tail {
+			q.tail = nil
+		}
+		return top
+	}
+	top := q.heap[0].ev
 	top.index = deadIndex
 	var e heapEntry
 	if nx := top.next; nx != nil {
@@ -298,15 +342,21 @@ func (q *eventQueue) popRoot(top *Event) {
 		h[n] = heapEntry{}
 		q.heap = h[:n]
 		if n == 0 {
-			return
+			return top
 		}
 	}
 	q.heap.siftDown(e, 0)
+	return top
 }
 
 // remove deletes a pending handle-carrying event.
 func (q *eventQueue) remove(ev *Event) {
 	q.n--
+	if ev.index == frontIndex {
+		ev.index = deadIndex
+		q.front = heapEntry{}
+		return
+	}
 	q.heap.remove(int(ev.index))
 }
 
@@ -391,10 +441,24 @@ func (e *Engine) Step() bool {
 		// struct; fn is cleared so the free list does not pin closures.
 		ev.fn = nil
 		e.free = append(e.free, ev)
+		if n := len(e.free); n > freeFloor && n > 2*e.queue.Len() {
+			// Cut back to the pending count, clearing the dropped
+			// pointers, so a burst of detached timers (a fleet's 200k
+			// sessions in flight at once) does not pin its events for
+			// the engine's lifetime.
+			keep := e.queue.Len()
+			clear(e.free[keep:])
+			e.free = e.free[:keep]
+		}
 	}
 	fn(e.now)
 	return true
 }
+
+// freeFloor is the free-list length below which Step never trims it;
+// above it, Step trims once the list holds more than twice the pending
+// count.
+const freeFloor = 4096
 
 // PeekTime returns the time of the earliest pending event, or ok=false when
 // the queue is empty.
