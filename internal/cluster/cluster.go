@@ -527,29 +527,6 @@ func DefaultConfig() Config {
 // is the session ID.
 const sessionPrefix = "sessions/"
 
-// sessionRec tracks one in-flight machine session for the control plane
-// (Lite sessions live in the liteSlab).
-type sessionRec struct {
-	req  *TraceRequest
-	node *Node
-	// key is the session's object key: sessionPrefix + session ID.
-	key string
-	// attempt is 0 for an originally planned session, k for the k-th
-	// replacement in its slot's re-sampling chain.
-	attempt int
-	// lost marks data destroyed by a node crash before upload.
-	lost bool
-	// endAt is when the session's window timer fires (open time + period).
-	// The barrier may not advance any node past the earliest endAt: the
-	// completion calls back into the control plane.
-	endAt simtime.Time
-	// openSeq orders simultaneous window closes during barrier replay:
-	// sessions opened earlier armed their timers earlier, so at equal
-	// times they close in open order, on one node's engine or across
-	// nodes.
-	openSeq int64
-}
-
 // sessionKey returns the object key of a session: sessionPrefix plus its
 // session ID "<request>/<node>", or "<request>/<node>/r<attempt>" for a
 // replacement, built in one concatenation.
@@ -560,79 +537,88 @@ func sessionKey(r *TraceRequest, n *Node, attempt int) string {
 	return sessionPrefix + r.Name + "/" + n.Name + "/r" + strconv.Itoa(attempt)
 }
 
-// doneItem is one session completion buffered during a concurrent node
+// doneItem is one machine window close buffered during a concurrent node
 // advance, replayed on the control engine at the barrier.
 type doneItem struct {
-	at  simtime.Time
-	seq int64
-	rec *sessionRec
-	s   *core.Session
+	at   simtime.Time
+	seq  int64
+	slot int32
 }
 
-// liteSession is one virtual session in a Lite cluster: bookkeeping and
-// a completion timer, no traced workload. It lives in the cluster's
-// liteSlab from open until its timer fires; a free slot has a nil node.
-type liteSession struct {
+// sessionSlot is one session in the cluster's session table. A Lite
+// session is bookkeeping and a completion timer, no traced workload; a
+// machine session also holds its node's tracing session. A free slot has
+// a nil node.
+type sessionSlot struct {
 	req  *TraceRequest
 	node *Node
-	// key and attempt are as on sessionRec.
-	key     string
-	attempt int
-	// fire is the slot's timer callback, built once when the slot is
+	// key is the session's object key: sessionPrefix + session ID.
+	key string
+	// sess is a machine session's tracing session; nil for Lite.
+	sess *core.Session
+	// fire is the slot's Lite timer callback, built once when the slot is
 	// made and reused by every session that takes the slot.
 	fire func(now simtime.Time)
-	// slot is the session's slab index.
-	slot int32
+	// endAt is when a machine session's window timer fires (open time +
+	// period). The barrier may not advance any node past the earliest
+	// endAt: the completion calls back into the control plane.
+	endAt simtime.Time
+	// openSeq orders simultaneous machine window closes during barrier
+	// replay: sessions opened earlier armed their timers earlier, so at
+	// equal times they close in open order, on one node's engine or
+	// across nodes.
+	openSeq int64
+	// attempt is 0 for an originally planned session, k for the k-th
+	// replacement in its slot's re-sampling chain.
+	attempt int32
 	// lost marks data destroyed by a node crash before upload.
 	lost bool
-	// closed marks a resolved session: by its timer, or earlier by a
-	// crash, in which case the timer is still pending.
+	// closed marks a resolved session. A crash closes a Lite session
+	// before its timer fires; the slot stays taken until then.
 	closed bool
 }
 
-// id returns the session ID, the key without its prefix (no copy).
-func (ls *liteSession) id() string { return ls.key[len(sessionPrefix):] }
+// slotChunk is the slot count of one sessionTable chunk.
+const slotChunk = 1024
 
-// liteChunk is the slot count of one liteSlab chunk.
-const liteChunk = 1024
-
-// liteSlab holds a Lite cluster's sessions in fixed-size chunks, so a
-// slot never moves as the slab grows and its fire closure can keep
-// pointing at it. Freed slots are reused from a free list. A slot is
-// freed only when its timer fires, so a crash-closed slot is not handed
-// out again while its old timer is pending.
-type liteSlab struct {
-	chunks []*[liteChunk]liteSession
+// sessionTable holds a cluster's sessions, Lite or machine, in fixed-size
+// chunks, so a slot never moves as the table grows and its fire closure
+// can keep pointing at it. Freed slots are reused from a free list. A
+// Lite slot is freed when its timer fires, so a crash-closed slot is not
+// handed out again while its old timer is pending; a machine slot is
+// freed when its window close resolves it.
+type sessionTable struct {
+	chunks []*[slotChunk]sessionSlot
 	free   []int32
-	// n is the number of slots ever made: the slab's high-water mark.
+	// n is the number of slots ever made: the table's high-water mark.
 	n int32
 }
 
 // at returns slot i.
-func (s *liteSlab) at(i int32) *liteSession { return &s.chunks[i/liteChunk][i%liteChunk] }
+func (t *sessionTable) at(i int32) *sessionSlot { return &t.chunks[i/slotChunk][i%slotChunk] }
 
 // alloc takes a free slot, or makes one whose fire callback is
-// c.fireLite on it.
-func (s *liteSlab) alloc(c *Cluster) *liteSession {
-	if k := len(s.free); k > 0 {
-		i := s.free[k-1]
-		s.free = s.free[:k-1]
-		return s.at(i)
+// c.endSlot on it, and returns its index.
+func (t *sessionTable) alloc(c *Cluster) int32 {
+	if k := len(t.free); k > 0 {
+		i := t.free[k-1]
+		t.free = t.free[:k-1]
+		return i
 	}
-	if s.n%liteChunk == 0 {
-		s.chunks = append(s.chunks, new([liteChunk]liteSession))
+	if t.n%slotChunk == 0 {
+		t.chunks = append(t.chunks, new([slotChunk]sessionSlot))
 	}
-	ls := s.at(s.n)
-	ls.slot = s.n
-	ls.fire = func(simtime.Time) { c.fireLite(ls) }
-	s.n++
-	return ls
+	i := t.n
+	t.at(i).fire = func(simtime.Time) { c.endSlot(i) }
+	t.n++
+	return i
 }
 
-// release clears a slot, so it pins no request, and frees it.
-func (s *liteSlab) release(ls *liteSession) {
-	ls.req, ls.node, ls.key = nil, nil, ""
-	s.free = append(s.free, ls.slot)
+// release clears slot i, so it pins no request or capture, and frees it.
+func (t *sessionTable) release(i int32) {
+	sl := t.at(i)
+	sl.req, sl.node, sl.key, sl.sess = nil, nil, "", nil
+	t.free = append(t.free, i)
 }
 
 // Cluster is the whole deployment.
@@ -672,8 +658,7 @@ type Cluster struct {
 	rng           *xrand.Rand
 	retryRNG      *xrand.Rand
 	resampleRNG   *xrand.Rand
-	inflight      map[*core.Session]*sessionRec
-	lite          liteSlab
+	slots         sessionTable
 	pendingUpload []uploadItem
 	batchSeq      int64
 	openSeq       int64
@@ -790,7 +775,6 @@ func New(cfg Config) *Cluster {
 		rng:         xrand.Split(cfg.Seed, "cluster"),
 		retryRNG:    xrand.Split(cfg.Seed, "cluster/retry"),
 		resampleRNG: xrand.Split(cfg.Seed, "cluster/resample"),
-		inflight:    make(map[*core.Session]*sessionRec),
 		Mgmt:        MgmtStats{MemMB: 40}, // the RCO management pod's footprint
 	}
 	nodes := make([]Node, cfg.Nodes)
@@ -956,10 +940,8 @@ func (c *Cluster) runParallel(until simtime.Time) {
 		if t, ok := c.Eng.PeekTime(); ok && t < tc {
 			tc = t
 		}
-		for _, rec := range c.inflight {
-			if rec.endAt < tc {
-				tc = rec.endAt
-			}
+		if t, ok := c.tracerFreeAt(nil); ok && t < tc {
+			tc = t
 		}
 
 		// Advance all node machines to tc on worker goroutines. Window
@@ -989,7 +971,7 @@ func (c *Cluster) runParallel(until simtime.Time) {
 			c.Eng.Advance(tc - now)
 		}
 		for _, d := range done {
-			c.finishSession(d.rec, d.s)
+			c.endSlot(d.slot)
 		}
 
 		// Fire the control events at tc (which may open or cancel node
@@ -1196,33 +1178,23 @@ func (c *Cluster) crashNode(n *Node) {
 	if i, found := slices.BinarySearch(c.downNodes, n.idx); !found {
 		c.downNodes = slices.Insert(c.downNodes, i, n.idx)
 	}
-	var doomed []*core.Session
-	for s, rec := range c.inflight {
-		if rec.node == n {
-			doomed = append(doomed, s)
+	// Key order is session-ID order: keys share their prefix. Crashes are
+	// rare, so they scan the table rather than every session paying for a
+	// per-node list.
+	var doomed []*sessionSlot
+	for i := int32(0); i < c.slots.n; i++ {
+		if sl := c.slots.at(i); sl.node == n && !sl.closed {
+			doomed = append(doomed, sl)
 		}
 	}
-	sort.Slice(doomed, func(i, j int) bool {
-		return doomed[i].Cfg.SessionID < doomed[j].Cfg.SessionID
-	})
-	for _, s := range doomed {
-		c.inflight[s].lost = true
-		s.Cancel() // fires OnDone; finishSession sees lost and re-samples
-	}
-	// Lite sessions on the node die the same way, in session-ID order
-	// (keys share their prefix, so key order is ID order). Crashes are
-	// rare, so they scan the slab rather than every session paying for a
-	// per-node list. Each slot stays taken until its pending timer fires.
-	var doomedLite []*liteSession
-	for i := int32(0); i < c.lite.n; i++ {
-		if ls := c.lite.at(i); ls.node == n && !ls.closed {
-			doomedLite = append(doomedLite, ls)
+	sort.Slice(doomed, func(i, j int) bool { return doomed[i].key < doomed[j].key })
+	for _, sl := range doomed {
+		sl.lost = true
+		if sl.sess != nil {
+			sl.sess.Cancel() // fires OnDone, which closes and frees the slot
+		} else {
+			c.closeSlot(sl) // the slot stays taken until its timer fires
 		}
-	}
-	sort.Slice(doomedLite, func(i, j int) bool { return doomedLite[i].key < doomedLite[j].key })
-	for _, ls := range doomedLite {
-		ls.lost = true
-		c.closeLite(ls)
 	}
 }
 
@@ -1300,7 +1272,7 @@ func (c *Cluster) expire(r *TraceRequest, now simtime.Time) {
 		c.terminate(r, PhaseFailed, "deadline exceeded with no sessions captured")
 	}
 	for _, s := range r.sessions {
-		s.Cancel() // finishSession drops the data: the request is terminal
+		s.Cancel() // closeSlot drops the data: the request is terminal
 	}
 }
 
@@ -1445,10 +1417,22 @@ func (c *Cluster) openSession(r *TraceRequest, n *Node, attempt int) error {
 		// The lease may still look valid, but contacting the node fails.
 		return fmt.Errorf("cluster: node %s unreachable", n.Name)
 	}
-	if c.Cfg.Lite {
-		return c.openLiteSession(r, n, attempt)
-	}
 	key := sessionKey(r, n, attempt)
+	if c.Cfg.Lite {
+		// A virtual session: the same bookkeeping, with a completion
+		// timer in place of a traced workload. Its length is roughly the
+		// request's sampling period, plus a per-session spread keyed by
+		// the session ID so fleet completions don't all land on one tick
+		// and runs stay deterministic.
+		base := r.period
+		if base <= 0 {
+			base = 20 * simtime.Millisecond
+		}
+		dur := base + simtime.Duration(hashName(key[len(sessionPrefix):])%uint64(base))
+		_, sl := c.takeSlot(r, n, key, attempt)
+		c.Eng.AfterDetached(dur, sl.fire)
+		return nil
+	}
 	cfg := core.DefaultConfig()
 	cfg.Period = r.period
 	cfg.Scale = r.scale
@@ -1466,75 +1450,38 @@ func (c *Cluster) openSession(r *TraceRequest, n *Node, attempt int) error {
 	if err != nil {
 		return err
 	}
-	r.usedNodes.Add(n.idx)
 	r.sessions = append(r.sessions, sess)
-	rec := &sessionRec{
-		req: r, node: n, key: key, attempt: attempt,
-		endAt:   n.Machine.Eng.Now() + cfg.Period,
-		openSeq: c.openSeq,
-	}
+	seq := c.openSeq
 	c.openSeq++
-	c.inflight[sess] = rec
-	sess.OnDone(func(s *core.Session) {
+	i, sl := c.takeSlot(r, n, key, attempt)
+	sl.sess, sl.endAt, sl.openSeq = sess, n.Machine.Eng.Now()+cfg.Period, seq
+	sess.OnDone(func(*core.Session) {
 		if c.advancing {
 			// Concurrent node advance: park the completion for the
 			// barrier's replay instead of touching control state from a
 			// node goroutine.
-			n.doneBuf = append(n.doneBuf, doneItem{at: n.Machine.Eng.Now(), seq: rec.openSeq, rec: rec, s: s})
+			n.doneBuf = append(n.doneBuf, doneItem{at: n.Machine.Eng.Now(), seq: seq, slot: i})
 			return
 		}
-		c.finishSession(rec, s)
+		c.endSlot(i)
 	})
 	return nil
 }
 
-// openLiteSession opens a virtual session on a Lite node: the same
-// bookkeeping as a real session, with a completion timer in place of a
-// traced workload.
-func (c *Cluster) openLiteSession(r *TraceRequest, n *Node, attempt int) error {
+// takeSlot records a session of r on n in a free table slot.
+func (c *Cluster) takeSlot(r *TraceRequest, n *Node, key string, attempt int) (int32, *sessionSlot) {
 	r.usedNodes.Add(n.idx)
-	ls := c.lite.alloc(c)
-	ls.req, ls.node, ls.key, ls.attempt = r, n, sessionKey(r, n, attempt), attempt
-	ls.lost, ls.closed = false, false
-	// Virtual session length: roughly the request's sampling period,
-	// plus a per-session spread keyed by the session ID so fleet
-	// completions don't all land on one tick and runs stay
-	// deterministic.
-	base := r.period
-	if base <= 0 {
-		base = 20 * simtime.Millisecond
-	}
-	dur := base + simtime.Duration(hashName(ls.id())%uint64(base))
-	c.Eng.AfterDetached(dur, ls.fire)
-	return nil
+	i := c.slots.alloc(c)
+	sl := c.slots.at(i)
+	*sl = sessionSlot{req: r, node: n, key: key, attempt: int32(attempt), fire: sl.fire}
+	return i, sl
 }
 
-// fireLite is a Lite session's timer: it closes the session unless a
-// crash already did, then frees the slot.
-func (c *Cluster) fireLite(ls *liteSession) {
-	c.closeLite(ls)
-	c.lite.release(ls)
-}
-
-// closeLite resolves one virtual session: fate from the injector and
-// a synthetic upload through the same batched, retrying data path.
-func (c *Cluster) closeLite(ls *liteSession) {
-	if ls.closed {
-		return
-	}
-	ls.closed = true
-	r := ls.req
-	if r.Phase.Terminal() {
-		return
-	}
-	id := ls.id()
-	if ls.lost || c.Cfg.Faults.SessionFate(id) == faults.FateLost {
-		c.loseSlot(r, ls.attempt)
-		return
-	}
-	// Corruption and truncation don't destroy a lite capture — the blob
-	// is synthetic either way.
-	c.queueUpload(uploadItem{req: r, node: ls.node, key: ls.key, attempt: ls.attempt, blob: []byte(id)})
+// endSlot closes slot i, unless a crash already did, and frees it. It is
+// a Lite session's timer and a machine session's window close.
+func (c *Cluster) endSlot(i int32) {
+	c.closeSlot(c.slots.at(i))
+	c.slots.release(i)
 }
 
 // replacementCandidates lists the request's app repetitions with their
@@ -1588,49 +1535,66 @@ func (c *Cluster) Delete(name string) error {
 	return c.API.Delete(name)
 }
 
-// finishSession resolves one closed session: consult the fault injector
-// for the data's fate, upload with retries, decode into the structured
-// store, and complete the request when the last slot resolves.
-func (c *Cluster) finishSession(rec *sessionRec, s *core.Session) {
-	r := rec.req
-	delete(c.inflight, s)
+// closeSlot resolves one session, unless it is already closed: consult
+// the fault injector for the data's fate and queue what survives for the
+// batched, retrying upload. A Lite session ships a synthetic blob, a
+// machine session its capture, which the upload decodes into the
+// structured store.
+func (c *Cluster) closeSlot(sl *sessionSlot) {
+	if sl.closed {
+		return
+	}
+	sl.closed = true
+	r := sl.req
 	if r.Phase.Terminal() {
 		// Deadline or cancellation already resolved the request; the
 		// late capture is dropped.
 		return
 	}
-	if rec.lost {
+	if sl.lost {
 		// Node crash destroyed the data before upload.
-		c.loseSlot(r, rec.attempt)
+		c.loseSlot(r, int(sl.attempt))
 		return
 	}
-	res, err := s.Result()
-	if err != nil {
-		c.terminate(r, PhaseFailed, err.Error())
-		return
+	var res *trace.Session
+	if sl.sess != nil {
+		var err error
+		if res, err = sl.sess.Result(); err != nil {
+			c.terminate(r, PhaseFailed, err.Error())
+			return
+		}
 	}
-
-	switch c.Cfg.Faults.SessionFate(s.Cfg.SessionID) {
-	case faults.FateLost:
+	id := sl.key[len(sessionPrefix):]
+	fate := c.Cfg.Faults.SessionFate(id)
+	if fate == faults.FateLost {
 		// The capture vanished between window close and upload.
-		c.loseSlot(r, rec.attempt)
+		c.loseSlot(r, int(sl.attempt))
 		return
+	}
+	it := uploadItem{req: r, node: sl.node, key: sl.key, attempt: int(sl.attempt)}
+	if res == nil {
+		// Corruption and truncation don't destroy a Lite capture: the
+		// blob is synthetic either way.
+		it.blob = []byte(id)
+		c.queueUpload(it)
+		return
+	}
+	switch fate {
 	case faults.FateCorrupted:
 		for i := range res.Cores {
-			c.Cfg.Faults.CorruptBuffer(fmt.Sprintf("%s#%d", s.Cfg.SessionID, res.Cores[i].Core), res.Cores[i].Data)
+			c.Cfg.Faults.CorruptBuffer(fmt.Sprintf("%s#%d", id, res.Cores[i].Core), res.Cores[i].Data)
 		}
 	case faults.FateTruncated:
 		for i := range res.Cores {
 			res.Cores[i].Data = c.Cfg.Faults.TruncateBuffer(
-				fmt.Sprintf("%s#%d", s.Cfg.SessionID, res.Cores[i].Core), res.Cores[i].Data)
+				fmt.Sprintf("%s#%d", id, res.Cores[i].Core), res.Cores[i].Data)
 		}
 	}
-
 	// Marshal reserves room for the raw session and the packed blob is far
 	// smaller; the object store keeps the slice it is handed, so hand it
 	// an exact-size copy instead of pinning the slack.
-	c.queueUpload(uploadItem{req: r, node: rec.node, key: rec.key, attempt: rec.attempt,
-		blob: bytes.Clone(res.Marshal()), res: res})
+	it.blob, it.res = bytes.Clone(res.Marshal()), res
+	c.queueUpload(it)
 }
 
 // uploadLanded runs the post-upload bookkeeping for one session whose

@@ -623,12 +623,14 @@ func (ct *Controller) syncRunning(r *TraceRequest, now simtime.Time) {
 		}
 		n := c.Nodes[reps[idx[0]].Index]
 		if err := c.openSession(r, n, attempt+1); err != nil {
-			if at, ok := c.tracerFreeAt(n); ok && errors.Is(err, core.ErrTracerBusy) {
-				r.resampleSlots = append(r.resampleSlots, attempt)
-				if wake == 0 || at < wake {
-					wake = at
+			if errors.Is(err, core.ErrTracerBusy) {
+				if at, ok := c.tracerFreeAt(n); ok {
+					r.resampleSlots = append(r.resampleSlots, attempt)
+					if wake == 0 || at < wake {
+						wake = at
+					}
+					continue
 				}
-				continue
 			}
 			r.resampleSlots = append(r.resampleSlots, attempt+1)
 			burnt = true
@@ -648,15 +650,17 @@ func (ct *Controller) syncRunning(r *TraceRequest, now simtime.Time) {
 	}
 }
 
-// tracerFreeAt returns the earliest window close among the in-flight
-// sessions on a node: the first moment a tracer busy with another
-// request's window can be free again.
+// tracerFreeAt returns the earliest window close among the open machine
+// sessions on node n: the first moment a tracer busy with another
+// request's window can be free again. A nil n takes every node, which
+// bounds the barrier (see runParallel).
 func (c *Cluster) tracerFreeAt(n *Node) (simtime.Time, bool) {
 	var at simtime.Time
 	found := false
-	for _, rec := range c.inflight {
-		if rec.node == n && (!found || rec.endAt < at) {
-			at, found = rec.endAt, true
+	for i := int32(0); i < c.slots.n; i++ {
+		sl := c.slots.at(i)
+		if sl.node != nil && !sl.closed && (n == nil || sl.node == n) && (!found || sl.endAt < at) {
+			at, found = sl.endAt, true
 		}
 	}
 	return at, found

@@ -92,11 +92,11 @@ func TestWatchStreamReusesBuffer(t *testing.T) {
 	}
 }
 
-// openLite lists the Lite sessions open on node n, in slab order.
-func openLite(c *Cluster, n *Node) []*liteSession {
-	var out []*liteSession
-	for i := int32(0); i < c.lite.n; i++ {
-		if ls := c.lite.at(i); ls.node == n && !ls.closed {
+// openSlots lists the sessions open on node n, in table order.
+func openSlots(c *Cluster, n *Node) []*sessionSlot {
+	var out []*sessionSlot
+	for i := int32(0); i < c.slots.n; i++ {
+		if ls := c.slots.at(i); ls.node == n && !ls.closed {
 			out = append(out, ls)
 		}
 	}
@@ -125,11 +125,11 @@ func TestLiteCrashResamplesOnlyThatNode(t *testing.T) {
 	}
 	c.Run(200 * simtime.Millisecond)
 	crashed, _ := c.Node("node-3")
-	if got := len(openLite(c, crashed)); got != 3 {
+	if got := len(openSlots(c, crashed)); got != 3 {
 		t.Fatalf("node-3 holds %d lite sessions, want 3", got)
 	}
 	type snap struct {
-		ls  *liteSession
+		ls  *sessionSlot
 		key string
 	}
 	others := map[*Node][]snap{}
@@ -137,7 +137,7 @@ func TestLiteCrashResamplesOnlyThatNode(t *testing.T) {
 		if n == crashed {
 			continue
 		}
-		for _, ls := range openLite(c, n) {
+		for _, ls := range openSlots(c, n) {
 			others[n] = append(others[n], snap{ls, ls.key})
 		}
 	}
@@ -147,7 +147,7 @@ func TestLiteCrashResamplesOnlyThatNode(t *testing.T) {
 
 	w := c.API.WatchStream(0, nil)
 	c.crashNode(crashed)
-	if got := len(openLite(c, crashed)); got != 0 {
+	if got := len(openSlots(c, crashed)); got != 0 {
 		t.Fatalf("crashed node still holds %d open sessions", got)
 	}
 	var order []string
@@ -163,7 +163,7 @@ func TestLiteCrashResamplesOnlyThatNode(t *testing.T) {
 		}
 	}
 	for n, before := range others {
-		open := openLite(c, n)
+		open := openSlots(c, n)
 		if len(open) != len(before) {
 			t.Fatalf("%s lost sessions to another node's crash", n.Name)
 		}
@@ -179,9 +179,9 @@ func TestLiteCrashResamplesOnlyThatNode(t *testing.T) {
 		if r.Resampled != 1 || len(r.usedNodes) != 3 {
 			t.Fatalf("%s: resampled %d, used %v", r.Name, r.Resampled, r.usedNodes)
 		}
-		var repl *liteSession
+		var repl *sessionSlot
 		for _, n := range c.Nodes {
-			for _, ls := range openLite(c, n) {
+			for _, ls := range openSlots(c, n) {
 				if ls.req == r && ls.attempt == 1 {
 					repl = ls
 				}
@@ -201,10 +201,10 @@ func TestLiteCrashResamplesOnlyThatNode(t *testing.T) {
 	}
 }
 
-// TestLiteSlotsRecycle pins the Lite session slab's slot lifetime. A
+// TestLiteSlotsRecycle pins the session table's Lite slot lifetime. A
 // crash-closed slot stays taken until its pending timer fires, so no
 // other session gets it meanwhile, and that firing changes no request.
-// After a drained run every slot is on the free list, and the slab's
+// After a drained run every slot is on the free list, and the table's
 // high-water mark is the peak number of sessions in flight.
 func TestLiteSlotsRecycle(t *testing.T) {
 	c := liteCluster(t, func(cfg *Config) { cfg.Faults = faults.New(faults.Config{Seed: 5}) })
@@ -246,23 +246,25 @@ func TestLiteSlotsRecycle(t *testing.T) {
 	step := func() {
 		c.Eng.Step()
 		inUse := 0
-		for i := int32(0); i < c.lite.n; i++ {
-			if c.lite.at(i).node != nil {
+		for i := int32(0); i < c.slots.n; i++ {
+			if c.slots.at(i).node != nil {
 				inUse++
 			}
 		}
-		if inUse+len(c.lite.free) != int(c.lite.n) {
-			t.Fatalf("%d slots in use and %d free, of %d made", inUse, len(c.lite.free), c.lite.n)
+		if inUse+len(c.slots.free) != int(c.slots.n) {
+			t.Fatalf("%d slots in use and %d free, of %d made", inUse, len(c.slots.free), c.slots.n)
 		}
 		peak = max(peak, inUse)
 	}
-	isFree := func(ls *liteSession) bool { return slices.Contains(c.lite.free, ls.slot) }
+	isFree := func(ls *sessionSlot) bool {
+		return slices.ContainsFunc(c.slots.free, func(i int32) bool { return c.slots.at(i) == ls })
+	}
 
 	for c.Eng.Now() < 200*simtime.Millisecond {
 		step()
 	}
 	crashed, _ := c.Node("node-3")
-	doomed := openLite(c, crashed)
+	doomed := openSlots(c, crashed)
 	if len(doomed) < 3 {
 		t.Fatalf("node-3 holds %d sessions at the crash, want at least 3", len(doomed))
 	}
@@ -282,12 +284,12 @@ func TestLiteSlotsRecycle(t *testing.T) {
 			}
 			if !isFree(ls) {
 				if ls.key != keys[i] || !ls.closed || !ls.lost {
-					t.Fatalf("crash-closed slot %d reused before its timer fired: holds %q", ls.slot, ls.key)
+					t.Fatalf("crash-closed slot of %q reused before its timer fired: holds %q", keys[i], ls.key)
 				}
 				continue
 			}
 			if after := states(); !slices.Equal(before, after) {
-				t.Fatalf("firing crash-closed slot %d changed a request:\nbefore %+v\nafter  %+v", ls.slot, before, after)
+				t.Fatalf("firing the crash-closed slot of %q changed a request:\nbefore %+v\nafter  %+v", keys[i], before, after)
 			}
 			keys[i] = ""
 			fired++
@@ -303,11 +305,11 @@ func TestLiteSlotsRecycle(t *testing.T) {
 	if len(reqs) != 12 {
 		t.Fatalf("%d requests filed, want 12", len(reqs))
 	}
-	if len(c.lite.free) != int(c.lite.n) {
-		t.Fatalf("drained run left %d of %d slots off the free list", int(c.lite.n)-len(c.lite.free), c.lite.n)
+	if len(c.slots.free) != int(c.slots.n) {
+		t.Fatalf("drained run left %d of %d slots off the free list", int(c.slots.n)-len(c.slots.free), c.slots.n)
 	}
-	if int(c.lite.n) != peak {
-		t.Fatalf("slab made %d slots for a peak of %d sessions in flight", c.lite.n, peak)
+	if int(c.slots.n) != peak {
+		t.Fatalf("table made %d slots for a peak of %d sessions in flight", c.slots.n, peak)
 	}
 	opened := 0
 	for _, r := range reqs {

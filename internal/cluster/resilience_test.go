@@ -182,6 +182,16 @@ func TestNodeCrashLeaseExpiryAndResample(t *testing.T) {
 	if c.Mgmt.LeaseExpiries == 0 {
 		t.Fatal("no lease expiries detected despite crashes")
 	}
+	// Every session's table slot, crash-cancelled ones included, is back
+	// on the free list, and no node reports a window still open.
+	if c.slots.n == 0 || len(c.slots.free) != int(c.slots.n) {
+		t.Fatalf("drained run left %d of %d table slots off the free list", int(c.slots.n)-len(c.slots.free), c.slots.n)
+	}
+	for _, n := range c.Nodes {
+		if at, ok := c.tracerFreeAt(n); ok {
+			t.Fatalf("%s reports a window closing at %v after the drain", n.Name, at)
+		}
+	}
 }
 
 func TestDeadlineForcesTerminalPhase(t *testing.T) {

@@ -20,6 +20,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
 	"exist/internal/ipt"
@@ -154,6 +155,8 @@ type Controller struct {
 	m        *sched.Machine
 	insmodAt simtime.Time
 	insmod   bool
+	// sessions are the open sessions the sched_switch hook serves, in
+	// open order; stop removes a session when its window closes.
 	sessions []*Session
 }
 
@@ -333,7 +336,13 @@ func (s *Session) stop(now simtime.Time) {
 	}
 	s.active = false
 	s.End = now
-	m := s.ctrl.m
+	// A closed session takes no more switches: the hook forgets it and
+	// keeps the rest in open order. onSwitch never stops a session, so
+	// this cannot run while the hook walks the list.
+	c := s.ctrl
+	i := slices.Index(c.sessions, s)
+	c.sessions = slices.Delete(c.sessions, i, i+1)
+	m := c.m
 	for _, cp := range s.Plan.Cores {
 		tr := m.Cores[cp.Core].Tracer
 		if tr.Enabled() {

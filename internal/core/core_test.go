@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"testing"
 
 	"exist/internal/binary"
@@ -88,6 +89,55 @@ func TestSessionLifecycle(t *testing.T) {
 	}
 	if len(res.Switches.Records) == 0 {
 		t.Fatal("no five-tuple records")
+	}
+}
+
+// TestControllerForgetsClosedSessions runs three sessions one after the
+// other on one controller, the last one cancelled. Once each closes, the
+// sched_switch hook stops walking it: after the third the hook's list is
+// empty. Each session's switch records and stats match a run in which
+// every closed session stays in the list.
+func TestControllerForgetsClosedSessions(t *testing.T) {
+	run := func(prune bool) ([]*Session, *Controller) {
+		rig := newRig(t, 4, 2, 400*simtime.Millisecond)
+		ctrl := NewController(rig.m)
+		var out []*Session
+		for k, at := range []simtime.Time{0, 120 * simtime.Millisecond, 240 * simtime.Millisecond} {
+			rig.m.Run(at)
+			if prune && len(ctrl.sessions) != 0 {
+				t.Fatalf("session %d opens with %d sessions still hooked", k, len(ctrl.sessions))
+			}
+			s, err := ctrl.Trace(rig.target, testConfig(100*simtime.Millisecond))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !prune {
+				// The reference keeps every closed session in the hook's list.
+				s.OnDone(func(s *Session) { ctrl.sessions = append(ctrl.sessions, s) })
+			}
+			out = append(out, s)
+		}
+		rig.m.Run(300 * simtime.Millisecond)
+		out[2].Cancel()
+		rig.m.Run(400 * simtime.Millisecond)
+		return out, ctrl
+	}
+	pruned, ctrl := run(true)
+	if len(ctrl.sessions) != 0 {
+		t.Fatalf("%d closed sessions still hooked", len(ctrl.sessions))
+	}
+	kept, ref := run(false)
+	if len(ref.sessions) != 3 {
+		t.Fatalf("reference hooks %d sessions, want 3", len(ref.sessions))
+	}
+	for k := range pruned {
+		got, want := pruned[k].log.Records, kept[k].log.Records
+		if len(got) == 0 || !slices.Equal(got, want) {
+			t.Fatalf("session %d: %d switch records, reference %d, or they differ", k, len(got), len(want))
+		}
+		if pruned[k].Stats != kept[k].Stats {
+			t.Fatalf("session %d stats %+v, reference %+v", k, pruned[k].Stats, kept[k].Stats)
+		}
 	}
 }
 
