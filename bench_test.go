@@ -1,11 +1,11 @@
-// Package exist_bench exposes every paper artifact as a Go benchmark: one
-// bench per table and figure (see the per-experiment index in DESIGN.md).
-// Each benchmark executes the corresponding experiment in quick mode and
-// reports its headline metrics; run the cmd/existbench tool for the
-// full-fidelity tables.
+// Package exist_bench exposes every paper artifact as a Go benchmark:
+// BenchmarkExperiments has one sub-benchmark per registered experiment
+// (see the per-experiment index in DESIGN.md). Each runs the experiment
+// in quick mode and reports its headline metrics; run the cmd/existbench
+// tool for the full-fidelity tables.
 //
 //	go test -bench=. -benchmem
-//	go test -bench=BenchmarkFig13
+//	go test -bench=BenchmarkExperiments/fig13
 package exist_bench
 
 import (
@@ -14,80 +14,22 @@ import (
 	"exist/internal/experiments"
 )
 
-// runExperiment executes one registered experiment b.N times, reporting
-// its headline metrics from the final run.
-func runExperiment(b *testing.B, id string) {
-	b.Helper()
-	e, err := experiments.ByID(id)
-	if err != nil {
-		b.Fatal(err)
-	}
-	cfg := experiments.Config{Quick: true, Seed: 1}
-	var res *experiments.Result
-	for i := 0; i < b.N; i++ {
-		res, err = e.Run(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	for _, name := range res.SortedMetrics() {
-		b.ReportMetric(res.Metrics[name], name)
+// BenchmarkExperiments runs every registered experiment b.N times,
+// reporting its headline metrics from the final run.
+func BenchmarkExperiments(b *testing.B) {
+	for _, e := range experiments.All() {
+		b.Run(e.ID, func(b *testing.B) {
+			cfg := experiments.Config{Quick: true, Seed: 1}
+			var res *experiments.Result
+			for i := 0; i < b.N; i++ {
+				var err error
+				if res, err = e.Run(cfg); err != nil {
+					b.Fatal(err)
+				}
+			}
+			for _, name := range res.SortedMetrics() {
+				b.ReportMetric(res.Metrics[name], name)
+			}
+		})
 	}
 }
-
-// Motivation artifacts (§2).
-
-func BenchmarkFig03a(b *testing.B) { runExperiment(b, "fig03a") }
-func BenchmarkFig03b(b *testing.B) { runExperiment(b, "fig03b") }
-func BenchmarkFig04(b *testing.B)  { runExperiment(b, "fig04") }
-func BenchmarkFig05(b *testing.B)  { runExperiment(b, "fig05") }
-func BenchmarkFig08(b *testing.B)  { runExperiment(b, "fig08") }
-func BenchmarkFig11(b *testing.B)  { runExperiment(b, "fig11") }
-func BenchmarkFig12(b *testing.B)  { runExperiment(b, "fig12") }
-
-// Efficiency artifacts (§5.2).
-
-func BenchmarkFig13(b *testing.B) { runExperiment(b, "fig13") }
-func BenchmarkFig14(b *testing.B) { runExperiment(b, "fig14") }
-func BenchmarkTab03(b *testing.B) { runExperiment(b, "tab03") }
-func BenchmarkFig15(b *testing.B) { runExperiment(b, "fig15") }
-func BenchmarkFig16(b *testing.B) { runExperiment(b, "fig16") }
-func BenchmarkTab04(b *testing.B) { runExperiment(b, "tab04") }
-func BenchmarkFig17(b *testing.B) { runExperiment(b, "fig17") }
-
-// Effectiveness artifacts (§5.3).
-
-func BenchmarkFig18(b *testing.B)              { runExperiment(b, "fig18") }
-func BenchmarkFig19(b *testing.B)              { runExperiment(b, "fig19") }
-func BenchmarkFig20(b *testing.B)              { runExperiment(b, "fig20") }
-func BenchmarkAccuracyBenchmarks(b *testing.B) { runExperiment(b, "acc-bench") }
-
-// Case study artifacts (§5.4) and the functionality matrix.
-
-func BenchmarkFig21(b *testing.B)     { runExperiment(b, "fig21") }
-func BenchmarkFig22(b *testing.B)     { runExperiment(b, "fig22") }
-func BenchmarkTab05(b *testing.B)     { runExperiment(b, "tab05") }
-func BenchmarkCaseStudy(b *testing.B) { runExperiment(b, "casestudy") }
-
-// Ablations of the DESIGN.md design choices.
-
-func BenchmarkAblationControlOps(b *testing.B) { runExperiment(b, "ablation-control") }
-func BenchmarkAblationDropPolicy(b *testing.B) { runExperiment(b, "ablation-drop") }
-func BenchmarkAblationHotSwap(b *testing.B)    { runExperiment(b, "ablation-hotswap") }
-
-// Robustness extension: control-plane resilience under injected faults.
-
-func BenchmarkResilience(b *testing.B) { runExperiment(b, "resilience") }
-
-// Chaos extension: replicated controllers with leader election under
-// crash/partition/gray-failure storms at fleet scale.
-
-func BenchmarkChaos(b *testing.B) { runExperiment(b, "chaos") }
-
-// Data-path extension: v2 wire-format compression and batched uploads.
-
-func BenchmarkDatapath(b *testing.B) { runExperiment(b, "datapath") }
-
-// Scale-out extension: sharded API server and range-leased reconciliation.
-
-func BenchmarkCtrlPlane(b *testing.B) { runExperiment(b, "ctrlplane") }

@@ -31,14 +31,8 @@ import (
 	"testing"
 	"time"
 
-	"exist/internal/decode"
 	"exist/internal/experiments"
-	"exist/internal/hotbench"
-	"exist/internal/hotbench/clusterbench"
-	"exist/internal/hotbench/litebench"
-	"exist/internal/hotbench/livenessbench"
-	"exist/internal/hotbench/mergebench"
-	"exist/internal/hotbench/storebench"
+	"exist/internal/hotbench/rows"
 	"exist/internal/parallel"
 	"exist/internal/spec"
 	"exist/internal/trace"
@@ -247,201 +241,32 @@ func selectIDs(all bool, run string) ([]string, error) {
 	return ids, nil
 }
 
-// benchResult is one hot-path microbenchmark measurement.
-type benchResult struct {
-	NsPerOp     int64   `json:"ns_per_op"`
-	AllocsPerOp int64   `json:"allocs_per_op"`
-	BytesPerOp  int64   `json:"bytes_per_op"`
-	MBPerS      float64 `json:"mb_per_s,omitempty"`
-}
-
-// prePRBaselines are the hot-path numbers measured at the commit before
-// each optimization PR landed (same fixtures, -benchmem), recorded so
-// regressions and the optimization headroom stay visible — the same
-// convention as the publishedSOTA rows in Table 3. decode_hot/encode_hot
-// predate the parallel-harness PR; sched_hot/tracer_hot predate the
-// simulation-engine fast path (per-event closure emission, per-packet
-// output, container/heap event queue); engine_hot predates same-instant
-// runs in the event queue (one heap entry per pending timer);
-// lite_session predates the dense-index Lite control plane (string-keyed
-// in-flight and used-node maps, copied blobs, an append-only watch
-// buffer); node_liveness predates the lease sweep and node-fault
-// timetable (one heartbeat timer per node, one crash and one churn
-// closure chain per node); merge_hot predates the profile-only merge
-// (every worker's per-thread streams appended into one map); store_put
-// predates the one-write blob store (a byte-ledger probe before each
-// blob write, the batch key's attempt ledger probed on every put).
-var prePRBaselines = map[string]benchResult{
-	"decode_hot":    {NsPerOp: 22_900_000, AllocsPerOp: 1195, BytesPerOp: 15_402_504},
-	"encode_hot":    {NsPerOp: 21_900_000, AllocsPerOp: 20, BytesPerOp: 67_111_138},
-	"engine_hot":    {NsPerOp: 20_733_180, AllocsPerOp: 0, BytesPerOp: 0},
-	"lite_session":  {NsPerOp: 8_256, AllocsPerOp: 25, BytesPerOp: 2_681},
-	"merge_hot":     {NsPerOp: 8_885_681, AllocsPerOp: 53, BytesPerOp: 19_499_556},
-	"node_liveness": {NsPerOp: 43_227_120, AllocsPerOp: 5858, BytesPerOp: 184_625},
-	"sched_hot":     {NsPerOp: 63_196, AllocsPerOp: 178, BytesPerOp: 9_025},
-	"store_put":     {NsPerOp: 427, AllocsPerOp: 0, BytesPerOp: 0},
-	"tracer_hot":    {NsPerOp: 1_478_338, AllocsPerOp: 0, BytesPerOp: 0},
-}
-
-// datapathStats records the decode-hot fixture session's v1-equivalent
-// size (trace.V1Size) and its exact packed wire size.
+// datapathStats records the wire-session fixture's v1-equivalent size
+// (trace.V1Size) and its exact packed wire size.
 type datapathStats struct {
 	V1Bytes       int64   `json:"v1_bytes"`
 	V2PackedBytes int64   `json:"v2_packed_bytes"`
 	PackedRatio   float64 `json:"packed_ratio"`
 }
 
-// measureHotPaths runs the hot-path microbenchmarks on the shared
-// hotbench fixtures and measures the wire-format sizes.
-func measureHotPaths() (map[string]benchResult, datapathStats) {
-	hot := map[string]benchResult{}
-	const budget = 4_000_000
-	decProg := hotbench.Program(1)
-	decSess := hotbench.Session(decProg, 1, budget)
-	var decBytes int64
-	for _, c := range decSess.Cores {
-		decBytes += int64(len(c.Data))
+// measureHotPaths measures every row of the hot-path table once.
+func measureHotPaths() map[string]rows.Result {
+	hot := map[string]rows.Result{}
+	for _, row := range rows.All() {
+		hot[row.Name] = toBenchResult(testing.Benchmark(row.New().Bench))
 	}
-	hot["decode_hot"] = toBenchResult(testing.Benchmark(func(b *testing.B) {
-		b.SetBytes(decBytes)
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			decode.Decode(decSess, decProg)
-		}
-	}))
-	// Cluster-level coverage merge: ten workers' decodes of one program
-	// folded into the augmented profile, one merge per op.
-	mb := mergebench.New()
-	hot["merge_hot"] = toBenchResult(testing.Benchmark(func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			mb.Merge()
-		}
-	}))
-	encProg := hotbench.Program(2)
-	encBytes := hotbench.EncodeOnce(encProg, 2, budget)
-	hot["encode_hot"] = toBenchResult(testing.Benchmark(func(b *testing.B) {
-		b.SetBytes(encBytes)
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			hotbench.EncodeOnce(encProg, 2, budget)
-		}
-	}))
+	return hot
+}
 
-	// Simulation-engine hot paths: the walker segment loop end to end, and
-	// the tracer's batched packet-generation path on recorded walker batches.
-	sb := hotbench.NewSchedBench(1)
-	windowBytes := sb.RunWindow()
-	hot["sched_hot"] = toBenchResult(testing.Benchmark(func(b *testing.B) {
-		b.SetBytes(windowBytes)
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			sb.RunWindow()
-		}
-	}))
-	trBatches := hotbench.Events(hotbench.Program(1), 1, 2_000_000)
-	trHot := hotbench.NewHotTracer(1 << 20)
-	trBytes := hotbench.TracerHotOnce(trHot, trBatches)
-	hot["tracer_hot"] = toBenchResult(testing.Benchmark(func(b *testing.B) {
-		b.SetBytes(trBytes)
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			hotbench.TracerHotOnce(trHot, trBatches)
-		}
-	}))
-
-	// Simulation-clock hot path: the fleet's in-phase heartbeats, one
-	// period per op. It allocates nothing once the free list is warm.
-	eb := hotbench.NewEngineBench()
-	hot["engine_hot"] = toBenchResult(testing.Benchmark(func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			eb.RunPeriod()
-		}
-	}))
-
-	// Machine-node event shape: eight cores' chained segment ends,
-	// same-instant dispatches and wake timers, 10 ms of simulated time
-	// per op. It allocates nothing once the free list is warm.
-	cb := hotbench.NewChainBench()
-	hot["engine_chain"] = toBenchResult(testing.Benchmark(func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			cb.RunWindow()
-		}
-	}))
-
-	// Control-plane hot path: one Lite session opened, finished and
-	// uploaded on a warm cluster (request filed, completed and deleted).
-	lb := litebench.New()
-	hot["lite_session"] = toBenchResult(testing.Benchmark(func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			lb.Session()
-		}
-	}))
-
-	// Object-store hot path: one 1-blob PutBatch of a fresh key into a
-	// warm 8-shard store; the periodic reset runs outside the timer.
-	sp := storebench.New()
-	hot["store_put"] = toBenchResult(testing.Benchmark(func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if sp.Put() {
-				b.StopTimer()
-				sp.Reset()
-				b.StartTimer()
-			}
-		}
-	}))
-
-	// Node liveness at fleet scale: one simulated second of a warm
-	// 100k-node Lite cluster with the fleet's faults and no requests.
-	nl := livenessbench.New()
-	hot["node_liveness"] = toBenchResult(testing.Benchmark(func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			nl.Second()
-		}
-	}))
-
-	// Machine-node scheduling path: one 6-node walker scenario per op,
-	// its per-node engines advanced on one and on two workers. Setup is
-	// outside the timer.
-	for _, jobs := range []int{1, 2} {
-		hot[fmt.Sprintf("cluster_nodes_j%d", jobs)] = toBenchResult(testing.Benchmark(func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				s := clusterbench.New(jobs)
-				b.StartTimer()
-				s.Run()
-			}
-		}))
-	}
-
-	// Wire-format hot paths, normalized to v1-equivalent bytes so the MB/s
-	// columns track the session size rather than the compressed blob.
-	v1Bytes := int64(trace.V1Size(decSess))
-	bench := func(name string, fn func()) {
-		hot[name] = toBenchResult(testing.Benchmark(func(b *testing.B) {
-			b.SetBytes(v1Bytes)
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				fn()
-			}
-		}))
-	}
-	bench("marshal_hot_packed", func() { decSess.Marshal() })
-	packedBlob := decSess.Marshal()
-	bench("unmarshal_hot_packed", func() { trace.UnmarshalSession(packedBlob) })
-
+// measureDatapath measures the wire-format sizes of the wire session.
+func measureDatapath() datapathStats {
+	_, sess := rows.WireSession()
 	dp := datapathStats{
-		V1Bytes:       v1Bytes,
-		V2PackedBytes: int64(len(packedBlob)),
+		V1Bytes:       int64(trace.V1Size(sess)),
+		V2PackedBytes: int64(len(sess.Marshal())),
 	}
 	dp.PackedRatio = float64(dp.V1Bytes) / float64(dp.V2PackedBytes)
-	return hot, dp
+	return dp
 }
 
 // benchFile is the serialized benchmark snapshot (BENCH_harness.json).
@@ -450,7 +275,7 @@ func measureHotPaths() (map[string]benchResult, datapathStats) {
 type benchFile struct {
 	GOMAXPROCS int                    `json:"gomaxprocs"`
 	Jobs       int                    `json:"jobs"`
-	HotPaths   map[string]benchResult `json:"hot_paths"`
+	HotPaths   map[string]rows.Result `json:"hot_paths"`
 	Datapath   *datapathStats         `json:"datapath,omitempty"`
 }
 
@@ -461,13 +286,12 @@ const hotPathRuns = 3
 
 // measureHotPathMedians runs measureHotPaths hotPathRuns times and returns
 // each row's median with the (deterministic) wire-format sizes.
-func measureHotPathMedians() (map[string]benchResult, datapathStats) {
-	runs := make([]map[string]benchResult, hotPathRuns)
-	var dp datapathStats
+func measureHotPathMedians() (map[string]rows.Result, datapathStats) {
+	runs := make([]map[string]rows.Result, hotPathRuns)
 	for i := range runs {
-		runs[i], dp = measureHotPaths()
+		runs[i] = measureHotPaths()
 	}
-	return medianRows(runs), dp
+	return medianRows(runs), measureDatapath()
 }
 
 // runBenchCheck re-measures the hot paths' medians and fails if a row's
@@ -542,8 +366,8 @@ func runBenchCheck(path string, tol float64) error {
 
 // medianRows returns, for every row of the runs (each run measures the
 // same rows), the median of each field taken independently across runs.
-func medianRows(runs []map[string]benchResult) map[string]benchResult {
-	out := map[string]benchResult{}
+func medianRows(runs []map[string]rows.Result) map[string]rows.Result {
+	out := map[string]rows.Result{}
 	for name := range runs[0] {
 		var ns, allocs, bytes []int64
 		var mbps []float64
@@ -554,7 +378,7 @@ func medianRows(runs []map[string]benchResult) map[string]benchResult {
 			bytes = append(bytes, r.BytesPerOp)
 			mbps = append(mbps, r.MBPerS)
 		}
-		out[name] = benchResult{
+		out[name] = rows.Result{
 			NsPerOp:     median(ns),
 			AllocsPerOp: median(allocs),
 			BytesPerOp:  median(bytes),
@@ -573,7 +397,7 @@ func median[T int64 | float64](vs []T) T {
 
 // rowMismatch returns, sorted, the baseline rows absent from the
 // measurement and the measured rows absent from the baseline.
-func rowMismatch(base, measured map[string]benchResult) (unmeasured, unrecorded []string) {
+func rowMismatch(base, measured map[string]rows.Result) (unmeasured, unrecorded []string) {
 	for name := range base {
 		if _, ok := measured[name]; !ok {
 			unmeasured = append(unmeasured, name)
@@ -608,9 +432,9 @@ func writeBenchJSON(path string, cfg experiments.Config, reports []experiments.R
 		GOMAXPROCS  int                    `json:"gomaxprocs"`
 		Experiments []expTime              `json:"experiments"`
 		TotalWallMS float64                `json:"total_wall_ms"`
-		HotPaths    map[string]benchResult `json:"hot_paths"`
+		HotPaths    map[string]rows.Result `json:"hot_paths"`
 		Datapath    datapathStats          `json:"datapath"`
-		PrePR       map[string]benchResult `json:"pre_pr_baseline"`
+		PrePR       map[string]rows.Result `json:"pre_pr_baseline"`
 	}{
 		Quick:       cfg.Quick,
 		Seed:        cfg.Seed,
@@ -619,7 +443,7 @@ func writeBenchJSON(path string, cfg experiments.Config, reports []experiments.R
 		TotalWallMS: float64(total) / float64(time.Millisecond),
 		HotPaths:    hot,
 		Datapath:    dp,
-		PrePR:       prePRBaselines,
+		PrePR:       rows.PrePR(),
 	}
 	for _, rep := range reports {
 		out.Experiments = append(out.Experiments, expTime{
@@ -637,8 +461,8 @@ func writeBenchJSON(path string, cfg experiments.Config, reports []experiments.R
 	return os.WriteFile(path, append(data, '\n'), 0o644)
 }
 
-func toBenchResult(r testing.BenchmarkResult) benchResult {
-	out := benchResult{
+func toBenchResult(r testing.BenchmarkResult) rows.Result {
+	out := rows.Result{
 		NsPerOp:     r.NsPerOp(),
 		AllocsPerOp: r.AllocsPerOp(),
 		BytesPerOp:  r.AllocedBytesPerOp(),

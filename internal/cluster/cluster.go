@@ -119,7 +119,6 @@ type TraceRequest struct {
 
 	// pending counts session slots not yet resolved (landed or given up).
 	pending    int
-	sessions   []*core.Session
 	usedNodes  coverage.NodeSet
 	period     simtime.Duration
 	scale      float64
@@ -1271,7 +1270,7 @@ func (c *Cluster) expire(r *TraceRequest, now simtime.Time) {
 	} else {
 		c.terminate(r, PhaseFailed, "deadline exceeded with no sessions captured")
 	}
-	for _, s := range r.sessions {
+	for _, s := range c.openSessions(r) {
 		s.Cancel() // closeSlot drops the data: the request is terminal
 	}
 }
@@ -1450,7 +1449,6 @@ func (c *Cluster) openSession(r *TraceRequest, n *Node, attempt int) error {
 	if err != nil {
 		return err
 	}
-	r.sessions = append(r.sessions, sess)
 	seq := c.openSeq
 	c.openSeq++
 	i, sl := c.takeSlot(r, n, key, attempt)
@@ -1513,10 +1511,31 @@ func (c *Cluster) Cancel(r *TraceRequest) {
 		return
 	}
 	r.cancelling = true
-	for _, s := range r.sessions {
+	for _, s := range c.openSessions(r) {
 		s.Cancel() // fires OnDone, which uploads the partial capture
 	}
 	c.terminate(r, PhaseCancelled, "cancelled by operator")
+}
+
+// openSessions returns r's open machine sessions in open order. They are
+// collected before any is cancelled, because a cancel's window close
+// frees its slot. A Lite cluster has no machine sessions to scan for.
+func (c *Cluster) openSessions(r *TraceRequest) []*core.Session {
+	if c.Cfg.Lite {
+		return nil
+	}
+	var open []*sessionSlot
+	for i := int32(0); i < c.slots.n; i++ {
+		if sl := c.slots.at(i); sl.req == r && sl.sess != nil && !sl.closed {
+			open = append(open, sl)
+		}
+	}
+	sort.Slice(open, func(i, j int) bool { return open[i].openSeq < open[j].openSeq })
+	sessions := make([]*core.Session, len(open))
+	for i, sl := range open {
+		sessions[i] = sl.sess
+	}
+	return sessions
 }
 
 // Delete removes a terminal request and its uploaded sessions from the

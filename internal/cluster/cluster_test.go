@@ -1,9 +1,11 @@
 package cluster
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
+	"exist/internal/core"
 	"exist/internal/coverage"
 	"exist/internal/simtime"
 	"exist/internal/trace"
@@ -281,4 +283,120 @@ func TestCancelRequest(t *testing.T) {
 		}
 	}
 	c.Run(3 * simtime.Second) // the orphaned HRTs must not fire into closed sessions
+}
+
+// TestTerminalRequestsHoldNoSessions checks that once every request is
+// terminal, completed or cancelled, no machine tracing session (and so
+// no raw per-core capture) stays reachable from the cluster.
+func TestTerminalRequestsHoldNoSessions(t *testing.T) {
+	c := testCluster(t, 3)
+	done, err := c.Request("done", TraceRequestSpec{App: "Agent", Purpose: coverage.PurposeAnomaly, Period: 200 * simtime.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cancelled, err := c.Request("cancelled", TraceRequestSpec{App: "Agent", Period: 1500 * simtime.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Run(400 * simtime.Millisecond)
+	c.Cancel(cancelled)
+	c.Run(3 * simtime.Second)
+	if done.Phase != PhaseCompleted || cancelled.Phase != PhaseCancelled {
+		t.Fatalf("phases %s and %s, want Completed and Cancelled", done.Phase, cancelled.Phase)
+	}
+	if n := sessionsReachable(c); n != 0 {
+		t.Fatalf("%d machine sessions still reachable after every request ended", n)
+	}
+}
+
+// sessionsReachable counts the non-nil *core.Session values reachable
+// from root through pointers, structs, slices, arrays, maps and
+// interfaces. Closures are opaque to reflection and are not followed.
+func sessionsReachable(root any) int {
+	target := reflect.TypeOf((*core.Session)(nil))
+	holds := map[reflect.Type]bool{}
+	// mayHold reports whether a value of type t can lead to a target,
+	// by a search of the type graph, so pointer-free data is skipped.
+	mayHold := func(t reflect.Type) bool {
+		if h, ok := holds[t]; ok {
+			return h
+		}
+		seen := map[reflect.Type]bool{}
+		var search func(t reflect.Type) bool
+		search = func(t reflect.Type) bool {
+			if t == target || t.Kind() == reflect.Interface {
+				return true
+			}
+			if seen[t] {
+				return false
+			}
+			seen[t] = true
+			switch t.Kind() {
+			case reflect.Pointer, reflect.Slice, reflect.Array:
+				return search(t.Elem())
+			case reflect.Map:
+				return search(t.Key()) || search(t.Elem())
+			case reflect.Struct:
+				for i := 0; i < t.NumField(); i++ {
+					if search(t.Field(i).Type) {
+						return true
+					}
+				}
+			}
+			return false
+		}
+		holds[t] = search(t)
+		return holds[t]
+	}
+	visited := map[uintptr]map[reflect.Type]bool{}
+	first := func(v reflect.Value) bool {
+		p := v.Pointer()
+		if visited[p] == nil {
+			visited[p] = map[reflect.Type]bool{}
+		}
+		if visited[p][v.Type()] {
+			return false
+		}
+		visited[p][v.Type()] = true
+		return true
+	}
+	n := 0
+	var walk func(v reflect.Value)
+	walk = func(v reflect.Value) {
+		if !mayHold(v.Type()) {
+			return
+		}
+		switch v.Kind() {
+		case reflect.Pointer:
+			if v.IsNil() || !first(v) {
+				return
+			}
+			if v.Type() == target {
+				n++
+			}
+			walk(v.Elem())
+		case reflect.Interface:
+			if !v.IsNil() {
+				walk(v.Elem())
+			}
+		case reflect.Slice, reflect.Array:
+			for i := 0; i < v.Len(); i++ {
+				walk(v.Index(i))
+			}
+		case reflect.Map:
+			if v.IsNil() || !first(v) {
+				return
+			}
+			for it := v.MapRange(); it.Next(); {
+				walk(it.Key())
+				walk(it.Value())
+			}
+		case reflect.Struct:
+			for i := 0; i < v.NumField(); i++ {
+				walk(v.Field(i))
+			}
+		}
+	}
+	walk(reflect.ValueOf(root))
+	return n
 }

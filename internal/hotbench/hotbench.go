@@ -1,9 +1,9 @@
-// Package hotbench builds deterministic fixtures for the trace-pipeline
-// microbenchmarks (BenchmarkDecodeHot, BenchmarkEncodeHot) and for the
-// hot-path measurements existbench -benchjson records: a synthetic program
-// plus a realistic packet stream produced by driving the PT tracer model
-// with a ground-truth walker, including thread migrations so the decoder's
-// sidecar and segment-ordering paths are exercised.
+// Package hotbench builds the deterministic trace-pipeline fixtures that
+// the hot-path rows (package rows), the decoder's tests and the datapath
+// experiment share: a synthetic program plus a realistic packet stream
+// produced by driving the PT tracer model with a ground-truth walker,
+// including thread migrations so the decoder's sidecar and
+// segment-ordering paths are exercised.
 package hotbench
 
 import (
@@ -77,7 +77,7 @@ func Session(prog *binary.Program, seed uint64, budget int64) *trace.Session {
 // EncodeOnce drives the walker→tracer encode path the scheduler runs
 // (batched emission with packed TNT directions, staged packet output into
 // a ToPA chain) for one walk of the given budget and returns the bytes
-// produced. Benchmarks call it per iteration.
+// produced. The encode_hot row calls it per op.
 func EncodeOnce(prog *binary.Program, seed uint64, budget int64) int64 {
 	tr := ipt.NewTracer(0)
 	topa := ipt.NewSingleToPA(64 << 20)
