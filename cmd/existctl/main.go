@@ -207,7 +207,7 @@ func main() {
 	fmt.Printf("  max owners of any shard   %d (must be 1)\n", maxOwners)
 	fmt.Printf("  syncs/requeues/conflicts  %d / %d / %d (%d fenced stale-leader ops)\n",
 		c.Mgmt.Syncs, c.Mgmt.Requeues, c.Mgmt.Conflicts, c.Mgmt.FencedOps)
-	fmt.Printf("  false suspicions / shed   %d / %d\n", c.Mgmt.FalseSuspicions, c.Mgmt.Shed)
+	fmt.Printf("  false suspicions          %d\n", c.Mgmt.FalseSuspicions)
 	if *shards > 1 {
 		elapsed := c.Eng.Now().Seconds()
 		fmt.Printf("existctl: shard scaling summary (%d shards):\n", *shards)

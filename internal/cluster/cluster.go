@@ -423,8 +423,6 @@ type MgmtStats struct {
 	// Elections counts leadership acquisitions (first election,
 	// failovers, and re-acquires after a lapse).
 	Elections int64
-	// Shed counts requests degraded by admission control.
-	Shed int64
 	// FalseSuspicions counts leases that lapsed on a live node because
 	// its heartbeats arrived late (gray failure).
 	FalseSuspicions int64
@@ -494,12 +492,6 @@ type Config struct {
 	// the request name, letting replicas own disjoint shard ranges and
 	// reconcile concurrently. <= 1 keeps a single shard.
 	Shards int
-	// WatchBuf bounds each controller's watch-stream buffer (default
-	// 1024); overflow marks the stream stale and forces a relist.
-	WatchBuf int
-	// AdmitQueueMax, when > 0, sheds Pending requests to PhaseDegraded
-	// while the leader's queue backlog is at or over this depth.
-	AdmitQueueMax int
 
 	// Jobs is how many goroutines advance the node machines, each on
 	// its own engine, between control-plane barriers (DESIGN.md §14).

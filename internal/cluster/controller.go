@@ -134,7 +134,7 @@ func (c *Cluster) startControllers() {
 		}
 		ct.skew = c.Cfg.Faults.ClockSkew(ct.Name)
 		for s := 0; s < nShards; s++ {
-			ct.watches[s] = c.API.WatchShard(s, c.Cfg.WatchBuf, ct.kick)
+			ct.watches[s] = c.API.WatchShard(s, ct.kick)
 			ct.queues[s] = newWorkQueue(c, ct.kick)
 		}
 		c.Controllers = append(c.Controllers, ct)
@@ -555,13 +555,6 @@ func (ct *Controller) adopted(name string, now simtime.Time) {
 // conflicts and it requeues to observe the winner's work.
 func (ct *Controller) syncPending(r *TraceRequest, now simtime.Time) {
 	c := ct.c
-	// Admission control: shed when the control plane is saturated, so a
-	// storm degrades requests crisply instead of timing all of them out.
-	if over, why := c.overloaded(ct.queues[r.shard].Len()); over {
-		c.Mgmt.Shed++
-		c.terminate(r, PhaseDegraded, "shed by admission control: "+why)
-		return
-	}
 	rv := r.ResourceVersion
 	period, scale, selected, retry, err := c.plan(r, now)
 	if err != nil {
@@ -664,13 +657,4 @@ func (c *Cluster) tracerFreeAt(n *Node) (simtime.Time, bool) {
 		}
 	}
 	return at, found
-}
-
-// overloaded applies the admission budget on queue depth. A zero
-// budget disables the check.
-func (c *Cluster) overloaded(depth int) (bool, string) {
-	if c.Cfg.AdmitQueueMax > 0 && depth >= c.Cfg.AdmitQueueMax {
-		return true, fmt.Sprintf("queue depth %d over budget %d", depth, c.Cfg.AdmitQueueMax)
-	}
-	return false, ""
 }

@@ -44,8 +44,8 @@ func shardScenario(t *testing.T, shards, replicas int, fc *faults.Config) (*Clus
 		fmt.Fprintf(&b, "%s phase=%s planned=%d keys=%v lost=%d resampled=%d msg=%q\n",
 			r.Name, r.Phase, r.Planned, r.SessionKeys, r.Lost, r.Resampled, r.Message)
 	}
-	fmt.Fprintf(&b, "syncs=%d requeues=%d conflicts=%d shed=%d resamples=%d relists=%d\n",
-		c.Mgmt.Syncs, c.Mgmt.Requeues, c.Mgmt.Conflicts, c.Mgmt.Shed,
+	fmt.Fprintf(&b, "syncs=%d requeues=%d conflicts=%d resamples=%d relists=%d\n",
+		c.Mgmt.Syncs, c.Mgmt.Requeues, c.Mgmt.Conflicts,
 		c.Mgmt.Resamples, c.Mgmt.Relists)
 	fmt.Fprintf(&b, "sessions=%d batches=%d wire=%d oss_puts=%d odps=%d\n",
 		c.Uploads.Sessions, c.Uploads.Batches, c.Uploads.WireBytes, c.OSS.Puts(), c.ODPS.Len())
@@ -233,8 +233,12 @@ func TestShardRelistContractUnderRebalance(t *testing.T) {
 	c := liteCluster(t, func(cfg *Config) {
 		cfg.Nodes = 40
 		cfg.Shards = 4
-		cfg.WatchBuf = 4 // overflow on any burst of mutations
 	})
+	for _, ct := range c.Controllers {
+		for _, w := range ct.watches {
+			w.max = 4 // overflow on any burst of mutations
+		}
+	}
 	// All 40 requests land on the API server in the same instant: at
 	// least one shard receives 5+ ADDED events before its owner's next
 	// pump and must overflow its 4-slot stream.

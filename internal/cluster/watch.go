@@ -127,12 +127,16 @@ func (w *WatchStream) push(ev WatchEvent) {
 	}
 }
 
+// watchBuf bounds each controller's per-shard watch-stream buffer;
+// overflow marks the stream stale and forces a relist.
+const watchBuf = 1024
+
 // WatchStream opens a new buffered change stream observing every shard
-// (the tooling view). bufMax bounds the buffer (<= 0 uses 1024); notify,
-// when non-nil, fires on the empty-to-non-empty edge.
+// (the tooling view). bufMax bounds the buffer (<= 0 uses watchBuf);
+// notify, when non-nil, fires on the empty-to-non-empty edge.
 func (a *APIServer) WatchStream(bufMax int, notify func()) *WatchStream {
 	if bufMax <= 0 {
-		bufMax = 1024
+		bufMax = watchBuf
 	}
 	w := &WatchStream{max: bufMax, notify: notify}
 	a.global = append(a.global, w)
@@ -142,12 +146,10 @@ func (a *APIServer) WatchStream(bufMax int, notify func()) *WatchStream {
 // WatchShard opens a buffered change stream scoped to one shard: only
 // that shard's mutations are delivered, so overflow (and the resulting
 // stale → relist) is contained to the shard. Controllers open one per
-// shard and merge drains by WatchEvent.Seq.
-func (a *APIServer) WatchShard(si, bufMax int, notify func()) *WatchStream {
-	if bufMax <= 0 {
-		bufMax = 1024
-	}
-	w := &WatchStream{max: bufMax, notify: notify}
+// shard and merge drains by WatchEvent.Seq. Its buffer holds watchBuf
+// events.
+func (a *APIServer) WatchShard(si int, notify func()) *WatchStream {
+	w := &WatchStream{max: watchBuf, notify: notify}
 	s := a.shards[si]
 	s.mu.Lock()
 	s.streams = append(s.streams, w)

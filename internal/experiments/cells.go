@@ -9,6 +9,7 @@ import (
 	"exist/internal/memalloc"
 	"exist/internal/node"
 	"exist/internal/parallel"
+	"exist/internal/service"
 	"exist/internal/simtime"
 	"exist/internal/trace"
 	"exist/internal/workload"
@@ -61,6 +62,33 @@ func runCells[T any](cfg Config, cells []cell, read func(i int, r node.Result) T
 // counters: the machine, process, backend and session are dropped.
 func numbers(_ int, r node.Result) node.Result {
 	return node.Result{Stats: r.Stats, CPI: r.CPI, UtilFrac: r.UtilFrac, SpaceMB: r.SpaceMB, MSROps: r.MSROps}
+}
+
+// svcRun is one run of the ComposePost service chain: open loop over the
+// schedule arrivals returns, or, when arrivals is nil, a closed loop of
+// clients. clients also sizes an open-loop run's Result.ByClient.
+type svcRun struct {
+	chain service.ChainSpec
+	ov    []service.Overhead
+	dur   simtime.Duration
+	// arrivals returns the run's schedule. The worker calls it when the
+	// run starts, so a generated schedule lives only while its run does.
+	arrivals func() []service.Arrival
+	clients  int
+}
+
+// runServices runs every service run on cfg.Jobs workers and returns
+// read's value for each, in run order. Every experiment that drives the
+// service chain goes through here. read runs on the worker and should keep
+// only what the experiment uses, such as a summary of the response times.
+func runServices[T any](cfg Config, runs []svcRun, read func(i int, r service.Result) T) []T {
+	return parallel.Map(len(runs), cfg.Jobs, func(i int) T {
+		run := runs[i]
+		if run.arrivals == nil {
+			return read(i, service.RunClosedLoop(run.chain, run.clients, run.dur, run.ov))
+		}
+		return read(i, service.RunSchedule(run.chain, run.arrivals(), run.dur, run.clients, run.ov))
+	})
 }
 
 // coRunners pairs co-located profiles with optional core pins under the

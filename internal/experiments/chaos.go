@@ -210,7 +210,6 @@ func runChaosExperiment(cfg Config) (*Result, error) {
 			t2.AddRow("CAS conflicts", fmt.Sprintf("%d", out.mgmt.Conflicts))
 			t2.AddRow("fenced stale-leader ops", fmt.Sprintf("%d", out.mgmt.FencedOps))
 			t2.AddRow("sessions re-sampled", fmt.Sprintf("%d", out.mgmt.Resamples))
-			t2.AddRow("requests shed by admission", fmt.Sprintf("%d", out.mgmt.Shed))
 			t2.Notes = append(t2.Notes,
 				"every fault decision is seeded and keyed by stable identifiers: reruns inject the identical storm")
 			res.Tables = append(res.Tables, t2)

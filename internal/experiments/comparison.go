@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"exist/internal/node"
-	"exist/internal/parallel"
 	"exist/internal/service"
 	"exist/internal/simtime"
 	"exist/internal/tabular"
@@ -164,26 +163,36 @@ func runFig14(cfg Config) (*Result, error) {
 	}
 	avgLoss := map[SchemeKind]float64{}
 	names := []string{"mc", "ng", "ms"}
-	closedThpt := func(bi int, ov []service.Overhead) float64 {
-		// Each rep seeds from (bi, rep), so reps can run concurrently; the
-		// serial in-order sum keeps float accumulation identical.
-		thpts := parallel.Map(reps, cfg.Jobs, func(rep int) float64 {
-			spec := service.ComposePostChain(cfg.Seed + uint64(bi) + uint64(rep)*1013)
-			return service.RunClosedLoop(spec, 48, dur, ov).ThroughputRPS
-		})
+	schemes := []SchemeKind{SchemeOracle, SchemeEXIST, SchemeStaSam, SchemeEBPF, SchemeNHT}
+	nTiers := len(service.ComposePostChain(0).Tiers)
+	// Each rep seeds from (bench, rep); the in-order sum per group keeps
+	// float accumulation identical at any -jobs.
+	var runs []svcRun
+	for bi, name := range names {
+		for _, s := range schemes {
+			var ov []service.Overhead
+			if s != SchemeOracle {
+				ov = schemeServiceOverhead(s, nodeOver[name][s], nTiers)
+			}
+			for rep := 0; rep < reps; rep++ {
+				chain := service.ComposePostChain(cfg.Seed + uint64(bi) + uint64(rep)*1013)
+				runs = append(runs, svcRun{chain: chain, ov: ov, dur: dur, clients: 48})
+			}
+		}
+	}
+	thpts := runServices(cfg, runs, func(_ int, r service.Result) float64 { return r.ThroughputRPS })
+	closedThpt := func(group int) float64 {
 		var sum float64
-		for _, t := range thpts {
+		for _, t := range thpts[group*reps : (group+1)*reps] {
 			sum += t
 		}
 		return sum / float64(reps)
 	}
 	for bi, name := range names {
-		nTiers := len(service.ComposePostChain(0).Tiers)
-		base := closedThpt(bi, nil)
+		base := closedThpt(bi * len(schemes))
 		row := []string{name}
-		for _, s := range []SchemeKind{SchemeEXIST, SchemeStaSam, SchemeEBPF, SchemeNHT} {
-			ov := schemeServiceOverhead(s, nodeOver[name][s], nTiers)
-			norm := closedThpt(bi, ov) / base
+		for si, s := range schemes[1:] {
+			norm := closedThpt(bi*len(schemes)+1+si) / base
 			avgLoss[s] += (1 - norm) / float64(len(names))
 			row = append(row, tabular.FormatFloat(norm))
 		}

@@ -10,9 +10,12 @@ import (
 // experiment produces byte-identical tables and identical metrics whether
 // its cells run serially or on many workers. fig13 is a scheme sweep;
 // fig15 and tab04 run app × scheme grids as one flat cell list; chaos,
-// ctrlplane, datapath and fig17 run their clusters as one fleet list.
+// ctrlplane, datapath and fig17 run their clusters as one fleet list;
+// fig03b, fig16, fig14 and scenario run their service chains as one
+// service list.
 func TestParallelDeterminism(t *testing.T) {
-	for _, id := range []string{"fig13", "fig15", "tab04", "chaos", "ctrlplane", "datapath", "fig17"} {
+	for _, id := range []string{"fig13", "fig15", "tab04", "chaos", "ctrlplane", "datapath", "fig17",
+		"fig03b", "fig16", "fig14", "scenario"} {
 		t.Run(id, func(t *testing.T) {
 			e, err := ByID(id)
 			if err != nil {

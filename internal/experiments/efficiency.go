@@ -109,28 +109,27 @@ func runFig16(cfg Config) (*Result, error) {
 		Title:  "Figure 16: end-to-end p99 response time (ms) tracing Search1, and slowdown vs Oracle",
 		Header: []string{"load", "Oracle", "EXIST", "StaSam", "eBPF", "NHT"},
 	}
-	reps := 3
-	if !cfg.Quick {
-		reps = 8
-	}
-	svcDur := durQuick(cfg, 4*simtime.Second, 15*simtime.Second)
 	loads := []float64{1e2, 1e3, 1e4}
+	schemes := []SchemeKind{SchemeOracle, SchemeEXIST, SchemeStaSam, SchemeEBPF, SchemeNHT}
+	var groups []openLoop
 	for _, load := range loads {
 		// Search1 is deployed on the ten-node evaluation cluster, so the
 		// cluster-wide load spreads over its instances (Load=1e4 drives
 		// one instance near saturation, as the paper's Figure 16 shows).
 		rate := load / 11
-		d := svcDur
-		if want := simtime.Duration(float64(minRequests(cfg)) / rate * float64(simtime.Second)); want > d {
-			d = want
+		groups = append(groups, openLoop{rate, nil})
+		for _, s := range schemes[1:] {
+			groups = append(groups, openLoop{rate, schemeServiceOverheadSingleTier(s, inflation[s])})
 		}
-		oracleSum := avgSummariesRate(cfg, rate, d, reps, nil)
-		row := []string{fmt.Sprintf("Load=%.0e", load), fmt.Sprintf("%.1f", oracleSum.P99)}
-		for _, s := range []SchemeKind{SchemeEXIST, SchemeStaSam, SchemeEBPF, SchemeNHT} {
-			ov := schemeServiceOverheadSingleTier(s, inflation[s])
-			sum := avgSummariesRate(cfg, rate, d, reps, ov)
-			slow := sum.P99/oracleSum.P99 - 1
-			row = append(row, fmt.Sprintf("%.1f (%s)", sum.P99, pct(slow)))
+	}
+	means := openLoopMeans(cfg, durQuick(cfg, 4*simtime.Second, 15*simtime.Second), groups)
+	for li, load := range loads {
+		oracle := means[li*len(schemes)].P99
+		row := []string{fmt.Sprintf("Load=%.0e", load), fmt.Sprintf("%.1f", oracle)}
+		for si, s := range schemes[1:] {
+			p99 := means[li*len(schemes)+1+si].P99
+			slow := p99/oracle - 1
+			row = append(row, fmt.Sprintf("%.1f (%s)", p99, pct(slow)))
 			if s == SchemeEXIST && load == 1e4 {
 				res.Metric("exist_p99_slowdown_1e4", slow)
 			}

@@ -114,24 +114,18 @@ func runFig03b(cfg Config) (*Result, error) {
 		Title:  "Figure 3b: E2E response-time slowdown from a ~2% single-service profiling overhead",
 		Header: []string{"load", "p50", "p75", "p90", "p99", "p99.9"},
 	}
-	dur := durQuick(cfg, 4*simtime.Second, 20*simtime.Second)
-	reps := 3
-	if !cfg.Quick {
-		reps = 8
-	}
 	loads := []float64{1e2, 1e3, 1e4, 1e5}
 	// perf-record-like overhead on the traced service only (tier 1).
 	ov := []service.Overhead{{Tier: 1, Frac: 0.02, SpikeProb: 0.02, Spike: 3 * simtime.Millisecond}}
-	var worst float64
+	var groups []openLoop
 	for _, load := range loads {
-		// Low loads need longer (virtual) windows for stable percentiles;
-		// virtual time is nearly free when few events occur in it.
-		d := dur
-		if want := simtime.Duration(float64(minRequests(cfg)) / service.InstanceRate(load) * float64(simtime.Second)); want > d {
-			d = want
-		}
-		base := avgSummariesRate(cfg, service.InstanceRate(load), d, reps, nil)
-		with := avgSummariesRate(cfg, service.InstanceRate(load), d, reps, ov)
+		rate := service.InstanceRate(load)
+		groups = append(groups, openLoop{rate, nil}, openLoop{rate, ov})
+	}
+	means := openLoopMeans(cfg, durQuick(cfg, 4*simtime.Second, 20*simtime.Second), groups)
+	var worst float64
+	for li, load := range loads {
+		base, with := means[2*li], means[2*li+1]
 		slow := func(b, w float64) float64 {
 			if b <= 0 {
 				return 0
@@ -155,31 +149,45 @@ func runFig03b(cfg Config) (*Result, error) {
 	return res, nil
 }
 
-// minRequests is the per-repetition sample floor for percentile stability.
-func minRequests(cfg Config) int {
-	if cfg.Quick {
-		return 1500
-	}
-	return 5000
+// openLoop is one group of open-loop repetitions: Poisson arrivals at
+// rate, with the given overheads.
+type openLoop struct {
+	rate float64
+	ov   []service.Overhead
 }
 
-// avgSummaries averages open-loop percentile summaries over repetitions
-// with distinct seeds; queueing-tail slowdowns are too noisy for
-// single-run comparisons.
-func avgSummariesRate(cfg Config, rate float64, dur simtime.Duration, reps int, ov []service.Overhead) metrics.Summary {
-	var sum metrics.Summary
-	for i := 0; i < reps; i++ {
-		spec := service.ComposePostChain(cfg.Seed + 11 + uint64(i)*997)
-		s := service.RunOpenLoop(spec, rate, dur, ov).Summary
-		sum.P50 += s.P50 / float64(reps)
-		sum.P75 += s.P75 / float64(reps)
-		sum.P90 += s.P90 / float64(reps)
-		sum.P99 += s.P99 / float64(reps)
-		sum.P999 += s.P999 / float64(reps)
-		sum.Mean += s.Mean / float64(reps)
-		sum.N += s.N
+// openLoopMeans runs every group's repetitions (3 quick, 8 full), each on
+// its own chain seed, and returns each group's percentile summary averaged
+// term by term in repetition order; queueing-tail slowdowns are too noisy
+// for single-run comparisons. A run lasts dur, or longer at low rates so
+// that it sees 1500 (quick) or 5000 (full) requests: stable percentiles
+// need the samples, and virtual time is nearly free when few events occur
+// in it.
+func openLoopMeans(cfg Config, dur simtime.Duration, groups []openLoop) []metrics.Summary {
+	reps, floor := 8, 5000.0
+	if cfg.Quick {
+		reps, floor = 3, 1500
 	}
-	return sum
+	var runs []svcRun
+	for _, g := range groups {
+		d := max(dur, simtime.Duration(floor/g.rate*float64(simtime.Second)))
+		for i := 0; i < reps; i++ {
+			chain := service.ComposePostChain(cfg.Seed + 11 + uint64(i)*997)
+			runs = append(runs, svcRun{chain: chain, ov: g.ov, dur: d,
+				arrivals: func() []service.Arrival { return service.Poisson(chain.Seed, g.rate, d) }})
+		}
+	}
+	sums := runServices(cfg, runs, func(_ int, r service.Result) metrics.Summary { return metrics.Summarize(r.RTms) })
+	means := make([]metrics.Summary, len(groups))
+	for i, s := range sums {
+		m, n := &means[i/reps], float64(reps)
+		m.P50 += s.P50 / n
+		m.P75 += s.P75 / n
+		m.P90 += s.P90 / n
+		m.P99 += s.P99 / n
+		m.P999 += s.P999 / n
+	}
+	return means
 }
 
 func runFig04(cfg Config) (*Result, error) {

@@ -4,8 +4,8 @@ import (
 	"fmt"
 
 	"exist/internal/cluster"
+	"exist/internal/metrics"
 	"exist/internal/node"
-	"exist/internal/parallel"
 	"exist/internal/service"
 	"exist/internal/simtime"
 	"exist/internal/spec"
@@ -50,14 +50,17 @@ type scenarioRun struct {
 // open-loop service run over its compiled arrival schedule with that
 // overhead applied (availability, per-class SLO attainment), and a cluster
 // phase issuing trace requests under its fault config (coverage). Every
-// document's node runs share one cell list, the traffic phases fan out per
-// document, and the cluster phases share one fleet list. All randomness
+// document's node runs share one cell list, the traffic phases one service
+// list, and the cluster phases one fleet list. All randomness
 // keys off cfg.Seed and the document, so the run is identical at any
 // parallelism.
 func runScenarioDocs(cfg Config, docs []*spec.Document) ([]*scenarioRun, error) {
+	runs := make([]*scenarioRun, len(docs))
 	apps := make([]workload.Profile, len(docs))
 	var cells []cell
 	var owners []int // owners[k] is the document of cells 2k and 2k+1
+	var bases []svcRun
+	var svcDocs []int // svcDocs[k] is the document of bases[k]
 	for i, doc := range docs {
 		sc := doc.Scenario
 		if sc == nil {
@@ -78,20 +81,65 @@ func runScenarioDocs(cfg Config, docs []*spec.Document) ([]*scenarioRun, error) 
 			cells = append(cells, cell{cs.App, SchemeOracle, ns}, cell{cs.App, SchemeEXIST, ns})
 			owners = append(owners, i)
 		}
+		// Phase 2: traffic. Quick mode truncates the window; the schedule
+		// is compiled at the truncated duration, so it stays a pure
+		// function of (document, seed, quick).
+		name := doc.Name
+		if name == "" {
+			name = doc.Src
+		}
+		seed := cfg.Seed ^ doc.Seed
+		scT := *sc
+		if cfg.Quick && scT.DurationS > 10 {
+			scT.DurationS = 10
+		}
+		arr, err := scT.Arrivals(seed, 1.0/service.DeploymentWidth)
+		if err != nil {
+			return nil, err
+		}
+		runs[i] = &scenarioRun{name: name, arrivals: len(arr)}
+		if len(arr) > 0 {
+			sa := make([]service.Arrival, len(arr))
+			for k, a := range arr {
+				sa[k] = service.Arrival(a)
+			}
+			bases = append(bases, svcRun{chain: service.ComposePostChain(seed + 101), dur: scT.Dur(),
+				arrivals: func() []service.Arrival { return sa }, clients: len(scT.Clients)})
+			svcDocs = append(svcDocs, i)
+		}
 	}
 	rs, err := runCells(cfg, cells, numbers)
 	if err != nil {
 		return nil, err
 	}
-	overheads := make([]float64, len(docs))
 	for k, i := range owners {
-		overheads[i] = max(rs[2*k+1].Overhead(rs[2*k]), 0)
+		runs[i].overhead = max(rs[2*k+1].Overhead(rs[2*k]), 0)
 	}
-	runs, err := parallel.MapErr(len(docs), cfg.Jobs, func(i int) (*scenarioRun, error) {
-		return runScenarioTraffic(cfg, docs[i], overheads[i])
+	// Each schedule runs twice in one service list: under Oracle, and
+	// traced with the document's measured node overhead.
+	var svcs []svcRun
+	for k, i := range svcDocs {
+		traced := bases[k]
+		if o := runs[i].overhead; o > 0 {
+			traced.ov = []service.Overhead{{Tier: 1, Frac: o}}
+		}
+		svcs = append(svcs, bases[k], traced)
+	}
+	outs := runServices(cfg, svcs, func(k int, r service.Result) scenarioRun {
+		out := scenarioRun{p99: metrics.Percentile(r.RTms, 99)}
+		if k%2 == 1 {
+			out.thpt = r.ThroughputRPS
+			if total := r.Completed + r.Dropped; total > 0 {
+				out.avail = float64(r.Completed) / float64(total)
+			}
+			out.clients = clientOutcomes(docs[svcDocs[k/2]].Scenario.Clients, r.ByClient)
+		}
+		return out
 	})
-	if err != nil {
-		return nil, err
+	for k, i := range svcDocs {
+		base, traced := outs[2*k], outs[2*k+1]
+		run := runs[i]
+		run.p99Base, run.p99, run.thpt, run.avail, run.clients = base.p99, traced.p99, traced.thpt, traced.avail, traced.clients
 	}
 
 	// Phase 3: cluster. A document's cluster/faults sections configure a
@@ -127,94 +175,32 @@ func runScenarioDocs(cfg Config, docs []*spec.Document) ([]*scenarioRun, error) 
 	return runs, nil
 }
 
-// runScenarioTraffic runs one document's traffic phase with its measured
-// node overhead.
-func runScenarioTraffic(cfg Config, doc *spec.Document, overhead float64) (*scenarioRun, error) {
-	sc := doc.Scenario
-	name := doc.Name
-	if name == "" {
-		name = doc.Src
-	}
-	run := &scenarioRun{name: name, overhead: overhead}
-	seed := cfg.Seed ^ doc.Seed
-
-	// Phase 2: traffic. Quick mode truncates the window; the schedule is
-	// compiled at the truncated duration, so it stays a pure function of
-	// (document, seed, quick).
-	scT := *sc
-	if cfg.Quick && scT.DurationS > 10 {
-		scT.DurationS = 10
-	}
-	arr, err := scT.Arrivals(seed, 1.0/service.DeploymentWidth)
-	if err != nil {
-		return nil, err
-	}
-	run.arrivals = len(arr)
-	if len(arr) > 0 {
-		sa := make([]service.Arrival, len(arr))
-		for i, a := range arr {
-			sa[i] = service.Arrival{At: a.At, Client: a.Client}
+// clientOutcomes judges each traffic class on its completed response
+// times in the traced run.
+func clientOutcomes(clients []spec.Client, byClient [][]float64) []clientOutcome {
+	var outs []clientOutcome
+	for ci, c := range clients {
+		out := clientOutcome{id: c.ID, class: c.SLOClass, sloMS: c.SLOMs}
+		if out.class == "" {
+			out.class = "besteffort"
 		}
-		chain := service.ComposePostChain(seed + 101)
-		dur := scT.Dur()
-		baseRes := service.RunSchedule(chain, sa, dur, len(scT.Clients), nil)
-		var ov []service.Overhead
-		if run.overhead > 0 {
-			ov = []service.Overhead{{Tier: 1, Frac: run.overhead}}
-		}
-		tracedRes := service.RunSchedule(chain, sa, dur, len(scT.Clients), ov)
-		run.thpt = tracedRes.ThroughputRPS
-		run.p99Base = baseRes.Summary.P99
-		run.p99 = tracedRes.Summary.P99
-		if total := tracedRes.Completed + tracedRes.Dropped; total > 0 {
-			run.avail = float64(tracedRes.Completed) / float64(total)
-		}
-		for ci, c := range scT.Clients {
-			out := clientOutcome{id: c.ID, class: c.SLOClass, sloMS: c.SLOMs}
-			if out.class == "" {
-				out.class = "besteffort"
-			}
-			rts := tracedRes.ByClient[ci]
-			out.completed = len(rts)
-			if len(rts) > 0 {
-				out.p99 = pctOf(rts, 0.99)
-				if c.SLOClass == "latency" {
-					within := 0
-					for _, rt := range rts {
-						if rt <= c.SLOMs {
-							within++
-						}
+		rts := byClient[ci]
+		out.completed = len(rts)
+		if len(rts) > 0 {
+			out.p99 = metrics.Percentile(rts, 99)
+			if c.SLOClass == "latency" {
+				within := 0
+				for _, rt := range rts {
+					if rt <= c.SLOMs {
+						within++
 					}
-					out.attain = float64(within) / float64(len(rts))
 				}
+				out.attain = float64(within) / float64(len(rts))
 			}
-			run.clients = append(run.clients, out)
 		}
+		outs = append(outs, out)
 	}
-
-	return run, nil
-}
-
-// pctOf returns the p-th percentile of a copy of xs.
-func pctOf(xs []float64, p float64) float64 {
-	s := append([]float64(nil), xs...)
-	insertionSortF(s)
-	if len(s) == 0 {
-		return 0
-	}
-	idx := int(p * float64(len(s)-1))
-	return s[idx]
-}
-
-// insertionSortF sorts a small float slice in place without pulling the
-// sort package's interface machinery into the hot path. Traffic-phase
-// slices are short enough that simplicity wins.
-func insertionSortF(s []float64) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
+	return outs
 }
 
 // buildScenarioResult renders one or more scenario runs into tables.
@@ -278,8 +264,8 @@ func buildScenarioResult(id string, runs []*scenarioRun) *Result {
 	return res
 }
 
-// runScenario drives every bundled scenario. The documents fan out across
-// the worker pool and are harvested in name order, keeping output
+// runScenario drives every bundled scenario. Each phase's runs fan out
+// across the worker pool and are harvested in name order, keeping output
 // byte-identical to a serial run.
 func runScenario(cfg Config) (*Result, error) {
 	names := spec.BuiltinNames()

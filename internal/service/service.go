@@ -15,7 +15,6 @@
 package service
 
 import (
-	"exist/internal/metrics"
 	"exist/internal/simtime"
 	"exist/internal/xrand"
 )
@@ -92,10 +91,12 @@ type Result struct {
 	Dropped int
 	// ThroughputRPS is completed / duration.
 	ThroughputRPS float64
-	// RTms holds completed request response times in milliseconds.
+	// RTms holds completed request response times in milliseconds
+	// (schedule runs only).
 	RTms []float64
-	// Summary is the percentile summary of RTms.
-	Summary metrics.Summary
+	// ByClient holds completed response times (ms) per client index
+	// (schedule runs only).
+	ByClient [][]float64
 }
 
 // tier is runtime queue state. The log-normal (mu, sigma) of the inflated
@@ -248,40 +249,10 @@ func (c *chain) launch(r *request, idx int, now simtime.Time) {
 	c.enter(r, &c.tiers[c.visitSeq[0]], now)
 }
 
-// RunOpenLoop drives the chain with Poisson arrivals at ratePerSec for
-// dur, then drains up to 5x dur. Requests still unfinished at the drain
-// deadline count as dropped.
-func RunOpenLoop(spec ChainSpec, ratePerSec float64, dur simtime.Duration, ov []Overhead) Result {
-	c := newChain(spec, ov)
-	res := Result{}
-	arr := xrand.Split(spec.Seed, "service/arrivals")
-	idx := 0
-	c.onDone = func(r *request, end simtime.Time) {
-		res.Completed++
-		res.RTms = append(res.RTms, (end - r.begin).Millis())
-		c.free = append(c.free, r)
-	}
-	var arrive func(now simtime.Time)
-	arrive = func(now simtime.Time) {
-		c.launch(c.alloc(), idx, now)
-		idx++
-		if at := now + simtime.Duration(arr.Exp(1e9/ratePerSec)); at < dur {
-			c.eng.ScheduleDetached(at, arrive)
-		}
-	}
-	if at := simtime.Duration(arr.Exp(1e9 / ratePerSec)); at < dur {
-		c.eng.ScheduleDetached(at, arrive)
-	}
-	c.eng.RunUntil(dur * 5)
-	res.Dropped = int(c.inFlight())
-	res.ThroughputRPS = float64(res.Completed) / dur.Seconds()
-	res.Summary = metrics.Summarize(res.RTms)
-	return res
-}
-
 // RunClosedLoop drives the chain with a fixed client population for dur;
 // each client reissues immediately on completion. Throughput under a
-// closed loop is the online-benchmark metric of Figure 14.
+// closed loop is the online-benchmark metric of Figure 14, so the run
+// counts completions and keeps no response times.
 func RunClosedLoop(spec ChainSpec, clients int, dur simtime.Duration, ov []Overhead) Result {
 	c := newChain(spec, ov)
 	res := Result{}
@@ -289,7 +260,6 @@ func RunClosedLoop(spec ChainSpec, clients int, dur simtime.Duration, ov []Overh
 	c.onDone = func(r *request, end simtime.Time) {
 		if end < dur {
 			res.Completed++
-			res.RTms = append(res.RTms, (end - r.begin).Millis())
 			c.eng.ScheduleDetached(end, r.issueFn)
 		}
 	}
@@ -303,7 +273,6 @@ func RunClosedLoop(spec ChainSpec, clients int, dur simtime.Duration, ov []Overh
 	}
 	c.eng.RunUntil(dur)
 	res.ThroughputRPS = float64(res.Completed) / dur.Seconds()
-	res.Summary = metrics.Summarize(res.RTms)
 	return res
 }
 
@@ -316,12 +285,17 @@ type Arrival struct {
 	Client int
 }
 
-// ScheduleResult extends Result with per-client response times, so SLO
-// attainment can be judged per traffic class.
-type ScheduleResult struct {
-	Result
-	// ByClient holds completed response times (ms) per client index.
-	ByClient [][]float64
+// Poisson returns an open-loop schedule: Poisson arrivals at ratePerSec
+// from the seed's "service/arrivals" stream, every one before dur, all
+// from client 0.
+func Poisson(seed uint64, ratePerSec float64, dur simtime.Duration) []Arrival {
+	arr := xrand.Split(seed, "service/arrivals")
+	mean := 1e9 / ratePerSec
+	var out []Arrival
+	for at := simtime.Duration(arr.Exp(mean)); at < dur; at += simtime.Duration(arr.Exp(mean)) {
+		out = append(out, Arrival{At: at})
+	}
+	return out
 }
 
 // RunSchedule drives the chain with a precompiled arrival schedule
@@ -330,10 +304,11 @@ type ScheduleResult struct {
 // draws come from its own stream keyed by arrival index, so the run is
 // deterministic for a given schedule regardless of how it was produced.
 // clients sizes ByClient; arrivals naming an index outside [0, clients)
-// still run but are only aggregated.
-func RunSchedule(spec ChainSpec, arrivals []Arrival, dur simtime.Duration, clients int, ov []Overhead) ScheduleResult {
+// still run but are only aggregated. Poisson builds the open-loop
+// schedule of Figures 3b and 16.
+func RunSchedule(spec ChainSpec, arrivals []Arrival, dur simtime.Duration, clients int, ov []Overhead) Result {
 	c := newChain(spec, ov)
-	res := ScheduleResult{ByClient: make([][]float64, clients)}
+	res := Result{ByClient: make([][]float64, clients)}
 	c.onDone = func(r *request, end simtime.Time) {
 		res.Completed++
 		rt := (end - r.begin).Millis()
@@ -362,7 +337,6 @@ func RunSchedule(spec ChainSpec, arrivals []Arrival, dur simtime.Duration, clien
 	c.eng.RunUntil(dur * 5)
 	res.Dropped = int(c.inFlight())
 	res.ThroughputRPS = float64(res.Completed) / dur.Seconds()
-	res.Summary = metrics.Summarize(res.RTms)
 	return res
 }
 
