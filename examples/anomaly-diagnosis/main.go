@@ -14,7 +14,6 @@ import (
 	"fmt"
 	"log"
 	"os"
-	"sort"
 
 	"exist/internal/core"
 	"exist/internal/decode"
@@ -97,53 +96,14 @@ func main() {
 	fmt.Printf("window:   %v, %d five-tuple records, %.1f MB of trace\n",
 		result.Duration(), len(result.Switches.Records), result.SpaceMB())
 
-	// Chronological evidence 1: find the longest scheduled-out gap per
-	// thread in the sidecar.
-	type gap struct {
-		tid int32
-		dur simtime.Duration
-		at  simtime.Time
-	}
-	records := append([]kernel.SwitchRecord(nil), result.Switches.Records...)
-	sort.Slice(records, func(i, j int) bool { return records[i].TS < records[j].TS })
-	lastOut := map[int32]simtime.Time{}
-	best := map[int32]gap{}
-	for _, r := range records {
-		if r.Op == kernel.OpOut {
-			lastOut[r.TID] = r.TS
-			continue
-		}
-		if out, ok := lastOut[r.TID]; ok {
-			if d := r.TS - out; d > best[r.TID].dur {
-				best[r.TID] = gap{tid: r.TID, dur: d, at: out}
-			}
-		}
-	}
-	// A thread that scheduled out and never came back within the window
-	// is the strongest signal: it is still stuck when the window closes.
-	for tid, out := range lastOut {
-		stillOut := true
-		for _, r := range records {
-			if r.TID == tid && r.Op == kernel.OpIn && r.TS > out {
-				stillOut = false
-				break
-			}
-		}
-		if stillOut {
-			if d := result.End - out; d > best[tid].dur {
-				best[tid] = gap{tid: tid, dur: d, at: out}
-			}
-		}
-	}
-	var culprit gap
-	for _, g := range best {
-		if g.dur > culprit.dur {
-			culprit = g
-		}
-	}
+	// Chronological evidence 1: the longest scheduled-out gap per thread
+	// in the sidecar. A thread that scheduled out and never came back
+	// within the window is the strongest signal: it is still stuck when
+	// the window closes.
+	culprit := report.Longest(report.LongestGaps(result))
 	fmt.Printf("evidence: thread %d left the CPU at %v and stayed blocked for at least %v\n",
-		culprit.tid, culprit.at, culprit.dur)
-	if culprit.tid == int32(logThreadID(logger)) {
+		culprit.TID, culprit.From, culprit.Dur)
+	if culprit.TID == int32(logThreadID(logger)) {
 		fmt.Printf("evidence: that is the logging thread — it issued %d synchronous log writes\n",
 			logWrites[logThreadID(logger)])
 	}

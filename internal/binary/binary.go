@@ -491,11 +491,6 @@ func (x *addrIndex) lookup(addr uint64) (BlockID, bool) {
 	return NoBlock, false
 }
 
-// FuncOf returns the function containing block id.
-func (p *Program) FuncOf(id BlockID) *Func {
-	return &p.Funcs[p.Blocks[id].Func]
-}
-
 // EntryFuncOf reports whether block id is some function's entry block,
 // and if so which function. Trace consumers use it to build function
 // occurrence histograms from branch targets.
@@ -674,16 +669,6 @@ type BranchEvent struct {
 	Kind TermKind
 	// Taken reports the direction of a TermCond event.
 	Taken bool
-}
-
-// IsIndirect reports whether the event requires a TIP packet (target not
-// statically known).
-func (e BranchEvent) IsIndirect() bool {
-	switch e.Kind {
-	case TermIndirectJump, TermIndirectCall, TermReturn:
-		return true
-	}
-	return false
 }
 
 // StopReason says why a Walker run segment ended.

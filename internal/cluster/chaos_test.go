@@ -147,7 +147,8 @@ func TestWorkQueue(t *testing.T) {
 func TestWatchStreamOverflowForcesRelist(t *testing.T) {
 	a := NewAPIServer()
 	kicks := 0
-	w := a.WatchStream(3, func() { kicks++ })
+	w := a.WatchShard(0, func() { kicks++ })
+	w.max = 3
 	for i := 0; i < 5; i++ {
 		r, err := a.Create(fmt.Sprintf("r-%d", i), TraceRequestSpec{App: "x"})
 		if err != nil {

@@ -159,11 +159,10 @@ type apiShard struct {
 // APIServer stores TraceRequests (the Kubernetes API server stand-in),
 // split into Config.Shards shards keyed by a stable hash of the request
 // name. Every stored mutation bumps the owning shard's resource version
-// and fans an event out to that shard's watch streams (plus any global
-// streams); phase-transition callbacks (Watch) serve operator tooling.
+// and fans an event out to that shard's watch streams; phase-transition
+// callbacks (Watch) serve operator tooling.
 type APIServer struct {
 	shards   []*apiShard
-	global   []*WatchStream // streams observing every shard (tooling)
 	watchers []func(*TraceRequest)
 	seq      int64 // global creation sequence, merges List across shards
 	evSeq    int64 // global event sequence, merges watch drains

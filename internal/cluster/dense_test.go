@@ -145,7 +145,7 @@ func TestLiteCrashResamplesOnlyThatNode(t *testing.T) {
 		t.Fatalf("sessions on %d other nodes, want 3", len(others))
 	}
 
-	w := c.API.WatchStream(0, nil)
+	w := c.API.WatchShard(0, nil)
 	c.crashNode(crashed)
 	if got := len(openSlots(c, crashed)); got != 0 {
 		t.Fatalf("crashed node still holds %d open sessions", got)

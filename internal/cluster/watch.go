@@ -131,18 +131,6 @@ func (w *WatchStream) push(ev WatchEvent) {
 // overflow marks the stream stale and forces a relist.
 const watchBuf = 1024
 
-// WatchStream opens a new buffered change stream observing every shard
-// (the tooling view). bufMax bounds the buffer (<= 0 uses watchBuf);
-// notify, when non-nil, fires on the empty-to-non-empty edge.
-func (a *APIServer) WatchStream(bufMax int, notify func()) *WatchStream {
-	if bufMax <= 0 {
-		bufMax = watchBuf
-	}
-	w := &WatchStream{max: bufMax, notify: notify}
-	a.global = append(a.global, w)
-	return w
-}
-
 // WatchShard opens a buffered change stream scoped to one shard: only
 // that shard's mutations are delivered, so overflow (and the resulting
 // stale → relist) is contained to the shard. Controllers open one per
@@ -157,18 +145,15 @@ func (a *APIServer) WatchShard(si int, notify func()) *WatchStream {
 	return w
 }
 
-// emitLocked fans one event out to the shard's streams and every global
-// stream; the caller holds the shard lock.
+// emitLocked fans one event out to the shard's streams; the caller holds
+// the shard lock.
 func (a *APIServer) emitLocked(s *apiShard, typ EventType, r *TraceRequest) {
-	if len(s.streams) == 0 && len(a.global) == 0 {
+	if len(s.streams) == 0 {
 		return
 	}
 	a.evSeq++
 	ev := WatchEvent{Type: typ, Name: r.Name, ResourceVersion: r.ResourceVersion, Phase: r.Phase, Seq: a.evSeq}
 	for _, w := range s.streams {
-		w.push(ev)
-	}
-	for _, w := range a.global {
 		w.push(ev)
 	}
 }

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"sort"
 
 	"exist/internal/binary"
 	"exist/internal/core"
@@ -11,6 +10,7 @@ import (
 	"exist/internal/kernel"
 	"exist/internal/memalloc"
 	"exist/internal/node"
+	"exist/internal/report"
 	"exist/internal/sched"
 	"exist/internal/simtime"
 	"exist/internal/tabular"
@@ -299,54 +299,20 @@ func runCaseStudy(cfg Config) (*Result, error) {
 
 	// Diagnosis from the five-tuple sidecar: the largest scheduled-out
 	// gap per thread inside the window.
-	type gap struct {
-		tid  int32
-		dur  simtime.Duration
-		from simtime.Time
-	}
-	lastOut := map[int32]simtime.Time{}
-	maxGap := map[int32]gap{}
-	records := append([]kernel.SwitchRecord(nil), sres.Switches.Records...)
-	sort.Slice(records, func(i, j int) bool { return records[i].TS < records[j].TS })
-	for _, r := range records {
-		switch r.Op {
-		case kernel.OpOut:
-			lastOut[r.TID] = r.TS
-		case kernel.OpIn:
-			if out, ok := lastOut[r.TID]; ok {
-				if d := r.TS - out; d > maxGap[r.TID].dur {
-					maxGap[r.TID] = gap{tid: r.TID, dur: d, from: out}
-				}
-				delete(lastOut, r.TID)
-			}
-		}
-	}
-	// A thread that scheduled out and never returned is still stuck when
-	// the window closes — the strongest anomaly signal (the paper's
-	// blocking write lasted 3.7 s, far beyond any window).
-	for tid, out := range lastOut {
-		if d := sres.End - out; d > maxGap[tid].dur {
-			maxGap[tid] = gap{tid: tid, dur: d, from: out}
-		}
+	gaps := report.LongestGaps(sres)
+	seen := map[int32]bool{}
+	for _, g := range gaps {
+		seen[g.TID] = true
 	}
 	// A target thread with no sidecar records at all was blocked for the
 	// entire window — it left the CPU before tracing started and never
 	// came back (the paper's 3.7 s write dwarfs any window).
-	seen := map[int32]bool{}
-	for _, r := range records {
-		seen[r.TID] = true
-	}
 	for _, th := range proc.Threads {
 		if !seen[int32(th.TID)] {
-			maxGap[int32(th.TID)] = gap{tid: int32(th.TID), dur: sres.End - sres.Start, from: sres.Start}
+			gaps = append(gaps, report.Gap{TID: int32(th.TID), From: sres.Start, Dur: sres.End - sres.Start})
 		}
 	}
-	var culprit gap
-	for _, g := range maxGap {
-		if g.dur > culprit.dur {
-			culprit = g
-		}
-	}
+	culprit := report.Longest(gaps)
 
 	// Decoded PTWRITE operands attribute the blocking syscall to the
 	// culprit thread directly from the trace.
@@ -355,7 +321,7 @@ func runCaseStudy(cfg Config) (*Result, error) {
 	for _, ptw := range rec2.PTWrites {
 		if kernel.SyscallClass(ptw.Val) == kernel.SysFileWriteSlow {
 			anySlowWrites++
-			if ptw.TID == culprit.tid {
+			if ptw.TID == culprit.TID {
 				culpritSlowWrites++
 			}
 		}
@@ -368,23 +334,23 @@ func runCaseStudy(cfg Config) (*Result, error) {
 		Header: []string{"evidence", "finding"},
 	}
 	t.AddRow("traced window", fmt.Sprintf("%v starting at %v", sres.Duration(), sres.Start))
-	t.AddRow("five-tuple records", fmt.Sprintf("%d", len(records)))
+	t.AddRow("five-tuple records", fmt.Sprintf("%d", len(sres.Switches.Records)))
 	t.AddRow("largest scheduled-out gap", fmt.Sprintf("thread %d blocked %v (from %v)",
-		culprit.tid, culprit.dur, culprit.from))
-	if tl := tallies[int(culprit.tid)]; tl != nil {
+		culprit.TID, culprit.Dur, culprit.From))
+	if tl := tallies[int(culprit.TID)]; tl != nil {
 		t.AddRow("blocking syscall", fmt.Sprintf("%s x%d",
 			m.Syscall(kernel.SysFileWriteSlow).Name, tl.counts[kernel.SysFileWriteSlow]))
 	}
 	if culpritSlowWrites > 0 {
 		t.AddRow("PTWRITE evidence in trace", fmt.Sprintf("%d sync-log writes attributed to thread %d",
-			culpritSlowWrites, culprit.tid))
+			culpritSlowWrites, culprit.TID))
 	} else {
 		t.AddRow("PTWRITE evidence in trace",
 			"none in-window: the blocking write outlives the whole window (as the paper's 3.7 s write would)")
 	}
 	var futexers int
 	for tid, tl := range tallies {
-		if tid != int(culprit.tid) && tl.counts[kernel.SysFutex] > 0 {
+		if tid != int(culprit.TID) && tl.counts[kernel.SysFutex] > 0 {
 			futexers++
 		}
 	}
@@ -394,12 +360,12 @@ func runCaseStudy(cfg Config) (*Result, error) {
 	t.Notes = append(t.Notes,
 		"paper: a file_write consuming 3.7 s plus mutex-wait syscalls explained the response-time and thread-count anomaly")
 
-	isLogger := culprit.tid == int32(logThread.TID)
+	isLogger := culprit.TID == int32(logThread.TID)
 	res.Metric("culprit_is_logger", boolMetric(isLogger))
 	res.Metric("ptw_evidence", float64(culpritSlowWrites))
 	res.Metric("ptw_any", float64(anySlowWrites))
 	res.Metric("ptw_total", float64(len(rec2.PTWrites)))
-	res.Metric("culprit_gap_ms", culprit.dur.Millis())
+	res.Metric("culprit_gap_ms", culprit.Dur.Millis())
 	res.Tables = append(res.Tables, t)
 	return res, nil
 }

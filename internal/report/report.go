@@ -161,62 +161,89 @@ func memWidths(b *strings.Builder, rec *decode.Result) {
 		total, float64(wide)/float64(total)*100)
 }
 
-// threadView is per-thread evidence derived from the reconstruction and
-// the five-tuple sidecar.
-type threadView struct {
-	tid     int32
-	events  int
-	maxGap  simtime.Duration
-	gapFrom simtime.Time
-	absent  bool
+// Gap is one thread's longest scheduled-out interval in a session window.
+type Gap struct {
+	TID int32
+	// From is when the thread left the CPU.
+	From simtime.Time
+	// Dur is how long it stayed off (0: the thread has no gap).
+	Dur simtime.Duration
 }
 
-func threadViews(rec *decode.Result, sess *trace.Session) []threadView {
-	views := map[int32]*threadView{}
-	get := func(tid int32) *threadView {
-		v := views[tid]
-		if v == nil {
-			v = &threadView{tid: tid}
-			views[tid] = v
-		}
-		return v
-	}
-	for tid, evs := range rec.ByThread() {
-		get(tid).events = len(evs)
-	}
+// LongestGaps returns the longest off-CPU gap of every thread in the
+// session's five-tuple sidecar, sorted by TID. A thread that scheduled
+// out and never came back is charged up to sess.End: it is still blocked
+// when the window closes. Of equal gaps in one thread, the earliest wins.
+func LongestGaps(sess *trace.Session) []Gap {
 	records := append([]kernel.SwitchRecord(nil), sess.Switches.Records...)
 	sort.Slice(records, func(i, j int) bool { return records[i].TS < records[j].TS })
+	longest := map[int32]*Gap{}
 	lastOut := map[int32]simtime.Time{}
 	for _, r := range records {
+		g := longest[r.TID]
+		if g == nil {
+			g = &Gap{TID: r.TID}
+			longest[r.TID] = g
+		}
 		switch r.Op {
 		case kernel.OpOut:
 			lastOut[r.TID] = r.TS
 		case kernel.OpIn:
 			if out, ok := lastOut[r.TID]; ok {
-				v := get(r.TID)
-				if d := r.TS - out; d > v.maxGap {
-					v.maxGap, v.gapFrom = d, out
+				if d := r.TS - out; d > g.Dur {
+					g.From, g.Dur = out, d
 				}
 				delete(lastOut, r.TID)
-			} else {
-				get(r.TID) // thread seen
 			}
 		}
 	}
-	// Unreturned threads are still blocked at window end.
 	for tid, out := range lastOut {
-		v := get(tid)
-		if d := sess.End - out; d > v.maxGap {
-			v.maxGap, v.gapFrom = d, out
-			v.absent = v.events == 0
+		if g := longest[tid]; sess.End-out > g.Dur {
+			g.From, g.Dur = out, sess.End-out
 		}
 	}
-	out := make([]threadView, 0, len(views))
-	for _, v := range views {
-		out = append(out, *v)
+	gaps := make([]Gap, 0, len(longest))
+	for _, g := range longest {
+		gaps = append(gaps, *g)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].tid < out[j].tid })
-	return out
+	sort.Slice(gaps, func(i, j int) bool { return gaps[i].TID < gaps[j].TID })
+	return gaps
+}
+
+// Longest returns the longest of gaps (the zero Gap when there are
+// none); a tie goes to the lower TID.
+func Longest(gaps []Gap) Gap {
+	var best Gap
+	for i, g := range gaps {
+		if i == 0 || g.Dur > best.Dur || g.Dur == best.Dur && g.TID < best.TID {
+			best = g
+		}
+	}
+	return best
+}
+
+// threadView is per-thread evidence derived from the reconstruction and
+// the five-tuple sidecar.
+type threadView struct {
+	Gap
+	events int
+}
+
+func threadViews(rec *decode.Result, sess *trace.Session) []threadView {
+	events := map[int32]int{}
+	for tid, evs := range rec.ByThread() {
+		events[tid] = len(evs)
+	}
+	var views []threadView
+	for _, g := range LongestGaps(sess) {
+		views = append(views, threadView{Gap: g, events: events[g.TID]})
+		delete(events, g.TID)
+	}
+	for tid, n := range events {
+		views = append(views, threadView{Gap: Gap{TID: tid}, events: n})
+	}
+	sort.Slice(views, func(i, j int) bool { return views[i].TID < views[j].TID })
+	return views
 }
 
 func threads(b *strings.Builder, rec *decode.Result, sess *trace.Session) {
@@ -226,13 +253,13 @@ func threads(b *strings.Builder, rec *decode.Result, sess *trace.Session) {
 	}
 	b.WriteString("per-thread chronology:\n")
 	for _, v := range views {
-		if v.tid < 0 {
+		if v.TID < 0 {
 			fmt.Fprintf(b, "  (unattributed) %8d events\n", v.events)
 			continue
 		}
-		line := fmt.Sprintf("  thread %-4d %8d events", v.tid, v.events)
-		if v.maxGap > 0 {
-			line += fmt.Sprintf(", longest off-CPU gap %v (from %v)", v.maxGap, v.gapFrom)
+		line := fmt.Sprintf("  thread %-4d %8d events", v.TID, v.events)
+		if v.Dur > 0 {
+			line += fmt.Sprintf(", longest off-CPU gap %v (from %v)", v.Dur, v.From)
 		}
 		b.WriteString(line + "\n")
 	}
@@ -242,10 +269,10 @@ func threads(b *strings.Builder, rec *decode.Result, sess *trace.Session) {
 func anomalies(b *strings.Builder, rec *decode.Result, sess *trace.Session) {
 	var notes []string
 	for _, v := range threadViews(rec, sess) {
-		if v.tid >= 0 && v.maxGap >= gapThreshold {
+		if v.TID >= 0 && v.Dur >= gapThreshold {
 			notes = append(notes, fmt.Sprintf(
 				"thread %d left the CPU at %v and stayed away for %v — look for a blocking call",
-				v.tid, v.gapFrom, v.maxGap))
+				v.TID, v.From, v.Dur))
 		}
 	}
 	// PTWRITE operands name the syscalls directly when present.

@@ -196,3 +196,41 @@ func TestReportFlagsLongGaps(t *testing.T) {
 		t.Fatalf("thread 2's gap is under 100 ms but flagged:\n%s", report)
 	}
 }
+
+// TestLongestGapsTieGoesToLowerTID gives two threads equal gaps, the
+// higher TID first in the sidecar, plus one thread still off-CPU at the
+// window end: the gaps come back sorted by TID and the tie picks the
+// lower TID in any input order.
+func TestLongestGapsTieGoesToLowerTID(t *testing.T) {
+	ms := simtime.Millisecond
+	sess := &trace.Session{End: 100 * ms}
+	for _, r := range []kernel.SwitchRecord{
+		{TS: 0, TID: 9, Op: kernel.OpIn},
+		{TS: 10 * ms, TID: 9, Op: kernel.OpOut},
+		{TS: 0, TID: 4, Op: kernel.OpIn},
+		{TS: 20 * ms, TID: 4, Op: kernel.OpOut},
+		{TS: 40 * ms, TID: 9, Op: kernel.OpIn},
+		{TS: 50 * ms, TID: 4, Op: kernel.OpIn},
+		{TS: 90 * ms, TID: 6, Op: kernel.OpOut},
+	} {
+		sess.Switches.Add(r)
+	}
+	want := []Gap{
+		{TID: 4, From: 20 * ms, Dur: 30 * ms},
+		{TID: 6, From: 90 * ms, Dur: 10 * ms},
+		{TID: 9, From: 10 * ms, Dur: 30 * ms},
+	}
+	gaps := LongestGaps(sess)
+	if !reflect.DeepEqual(gaps, want) {
+		t.Fatalf("LongestGaps = %+v, want %+v", gaps, want)
+	}
+	if got := Longest(gaps); got != want[0] {
+		t.Fatalf("Longest = %+v, want thread 4's %+v", got, want[0])
+	}
+	if got := Longest([]Gap{want[2], want[1], want[0]}); got != want[0] {
+		t.Fatalf("Longest out of TID order = %+v, want thread 4's %+v", got, want[0])
+	}
+	if got := Longest(nil); got != (Gap{}) {
+		t.Errorf("Longest(nil) = %+v, want the zero Gap", got)
+	}
+}

@@ -247,9 +247,6 @@ func (c *Core) Idle() bool { return c.cur == nil && len(c.runq) == 0 }
 // Current returns the running thread (nil when idle).
 func (c *Core) Current() *Thread { return c.cur }
 
-// QueueLen returns the number of queued runnable threads.
-func (c *Core) QueueLen() int { return len(c.runq) }
-
 // SwitchEvent is passed to sched_switch hooks.
 type SwitchEvent struct {
 	// Now is the tracepoint time.

@@ -2,6 +2,7 @@ package spec
 
 import (
 	"math"
+	"reflect"
 	"strconv"
 	"strings"
 )
@@ -9,391 +10,143 @@ import (
 // decodeDocument converts a value tree into a Document, rejecting unknown
 // fields with their source position and a nearest-field suggestion.
 func decodeDocument(src string, v *value) (*Document, error) {
-	d := &decoder{src: src}
 	if v.kind != kMap {
 		return nil, errf(src, v.line, "", "document must be a mapping, got %s", v.kind)
 	}
 	doc := &Document{Src: src}
-	err := d.fields(v, "", map[string]func(*value) error{
-		"version":  func(f *value) error { return d.intAt(f, "version", &doc.Version) },
-		"name":     func(f *value) error { return d.strAt(f, "name", &doc.Name) },
-		"desc":     func(f *value) error { return d.strAt(f, "desc", &doc.Desc) },
-		"seed":     func(f *value) error { return d.uintAt(f, "seed", &doc.Seed) },
-		"profiles": func(f *value) error { return d.profiles(f, &doc.Profiles) },
-		"scenario": func(f *value) error {
-			sc, err := d.scenario(f)
-			doc.Scenario = sc
-			return err
-		},
-	})
-	if err != nil {
+	if err := decodeInto(src, v, "", reflect.ValueOf(doc).Elem()); err != nil {
 		return nil, err
 	}
 	return doc, nil
 }
 
-// decoder carries the source name through the per-struct decode helpers.
-type decoder struct {
-	src string
+// decodeInto decodes v into out, the field at path. The schema is the Go
+// type itself: a struct's document keys are its spec tags, so every
+// field is declared once, in spec.go, and every error names its field
+// the same way (parent.key, parent[i]).
+func decodeInto(src string, v *value, path string, out reflect.Value) error {
+	switch out.Kind() {
+	case reflect.Pointer:
+		p := reflect.New(out.Type().Elem())
+		if err := decodeInto(src, v, path, p.Elem()); err != nil {
+			return err
+		}
+		out.Set(p)
+	case reflect.Struct:
+		return decodeStruct(src, v, path, out)
+	case reflect.Slice:
+		if v.kind != kList {
+			return errf(src, v.line, path, "expected %s, got %s", listNoun(out.Type().Elem()), v.kind)
+		}
+		s := reflect.MakeSlice(out.Type(), len(v.l), len(v.l))
+		for i, it := range v.l {
+			if err := decodeInto(src, it, path+"["+strconv.Itoa(i)+"]", s.Index(i)); err != nil {
+				return err
+			}
+		}
+		out.Set(s)
+	case reflect.Map: // map[string]float64: {name: weight}
+		if v.kind != kMap {
+			return errf(src, v.line, path, "expected a {name: weight} mapping, got %s", v.kind)
+		}
+		m := make(map[string]float64, len(v.m))
+		for _, e := range v.m {
+			if e.val.kind != kNum {
+				return errf(src, e.val.line, path+"."+e.key, "expected a number, got %s", e.val.kind)
+			}
+			m[e.key] = e.val.num
+		}
+		out.Set(reflect.ValueOf(m))
+	case reflect.String:
+		if v.kind != kStr {
+			return errf(src, v.line, path, "expected a string, got %s", v.kind)
+		}
+		out.SetString(v.str)
+	case reflect.Bool:
+		if v.kind != kBool {
+			return errf(src, v.line, path, "expected true or false, got %s", v.kind)
+		}
+		out.SetBool(v.b)
+	case reflect.Float64:
+		if v.kind != kNum {
+			return errf(src, v.line, path, "expected a number, got %s", v.kind)
+		}
+		out.SetFloat(v.num)
+	case reflect.Int, reflect.Int64:
+		if v.kind != kNum {
+			return errf(src, v.line, path, "expected an integer, got %s", v.kind)
+		}
+		if v.num != math.Trunc(v.num) {
+			return errf(src, v.line, path, "expected an integer, got %s", v.raw)
+		}
+		out.SetInt(int64(v.num))
+	case reflect.Uint64:
+		// Parsed from the source text, so seeds above 2^53 survive exactly.
+		if v.kind != kNum {
+			return errf(src, v.line, path, "expected an unsigned integer, got %s", v.kind)
+		}
+		u, err := strconv.ParseUint(strings.ReplaceAll(v.raw, "_", ""), 10, 64)
+		if err != nil {
+			return errf(src, v.line, path, "expected an unsigned integer, got %s", v.raw)
+		}
+		out.SetUint(u)
+	default:
+		panic("spec: no decoding for " + out.Type().String())
+	}
+	return nil
 }
 
-// fields walks a mapping's entries through the given per-key handlers and
-// rejects keys that have no handler.
-func (d *decoder) fields(v *value, path string, handlers map[string]func(*value) error) error {
+// decodeStruct fills the fields of out from the mapping v by their spec
+// tags. The field tagged ",line" receives the mapping's source line; a
+// key no field declares is rejected with a did-you-mean suggestion.
+func decodeStruct(src string, v *value, path string, out reflect.Value) error {
 	if v.kind != kMap {
-		return errf(d.src, v.line, path, "expected a mapping, got %s", v.kind)
+		return errf(src, v.line, path, "expected a mapping, got %s", v.kind)
+	}
+	t := out.Type()
+	byKey := make(map[string]int, t.NumField())
+	for i := 0; i < t.NumField(); i++ {
+		switch tag := t.Field(i).Tag.Get("spec"); tag {
+		case "":
+		case ",line":
+			out.Field(i).SetInt(int64(v.line))
+		default:
+			byKey[tag] = i
+		}
 	}
 	for _, e := range v.m {
-		h, ok := handlers[e.key]
+		i, ok := byKey[e.key]
 		if !ok {
-			known := make([]string, 0, len(handlers))
-			for k := range handlers {
+			known := make([]string, 0, len(byKey))
+			for k := range byKey {
 				known = append(known, k)
 			}
 			msg := "unknown field " + strconv.Quote(e.key)
 			if s := nearest(e.key, known); s != "" {
 				msg += " (did you mean " + strconv.Quote(s) + "?)"
 			}
-			return errf(d.src, e.line, path, "%s", msg)
+			return errf(src, e.line, path, "%s", msg)
 		}
-		if err := h(e.val); err != nil {
-			return err
+		fpath := e.key
+		if path != "" {
+			fpath = path + "." + e.key
 		}
-	}
-	return nil
-}
-
-func (d *decoder) strAt(v *value, path string, out *string) error {
-	if v.kind != kStr {
-		return errf(d.src, v.line, path, "expected a string, got %s", v.kind)
-	}
-	*out = v.str
-	return nil
-}
-
-func (d *decoder) boolAt(v *value, path string, out *bool) error {
-	if v.kind != kBool {
-		return errf(d.src, v.line, path, "expected true or false, got %s", v.kind)
-	}
-	*out = v.b
-	return nil
-}
-
-func (d *decoder) floatAt(v *value, path string, out *float64) error {
-	if v.kind != kNum {
-		return errf(d.src, v.line, path, "expected a number, got %s", v.kind)
-	}
-	*out = v.num
-	return nil
-}
-
-func (d *decoder) intAt(v *value, path string, out *int) error {
-	var i64 int64
-	if err := d.int64At(v, path, &i64); err != nil {
-		return err
-	}
-	*out = int(i64)
-	return nil
-}
-
-func (d *decoder) int64At(v *value, path string, out *int64) error {
-	if v.kind != kNum {
-		return errf(d.src, v.line, path, "expected an integer, got %s", v.kind)
-	}
-	if v.num != math.Trunc(v.num) {
-		return errf(d.src, v.line, path, "expected an integer, got %s", v.raw)
-	}
-	*out = int64(v.num)
-	return nil
-}
-
-// uintAt parses an unsigned 64-bit integer from the scalar's source text,
-// so seeds above 2^53 survive exactly.
-func (d *decoder) uintAt(v *value, path string, out *uint64) error {
-	if v.kind != kNum {
-		return errf(d.src, v.line, path, "expected an unsigned integer, got %s", v.kind)
-	}
-	u, err := strconv.ParseUint(strings.ReplaceAll(v.raw, "_", ""), 10, 64)
-	if err != nil {
-		return errf(d.src, v.line, path, "expected an unsigned integer, got %s", v.raw)
-	}
-	*out = u
-	return nil
-}
-
-func (d *decoder) floatList(v *value, path string, out *[]float64) error {
-	if v.kind != kList {
-		return errf(d.src, v.line, path, "expected a list of numbers, got %s", v.kind)
-	}
-	vals := make([]float64, len(v.l))
-	for i, it := range v.l {
-		if it.kind != kNum {
-			return errf(d.src, it.line, path, "expected a number, got %s", it.kind)
-		}
-		vals[i] = it.num
-	}
-	*out = vals
-	return nil
-}
-
-func (d *decoder) intList(v *value, path string, out *[]int) error {
-	if v.kind != kList {
-		return errf(d.src, v.line, path, "expected a list of integers, got %s", v.kind)
-	}
-	vals := make([]int, len(v.l))
-	for i, it := range v.l {
-		if err := d.intAt(it, path, &vals[i]); err != nil {
+		if err := decodeInto(src, e.val, fpath, out.Field(i)); err != nil {
 			return err
 		}
 	}
-	*out = vals
 	return nil
 }
 
-// weightMap decodes a {name: weight} mapping.
-func (d *decoder) weightMap(v *value, path string) (map[string]float64, error) {
-	if v.kind != kMap {
-		return nil, errf(d.src, v.line, path, "expected a {name: weight} mapping, got %s", v.kind)
+// listNoun names what a list of elem holds, for type errors.
+func listNoun(elem reflect.Type) string {
+	switch elem.Kind() {
+	case reflect.Float64:
+		return "a list of numbers"
+	case reflect.Int:
+		return "a list of integers"
 	}
-	out := make(map[string]float64, len(v.m))
-	for _, e := range v.m {
-		if e.val.kind != kNum {
-			return nil, errf(d.src, e.val.line, path, "%s: expected a number, got %s", e.key, e.val.kind)
-		}
-		out[e.key] = e.val.num
-	}
-	return out, nil
-}
-
-func (d *decoder) profiles(v *value, out *[]Profile) error {
-	if v.kind != kList {
-		return errf(d.src, v.line, "profiles", "expected a list, got %s", v.kind)
-	}
-	for i, it := range v.l {
-		path := "profiles[" + strconv.Itoa(i) + "]"
-		p, err := d.profile(it, path)
-		if err != nil {
-			return err
-		}
-		*out = append(*out, p)
-	}
-	return nil
-}
-
-func (d *decoder) profile(v *value, path string) (Profile, error) {
-	p := Profile{Line: v.line}
-	fptr := func(out **float64) func(*value) error {
-		return func(f *value) error {
-			var x float64
-			if err := d.floatAt(f, path, &x); err != nil {
-				return err
-			}
-			*out = &x
-			return nil
-		}
-	}
-	iptr := func(out **int) func(*value) error {
-		return func(f *value) error {
-			var x int
-			if err := d.intAt(f, path, &x); err != nil {
-				return err
-			}
-			*out = &x
-			return nil
-		}
-	}
-	err := d.fields(v, path, map[string]func(*value) error{
-		"name":     func(f *value) error { return d.strAt(f, path, &p.Name) },
-		"desc":     func(f *value) error { return d.strAt(f, path, &p.Desc) },
-		"base":     func(f *value) error { return d.strAt(f, path, &p.Base) },
-		"abstract": func(f *value) error { return d.boolAt(f, path, &p.Abstract) },
-		"class":    func(f *value) error { return d.strAt(f, path, &p.Class) },
-		"mode":     func(f *value) error { return d.strAt(f, path, &p.Mode) },
-
-		"branch_per_kcycle": fptr(&p.BranchPerKCycle),
-		"indirect_frac":     fptr(&p.IndirectFrac),
-		"ipc":               fptr(&p.IPC),
-		"mean_cycles_per_syscall": func(f *value) error {
-			var x int64
-			if err := d.int64At(f, path, &x); err != nil {
-				return err
-			}
-			p.MeanCyclesPerSyscall = &x
-			return nil
-		},
-		"syscalls": func(f *value) error {
-			m, err := d.weightMap(f, path+".syscalls")
-			p.Syscalls = m
-			return err
-		},
-		"threads":      iptr(&p.Threads),
-		"cores_wanted": iptr(&p.CoresWanted),
-
-		"branch_miss_per_kinsn": fptr(&p.BranchMissPerKInsn),
-		"l1_miss_per_kinsn":     fptr(&p.L1MissPerKInsn),
-		"llc_miss_per_kinsn":    fptr(&p.LLCMissPerKInsn),
-
-		"priority":    iptr(&p.Priority),
-		"past_issues": iptr(&p.PastIssues),
-
-		"funcs":            iptr(&p.Funcs),
-		"avg_block_cycles": iptr(&p.AvgBlockCycles),
-		"categories": func(f *value) error {
-			m, err := d.weightMap(f, path+".categories")
-			p.Categories = m
-			return err
-		},
-		"mem_class_mix": func(f *value) error { return d.floatList(f, path+".mem_class_mix", &p.MemClassMix) },
-		"mem_width_mix": func(f *value) error { return d.floatList(f, path+".mem_width_mix", &p.MemWidthMix) },
-	})
-	return p, err
-}
-
-func (d *decoder) scenario(v *value) (*Scenario, error) {
-	sc := &Scenario{}
-	err := d.fields(v, "scenario", map[string]func(*value) error{
-		"duration_s":     func(f *value) error { return d.floatAt(f, "scenario.duration_s", &sc.DurationS) },
-		"aggregate_rate": func(f *value) error { return d.floatAt(f, "scenario.aggregate_rate", &sc.AggregateRate) },
-		"app":            func(f *value) error { return d.strAt(f, "scenario.app", &sc.App) },
-		"clients": func(f *value) error {
-			if f.kind != kList {
-				return errf(d.src, f.line, "scenario.clients", "expected a list, got %s", f.kind)
-			}
-			for i, it := range f.l {
-				c, err := d.client(it, "scenario.clients["+strconv.Itoa(i)+"]")
-				if err != nil {
-					return err
-				}
-				sc.Clients = append(sc.Clients, c)
-			}
-			return nil
-		},
-		"envelope": func(f *value) error {
-			e, err := d.envelope(f)
-			sc.Envelope = e
-			return err
-		},
-		"replay": func(f *value) error {
-			r := &Replay{Line: f.line}
-			err := d.fields(f, "scenario.replay", map[string]func(*value) error{
-				"csv": func(g *value) error { return d.strAt(g, "scenario.replay.csv", &r.CSV) },
-			})
-			sc.Replay = r
-			return err
-		},
-		"node": func(f *value) error {
-			n, err := d.placement(f)
-			sc.Node = n
-			return err
-		},
-		"cluster": func(f *value) error {
-			c := &Cluster{}
-			err := d.fields(f, "scenario.cluster", map[string]func(*value) error{
-				"nodes":          func(g *value) error { return d.intAt(g, "scenario.cluster.nodes", &c.Nodes) },
-				"cores_per_node": func(g *value) error { return d.intAt(g, "scenario.cluster.cores_per_node", &c.CoresPerNode) },
-				"replicas":       func(g *value) error { return d.intAt(g, "scenario.cluster.replicas", &c.Replicas) },
-				"shards":         func(g *value) error { return d.intAt(g, "scenario.cluster.shards", &c.Shards) },
-				"requests":       func(g *value) error { return d.intAt(g, "scenario.cluster.requests", &c.Requests) },
-			})
-			sc.Cluster = c
-			return err
-		},
-		"faults": func(f *value) error {
-			fs := &Faults{}
-			p := "scenario.faults"
-			err := d.fields(f, p, map[string]func(*value) error{
-				"seed":             func(g *value) error { return d.uintAt(g, p, &fs.Seed) },
-				"put_fail":         func(g *value) error { return d.floatAt(g, p, &fs.PutFail) },
-				"insert_fail":      func(g *value) error { return d.floatAt(g, p, &fs.InsertFail) },
-				"session_loss":     func(g *value) error { return d.floatAt(g, p, &fs.SessionLoss) },
-				"corrupt":          func(g *value) error { return d.floatAt(g, p, &fs.Corrupt) },
-				"truncate":         func(g *value) error { return d.floatAt(g, p, &fs.Truncate) },
-				"stall":            func(g *value) error { return d.floatAt(g, p, &fs.Stall) },
-				"crash_mtbf_s":     func(g *value) error { return d.floatAt(g, p, &fs.CrashMTBFS) },
-				"crash_downtime_s": func(g *value) error { return d.floatAt(g, p, &fs.CrashDowntimeS) },
-			})
-			sc.Faults = fs
-			return err
-		},
-	})
-	if err != nil {
-		return nil, err
-	}
-	return sc, nil
-}
-
-func (d *decoder) client(v *value, path string) (Client, error) {
-	c := Client{Line: v.line}
-	err := d.fields(v, path, map[string]func(*value) error{
-		"id":            func(f *value) error { return d.strAt(f, path+".id", &c.ID) },
-		"rate_fraction": func(f *value) error { return d.floatAt(f, path+".rate_fraction", &c.RateFraction) },
-		"slo_class":     func(f *value) error { return d.strAt(f, path+".slo_class", &c.SLOClass) },
-		"slo_ms":        func(f *value) error { return d.floatAt(f, path+".slo_ms", &c.SLOMs) },
-		"arrival": func(f *value) error {
-			return d.fields(f, path+".arrival", map[string]func(*value) error{
-				"process": func(g *value) error { return d.strAt(g, path+".arrival.process", &c.Arrival.Process) },
-				"cv":      func(g *value) error { return d.floatAt(g, path+".arrival.cv", &c.Arrival.CV) },
-			})
-		},
-	})
-	return c, err
-}
-
-func (d *decoder) envelope(v *value) (*Envelope, error) {
-	e := &Envelope{Line: v.line}
-	p := "scenario.envelope"
-	err := d.fields(v, p, map[string]func(*value) error{
-		"kind":      func(f *value) error { return d.strAt(f, p+".kind", &e.Kind) },
-		"period_s":  func(f *value) error { return d.floatAt(f, p+".period_s", &e.PeriodS) },
-		"amplitude": func(f *value) error { return d.floatAt(f, p+".amplitude", &e.Amplitude) },
-		"at_s":      func(f *value) error { return d.floatAt(f, p+".at_s", &e.AtS) },
-		"dur_s":     func(f *value) error { return d.floatAt(f, p+".dur_s", &e.DurS) },
-		"factor":    func(f *value) error { return d.floatAt(f, p+".factor", &e.Factor) },
-		"from":      func(f *value) error { return d.floatAt(f, p+".from", &e.From) },
-		"to":        func(f *value) error { return d.floatAt(f, p+".to", &e.To) },
-	})
-	if err != nil {
-		return nil, err
-	}
-	return e, nil
-}
-
-func (d *decoder) placement(v *value) (*Placement, error) {
-	n := &Placement{}
-	p := "scenario.node"
-	err := d.fields(v, p, map[string]func(*value) error{
-		"cores":        func(f *value) error { return d.intAt(f, p+".cores", &n.Cores) },
-		"ht":           func(f *value) error { return d.boolAt(f, p+".ht", &n.HT) },
-		"threads":      func(f *value) error { return d.intAt(f, p+".threads", &n.Threads) },
-		"target_cores": func(f *value) error { return d.intList(f, p+".target_cores", &n.TargetCores) },
-		"seed":         func(f *value) error { return d.uintAt(f, p+".seed", &n.Seed) },
-		"collect_switch_periods": func(f *value) error {
-			return d.boolAt(f, p+".collect_switch_periods", &n.CollectSwitchPeriods)
-		},
-		"co_runners": func(f *value) error {
-			if f.kind != kList {
-				return errf(d.src, f.line, p+".co_runners", "expected a list, got %s", f.kind)
-			}
-			for i, it := range f.l {
-				cp := p + ".co_runners[" + strconv.Itoa(i) + "]"
-				var co CoRunner
-				err := d.fields(it, cp, map[string]func(*value) error{
-					"profile":     func(g *value) error { return d.strAt(g, cp+".profile", &co.Profile) },
-					"cores":       func(g *value) error { return d.intList(g, cp+".cores", &co.Cores) },
-					"seed_offset": func(g *value) error { return d.uintAt(g, cp+".seed_offset", &co.SeedOffset) },
-				})
-				if err != nil {
-					return err
-				}
-				n.CoRunners = append(n.CoRunners, co)
-			}
-			return nil
-		},
-	})
-	if err != nil {
-		return nil, err
-	}
-	return n, nil
+	return "a list"
 }
 
 // nearest returns the candidate with the smallest edit distance from key,

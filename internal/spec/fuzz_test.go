@@ -1,6 +1,10 @@
 package spec
 
-import "testing"
+import (
+	"os"
+	"path/filepath"
+	"testing"
+)
 
 // FuzzParseSpec throws arbitrary bytes at the document parser. Both
 // syntaxes (JSON and the YAML subset) must reject malformed input with a
@@ -10,13 +14,23 @@ import "testing"
 // past the cap.
 //
 // Run with: go test -fuzz=FuzzParseSpec ./internal/spec
-// The checked-in corpus under testdata/fuzz seeds both syntaxes and the
+// The seeds add the two example documents under examples/scenario-dsl;
+// the checked-in corpus under testdata/fuzz seeds both syntaxes and the
 // whole field surface (profiles, clients, envelopes, replay, faults),
 // plus hostile shapes (deep flow nesting, duplicate keys, huge numbers).
 func FuzzParseSpec(f *testing.F) {
 	f.Add([]byte("version: 1\nname: t\nprofiles:\n  - name: a\n    ipc: 1.5\n"))
 	f.Add([]byte(`{"version": 1, "profiles": [{"name": "a"}]}`))
 	f.Add([]byte("version: 1\nscenario:\n  duration_s: 1\n  aggregate_rate: 10\n  clients:\n    - id: a\n      rate_fraction: 1\n"))
+	// The two example documents between them reach every kind decodeInto
+	// walks: pointers, structs, lists, weight maps and every scalar.
+	for _, name := range []string{"diurnal.yaml", "replay.yaml"} {
+		data, err := os.ReadFile(filepath.Join("../../examples/scenario-dsl", name))
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		doc, err := Parse("fuzz.yaml", data)
 		if err != nil {

@@ -76,7 +76,10 @@ type Error struct {
 	Src string
 	// Line is the 1-based source line (0 when unknown).
 	Line int
-	// Path locates the offending field (e.g. "profiles[2].ipc").
+	// Path locates the offending field: keys join with dots and list
+	// items take their index, as in "profiles[2].ipc" or
+	// "scenario.clients[0].arrival.cv". Validation names a profile or
+	// client by its name or id once it has one ("profiles.mc").
 	Path string
 	// Msg describes the failure.
 	Msg string

@@ -127,6 +127,7 @@ func TestParseErrors(t *testing.T) {
 		{"unknown top field", "version: 1\nprofile:\n  - name: x\n", `unknown field "profile" (did you mean "profiles"?)`},
 		{"unknown profile field", "version: 1\nprofiles:\n  - name: x\n    trheads: 2\n", `did you mean "threads"?`},
 		{"string where number", "version: 1\nprofiles:\n  - name: x\n    ipc: fast\n", "expected a number"},
+		{"field path", "version: 1\nprofiles:\n  - name: x\n    ipc: fast\n", "profiles[0].ipc: expected a number"},
 		{"float where int", "version: 1\nprofiles:\n  - name: x\n    threads: 1.5\n", "expected an integer"},
 		{"negative seed", "version: 1\nseed: -3\n", "unsigned"},
 		{"profiles not list", "version: 1\nprofiles: 3\n", "expected a list"},

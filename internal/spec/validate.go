@@ -1,6 +1,9 @@
 package spec
 
-import "math"
+import (
+	"math"
+	"strconv"
+)
 
 // Validate checks a decoded document's semantic invariants: positive
 // distribution parameters, rate fractions summing to ~1, known enum
@@ -36,21 +39,7 @@ func profilePath(i int, name string) string {
 	if name != "" {
 		return "profiles." + name
 	}
-	return "profiles[" + itoa(i) + "]"
-}
-
-func itoa(i int) string {
-	if i == 0 {
-		return "0"
-	}
-	var buf [20]byte
-	n := len(buf)
-	for i > 0 {
-		n--
-		buf[n] = byte('0' + i%10)
-		i /= 10
-	}
-	return string(buf[n:])
+	return "profiles[" + strconv.Itoa(i) + "]"
 }
 
 func (doc *Document) validateProfile(p Profile, path string) error {
@@ -145,7 +134,7 @@ func (doc *Document) validateScenario(sc *Scenario) error {
 	}
 	ids := map[string]bool{}
 	for i, c := range sc.Clients {
-		path := "scenario.clients[" + itoa(i) + "]"
+		path := "scenario.clients[" + strconv.Itoa(i) + "]"
 		if c.ID == "" {
 			return errf(src, c.Line, path, "client needs an id")
 		}
@@ -190,7 +179,7 @@ func (doc *Document) validateScenario(sc *Scenario) error {
 		var sum float64
 		for i, c := range sc.Clients {
 			if !posFinite(c.RateFraction) {
-				return errf(src, c.Line, "scenario.clients["+itoa(i)+"]",
+				return errf(src, c.Line, "scenario.clients["+strconv.Itoa(i)+"]",
 					"rate_fraction must be positive, got %g", c.RateFraction)
 			}
 			sum += c.RateFraction

@@ -91,9 +91,6 @@ func (r *Reader) Err() error { return r.err }
 // Len returns the number of unread bytes.
 func (r *Reader) Len() int { return len(r.buf) - r.off }
 
-// Offset returns the number of consumed bytes.
-func (r *Reader) Offset() int { return r.off }
-
 // fail records the first error.
 func (r *Reader) fail(format string, args ...any) {
 	if r.err == nil {

@@ -291,9 +291,6 @@ func (r *Rand) WeightedPick(weights []float64) int {
 // Perm returns a random permutation of [0, n).
 func (r *Rand) Perm(n int) []int { return r.src.Perm(n) }
 
-// Shuffle pseudo-randomizes the order of n elements using swap.
-func (r *Rand) Shuffle(n int, swap func(i, j int)) { r.src.Shuffle(n, swap) }
-
 // Jitter returns v multiplied by a uniform factor in [1-amp, 1+amp].
 func (r *Rand) Jitter(v, amp float64) float64 {
 	return v * (1 + amp*(2*r.src.Float64()-1))
