@@ -8,6 +8,10 @@
 //
 //	existctl -app Agent -nodes 10 -purpose anomaly -period 500ms
 //
+// A node or core count below 1, a purpose other than anomaly or
+// profiling, or a probability outside [0, 1] exits 2 with a one-line
+// message before anything is built.
+//
 // Fault injection is strictly opt-in: the -loss/-corrupt/-put-fail/
 // -crash-mtbf/-stall flags attach a seeded injector and exercise the
 // resilient control plane (retries, leases, re-sampling, deadlines).
@@ -34,6 +38,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"sort"
 
 	"exist/internal/cluster"
 	"exist/internal/coverage"
@@ -75,14 +80,18 @@ func main() {
 	)
 	flag.Parse()
 
+	pur, err := checkFlags(*nodes, *cores, *purpose, map[string]float64{
+		"loss": *lossProb, "corrupt": *corruptProb, "truncate": *truncProb,
+		"put-fail": *putFailProb, "stall": *stallProb, "gray-prob": *grayProb,
+	})
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "existctl:", err)
+		os.Exit(2)
+	}
 	p, err := workload.ByName(*appName)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
-	}
-	pur := coverage.PurposeAnomaly
-	if *purpose == "profiling" {
-		pur = coverage.PurposeProfiling
 	}
 
 	ccfg := cluster.DefaultConfig()
@@ -136,7 +145,6 @@ func main() {
 		App:     p.Name,
 		Purpose: pur,
 		Period:  simtime.Duration(period.Nanoseconds()),
-		Scale:   trace.SpaceScale,
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "request:", err)
@@ -241,4 +249,36 @@ func main() {
 		fmt.Printf("existctl: deleted TraceRequest %q (phase was %s); OSS now holds %d session blobs\n",
 			req.Name, req.Phase, len(c.OSS.List("")))
 	}
+}
+
+// checkFlags rejects the flag values the cluster cannot run: a node or
+// core count below 1, a purpose other than anomaly or profiling, or a
+// probability outside [0, 1] (probs maps flag names to values). It
+// returns the purpose the request files.
+func checkFlags(nodes, cores int, purpose string, probs map[string]float64) (coverage.Purpose, error) {
+	if nodes < 1 {
+		return 0, fmt.Errorf("-nodes %d: need at least 1", nodes)
+	}
+	if cores < 1 {
+		return 0, fmt.Errorf("-cores %d: need at least 1", cores)
+	}
+	pur := coverage.PurposeAnomaly
+	switch purpose {
+	case "anomaly":
+	case "profiling":
+		pur = coverage.PurposeProfiling
+	default:
+		return 0, fmt.Errorf("-purpose %q: want anomaly or profiling", purpose)
+	}
+	names := make([]string, 0, len(probs))
+	for name := range probs {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	for _, name := range names {
+		if v := probs[name]; !(v >= 0 && v <= 1) {
+			return 0, fmt.Errorf("-%s %v: a probability must lie in [0, 1]", name, v)
+		}
+	}
+	return pur, nil
 }

@@ -4,7 +4,7 @@
 // decoded execution profile — the node-level "daemon" view of the system.
 //
 // The daemon is a thin shell over the node runtime: it provisions a
-// node.Spec, attaches the EXIST backend from the tracer registry, runs the
+// node.Spec, attaches the EXIST backend through tracer.New, runs the
 // window, and harvests the session.
 //
 // Usage:

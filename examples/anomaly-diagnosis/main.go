@@ -76,7 +76,7 @@ func main() {
 	fmt.Println("action:   open an EXIST window on the process")
 
 	// This example drives the controller directly (the escape hatch below
-	// the registry backends): anomaly windows are opened on demand, not on
+	// the tracer backends): anomaly windows are opened on demand, not on
 	// the runtime's fixed schedule.
 	m.Run(100 * simtime.Millisecond)
 	ctrl := rt.Controller()

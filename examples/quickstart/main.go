@@ -2,7 +2,7 @@
 // decode the result.
 //
 // The ten-line story: provision a node (machine + workload) from a
-// node.Spec, attach the EXIST backend from the tracer registry (the
+// node.Spec, attach the EXIST backend through tracer.New (the
 // controller configures per-core buffers and the CR3 filter up front, a
 // sched_switch hook enables each core's tracer exactly once, and a
 // high-resolution timer closes the window), then reconstruct the execution

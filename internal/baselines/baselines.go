@@ -26,32 +26,19 @@ import (
 	"exist/internal/trace"
 )
 
-// Scheme is a tracing scheme attached to a machine for a window.
-type Scheme interface {
-	// Name returns the scheme's table name.
-	Name() string
-	// Attach installs the scheme's hooks on the machine, tracing target
-	// (some schemes ignore the target and observe system-wide).
-	Attach(m *sched.Machine, target *sched.Process) error
-	// Stop deactivates the scheme's hooks.
-	Stop(now simtime.Time)
-	// SpaceMB reports the trace storage consumed so far, in real MB.
-	SpaceMB() float64
-}
-
 // Oracle is the no-tracing reference.
 type Oracle struct{}
 
-// Name implements Scheme.
+// Name implements tracer.Backend.
 func (Oracle) Name() string { return "Oracle" }
 
-// Attach implements Scheme (no hooks).
+// Attach implements tracer.Backend (no hooks).
 func (Oracle) Attach(*sched.Machine, *sched.Process) error { return nil }
 
-// Stop implements Scheme.
+// Stop implements tracer.Backend.
 func (Oracle) Stop(simtime.Time) {}
 
-// SpaceMB implements Scheme.
+// SpaceMB implements tracer.Backend.
 func (Oracle) SpaceMB() float64 { return 0 }
 
 // StaSam models statistical sampling: perf record -a -F <freq>.
@@ -69,11 +56,12 @@ type StaSam struct {
 // NewStaSam returns the paper's configuration.
 func NewStaSam() *StaSam { return &StaSam{FreqHz: 3999, SampleBytes: 550} }
 
-// Name implements Scheme.
+// Name implements tracer.Backend.
 func (s *StaSam) Name() string { return "StaSam" }
 
-// Attach implements Scheme: a stall on every execution segment equal to
-// the expected number of sampling interrupts times the handler cost.
+// Attach implements tracer.Backend: a stall on every execution segment
+// equal to the expected number of sampling interrupts times the handler
+// cost.
 func (s *StaSam) Attach(m *sched.Machine, _ *sched.Process) error {
 	s.active = true
 	cost := m.Cfg.Cost
@@ -88,10 +76,10 @@ func (s *StaSam) Attach(m *sched.Machine, _ *sched.Process) error {
 	return nil
 }
 
-// Stop implements Scheme.
+// Stop implements tracer.Backend.
 func (s *StaSam) Stop(simtime.Time) { s.active = false }
 
-// SpaceMB implements Scheme.
+// SpaceMB implements tracer.Backend.
 func (s *StaSam) SpaceMB() float64 { return s.samples * s.SampleBytes / (1 << 20) }
 
 // Samples returns the expected sample count so far.
@@ -115,12 +103,12 @@ type EBPF struct {
 // NewEBPF returns the paper's configuration.
 func NewEBPF() *EBPF { return &EBPF{EventBytes: 16, PerturbFrac: 0.035} }
 
-// Name implements Scheme.
+// Name implements tracer.Backend.
 func (e *EBPF) Name() string { return "eBPF" }
 
-// Attach implements Scheme: a probe cost on every syscall, system-wide
-// (tracepoint programs see every process), plus the userspace
-// perturbation stall.
+// Attach implements tracer.Backend: a probe cost on every syscall,
+// system-wide (tracepoint programs see every process), plus the
+// userspace perturbation stall.
 func (e *EBPF) Attach(m *sched.Machine, _ *sched.Process) error {
 	e.active = true
 	cost := m.Cfg.Cost
@@ -140,10 +128,10 @@ func (e *EBPF) Attach(m *sched.Machine, _ *sched.Process) error {
 	return nil
 }
 
-// Stop implements Scheme.
+// Stop implements tracer.Backend.
 func (e *EBPF) Stop(simtime.Time) { e.active = false }
 
-// SpaceMB implements Scheme.
+// SpaceMB implements tracer.Backend.
 func (e *EBPF) SpaceMB() float64 { return float64(e.events) * e.EventBytes / (1 << 20) }
 
 // Events returns the probe hit count.
@@ -182,10 +170,10 @@ func NewNHT(scale float64) *NHT {
 	return &NHT{RingBytes: 4 << 30, Scale: scale}
 }
 
-// Name implements Scheme.
+// Name implements tracer.Backend.
 func (n *NHT) Name() string { return "NHT" }
 
-// Attach implements Scheme.
+// Attach implements tracer.Backend.
 func (n *NHT) Attach(m *sched.Machine, target *sched.Process) error {
 	n.m = m
 	n.target = target
@@ -259,7 +247,7 @@ func (n *NHT) Attach(m *sched.Machine, target *sched.Process) error {
 	return nil
 }
 
-// Stop implements Scheme: disable all tracers.
+// Stop implements tracer.Backend: disable all tracers.
 func (n *NHT) Stop(now simtime.Time) {
 	if !n.active {
 		return
@@ -274,7 +262,7 @@ func (n *NHT) Stop(now simtime.Time) {
 	}
 }
 
-// SpaceMB implements Scheme: time-proportional total trace volume.
+// SpaceMB implements tracer.Backend: time-proportional total trace volume.
 func (n *NHT) SpaceMB() float64 {
 	var written int64
 	for _, r := range n.rings {

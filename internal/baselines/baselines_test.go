@@ -14,8 +14,11 @@ import (
 )
 
 // computeRun runs a 2-thread compute workload (plus co-located noise)
-// under the given scheme for 1 s and returns useful cycles and the scheme.
-func computeRun(t *testing.T, mk func() Scheme) (int64, Scheme) {
+// under scheme s for 1 s and returns useful cycles and the scheme.
+func computeRun[S interface {
+	Attach(*sched.Machine, *sched.Process) error
+	Stop(simtime.Time)
+}](t *testing.T, s S) (int64, S) {
 	t.Helper()
 	cfg := sched.DefaultConfig()
 	cfg.Cores = 4
@@ -33,7 +36,6 @@ func computeRun(t *testing.T, mk func() Scheme) (int64, Scheme) {
 		m.SpawnThread(noise, sched.NewAnalyticExec(
 			xrand.SplitN(4, "n", i), cfg.Cost, 2_900_000, []float64{1, 1}, 35, 0.2, 1.5))
 	}
-	s := mk()
 	if err := s.Attach(m, target); err != nil {
 		t.Fatal(err)
 	}
@@ -47,8 +49,8 @@ func computeRun(t *testing.T, mk func() Scheme) (int64, Scheme) {
 }
 
 func TestOracleIsFree(t *testing.T) {
-	a, _ := computeRun(t, func() Scheme { return Oracle{} })
-	b, _ := computeRun(t, func() Scheme { return Oracle{} })
+	a, _ := computeRun(t, Oracle{})
+	b, _ := computeRun(t, Oracle{})
 	if a != b {
 		t.Fatal("oracle runs must be deterministic")
 	}
@@ -58,22 +60,20 @@ func TestOracleIsFree(t *testing.T) {
 }
 
 func TestStaSamOverheadMagnitude(t *testing.T) {
-	base, _ := computeRun(t, func() Scheme { return Oracle{} })
-	with, s := computeRun(t, func() Scheme { return NewStaSam() })
+	base, _ := computeRun(t, Oracle{})
+	with, ss := computeRun(t, NewStaSam())
 	over := float64(base)/float64(with) - 1
 	// 3999 Hz × ~7.8µs handler+interrupt ≈ 3.1% single-digit overhead.
 	if over < 0.015 || over > 0.06 {
 		t.Fatalf("StaSam overhead = %.4f, want single-digit (~3%%)", over)
 	}
-	ss := s.(*StaSam)
 	if ss.Samples() == 0 || ss.SpaceMB() <= 0 {
 		t.Fatal("StaSam accounting missing")
 	}
 }
 
 func TestStaSamStopsSampling(t *testing.T) {
-	_, s := computeRun(t, func() Scheme { return NewStaSam() })
-	ss := s.(*StaSam)
+	_, ss := computeRun(t, NewStaSam())
 	before := ss.Samples()
 	// Stopped scheme must not accumulate further (no machine to run, but
 	// the hook path is checked directly).
@@ -84,9 +84,8 @@ func TestStaSamStopsSampling(t *testing.T) {
 }
 
 func TestEBPFCostScalesWithSyscalls(t *testing.T) {
-	base, _ := computeRun(t, func() Scheme { return Oracle{} })
-	with, s := computeRun(t, func() Scheme { return NewEBPF() })
-	eb := s.(*EBPF)
+	base, _ := computeRun(t, Oracle{})
+	with, eb := computeRun(t, NewEBPF())
 	if eb.Events() == 0 {
 		t.Fatal("eBPF saw no syscalls")
 	}
@@ -100,9 +99,9 @@ func TestEBPFCostScalesWithSyscalls(t *testing.T) {
 }
 
 func TestNHTHeaviestAndSpaceTimeProportional(t *testing.T) {
-	base, _ := computeRun(t, func() Scheme { return Oracle{} })
-	withNHT, sN := computeRun(t, func() Scheme { return NewNHT(1) })
-	withSam, _ := computeRun(t, func() Scheme { return NewStaSam() })
+	base, _ := computeRun(t, Oracle{})
+	withNHT, n := computeRun(t, NewNHT(1))
+	withSam, _ := computeRun(t, NewStaSam())
 	nhtOver := float64(base)/float64(withNHT) - 1
 	samOver := float64(base)/float64(withSam) - 1
 	if nhtOver <= samOver {
@@ -111,7 +110,6 @@ func TestNHTHeaviestAndSpaceTimeProportional(t *testing.T) {
 	if nhtOver > 0.25 {
 		t.Fatalf("NHT overhead %.4f implausibly high", nhtOver)
 	}
-	n := sN.(*NHT)
 	if n.SpaceMB() <= 0 {
 		t.Fatal("NHT space missing")
 	}

@@ -34,7 +34,6 @@ import (
 	"exist/internal/coverage"
 	"exist/internal/decode"
 	"exist/internal/faults"
-	"exist/internal/memalloc"
 	"exist/internal/node"
 	"exist/internal/parallel"
 	"exist/internal/sched"
@@ -81,10 +80,6 @@ type TraceRequestSpec struct {
 	Period simtime.Duration
 	// Nodes restricts tracing to these nodes (nil: spatial sampler picks).
 	Nodes []string
-	// MemBudget overrides the default buffer budget when nonzero.
-	MemBudget int64
-	// Scale is the space scale for the sessions (0: trace.SpaceScale).
-	Scale float64
 	// Deadline bounds the request's total lifetime; past it the request
 	// is forced to a terminal phase with whatever coverage it has. Zero
 	// uses the cluster default when fault injection is enabled, and no
@@ -121,7 +116,6 @@ type TraceRequest struct {
 	pending    int
 	usedNodes  coverage.NodeSet
 	period     simtime.Duration
-	scale      float64
 	cancelling bool
 	deadlineEv *simtime.Event
 	// resampleSlots records lost session slots (by re-sampling attempt).
@@ -347,9 +341,6 @@ func (a *APIServer) ListShard(si int) []*TraceRequest {
 type Node struct {
 	// Name is the node name.
 	Name string
-	// Runtime is the node's provisioning runtime; Machine and Ctrl are
-	// cached views of it (kept as fields so call sites stay terse).
-	Runtime *node.Runtime
 	// Machine is the node's simulated OS/hardware.
 	Machine *sched.Machine
 	// Ctrl is the node's EXIST controller.
@@ -728,7 +719,7 @@ type uploadItem struct {
 // blobsPerNode sizes the object store: the session blobs a cluster is
 // expected to hold per node. It is the measured traffic of the Lite
 // fleets (the fleet benchmark files about 1.6 sessions per node, the
-// ctrlplane experiment exactly 2), whose store maps would otherwise grow
+// ctrlplane experiment exactly 2), whose blob map would otherwise grow
 // from empty through every rehash.
 const blobsPerNode = 2
 
@@ -757,8 +748,8 @@ func New(cfg Config) *Cluster {
 		Cfg:         cfg,
 		Eng:         simtime.NewEngine(),
 		API:         NewAPIServerShards(cfg.Shards),
-		OSS:         newObjectStore(cfg.Shards, blobsPerNode*cfg.Nodes),
-		ODPS:        NewDataStoreShards(cfg.Shards),
+		OSS:         newObjectStore(blobsPerNode * cfg.Nodes),
+		ODPS:        NewDataStore(),
 		Binaries:    make(map[string]*binary.Program),
 		profiles:    make(map[string]workload.Profile),
 		apps:        make(map[string]nodeBits),
@@ -783,7 +774,6 @@ func New(cfg Config) *Cluster {
 				HT:    true, // sched default; nodes keep hyperthreaded topology
 				Seed:  cfg.Seed + uint64(i)*7919,
 			})
-			n.Runtime = rt
 			n.Machine = rt.Machine
 			n.Ctrl = rt.Controller()
 		}
@@ -1275,10 +1265,10 @@ func (c *Cluster) terminate(r *TraceRequest, phase Phase, msg string) {
 	c.API.setPhase(r, phase, msg)
 }
 
-// plan computes one request's temporal decision (period), space scale,
-// and spatial sampling (selected nodes). retry is set when no healthy
-// host exists right now but fault injection means one may recover.
-func (c *Cluster) plan(r *TraceRequest, now simtime.Time) (period simtime.Duration, scale float64, selected []*Node, retry bool, err error) {
+// plan computes one request's temporal decision (period) and spatial
+// sampling (selected nodes). retry is set when no healthy host exists
+// right now but fault injection means one may recover.
+func (c *Cluster) plan(r *TraceRequest, now simtime.Time) (period simtime.Duration, selected []*Node, retry bool, err error) {
 	profile := c.profiles[r.Spec.App]
 	prog := c.Binaries[r.Spec.App]
 	placed := c.apps[r.Spec.App]
@@ -1324,11 +1314,11 @@ func (c *Cluster) plan(r *TraceRequest, now simtime.Time) (period simtime.Durati
 			}
 			if !healthyAnywhere {
 				if c.Cfg.Faults != nil {
-					return 0, 0, nil, true, nil
+					return 0, nil, true, nil
 				}
-				return 0, 0, nil, false, fmt.Errorf("app %q deployed nowhere", r.Spec.App)
+				return 0, nil, false, fmt.Errorf("app %q deployed nowhere", r.Spec.App)
 			}
-			return 0, 0, nil, false, fmt.Errorf("no nodes selected for %q", r.Spec.App)
+			return 0, nil, false, fmt.Errorf("no nodes selected for %q", r.Spec.App)
 		}
 	} else {
 		var hosts []*Node
@@ -1339,9 +1329,9 @@ func (c *Cluster) plan(r *TraceRequest, now simtime.Time) (period simtime.Durati
 		}
 		if len(hosts) == 0 {
 			if c.Cfg.Faults != nil {
-				return 0, 0, nil, true, nil
+				return 0, nil, true, nil
 			}
-			return 0, 0, nil, false, fmt.Errorf("app %q deployed nowhere", r.Spec.App)
+			return 0, nil, false, fmt.Errorf("app %q deployed nowhere", r.Spec.App)
 		}
 		reps := make([]coverage.Repetition, len(hosts))
 		for i, n := range hosts {
@@ -1355,15 +1345,11 @@ func (c *Cluster) plan(r *TraceRequest, now simtime.Time) (period simtime.Durati
 			selected = append(selected, hosts[i])
 		}
 		if len(selected) == 0 {
-			return 0, 0, nil, false, fmt.Errorf("no nodes selected for %q", r.Spec.App)
+			return 0, nil, false, fmt.Errorf("no nodes selected for %q", r.Spec.App)
 		}
 	}
 
-	scale = r.Spec.Scale
-	if scale <= 0 {
-		scale = trace.SpaceScale
-	}
-	return period, scale, selected, false, nil
+	return period, selected, false, nil
 }
 
 // start records the plan on the request object and opens its planned
@@ -1371,9 +1357,8 @@ func (c *Cluster) plan(r *TraceRequest, now simtime.Time) (period simtime.Durati
 // can never race another replica. Under fault injection an unreachable
 // node (or one whose tracer another request's window holds) is a
 // survivable event: the slot stays pending and is routed to re-sampling.
-func (c *Cluster) start(r *TraceRequest, period simtime.Duration, scale float64, selected []*Node) error {
+func (c *Cluster) start(r *TraceRequest, period simtime.Duration, selected []*Node) error {
 	r.period = period
-	r.scale = scale
 	r.Planned = len(selected)
 	r.usedNodes = make(coverage.NodeSet, 0, len(selected))
 	for _, n := range selected {
@@ -1425,17 +1410,10 @@ func (c *Cluster) openSession(r *TraceRequest, n *Node, attempt int) error {
 	}
 	cfg := core.DefaultConfig()
 	cfg.Period = r.period
-	cfg.Scale = r.scale
+	cfg.Scale = trace.SpaceScale
 	cfg.SessionID = key[len(sessionPrefix):]
 	cfg.Node = n.Name
 	cfg.Seed = c.Cfg.Seed ^ hashName(cfg.SessionID)
-	if r.Spec.MemBudget > 0 {
-		cfg.Mem = memalloc.Config{
-			Budget:     r.Spec.MemBudget,
-			PerCoreMin: 4 << 20,
-			PerCoreMax: 128 << 20,
-		}
-	}
 	sess, err := n.Ctrl.Trace(n.Apps[r.Spec.App], cfg)
 	if err != nil {
 		return err

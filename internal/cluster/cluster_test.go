@@ -102,7 +102,6 @@ func TestEndToEndTraceRequest(t *testing.T) {
 		App:     "Agent",
 		Purpose: coverage.PurposeAnomaly,
 		Period:  200 * simtime.Millisecond,
-		Scale:   trace.SpaceScale,
 	})
 	if err != nil {
 		t.Fatal(err)

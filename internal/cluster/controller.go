@@ -108,9 +108,6 @@ func (c *Cluster) ShardRebalances() int {
 	return c.Leases.Failovers()
 }
 
-// Crashes returns how many injected crashes this replica has absorbed.
-func (ct *Controller) Crashes() int { return ct.crashes }
-
 // startControllers builds the replica set and arms their election
 // ticks, staggered by a millisecond per replica so elections are
 // deterministic and contested in a fixed order. Each replica opens one
@@ -556,7 +553,7 @@ func (ct *Controller) adopted(name string, now simtime.Time) {
 func (ct *Controller) syncPending(r *TraceRequest, now simtime.Time) {
 	c := ct.c
 	rv := r.ResourceVersion
-	period, scale, selected, retry, err := c.plan(r, now)
+	period, selected, retry, err := c.plan(r, now)
 	if err != nil {
 		c.terminate(r, PhaseFailed, err.Error())
 		return
@@ -571,7 +568,7 @@ func (ct *Controller) syncPending(r *TraceRequest, now simtime.Time) {
 		ct.queues[r.shard].AddRateLimited(r.Name)
 		return
 	}
-	if err := c.start(r, period, scale, selected); err != nil {
+	if err := c.start(r, period, selected); err != nil {
 		c.terminate(r, PhaseFailed, err.Error())
 		return
 	}

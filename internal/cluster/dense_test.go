@@ -337,9 +337,9 @@ func allTerminal(reqs []*TraceRequest) bool {
 // ledger kept every key.
 func TestAttemptLedgersForgetSucceededKeys(t *testing.T) {
 	inj := faults.New(faults.Config{Seed: 1, PutFailProb: 0.5, InsertFailProb: 0.5})
-	o := NewObjectStoreShards(4)
+	o := NewObjectStore()
 	o.UseFaults(inj)
-	d := NewDataStoreShards(4)
+	d := NewDataStore()
 	d.UseFaults(inj)
 	for i := 0; i < 200; i++ {
 		key := fmt.Sprintf("sessions/r-%d/node-0", i)
@@ -351,10 +351,8 @@ func TestAttemptLedgersForgetSucceededKeys(t *testing.T) {
 	if o.Puts() != 200 || d.Len() != 200 || o.Failures() == 0 || d.Failures() == 0 {
 		t.Fatalf("puts %d rows %d failures %d/%d", o.Puts(), d.Len(), o.Failures(), d.Failures())
 	}
-	for i := range o.shards {
-		if n := len(o.shards[i].attempts) + len(d.shards[i].attempts); n != 0 {
-			t.Fatalf("shard %d ledgers hold %d keys after every write landed", i, n)
-		}
+	if n := len(o.attempts) + len(d.attempts); n != 0 {
+		t.Fatalf("ledgers hold %d keys after every write landed", n)
 	}
 
 	// Pinned rolls (seed 1, probability 0.5): the put of
@@ -387,9 +385,7 @@ func TestAttemptLedgersForgetSucceededKeys(t *testing.T) {
 	if strings.Join(got, "\n") != strings.Join(want, "\n") {
 		t.Fatalf("fault sequence:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
 	}
-	for i := range o.shards {
-		if n := len(o.shards[i].attempts) + len(d.shards[i].attempts); n != 0 {
-			t.Fatalf("shard %d ledgers hold %d keys after the pinned keys landed", i, n)
-		}
+	if n := len(o.attempts) + len(d.attempts); n != 0 {
+		t.Fatalf("ledgers hold %d keys after the pinned keys landed", n)
 	}
 }

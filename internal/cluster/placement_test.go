@@ -84,10 +84,10 @@ func TestPlacementHonoursSubsetDeploy(t *testing.T) {
 
 // TestObjectStoreBytesIsBlobSum pins Bytes, summed on read, against the
 // lengths of the stored blobs read back through Get, after a put, an
-// overwrite, a delete and a failed put, on a sharded store whose puts
-// can fail.
+// overwrite, a delete and a failed put, on a store whose puts can
+// fail.
 func TestObjectStoreBytesIsBlobSum(t *testing.T) {
-	o := NewObjectStoreShards(8)
+	o := NewObjectStore()
 	o.UseFaults(faults.New(faults.Config{Seed: 2, PutFailProb: 0.5}))
 	sum := func() int64 {
 		var n int64

@@ -3,8 +3,8 @@ package cluster
 import (
 	"fmt"
 	"sort"
+	"strings"
 	"sync"
-	"sync/atomic"
 
 	"exist/internal/faults"
 )
@@ -26,62 +26,39 @@ func (l attemptLedger) settle(key string, attempt int, err error) {
 	}
 }
 
-// ossShard is one lock domain of the object store: its own blob map,
-// attempt ledger, and mutex. Keys are routed by a stable hash so a key
-// always lands in the same shard regardless of upload order.
-type ossShard struct {
-	mu       sync.Mutex
-	blobs    map[string][]byte
-	attempts attemptLedger
-}
-
 // ObjectStore is the unstructured blob store EXIST uploads raw sessions
 // to (the OSS stand-in of §4): traced data goes straight to the object
 // store instead of node-local files, avoiding node memory and file I/O.
 //
-// The store is sharded by key hash (DESIGN.md §15): each shard has its
-// own map and mutex, and the put and failure counters are atomics, so
-// parallel uploads from concurrently running node engines contend only
-// within a shard and counter reads never race. Storing a blob is one map
-// write; Bytes sums the stored blobs when asked. With one shard the
-// behavior is identical to the historical single-map store.
+// The store is one blob map and one attempt ledger behind one mutex.
+// Every put runs on the control goroutine: a window that closes while
+// the nodes advance is parked and replayed at the barrier, so uploads
+// never contend. The mutex keeps readers from other goroutines safe.
+// Storing a blob is one map write; Bytes sums the stored blobs when
+// asked.
 //
 // PutBatch is fault-aware: with an injector that can fail puts attached,
 // attempts can fail with transient errors (the control plane retries
 // with backoff). Without one, PutBatch never fails and never reads the
 // attempt ledger.
 type ObjectStore struct {
-	shards   []ossShard
-	puts     atomic.Int64
-	failures atomic.Int64
+	mu       sync.Mutex
+	blobs    map[string][]byte
+	attempts attemptLedger
+	puts     int64
+	failures int64
 	inj      *faults.Injector
 	// putsFail caches whether inj can fail a put at all.
 	putsFail bool
 }
 
-// NewObjectStore returns an empty single-shard store.
-func NewObjectStore() *ObjectStore { return NewObjectStoreShards(1) }
+// NewObjectStore returns an empty store.
+func NewObjectStore() *ObjectStore { return newObjectStore(0) }
 
-// NewObjectStoreShards returns an empty store with n lock shards
-// (n < 1 is treated as 1).
-func NewObjectStoreShards(n int) *ObjectStore { return newObjectStore(n, 0) }
-
-// newObjectStore returns an empty store with n lock shards whose blob
-// maps are sized to hold blobs keys in all without growing.
-func newObjectStore(n, blobs int) *ObjectStore {
-	if n < 1 {
-		n = 1
-	}
-	o := &ObjectStore{shards: make([]ossShard, n)}
-	for i := range o.shards {
-		o.shards[i].blobs = make(map[string][]byte, blobs/n)
-		o.shards[i].attempts = make(attemptLedger)
-	}
-	return o
-}
-
-func (o *ObjectStore) shardFor(key string) *ossShard {
-	return &o.shards[hashName(key)%uint64(len(o.shards))]
+// newObjectStore returns an empty store whose blob map is sized to hold
+// blobs keys without growing.
+func newObjectStore(blobs int) *ObjectStore {
+	return &ObjectStore{blobs: make(map[string][]byte, blobs), attempts: make(attemptLedger)}
 }
 
 // UseFaults attaches a fault injector; nil detaches it.
@@ -94,9 +71,8 @@ func (o *ObjectStore) UseFaults(inj *faults.Injector) {
 // values: the batch succeeds or fails atomically (one injected-fault
 // roll, keyed by batchKey, covers the whole request; on failure nothing
 // is stored and the caller should retry), counts as a single put in the
-// upload ledger, and each blob still lands under its own key — possibly
-// across several shards. This is the wire-level amortization behind
-// Config.UploadBatch.
+// upload ledger, and each blob still lands under its own key. This is
+// the wire-level amortization behind Config.UploadBatch.
 //
 // The store takes ownership of the blobs on success: it keeps the slices
 // without copying, so the caller must not modify them afterwards. The
@@ -108,92 +84,79 @@ func (o *ObjectStore) PutBatch(batchKey string, keys []string, blobs [][]byte) e
 	if len(keys) != len(blobs) {
 		return fmt.Errorf("oss: PutBatch with %d keys, %d blobs", len(keys), len(blobs))
 	}
+	o.mu.Lock()
+	defer o.mu.Unlock()
 	if o.putsFail {
-		if err := o.rollPut(batchKey); err != nil {
-			o.failures.Add(1)
+		attempt := o.attempts[batchKey]
+		err := o.inj.PutError(batchKey, attempt)
+		o.attempts.settle(batchKey, attempt, err)
+		if err != nil {
+			o.failures++
 			return err
 		}
 	}
 	for i, key := range keys {
-		s := o.shardFor(key)
-		s.mu.Lock()
-		s.blobs[key] = blobs[i]
-		s.mu.Unlock()
+		o.blobs[key] = blobs[i]
 	}
-	o.puts.Add(1)
+	o.puts++
 	return nil
-}
-
-// rollPut draws the injected fault of the batch key's next attempt and
-// settles its attempt ledger.
-func (o *ObjectStore) rollPut(batchKey string) error {
-	bs := o.shardFor(batchKey)
-	bs.mu.Lock()
-	defer bs.mu.Unlock()
-	attempt := bs.attempts[batchKey]
-	err := o.inj.PutError(batchKey, attempt)
-	bs.attempts.settle(batchKey, attempt, err)
-	return err
 }
 
 // Get retrieves a blob.
 func (o *ObjectStore) Get(key string) ([]byte, bool) {
-	s := o.shardFor(key)
-	s.mu.Lock()
-	b, ok := s.blobs[key]
-	s.mu.Unlock()
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	b, ok := o.blobs[key]
 	return b, ok
 }
 
 // Delete removes a blob, reporting whether it existed.
 func (o *ObjectStore) Delete(key string) bool {
-	s := o.shardFor(key)
-	s.mu.Lock()
-	_, ok := s.blobs[key]
-	delete(s.blobs, key)
-	s.mu.Unlock()
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	_, ok := o.blobs[key]
+	delete(o.blobs, key)
 	return ok
 }
 
-// List returns all keys with the prefix, sorted. The merge across shards
-// is order-insensitive because the result is sorted, so output is
-// identical for any shard count.
+// List returns all keys with the prefix, sorted.
 func (o *ObjectStore) List(prefix string) []string {
+	o.mu.Lock()
+	defer o.mu.Unlock()
 	var keys []string
-	for i := range o.shards {
-		s := &o.shards[i]
-		s.mu.Lock()
-		for k := range s.blobs {
-			if len(k) >= len(prefix) && k[:len(prefix)] == prefix {
-				keys = append(keys, k)
-			}
+	for k := range o.blobs {
+		if strings.HasPrefix(k, prefix) {
+			keys = append(keys, k)
 		}
-		s.mu.Unlock()
 	}
 	sort.Strings(keys)
 	return keys
 }
 
-// Bytes returns the stored volume, summed over the blobs each shard holds
-// under its lock.
+// Bytes returns the stored volume, summed over the blobs.
 func (o *ObjectStore) Bytes() int64 {
+	o.mu.Lock()
+	defer o.mu.Unlock()
 	var n int64
-	for i := range o.shards {
-		s := &o.shards[i]
-		s.mu.Lock()
-		for _, b := range s.blobs {
-			n += int64(len(b))
-		}
-		s.mu.Unlock()
+	for _, b := range o.blobs {
+		n += int64(len(b))
 	}
 	return n
 }
 
 // Puts returns the number of successful uploads.
-func (o *ObjectStore) Puts() int64 { return o.puts.Load() }
+func (o *ObjectStore) Puts() int64 {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	return o.puts
+}
 
 // Failures returns the number of failed upload attempts.
-func (o *ObjectStore) Failures() int64 { return o.failures.Load() }
+func (o *ObjectStore) Failures() int64 {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	return o.failures
+}
 
 // Row is one structured record in the processing store.
 type Row struct {
@@ -205,45 +168,22 @@ type Row struct {
 	Value float64
 }
 
-// dsShard is one lock domain of the data store, routed by batch key so a
-// batch's rows stay contiguous within their shard.
-type dsShard struct {
+// DataStore is the structured, queryable store decoded results land in
+// (the ODPS stand-in of §4); engineers query it for analysis and
+// reproduction. It is one row slice and one attempt ledger behind one
+// mutex, written from the control goroutine like the object store.
+// Insert is fault-aware under an attached injector, like
+// ObjectStore.PutBatch.
+type DataStore struct {
 	mu       sync.Mutex
 	rows     []Row
 	attempts attemptLedger
-}
-
-// DataStore is the structured, queryable store decoded results land in
-// (the ODPS stand-in of §4); engineers query it for analysis and
-// reproduction. Insert is fault-aware under an attached injector, like
-// ObjectStore.Put. Like the object store it is sharded by batch key; all
-// query paths sort or aggregate, so results do not depend on the shard
-// count.
-type DataStore struct {
-	shards   []dsShard
-	failures atomic.Int64
+	failures int64
 	inj      *faults.Injector
 }
 
-// NewDataStore returns an empty single-shard store.
-func NewDataStore() *DataStore { return NewDataStoreShards(1) }
-
-// NewDataStoreShards returns an empty store with n lock shards
-// (n < 1 is treated as 1).
-func NewDataStoreShards(n int) *DataStore {
-	if n < 1 {
-		n = 1
-	}
-	d := &DataStore{shards: make([]dsShard, n)}
-	for i := range d.shards {
-		d.shards[i].attempts = make(attemptLedger)
-	}
-	return d
-}
-
-func (d *DataStore) shardFor(batch string) *dsShard {
-	return &d.shards[hashName(batch)%uint64(len(d.shards))]
-}
+// NewDataStore returns an empty store.
+func NewDataStore() *DataStore { return &DataStore{attempts: make(attemptLedger)} }
 
 // UseFaults attaches a fault injector; nil detaches it.
 func (d *DataStore) UseFaults(inj *faults.Injector) { d.inj = inj }
@@ -253,49 +193,43 @@ func (d *DataStore) UseFaults(inj *faults.Injector) { d.inj = inj }
 // transiently; no partial batch is ever stored. Like PutBatch, the
 // attempt ledger forgets a batch once its insert succeeds.
 func (d *DataStore) Insert(batch string, rows ...Row) error {
-	s := d.shardFor(batch)
-	s.mu.Lock()
-	attempt := s.attempts[batch]
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	attempt := d.attempts[batch]
 	err := d.inj.InsertError(batch, attempt)
-	s.attempts.settle(batch, attempt, err)
+	d.attempts.settle(batch, attempt, err)
 	if err != nil {
-		s.mu.Unlock()
-		d.failures.Add(1)
+		d.failures++
 		return err
 	}
-	s.rows = append(s.rows, rows...)
-	s.mu.Unlock()
+	d.rows = append(d.rows, rows...)
 	return nil
 }
 
 // Len returns the row count.
 func (d *DataStore) Len() int {
-	n := 0
-	for i := range d.shards {
-		s := &d.shards[i]
-		s.mu.Lock()
-		n += len(s.rows)
-		s.mu.Unlock()
-	}
-	return n
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return len(d.rows)
 }
 
 // Failures returns the number of failed insert attempts.
-func (d *DataStore) Failures() int64 { return d.failures.Load() }
+func (d *DataStore) Failures() int64 {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return d.failures
+}
 
 // QueryApp returns all rows for an app, ordered by (session, key).
 func (d *DataStore) QueryApp(app string) []Row {
+	d.mu.Lock()
 	var out []Row
-	for i := range d.shards {
-		s := &d.shards[i]
-		s.mu.Lock()
-		for _, r := range s.rows {
-			if r.App == app {
-				out = append(out, r)
-			}
+	for _, r := range d.rows {
+		if r.App == app {
+			out = append(out, r)
 		}
-		s.mu.Unlock()
 	}
+	d.mu.Unlock()
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Session != out[j].Session {
 			return out[i].Session < out[j].Session
@@ -307,16 +241,13 @@ func (d *DataStore) QueryApp(app string) []Row {
 
 // AggregateApp sums Value by Key across an app's sessions.
 func (d *DataStore) AggregateApp(app string) map[string]float64 {
+	d.mu.Lock()
+	defer d.mu.Unlock()
 	out := make(map[string]float64)
-	for i := range d.shards {
-		s := &d.shards[i]
-		s.mu.Lock()
-		for _, r := range s.rows {
-			if r.App == app {
-				out[r.Key] += r.Value
-			}
+	for _, r := range d.rows {
+		if r.App == app {
+			out[r.Key] += r.Value
 		}
-		s.mu.Unlock()
 	}
 	return out
 }

@@ -9,14 +9,13 @@ import (
 
 // TestStoreCountersConcurrentWithWrites hammers the object and data
 // stores from writer goroutines while readers poll the aggregate
-// counters. Puts and Failures are atomics, not guarded by any shard
-// lock, and Bytes sums the blobs under each shard's lock in turn, so
-// this test runs meaningfully under -race: before the atomic fix a
-// reader summing per-shard fields while a writer bumped them was a
-// data race and could observe torn totals.
+// counters. Every counter and the blob map are read and written under
+// the store's one mutex, so this test runs meaningfully under -race: a
+// counter or blob read outside the lock would be a data race and could
+// observe torn totals.
 func TestStoreCountersConcurrentWithWrites(t *testing.T) {
-	oss := NewObjectStoreShards(8)
-	odps := NewDataStoreShards(8)
+	oss := NewObjectStore()
+	odps := NewDataStore()
 	const writers = 4
 	const perWriter = 200
 

@@ -142,49 +142,3 @@ func (m Model) CyclesToNS(cycles int64) simtime.Duration {
 func (m Model) NSToCycles(d simtime.Duration) int64 {
 	return int64(float64(d) * m.FrequencyGHz)
 }
-
-// SharingKind enumerates the resource-sharing configurations of Figure 5:
-// which multiplexed hardware resource two co-located workloads share.
-type SharingKind int
-
-const (
-	// ShareNone: the workload runs exclusively.
-	ShareNone SharingKind = iota
-	// ShareHT: co-runners are pinned to sibling hyperthreads.
-	ShareHT
-	// ShareCore: co-runners time-share the same physical cores.
-	ShareCore
-	// ShareLLC: co-runners run on distinct cores within one LLC domain.
-	ShareLLC
-)
-
-// String returns the human-readable sharing name used in tables.
-func (k SharingKind) String() string {
-	switch k {
-	case ShareNone:
-		return "Exclusive"
-	case ShareHT:
-		return "HT"
-	case ShareCore:
-		return "Core"
-	case ShareLLC:
-		return "LLC"
-	default:
-		return "unknown"
-	}
-}
-
-// InterferenceFactor returns the multiplicative cycle inflation for a
-// workload whose co-runner shares the given resource.
-func (m Model) InterferenceFactor(k SharingKind) float64 {
-	switch k {
-	case ShareHT:
-		return m.HTShare
-	case ShareCore:
-		return m.CoreShare * m.LLCShare // time-sharing a core implies sharing its caches
-	case ShareLLC:
-		return m.LLCShare
-	default:
-		return 1.0
-	}
-}

@@ -52,32 +52,16 @@ func TestDefaultOrderings(t *testing.T) {
 	}
 }
 
+// TestInterferenceFactors pins the order of the factors
+// sched.(*Machine).interference multiplies: sharing an HT sibling
+// inflates most, then time-sharing a core (which also shares its
+// caches), then sharing only the LLC.
 func TestInterferenceFactors(t *testing.T) {
 	m := Default()
-	if f := m.InterferenceFactor(ShareNone); f != 1.0 {
-		t.Errorf("exclusive factor = %v, want 1.0", f)
-	}
-	ht := m.InterferenceFactor(ShareHT)
-	core := m.InterferenceFactor(ShareCore)
-	llc := m.InterferenceFactor(ShareLLC)
+	ht, core, llc := m.HTShare, m.CoreShare*m.LLCShare, m.LLCShare
 	// Figure 5: HT sharing hurts most (15.1%), then core (13.7%), then
 	// LLC (12.2%) — here as relative inflation ordering.
 	if !(ht > core && core > llc && llc > 1.0) {
 		t.Errorf("interference ordering violated: HT=%v core=%v llc=%v", ht, core, llc)
-	}
-}
-
-func TestSharingKindString(t *testing.T) {
-	cases := map[SharingKind]string{
-		ShareNone:       "Exclusive",
-		ShareHT:         "HT",
-		ShareCore:       "Core",
-		ShareLLC:        "LLC",
-		SharingKind(99): "unknown",
-	}
-	for k, want := range cases {
-		if got := k.String(); got != want {
-			t.Errorf("SharingKind(%d).String() = %q, want %q", int(k), got, want)
-		}
 	}
 }

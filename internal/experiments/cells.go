@@ -44,7 +44,7 @@ func runCells[T any](cfg Config, cells []cell, read func(i int, r node.Result) T
 		c := cells[i]
 		spec := c.spec
 		spec.Workload = c.app
-		spec.Backend = c.scheme.Backend()
+		spec.Backend = c.scheme.String()
 		spec.Seed = cfg.Seed ^ spec.Seed
 		if spec.Timeslice == 0 {
 			spec.Timeslice = 1 * simtime.Millisecond

@@ -6,10 +6,9 @@ import (
 	"exist/internal/simtime"
 )
 
-// SchemeKind selects a tracing scheme in comparison sweeps. It is a thin
-// view over the tracer registry: Backend returns the registered name the
-// node runtime instantiates, so adding a backend means registering it in
-// package tracer and listing it here.
+// SchemeKind selects a tracing scheme in comparison sweeps. Its String
+// is both the table name and the name tracer.New builds, so adding a
+// backend means adding it to tracer.New and listing it here.
 type SchemeKind int
 
 // The comparison schemes of Table 2.
@@ -38,9 +37,6 @@ func (k SchemeKind) String() string {
 		return "?"
 	}
 }
-
-// Backend returns the tracer-registry name the scheme resolves to.
-func (k SchemeKind) Backend() string { return k.String() }
 
 // ComparisonSchemes is the standard sweep order.
 var ComparisonSchemes = []SchemeKind{SchemeOracle, SchemeEXIST, SchemeStaSam, SchemeEBPF, SchemeNHT}

@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 
-	"exist/internal/cpu"
 	"exist/internal/metrics"
 	"exist/internal/node"
 	"exist/internal/sched"
@@ -266,16 +265,16 @@ func runFig05(cfg Config) (*Result, error) {
 
 	type arrangement struct {
 		name    string
-		kind    cpu.SharingKind
+		label   string // the metric suffix
 		ht      bool
 		coCores []int
 	}
 	target := ns.TargetCores
 	arrangements := []arrangement{
-		{"Exclusive", cpu.ShareNone, false, nil},
-		{"Share HT", cpu.ShareHT, true, []int{8, 9, 10, 11}}, // HT siblings of 0-3 on a 16-core HT machine
-		{"Share Core", cpu.ShareCore, false, target},
-		{"Share LLC", cpu.ShareLLC, false, []int{4, 5, 6, 7}},
+		{"Exclusive", "Exclusive", false, nil},
+		{"Share HT", "HT", true, []int{8, 9, 10, 11}}, // HT siblings of 0-3 on a 16-core HT machine
+		{"Share Core", "Core", false, target},
+		{"Share LLC", "LLC", false, []int{4, 5, 6, 7}},
 	}
 	res := &Result{ID: "fig05"}
 	t := &tabular.Table{
@@ -310,7 +309,7 @@ func runFig05(cfg Config) (*Result, error) {
 		normT := float64(traced.Stats.Cycles) / exclusiveBase
 		slow := traced.Overhead(base)
 		t.AddRow(ar.name, tabular.FormatFloat(norm), tabular.FormatFloat(normT), pct(slow))
-		res.Metric("tracing_slowdown_"+ar.kind.String(), slow)
+		res.Metric("tracing_slowdown_"+ar.label, slow)
 	}
 	t.Notes = append(t.Notes,
 		"paper: no single shared resource explains the overhead growth — HT/core/LLC contribute 1.4%/1.5%/1.0%")

@@ -6,21 +6,18 @@ import (
 	"exist/internal/tracer"
 )
 
-// Every scheme the experiment tables sweep must resolve through the tracer
-// registry: SchemeKind is a thin view over registry names, and a rename on
+// Every scheme the experiment tables sweep must resolve through
+// tracer.New: SchemeKind's String is the backend name, and a rename on
 // either side would silently break the sweeps.
 func TestComparisonSchemesResolve(t *testing.T) {
 	if len(ComparisonSchemes) == 0 {
 		t.Fatal("no comparison schemes defined")
 	}
 	for _, s := range ComparisonSchemes {
-		name := s.Backend()
-		if name != s.String() {
-			t.Errorf("SchemeKind %v: Backend() %q != String() %q", int(s), name, s.String())
-		}
+		name := s.String()
 		b, err := tracer.New(name, tracer.Options{})
 		if err != nil {
-			t.Errorf("scheme %q does not resolve in the tracer registry: %v", name, err)
+			t.Errorf("scheme %q does not resolve through tracer.New: %v", name, err)
 			continue
 		}
 		if b.Name() != name {

@@ -94,10 +94,10 @@ func nodeLiveness() Fixture {
 	return Fixture{Op: func() { c.Run(c.Eng.Now() + simtime.Second) }}
 }
 
-// store_put: a warm store shaped like the fleet's (eight shards, a fault
-// injector that never fails a put) holding storeWarm blobs, into which
-// each op puts one session blob under a key the store does not hold,
-// keyed as the upload path keys a batch of one. The untimed hook deletes
+// store_put: a warm store shaped like the fleet's (a fault injector
+// that never fails a put) holding storeWarm blobs, into which each op
+// puts one session blob under a key the store does not hold, keyed as
+// the upload path keys a batch of one. The untimed hook deletes
 // the fresh blobs every storeFresh ops, so the store's size stays
 // bounded.
 const (
@@ -106,7 +106,7 @@ const (
 )
 
 func storePut() Fixture {
-	oss := cluster.NewObjectStoreShards(shards)
+	oss := cluster.NewObjectStore()
 	oss.UseFaults(faults.New(faults.Config{Seed: 1, GrayNodeProb: 0.01}))
 	blob := []byte("store-hot/node-0")
 	var keys [1]string
@@ -134,7 +134,7 @@ func storePut() Fixture {
 		}
 		next = 0
 	}
-	// One full pass brings the shard maps to their steady size.
+	// One full pass brings the blob map to its steady size.
 	for _, key := range fresh {
 		put(key)
 	}

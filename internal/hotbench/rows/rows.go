@@ -122,7 +122,7 @@ var table = []Row{
 	// an append-only watch buffer.
 	{Name: "lite_session", New: liteSession,
 		PrePR: Result{NsPerOp: 8_256, AllocsPerOp: 25, BytesPerOp: 2_681}},
-	// One 1-blob PutBatch of a fresh key into a warm 8-shard store.
+	// One 1-blob PutBatch of a fresh key into a warm store.
 	// Pre-PR: a byte-ledger probe before each blob write and the batch
 	// key's attempt ledger probed on every put.
 	{Name: "store_put", New: storePut,

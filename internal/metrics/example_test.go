@@ -21,9 +21,3 @@ func ExamplePercentile() {
 	fmt.Printf("p50=%v p90=%v\n", metrics.Percentile(lat, 50), metrics.Percentile(lat, 90))
 	// Output: p50=13 p90=16
 }
-
-func ExampleOverheadPct() {
-	oracle, traced := 2.9e9, 2.871e9 // cycles retired with and without tracing
-	fmt.Printf("%.1f%%\n", metrics.OverheadPct(traced, oracle))
-	// Output: 1.0%
-}

@@ -204,24 +204,6 @@ func CDF(samples []float64, xs []float64) []CDFPoint {
 	return out
 }
 
-// OverheadPct converts a base/with pair into a percentage slowdown:
-// (with - base) / base * 100. It returns 0 when base is 0.
-func OverheadPct(base, with float64) float64 {
-	if base == 0 {
-		return 0
-	}
-	return (with - base) / base * 100
-}
-
-// SlowdownFactor is with/base normalized slowdown (>= 1 when with is
-// worse). It returns 0 when base is 0.
-func SlowdownFactor(base, with float64) float64 {
-	if base == 0 {
-		return 0
-	}
-	return with / base
-}
-
 // Uptime accumulates the total time a renewable claim was live — e.g.
 // the fraction of a run during which some controller held a valid
 // leader lease. Each Extend(now, until) call asserts the claim is live
@@ -275,18 +257,3 @@ func (u *Uptime) Fraction(end float64) float64 {
 // Gaps returns how many times the claim lapsed before being renewed
 // (coverage holes observed so far).
 func (u *Uptime) Gaps() int { return u.gaps }
-
-// GeoMean returns the geometric mean of positive samples.
-func GeoMean(samples []float64) float64 {
-	if len(samples) == 0 {
-		return 0
-	}
-	var logSum float64
-	for _, v := range samples {
-		if v <= 0 {
-			return 0
-		}
-		logSum += math.Log(v)
-	}
-	return math.Exp(logSum / float64(len(samples)))
-}

@@ -151,27 +151,6 @@ func TestCDF(t *testing.T) {
 	}
 }
 
-func TestOverheadAndSlowdown(t *testing.T) {
-	if got := OverheadPct(100, 103); math.Abs(got-3) > 1e-12 {
-		t.Fatalf("OverheadPct = %v", got)
-	}
-	if got := SlowdownFactor(100, 150); got != 1.5 {
-		t.Fatalf("SlowdownFactor = %v", got)
-	}
-	if OverheadPct(0, 5) != 0 || SlowdownFactor(0, 5) != 0 {
-		t.Fatal("zero base must not divide")
-	}
-}
-
-func TestGeoMean(t *testing.T) {
-	if got := GeoMean([]float64{1, 4}); got != 2 {
-		t.Fatalf("GeoMean = %v", got)
-	}
-	if GeoMean(nil) != 0 || GeoMean([]float64{1, -1}) != 0 {
-		t.Fatal("GeoMean edge cases")
-	}
-}
-
 func TestMean(t *testing.T) {
 	if Mean([]float64{2, 4, 6}) != 4 {
 		t.Fatal("Mean wrong")

@@ -11,8 +11,8 @@
 // it (the paper's §5 premise: every scheme measured over the same node).
 //
 // Layering (DESIGN.md §3): node composes sched + kernel + ipt + memalloc +
-// session production via the tracer registry; it sits above tracer and
-// below experiments and cluster.
+// session production through tracer.New; it sits above tracer and below
+// experiments and cluster.
 //
 // Determinism: all randomness derives from Spec.Seed plus fixed offsets
 // (co-runner SeedOffset, housekeeping +91), never from run order, so specs
@@ -88,9 +88,10 @@ type Spec struct {
 	// AddHousekeeping), seeded at machine seed + 91.
 	Housekeeping bool
 
-	// Backend names the tracer backend for the window (registry name;
-	// empty: no tracing — the Oracle of a sweep is the "Oracle" backend,
-	// an empty Backend means the node is driven manually via Controller).
+	// Backend names the tracer backend for the window (a tracer.Names
+	// entry; empty: no tracing — the Oracle of a sweep is the "Oracle"
+	// backend, an empty Backend means the node is driven manually via
+	// Controller).
 	Backend string
 	// Tracer parameterizes the backend. Zero fields resolve to the window:
 	// Period defaults to Dur, Scale to the resolved execution scale, Seed
@@ -341,12 +342,6 @@ func (rt *Runtime) Controller() *core.Controller {
 		rt.ctrl = core.NewController(rt.Machine)
 	}
 	return rt.ctrl
-}
-
-// Install adds a workload to the provisioned node (cluster deploys apps
-// onto pods after provisioning).
-func (rt *Runtime) Install(p workload.Profile, opt workload.InstallOpts) *sched.Process {
-	return p.Install(rt.Machine, opt)
 }
 
 // AddHousekeeping pins one kworker-style kernel housekeeping thread on

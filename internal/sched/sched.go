@@ -241,9 +241,6 @@ type Core struct {
 	Switches int64
 }
 
-// Idle reports whether the core has neither a running nor a queued thread.
-func (c *Core) Idle() bool { return c.cur == nil && len(c.runq) == 0 }
-
 // Current returns the running thread (nil when idle).
 func (c *Core) Current() *Thread { return c.cur }
 

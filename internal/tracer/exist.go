@@ -21,9 +21,6 @@ type EXIST struct {
 	err  error
 }
 
-// newEXIST builds an unattached EXIST backend.
-func newEXIST(o Options) *EXIST { return &EXIST{opts: o} }
-
 // Name implements Backend.
 func (e *EXIST) Name() string { return "EXIST" }
 
@@ -40,7 +37,7 @@ func (e *EXIST) Attach(m *sched.Machine, target *sched.Process) error {
 	if e.opts.Mem != nil {
 		c.Mem = *e.opts.Mem
 	}
-	c.SessionID, c.Node = e.opts.SessionID, e.opts.Node
+	c.SessionID = e.opts.SessionID
 	s, err := ctrl.Trace(target, c)
 	if err != nil {
 		return fmt.Errorf("EXIST trace: %w", err)

@@ -1,11 +1,12 @@
-// Package tracer defines the pluggable tracer-backend abstraction every
-// node-level consumer builds on: the Backend interface (the shape shared
-// by EXIST and the paper's comparison baselines) and a named registry that
-// maps scheme names — "Oracle", "EXIST", "StaSam", "eBPF", "NHT" — to
-// factories. The experiments' scheme sweeps, the cluster control plane,
-// the existd daemon, and the examples all instantiate tracing through this
-// registry, so a node behaves identically no matter which layer drives it,
-// and a new backend becomes available to all of them by registering here.
+// Package tracer defines the tracer-backend abstraction every node-level
+// consumer builds on: the Backend interface (the shape shared by EXIST
+// and the paper's comparison baselines) and New, which builds one of the
+// five schemes of the paper's Table 2 by name — "Oracle", "EXIST",
+// "StaSam", "eBPF", "NHT". The experiments' scheme sweeps, the existd
+// daemon and the examples instantiate tracing through New (by way of
+// package node), so a node behaves identically no matter which layer
+// drives it. Adding a backend means adding a case to New and its name to
+// Names.
 //
 // Layering (DESIGN.md §3): tracer sits above core and baselines and below
 // node; nothing below this package knows scheme names.
@@ -13,7 +14,7 @@ package tracer
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"exist/internal/baselines"
 	"exist/internal/memalloc"
@@ -22,11 +23,11 @@ import (
 	"exist/internal/trace"
 )
 
-// Backend is one tracing scheme attached to a machine for a window. It is
-// the same contract as baselines.Scheme; EXIST itself satisfies it through
-// the adapter in exist.go.
+// Backend is one tracing scheme attached to a machine for a window. The
+// baselines satisfy it directly; EXIST satisfies it through the adapter
+// in exist.go.
 type Backend interface {
-	// Name returns the scheme's registry/table name.
+	// Name returns the scheme's table name, the name New takes.
 	Name() string
 	// Attach installs the scheme's hooks on the machine, tracing target
 	// (some schemes ignore the target and observe system-wide).
@@ -71,64 +72,39 @@ type Options struct {
 	// Mem overrides EXIST's memory-allocator configuration (nil: the
 	// deployment default).
 	Mem *memalloc.Config
-	// SessionID and Node label EXIST sessions for the cluster pipeline.
-	SessionID, Node string
+	// SessionID labels EXIST sessions.
+	SessionID string
 	// FilterTarget restricts NHT collection to the target via the CR3
 	// filter (the accuracy reference) while still paying full-system
 	// control costs.
 	FilterTarget bool
 }
 
-// Factory builds one backend instance for a run.
-type Factory func(Options) Backend
+// names lists the schemes New builds, sorted.
+var names = []string{"EXIST", "NHT", "Oracle", "StaSam", "eBPF"}
 
-// registry maps scheme names to factories.
-var registry = map[string]Factory{}
-
-// Register adds a backend factory under a unique name. It panics on
-// duplicates: scheme names are load-bearing identifiers in experiment
-// tables and cluster requests.
-func Register(name string, f Factory) {
-	if name == "" || f == nil {
-		panic("tracer: empty registration")
-	}
-	if _, dup := registry[name]; dup {
-		panic(fmt.Sprintf("tracer: backend %q registered twice", name))
-	}
-	registry[name] = f
-}
-
-// New instantiates a registered backend.
+// New instantiates the named backend.
 func New(name string, o Options) (Backend, error) {
-	f, ok := registry[name]
-	if !ok {
-		return nil, fmt.Errorf("tracer: unknown backend %q (use one of %v)", name, Names())
-	}
-	return f(o), nil
-}
-
-// Names lists registered backends in sorted order.
-func Names() []string {
-	out := make([]string, 0, len(registry))
-	for n := range registry {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
-}
-
-func init() {
-	Register("Oracle", func(Options) Backend { return baselines.Oracle{} })
-	Register("StaSam", func(Options) Backend { return baselines.NewStaSam() })
-	Register("eBPF", func(Options) Backend { return baselines.NewEBPF() })
-	Register("NHT", func(o Options) Backend {
+	switch name {
+	case "Oracle":
+		return baselines.Oracle{}, nil
+	case "EXIST":
+		return &EXIST{opts: o}, nil
+	case "StaSam":
+		return baselines.NewStaSam(), nil
+	case "eBPF":
+		return baselines.NewEBPF(), nil
+	case "NHT":
 		scale := o.Scale
 		if scale <= 0 {
 			scale = 1
 		}
 		n := baselines.NewNHT(scale)
 		n.FilterTarget = o.FilterTarget
-		return n
-	})
-	Register("EXIST", func(o Options) Backend { return newEXIST(o) })
+		return n, nil
+	}
+	return nil, fmt.Errorf("tracer: unknown backend %q (use one of %v)", name, names)
 }
+
+// Names lists the backends New builds, in sorted order.
+func Names() []string { return slices.Clone(names) }

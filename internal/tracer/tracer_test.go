@@ -1,13 +1,14 @@
 package tracer
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
 	"exist/internal/baselines"
 )
 
-// Compile-time compliance table: every implementation behind the registry
+// Compile-time compliance table: every implementation New builds
 // satisfies Backend, and each capability extension is claimed by exactly
 // the backends the harvest logic expects.
 var (
@@ -25,19 +26,14 @@ var (
 )
 
 func TestRegistryNames(t *testing.T) {
-	want := []string{"EXIST", "NHT", "Oracle", "StaSam", "eBPF"}
+	want := []string{"EXIST", "NHT", "Oracle", "StaSam", "eBPF"} // sorted
 	got := Names()
-	if len(got) < len(want) {
-		t.Fatalf("Names() = %v, want at least %v", got, want)
+	if !slices.Equal(got, want) {
+		t.Fatalf("Names() = %v, want %v", got, want)
 	}
-	have := map[string]bool{}
-	for _, n := range got {
-		have[n] = true
-	}
-	for _, n := range want {
-		if !have[n] {
-			t.Errorf("backend %q not registered (have %v)", n, got)
-		}
+	got[0] = "changed"
+	if Names()[0] != "EXIST" {
+		t.Error("Names() must return a copy")
 	}
 }
 
@@ -51,7 +47,7 @@ func TestNewResolvesEveryRegisteredName(t *testing.T) {
 			t.Fatalf("New(%q) returned nil backend", name)
 		}
 		if b.Name() != name {
-			t.Errorf("New(%q).Name() = %q; registry name and backend name must agree", name, b.Name())
+			t.Errorf("New(%q).Name() = %q; the name New takes and the backend name must agree", name, b.Name())
 		}
 	}
 }
@@ -64,26 +60,6 @@ func TestNewUnknownBackend(t *testing.T) {
 	if !strings.Contains(err.Error(), "no-such-scheme") || !strings.Contains(err.Error(), "EXIST") {
 		t.Errorf("error should name the missing backend and list candidates: %v", err)
 	}
-}
-
-func TestRegisterRejectsDuplicatesAndEmpty(t *testing.T) {
-	mustPanic := func(what string, f func()) {
-		defer func() {
-			if recover() == nil {
-				t.Errorf("%s must panic", what)
-			}
-		}()
-		f()
-	}
-	mustPanic("duplicate registration", func() {
-		Register("EXIST", func(Options) Backend { return nil })
-	})
-	mustPanic("empty name", func() {
-		Register("", func(Options) Backend { return nil })
-	})
-	mustPanic("nil factory", func() {
-		Register("nil-factory", nil)
-	})
 }
 
 // NHT is the only baseline that consumes Options; check the wiring.

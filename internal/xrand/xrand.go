@@ -167,30 +167,13 @@ func (r *Rand) Exp(mean float64) float64 {
 	return r.src.ExpFloat64() * mean
 }
 
-// Norm returns a normally distributed value with the given mean and
-// standard deviation.
-func (r *Rand) Norm(mean, stddev float64) float64 {
-	return r.src.NormFloat64()*stddev + mean
-}
-
-// LogNormal returns a log-normally distributed value parameterized by the
-// mean and coefficient of variation (stddev/mean) of the *resulting*
-// distribution. Log-normal service times are the standard model for
-// request processing in datacenter services.
-func (r *Rand) LogNormal(mean, cv float64) float64 {
-	if mean <= 0 {
-		return 0
-	}
-	sigma2 := math.Log(1 + cv*cv)
-	mu := math.Log(mean) - sigma2/2
-	return math.Exp(r.src.NormFloat64()*math.Sqrt(sigma2) + mu)
-}
-
-// LogNormalParams converts a (mean, cv) log-normal parameterization to the
-// underlying (mu, sigma), producing bit-identical draws when the result is
-// fed to LogNormalMS: the two functions together are the precomputed form
-// of LogNormal for hot paths that draw from a fixed distribution many
-// times. mean must be positive.
+// LogNormalParams converts the mean and coefficient of variation
+// (stddev/mean) of a log-normal distribution to the (mu, sigma) of its
+// underlying normal, which LogNormalMS draws from. Log-normal service
+// times are the standard model for request processing in datacenter
+// services; computing the pair once keeps the logarithms off hot paths
+// that draw from a fixed distribution many times. A zero mean gives
+// mu = -Inf, so every draw is 0.
 func LogNormalParams(mean, cv float64) (mu, sigma float64) {
 	sigma2 := math.Log(1 + cv*cv)
 	return math.Log(mean) - sigma2/2, math.Sqrt(sigma2)

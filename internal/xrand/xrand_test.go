@@ -70,12 +70,15 @@ func TestExpMean(t *testing.T) {
 	}
 }
 
+// TestLogNormalMoments checks the draws the service model makes:
+// LogNormalParams once, then LogNormalMS per draw.
 func TestLogNormalMoments(t *testing.T) {
 	r := New(2)
+	mu, sigma := LogNormalParams(10, 0.5)
 	const n = 200000
 	var sum, sumsq float64
 	for i := 0; i < n; i++ {
-		v := r.LogNormal(10, 0.5)
+		v := r.LogNormalMS(mu, sigma)
 		sum += v
 		sumsq += v * v
 	}
@@ -92,8 +95,8 @@ func TestLogNormalMoments(t *testing.T) {
 
 func TestLogNormalZeroMean(t *testing.T) {
 	r := New(3)
-	if v := r.LogNormal(0, 0.5); v != 0 {
-		t.Errorf("LogNormal(0, _) = %v, want 0", v)
+	if v := r.LogNormalMS(LogNormalParams(0, 0.5)); v != 0 {
+		t.Errorf("LogNormalMS(LogNormalParams(0, _)) = %v, want 0", v)
 	}
 }
 
@@ -185,17 +188,5 @@ func TestIntNRange(t *testing.T) {
 		if v := r.Int64N(7); v < 0 || v >= 7 {
 			t.Fatalf("Int64N out of range: %d", v)
 		}
-	}
-}
-
-func TestNorm(t *testing.T) {
-	r := New(9)
-	const n = 100000
-	var sum float64
-	for i := 0; i < n; i++ {
-		sum += r.Norm(3, 1)
-	}
-	if mean := sum / n; math.Abs(mean-3) > 0.05 {
-		t.Errorf("Norm mean = %v, want ~3", mean)
 	}
 }
