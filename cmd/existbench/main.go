@@ -98,11 +98,7 @@ func main() {
 	}
 
 	if *cpuProfile != "" {
-		f, err := os.Create(*cpuProfile)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "existbench:", err)
-			os.Exit(1)
-		}
+		f := create(*cpuProfile)
 		defer f.Close()
 		if err := pprof.StartCPUProfile(f); err != nil {
 			fmt.Fprintln(os.Stderr, "existbench:", err)
@@ -111,11 +107,7 @@ func main() {
 		defer pprof.StopCPUProfile()
 	}
 	if *execTrace != "" {
-		f, err := os.Create(*execTrace)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "existbench:", err)
-			os.Exit(1)
-		}
+		f := create(*execTrace)
 		defer f.Close()
 		if err := rtrace.Start(f); err != nil {
 			fmt.Fprintln(os.Stderr, "existbench:", err)
@@ -138,13 +130,7 @@ func main() {
 			failures++
 			continue
 		}
-		fmt.Print(rep.Result.Render())
-		if len(rep.Result.Metrics) > 0 {
-			fmt.Println("headline metrics:")
-			for _, n := range rep.Result.SortedMetrics() {
-				fmt.Printf("  %-36s %.4g\n", n, rep.Result.Metrics[n])
-			}
-		}
+		printResult(rep.Result)
 		fmt.Println()
 		fmt.Fprintf(os.Stderr, "%s completed in %v\n", rep.ID, rep.Wall.Round(time.Millisecond))
 	}
@@ -158,11 +144,7 @@ func main() {
 		}
 	}
 	if *memProfile != "" {
-		f, err := os.Create(*memProfile)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "existbench:", err)
-			os.Exit(1)
-		}
+		f := create(*memProfile)
 		defer f.Close()
 		runtime.GC()
 		if err := pprof.WriteHeapProfile(f); err != nil {
@@ -196,6 +178,22 @@ func runSpecFile(path string, cfg experiments.Config) error {
 		fmt.Printf("### %s\n", doc.Desc)
 	}
 	fmt.Println()
+	printResult(res)
+	return nil
+}
+
+// create opens a profile or trace output file, exiting on failure.
+func create(path string) *os.File {
+	f, err := os.Create(path)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "existbench:", err)
+		os.Exit(1)
+	}
+	return f
+}
+
+// printResult writes a result's tables, then its headline metrics.
+func printResult(res *experiments.Result) {
 	fmt.Print(res.Render())
 	if len(res.Metrics) > 0 {
 		fmt.Println("headline metrics:")
@@ -203,7 +201,6 @@ func runSpecFile(path string, cfg experiments.Config) error {
 			fmt.Printf("  %-36s %.4g\n", n, res.Metrics[n])
 		}
 	}
-	return nil
 }
 
 // selectIDs resolves the -all/-run selection into a validated, deduplicated

@@ -44,6 +44,7 @@ import (
 	"exist/internal/coverage"
 	"exist/internal/faults"
 	"exist/internal/metrics"
+	"exist/internal/obs"
 	"exist/internal/simtime"
 	"exist/internal/trace"
 	"exist/internal/workload"
@@ -198,24 +199,19 @@ func main() {
 	}
 	agg := c.ODPS.AggregateApp(p.Name)
 	fmt.Printf("existctl: ODPS holds %d rows; %d distinct functions for %s\n", c.ODPS.Len(), len(agg), p.Name)
-	fmt.Printf("existctl: RCO management used %.2e cores on average (%.0f MB resident)\n",
-		c.ManagementCores(), c.Mgmt.MemMB)
+	fmt.Printf("existctl: RCO management used %.2e cores on average\n", c.ManagementCores())
+	fmt.Println("existctl: counters (faults.* injected, cluster.* control plane and uploads):")
 	if fi := ccfg.Faults; fi != nil {
-		st := fi.Stats()
-		fmt.Printf("existctl: injected faults: %d put errors, %d sessions lost, %d corrupted, %d truncated, %d crashes, %d stalls\n",
-			st.PutFailures, st.SessionsLost, st.SessionsCorrupted, st.SessionsTruncated, st.Crashes, st.Stalls)
-		fmt.Printf("existctl: control plane absorbed: %d retries, %d re-samples, %d lease expiries\n",
-			c.Mgmt.Retries, c.Mgmt.Resamples, c.Mgmt.LeaseExpiries)
+		obs.Write(os.Stdout, "  ", "faults.", fi.Stats())
 	}
+	obs.Write(os.Stdout, "  ", "cluster.", c.Mgmt)
+	obs.Write(os.Stdout, "  ", "cluster.", c.Uploads)
 	avail, gaps := c.Leases.Availability(c.Eng.Now().Seconds())
 	fmt.Printf("existctl: availability/failover summary (%d replicas):\n", c.Cfg.Replicas)
 	fmt.Printf("  leader availability       %.4f (%d leadership gaps)\n", avail, gaps)
 	fmt.Printf("  elections / failovers     %d / %d\n", c.Leases.Elections(), c.Leases.Failovers())
 	fmt.Printf("  mean re-adopt time        %.1f ms over %d re-adoptions\n", metrics.Mean(c.Readopts), len(c.Readopts))
 	fmt.Printf("  max owners of any shard   %d (must be 1)\n", maxOwners)
-	fmt.Printf("  syncs/requeues/conflicts  %d / %d / %d (%d fenced stale-leader ops)\n",
-		c.Mgmt.Syncs, c.Mgmt.Requeues, c.Mgmt.Conflicts, c.Mgmt.FencedOps)
-	fmt.Printf("  false suspicions          %d\n", c.Mgmt.FalseSuspicions)
 	if *shards > 1 {
 		elapsed := c.Eng.Now().Seconds()
 		fmt.Printf("existctl: shard scaling summary (%d shards):\n", *shards)
@@ -234,7 +230,7 @@ func main() {
 		if elapsed > 0 {
 			rps = float64(c.Mgmt.Syncs) / elapsed
 		}
-		fmt.Printf("  reconciles/s              %.1f (%d syncs over %.2fs)\n", rps, c.Mgmt.Syncs, elapsed)
+		fmt.Printf("  reconciles/s              %.1f (cluster.syncs over %.2fs)\n", rps, elapsed)
 		fmt.Printf("  shard rebalances          %d\n", c.ShardRebalances())
 	}
 	if *cancelAfter > 0 {

@@ -23,6 +23,7 @@ import (
 	"exist/internal/faults"
 	"exist/internal/memalloc"
 	"exist/internal/node"
+	"exist/internal/obs"
 	"exist/internal/report"
 	"exist/internal/simtime"
 	"exist/internal/spec"
@@ -128,8 +129,11 @@ func main() {
 	}
 	result := r.Session
 
-	fmt.Printf("existd: window %v; %d five-tuple records; %.1f MB trace (real scale); %d MSR ops total\n",
-		result.Duration(), len(result.Switches.Records), result.SpaceMB(), sess.Stats.MSROps)
+	fmt.Printf("existd: window %v; %.1f MB trace (real scale)\n", result.Duration(), result.SpaceMB())
+	fmt.Println("existd: session counters:")
+	obs.Write(os.Stdout, "  ", "core.", sess.Stats)
+	obs.Write(os.Stdout, "  ", "sched.", m.Stats)
+	obs.Write(os.Stdout, "  ", "sched.target.", r.Stats)
 	fmt.Printf("existd: control ops: %d cores enabled once each (O(#cores), not O(%d switches))\n",
 		sess.Stats.EnabledCores, m.Stats.Switches)
 
@@ -202,9 +206,9 @@ func grayReport(grayDelay, leaseTTL time.Duration, seed uint64) {
 				lapses++
 			}
 		}
-		st := in.Stats()
-		fmt.Printf("existd: gray-failure report (mean delay %v, lease TTL %v):\n", grayDelay, leaseTTL)
-		fmt.Printf("  %d/%d heartbeats delayed, max delay %v\n", st.GrayDelays, int64(beats), maxDelay)
+		fmt.Printf("existd: gray-failure report (mean delay %v, lease TTL %v, %d heartbeats):\n", grayDelay, leaseTTL, beats)
+		obs.Write(os.Stdout, "  ", "faults.", in.Stats())
+		fmt.Printf("  max delay %v\n", maxDelay)
 		fmt.Printf("  %d would arrive after lease lapse: false suspicions (node alive, controller re-samples)\n", lapses)
 	}
 }

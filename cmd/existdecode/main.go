@@ -67,9 +67,7 @@ func main() {
 		fmt.Printf("v1-equivalent bytes: %d\n", v1Bytes)
 		fmt.Printf("compression ratio:   %.2fx\n", ratio)
 		for i := range sess.Cores {
-			c := &sess.Cores[i]
-			fmt.Printf("core %d: %d trace bytes, %d dropped (wrapped=%v stopped=%v)\n",
-				c.Core, len(c.Data), c.DroppedBytes, c.Wrapped, c.Stopped)
+			fmt.Println(coreLine(&sess.Cores[i]))
 		}
 	}
 
@@ -94,9 +92,13 @@ func degradedReport(sess *trace.Session, rec *decode.Result) string {
 	msg := fmt.Sprintf("existdecode: degraded session: 0 usable cores (%d present, %d decode notes)\n",
 		len(sess.Cores), len(rec.Errors))
 	for i := range sess.Cores {
-		c := &sess.Cores[i]
-		msg += fmt.Sprintf("  core %d: %d trace bytes, %d dropped, wrapped=%v stopped=%v\n",
-			c.Core, len(c.Data), c.DroppedBytes, c.Wrapped, c.Stopped)
+		msg += "  " + coreLine(&sess.Cores[i]) + "\n"
 	}
 	return msg
+}
+
+// coreLine describes one core's buffer for -stats and the degraded report.
+func coreLine(c *trace.CoreTrace) string {
+	return fmt.Sprintf("core %d: %d trace bytes, %d dropped (wrapped=%v stopped=%v)",
+		c.Core, len(c.Data), c.DroppedBytes, c.Wrapped, c.Stopped)
 }

@@ -406,11 +406,25 @@ func (p *Program) superSteps() []superStep {
 	return p.super
 }
 
-// BranchPerKCycle returns ComputeStats().BranchPerKCycle, computed once:
-// every walker a program drives reads it, and the full stats pass walks
-// every block and fills two maps.
+// BranchPerKCycle returns the static PT event density: PT-visible
+// terminators (conditional, indirect jump or call, return) per 1000 block
+// cycles, 0 for a program without cycles. Every walker a program drives
+// reads it, so it is counted once.
 func (p *Program) BranchPerKCycle() float64 {
-	p.rateOnce.Do(func() { p.branchRate = p.ComputeStats().BranchPerKCycle })
+	p.rateOnce.Do(func() {
+		var cycles, ptEvents int64
+		for i := range p.Blocks {
+			b := &p.Blocks[i]
+			cycles += int64(b.Cycles)
+			switch b.Term {
+			case TermCond, TermIndirectJump, TermIndirectCall, TermReturn:
+				ptEvents++
+			}
+		}
+		if cycles > 0 {
+			p.branchRate = float64(ptEvents) / float64(cycles) * 1000
+		}
+	})
 	return p.branchRate
 }
 
@@ -586,62 +600,6 @@ func (p *Program) Validate() error {
 		}
 	}
 	return nil
-}
-
-// Stats summarizes static program properties used for calibration and
-// for RCO's complexity scoring.
-type Stats struct {
-	Blocks, Funcs     int
-	CondBlocks        int
-	IndirectBlocks    int
-	SyscallBlocks     int
-	AvgBlockCycles    float64
-	BranchPerKCycle   float64 // expected PT-visible events per 1000 cycles
-	SyscallPerKCycle  float64
-	TextBytes         uint64
-	CategoryBlockFrac map[FuncCategory]float64
-}
-
-// ComputeStats derives static statistics for the program.
-func (p *Program) ComputeStats() Stats {
-	s := Stats{
-		Blocks:            len(p.Blocks),
-		Funcs:             len(p.Funcs),
-		TextBytes:         p.TextSize,
-		CategoryBlockFrac: make(map[FuncCategory]float64),
-	}
-	var cycles int64
-	var ptEvents, syscalls int64
-	catBlocks := make(map[FuncCategory]int)
-	for i := range p.Blocks {
-		b := &p.Blocks[i]
-		cycles += int64(b.Cycles)
-		switch b.Term {
-		case TermCond:
-			s.CondBlocks++
-			ptEvents++
-		case TermIndirectJump, TermIndirectCall:
-			s.IndirectBlocks++
-			ptEvents++
-		case TermReturn:
-			ptEvents++
-		case TermSyscall:
-			s.SyscallBlocks++
-			syscalls++
-		}
-		catBlocks[p.Funcs[b.Func].Category]++
-	}
-	if len(p.Blocks) > 0 {
-		s.AvgBlockCycles = float64(cycles) / float64(len(p.Blocks))
-	}
-	if cycles > 0 {
-		s.BranchPerKCycle = float64(ptEvents) / float64(cycles) * 1000
-		s.SyscallPerKCycle = float64(syscalls) / float64(cycles) * 1000
-	}
-	for c, n := range catBlocks {
-		s.CategoryBlockFrac[c] = float64(n) / float64(len(p.Blocks))
-	}
-	return s
 }
 
 // endAddr returns the address of the block's terminating instruction,

@@ -177,23 +177,43 @@ func TestWalkerSyscallStops(t *testing.T) {
 	}
 }
 
-func TestComputeStats(t *testing.T) {
+func TestBranchPerKCycle(t *testing.T) {
+	// Hand count: two PT-visible terminators (jcc, ret) over 100 cycles;
+	// the jmp and the syscall produce no packet.
+	hand := &Program{Blocks: []Block{
+		{Term: TermCond, Cycles: 10},
+		{Term: TermJump, Cycles: 20},
+		{Term: TermReturn, Cycles: 30},
+		{Term: TermSyscall, Cycles: 40},
+	}}
+	if got := hand.BranchPerKCycle(); got != 20 {
+		t.Fatalf("hand program: %v events per kcycle, want 20", got)
+	}
+	if got := (&Program{}).BranchPerKCycle(); got != 0 {
+		t.Fatalf("empty program: %v events per kcycle, want 0", got)
+	}
+
 	p := testProgram(t, 8)
-	s := p.ComputeStats()
-	if s.Blocks != len(p.Blocks) || s.Funcs != len(p.Funcs) {
-		t.Fatalf("stats counts wrong: %+v", s)
+	var cycles, events int64
+	kinds := map[TermKind]int{}
+	for _, b := range p.Blocks {
+		cycles += int64(b.Cycles)
+		kinds[b.Term]++
+		if b.Term == TermCond || b.Term == TermIndirectJump || b.Term == TermIndirectCall || b.Term == TermReturn {
+			events++
+		}
 	}
-	if s.BranchPerKCycle <= 0 {
-		t.Fatal("expected nonzero branch density")
+	for _, k := range []TermKind{TermCond, TermIndirectJump, TermIndirectCall, TermReturn, TermSyscall} {
+		if kinds[k] == 0 {
+			t.Fatalf("test program has no %v block", k)
+		}
 	}
-	if got := p.BranchPerKCycle(); got != s.BranchPerKCycle {
-		t.Fatalf("cached branch density %v, stats pass %v", got, s.BranchPerKCycle)
+	want := float64(events) / float64(cycles) * 1000
+	if got := p.BranchPerKCycle(); got != want || got <= 0 {
+		t.Fatalf("branch density %v, hand count %v", got, want)
 	}
-	if s.AvgBlockCycles <= 0 {
-		t.Fatal("expected positive average block cycles")
-	}
-	if s.TextBytes == 0 {
-		t.Fatal("expected nonzero text size")
+	if again := p.BranchPerKCycle(); again != want {
+		t.Fatalf("second call %v, first %v", again, want)
 	}
 }
 

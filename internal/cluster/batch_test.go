@@ -110,7 +110,7 @@ func TestBatchedUploadRetriesAsUnit(t *testing.T) {
 	if req.Phase != PhaseCompleted {
 		t.Fatalf("phase = %s (%s)", req.Phase, req.Message)
 	}
-	if c.OSS.Failures() == 0 {
+	if c.Cfg.Faults.Stats().PutFailures == 0 {
 		t.Skip("injector never fired for this seed; adjust PutFailProb")
 	}
 	if c.Mgmt.Retries == 0 {

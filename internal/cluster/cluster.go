@@ -385,40 +385,40 @@ type Node struct {
 // MgmtStats is the orchestration overhead ledger (Figure 17).
 type MgmtStats struct {
 	// CPUSeconds is management CPU consumed (core-seconds).
-	CPUSeconds float64
+	CPUSeconds float64 `obs:"mgmt_cpu,s"`
 	// MemMB is the management pod's resident memory.
-	MemMB float64
+	MemMB float64 `obs:"mgmt_mem,MB"`
 	// Reconciles counts controller pump runs.
-	Reconciles int64
+	Reconciles int64 `obs:"reconciles,count"`
 	// Stalls counts pump runs lost to injected controller stalls.
-	Stalls int64
+	Stalls int64 `obs:"stalls,count"`
 	// Retries counts store operations that were re-attempted after a
 	// transient failure.
-	Retries int64
+	Retries int64 `obs:"retries,count"`
 	// Resamples counts replacement sessions scheduled after a loss.
-	Resamples int64
+	Resamples int64 `obs:"resamples,count"`
 	// LeaseExpiries counts node failures detected through lease lapse.
-	LeaseExpiries int64
+	LeaseExpiries int64 `obs:"lease_expiries,count"`
 
 	// Syncs counts work-queue items processed by controller replicas.
-	Syncs int64
+	Syncs int64 `obs:"syncs,count"`
 	// Requeues counts rate-limited re-adds of failing work items.
-	Requeues int64
+	Requeues int64 `obs:"requeues,count"`
 	// Conflicts counts compare-and-swap updates lost to a concurrent
 	// writer.
-	Conflicts int64
+	Conflicts int64 `obs:"conflicts,count"`
 	// FencedOps counts store operations rejected because the acting
 	// replica's fencing token was stale (a deposed leader).
-	FencedOps int64
+	FencedOps int64 `obs:"fenced_ops,count"`
 	// Elections counts leadership acquisitions (first election,
 	// failovers, and re-acquires after a lapse).
-	Elections int64
+	Elections int64 `obs:"elections,count"`
 	// FalseSuspicions counts leases that lapsed on a live node because
 	// its heartbeats arrived late (gray failure).
-	FalseSuspicions int64
+	FalseSuspicions int64 `obs:"false_suspicions,count"`
 	// Relists counts stale-watch resynchronization relists (shard-scoped
 	// in the sharded control plane; election relists are not included).
-	Relists int64
+	Relists int64 `obs:"relists,count"`
 }
 
 // In-model CPU costs of the control plane's store traffic (DESIGN.md
@@ -674,13 +674,13 @@ type Cluster struct {
 // V1Bytes/WireBytes.
 type UploadStats struct {
 	// Sessions is the number of session blobs successfully uploaded.
-	Sessions int64
+	Sessions int64 `obs:"upload_sessions,count"`
 	// Batches is the number of successful PUT requests carrying them.
-	Batches int64
+	Batches int64 `obs:"upload_puts,count"`
 	// WireBytes is the total encoded volume shipped.
-	WireBytes int64
+	WireBytes int64 `obs:"upload_wire,B"`
 	// V1Bytes is the v1-equivalent volume of the same sessions.
-	V1Bytes int64
+	V1Bytes int64 `obs:"upload_v1,B"`
 }
 
 // nodeBits is a set of nodes by dense index, one bit per node.

@@ -348,8 +348,8 @@ func TestAttemptLedgersForgetSucceededKeys(t *testing.T) {
 		for d.Insert(key, Row{Session: key}) != nil {
 		}
 	}
-	if o.Puts() != 200 || d.Len() != 200 || o.Failures() == 0 || d.Failures() == 0 {
-		t.Fatalf("puts %d rows %d failures %d/%d", o.Puts(), d.Len(), o.Failures(), d.Failures())
+	if st := inj.Stats(); o.Puts() != 200 || d.Len() != 200 || st.PutFailures == 0 || st.InsertFailures == 0 {
+		t.Fatalf("puts %d rows %d failures %d/%d", o.Puts(), d.Len(), st.PutFailures, st.InsertFailures)
 	}
 	if n := len(o.attempts) + len(d.attempts); n != 0 {
 		t.Fatalf("ledgers hold %d keys after every write landed", n)

@@ -81,7 +81,7 @@ func TestRetryRecoversTransientPutFailures(t *testing.T) {
 	if req.Phase != PhaseCompleted {
 		t.Fatalf("phase = %s (%s)", req.Phase, req.Message)
 	}
-	if c.OSS.Failures() == 0 {
+	if c.Cfg.Faults.Stats().PutFailures == 0 {
 		t.Fatal("injector never fired; test is vacuous")
 	}
 	if c.Mgmt.Retries == 0 {

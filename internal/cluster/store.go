@@ -39,14 +39,14 @@ func (l attemptLedger) settle(key string, attempt int, err error) {
 //
 // PutBatch is fault-aware: with an injector that can fail puts attached,
 // attempts can fail with transient errors (the control plane retries
-// with backoff). Without one, PutBatch never fails and never reads the
-// attempt ledger.
+// with backoff), and the injector counts each failed attempt
+// (faults.Stats.PutFailures). Without one, PutBatch never fails and never
+// reads the attempt ledger.
 type ObjectStore struct {
 	mu       sync.Mutex
 	blobs    map[string][]byte
 	attempts attemptLedger
 	puts     int64
-	failures int64
 	inj      *faults.Injector
 	// putsFail caches whether inj can fail a put at all.
 	putsFail bool
@@ -91,7 +91,6 @@ func (o *ObjectStore) PutBatch(batchKey string, keys []string, blobs [][]byte) e
 		err := o.inj.PutError(batchKey, attempt)
 		o.attempts.settle(batchKey, attempt, err)
 		if err != nil {
-			o.failures++
 			return err
 		}
 	}
@@ -151,13 +150,6 @@ func (o *ObjectStore) Puts() int64 {
 	return o.puts
 }
 
-// Failures returns the number of failed upload attempts.
-func (o *ObjectStore) Failures() int64 {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	return o.failures
-}
-
 // Row is one structured record in the processing store.
 type Row struct {
 	// App, Node and Session identify the source.
@@ -178,7 +170,6 @@ type DataStore struct {
 	mu       sync.Mutex
 	rows     []Row
 	attempts attemptLedger
-	failures int64
 	inj      *faults.Injector
 }
 
@@ -199,7 +190,6 @@ func (d *DataStore) Insert(batch string, rows ...Row) error {
 	err := d.inj.InsertError(batch, attempt)
 	d.attempts.settle(batch, attempt, err)
 	if err != nil {
-		d.failures++
 		return err
 	}
 	d.rows = append(d.rows, rows...)
@@ -211,13 +201,6 @@ func (d *DataStore) Len() int {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	return len(d.rows)
-}
-
-// Failures returns the number of failed insert attempts.
-func (d *DataStore) Failures() int64 {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.failures
 }
 
 // QueryApp returns all rows for an app, ordered by (session, key).

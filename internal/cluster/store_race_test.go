@@ -33,8 +33,7 @@ func TestStoreCountersConcurrentWithWrites(t *testing.T) {
 				}
 				_ = oss.Bytes()
 				_ = oss.Puts()
-				_ = oss.Failures()
-				_ = odps.Failures()
+				_ = odps.Len()
 				// Yield so the writers make progress on a single-CPU
 				// -race run; a hot spin here starves them into the
 				// test-binary timeout.
@@ -76,9 +75,6 @@ func TestStoreCountersConcurrentWithWrites(t *testing.T) {
 	wantBytes := int64(writers * perWriter * (10 + 4 + 4))
 	if got := oss.Bytes(); got != wantBytes {
 		t.Fatalf("Bytes() = %d, want %d", got, wantBytes)
-	}
-	if got := oss.Failures() + odps.Failures(); got != 0 {
-		t.Fatalf("failures = %d without an injector", got)
 	}
 	if got := odps.Len(); got != writers*perWriter {
 		t.Fatalf("ODPS len = %d, want %d", got, writers*perWriter)

@@ -106,19 +106,19 @@ func DefaultConfig() Config {
 // OTC exists to minimize.
 type Stats struct {
 	// MSROps counts MSR writes issued during the window (setup included).
-	MSROps int64
+	MSROps int64 `obs:"msr_ops,count"`
 	// EnabledCores counts cores whose tracer was ever enabled.
-	EnabledCores int
+	EnabledCores int `obs:"enabled_cores,count"`
 	// PlannedCores is the traced core set size.
-	PlannedCores int
+	PlannedCores int `obs:"planned_cores,count"`
 	// SwitchRecords counts five-tuple records written.
-	SwitchRecords int64
+	SwitchRecords int64 `obs:"switch_records,count"`
 	// ControlKernelNS is the total kernel time charged for control
 	// operations (setup, per-switch hook work, teardown).
-	ControlKernelNS simtime.Duration
+	ControlKernelNS simtime.Duration `obs:"control_kernel,ns"`
 	// BufferSwaps counts per-thread buffer swap sequences (PerThread
 	// mode only).
-	BufferSwaps int64
+	BufferSwaps int64 `obs:"buffer_swaps,count"`
 }
 
 // Session is one bounded intra-service tracing window on one node.

@@ -7,6 +7,7 @@ import (
 	"exist/internal/coverage"
 	"exist/internal/faults"
 	"exist/internal/metrics"
+	"exist/internal/obs"
 	"exist/internal/simtime"
 	"exist/internal/tabular"
 	"exist/internal/workload"
@@ -196,22 +197,16 @@ func runChaosExperiment(cfg Config) (*Result, error) {
 		if sc.name == "full storm" {
 			t2 := &tabular.Table{
 				Title:  "Full-storm control-plane counters (the machinery holding the line)",
-				Header: []string{"counter", "value"},
+				Header: []string{"counter", "value", "unit"},
 			}
-			t2.AddRow("node crashes", fmt.Sprintf("%d", out.faults.Crashes))
-			t2.AddRow("controller crashes", fmt.Sprintf("%d", out.faults.CtrlCrashes))
-			t2.AddRow("controller-store partitions", fmt.Sprintf("%d", out.faults.Partitions))
-			t2.AddRow("gray heartbeat delays", fmt.Sprintf("%d", out.faults.GrayDelays))
-			t2.AddRow("false suspicions (live node, lapsed lease)", fmt.Sprintf("%d", out.mgmt.FalseSuspicions))
-			t2.AddRow("leader elections", fmt.Sprintf("%d", out.elections))
-			t2.AddRow("leadership gaps", fmt.Sprintf("%d", out.gaps))
-			t2.AddRow("work-queue syncs", fmt.Sprintf("%d", out.mgmt.Syncs))
-			t2.AddRow("rate-limited requeues", fmt.Sprintf("%d", out.mgmt.Requeues))
-			t2.AddRow("CAS conflicts", fmt.Sprintf("%d", out.mgmt.Conflicts))
-			t2.AddRow("fenced stale-leader ops", fmt.Sprintf("%d", out.mgmt.FencedOps))
-			t2.AddRow("sessions re-sampled", fmt.Sprintf("%d", out.mgmt.Resamples))
+			for _, c := range append(obs.Counters("faults.", out.faults), obs.Counters("cluster.", out.mgmt)...) {
+				t2.AddRow(c.Name, c.Text(), c.Unit)
+			}
+			t2.AddRow("leader elections", fmt.Sprintf("%d", out.elections), "count")
+			t2.AddRow("leadership gaps", fmt.Sprintf("%d", out.gaps), "count")
 			t2.Notes = append(t2.Notes,
-				"every fault decision is seeded and keyed by stable identifiers: reruns inject the identical storm")
+				"every fault decision is seeded and keyed by stable identifiers: reruns inject the identical storm",
+				"leader elections, leadership gaps: per-shard lease acquisitions and lapses, read from the lease store")
 			res.Tables = append(res.Tables, t2)
 		}
 	}

@@ -116,23 +116,26 @@ type Config struct {
 // Stats counts injected faults, for experiment reporting.
 type Stats struct {
 	// PutFailures and InsertFailures count injected store errors.
-	PutFailures, InsertFailures int64
+	PutFailures    int64 `obs:"put_failures,count"`
+	InsertFailures int64 `obs:"insert_failures,count"`
 	// SessionsLost counts sessions whose data was destroyed.
-	SessionsLost int64
+	SessionsLost int64 `obs:"sessions_lost,count"`
 	// SessionsCorrupted and SessionsTruncated count buffer mutations.
-	SessionsCorrupted, SessionsTruncated int64
+	SessionsCorrupted int64 `obs:"sessions_corrupted,count"`
+	SessionsTruncated int64 `obs:"sessions_truncated,count"`
 	// Stalls counts skipped controller pump runs.
-	Stalls int64
+	Stalls int64 `obs:"stalls,count"`
 	// Crashes counts node crash events.
-	Crashes int64
+	Crashes int64 `obs:"crashes,count"`
 	// CtrlCrashes counts controller-replica crash events.
-	CtrlCrashes int64
+	CtrlCrashes int64 `obs:"ctrl_crashes,count"`
 	// Partitions counts controller-store partition events.
-	Partitions int64
+	Partitions int64 `obs:"partitions,count"`
 	// GrayDelays counts heartbeats that were delayed by gray failure.
-	GrayDelays int64
+	GrayDelays int64 `obs:"gray_delays,count"`
 	// Leaves and Joins count graceful node-churn events.
-	Leaves, Joins int64
+	Leaves int64 `obs:"leaves,count"`
+	Joins  int64 `obs:"joins,count"`
 }
 
 // Fate is the injector's verdict on one completed session's data.

@@ -97,19 +97,19 @@ const (
 // ThreadStats accumulates per-thread accounting.
 type ThreadStats struct {
 	// CPUTime is wall time spent executing on a core (user mode).
-	CPUTime simtime.Duration
+	CPUTime simtime.Duration `obs:"cpu_time,ns"`
 	// KernelTime is syscall service time charged on the thread's behalf.
-	KernelTime simtime.Duration
+	KernelTime simtime.Duration `obs:"kernel_time,ns"`
 	// Cycles, Insns, Branches count useful work retired.
-	Cycles   int64
-	Insns    int64
-	Branches int64
+	Cycles   int64 `obs:"cycles,count"`
+	Insns    int64 `obs:"insns,count"`
+	Branches int64 `obs:"branches,count"`
 	// Syscalls counts syscall instructions executed.
-	Syscalls int64
+	Syscalls int64 `obs:"syscalls,count"`
 	// Switches counts times the thread was scheduled in.
-	Switches int64
+	Switches int64 `obs:"switches,count"`
 	// Migrations counts schedules onto a different core than last time.
-	Migrations int64
+	Migrations int64 `obs:"migrations,count"`
 }
 
 // Thread is one schedulable entity.
@@ -284,14 +284,14 @@ type BranchListener func(t *Thread, now simtime.Time, ev binary.BranchEvent)
 // MachineStats aggregates machine-wide accounting.
 type MachineStats struct {
 	// Switches and Migrations count scheduling events machine-wide.
-	Switches   int64
-	Migrations int64
+	Switches   int64 `obs:"switches,count"`
+	Migrations int64 `obs:"migrations,count"`
 	// SwitchPeriodsAll, ByCore and ByProc hold sampled periods between
 	// context switches (milliseconds), for the Figure 8 CDFs. Populated
 	// only when Config.CollectSwitchPeriods is set.
-	SwitchPeriodsAll    []float64
-	SwitchPeriodsByCore []float64
-	SwitchPeriodsByProc []float64
+	SwitchPeriodsAll    []float64 `obs:"-"`
+	SwitchPeriodsByCore []float64 `obs:"-"`
+	SwitchPeriodsByProc []float64 `obs:"-"`
 }
 
 // Machine is the simulated node.
