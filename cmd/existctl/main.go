@@ -163,21 +163,6 @@ func main() {
 		})
 	}
 
-	// Sample the per-shard owner count through the run: distinct replicas
-	// may lead disjoint shard ranges concurrently, but no shard may ever
-	// have two fencing-valid owners at once.
-	maxOwners := 0
-	var sample func(now simtime.Time)
-	sample = func(now simtime.Time) {
-		for s := 0; s < c.API.Shards(); s++ {
-			maxOwners = max(maxOwners, c.ActiveOwnersShard(s, now))
-		}
-		if now < 5*simtime.Second {
-			c.Eng.AfterDetached(10*simtime.Millisecond, sample)
-		}
-	}
-	c.Eng.AfterDetached(10*simtime.Millisecond, sample)
-
 	c.Run(5 * simtime.Second)
 
 	fmt.Printf("existctl: request phase: %s %s\n", req.Phase, req.Message)
@@ -211,7 +196,9 @@ func main() {
 	fmt.Printf("  leader availability       %.4f (%d leadership gaps)\n", avail, gaps)
 	fmt.Printf("  elections / failovers     %d / %d\n", c.Leases.Elections(), c.Leases.Failovers())
 	fmt.Printf("  mean re-adopt time        %.1f ms over %d re-adoptions\n", metrics.Mean(c.Readopts), len(c.Readopts))
-	fmt.Printf("  max owners of any shard   %d (must be 1)\n", maxOwners)
+	// Distinct replicas may lead disjoint shard ranges at once, but no
+	// shard may ever have two fencing-valid owners.
+	fmt.Printf("  max owners of any shard   %d (must be 1)\n", c.Safety().MaxOwners)
 	if *shards > 1 {
 		elapsed := c.Eng.Now().Seconds()
 		fmt.Printf("existctl: shard scaling summary (%d shards):\n", *shards)

@@ -117,6 +117,9 @@ type TraceRequest struct {
 	usedNodes  coverage.NodeSet
 	period     simtime.Duration
 	cancelling bool
+	// expired marks a request its deadline ended: its in-flight slots
+	// were abandoned, so the slot rule exempts what it left pending.
+	expired    bool
 	deadlineEv *simtime.Event
 	// resampleSlots records lost session slots (by re-sampling attempt).
 	// The record lives on the object — not in controller memory — so a
@@ -203,22 +206,23 @@ func (a *APIServer) Watch(fn func(*TraceRequest)) {
 	a.watchers = append(a.watchers, fn)
 }
 
-// setPhase transitions a request and notifies watchers.
+// setPhase transitions a request and notifies watchers. A terminal
+// phase is final: leaving it is a programming error and panics.
 func (a *APIServer) setPhase(r *TraceRequest, phase Phase, msg string) {
 	if r.Phase == phase {
 		return
 	}
+	if r.Phase.Terminal() {
+		panic(fmt.Sprintf("cluster: request %s cannot leave terminal phase %s for %s", r.Name, r.Phase, phase))
+	}
 	s := a.shards[r.shard]
 	s.mu.Lock()
-	wasTerminal := r.Phase.Terminal()
 	r.Phase = phase
 	if msg != "" {
 		r.Message = msg
 	}
-	if !wasTerminal && phase.Terminal() {
+	if phase.Terminal() {
 		s.live--
-	} else if wasTerminal && !phase.Terminal() {
-		s.live++
 	}
 	a.bumpLocked(s, r)
 	a.emitLocked(s, EventModified, r)
@@ -631,6 +635,9 @@ type Cluster struct {
 	// Readopts samples, in milliseconds, how long each leadership
 	// change took to re-adopt every in-flight request.
 	Readopts []float64
+	// maxOwners and ownersErr record the owner rule (see Safety).
+	maxOwners int
+	ownersErr error
 
 	profiles map[string]workload.Profile
 	// apps holds one bitset per deployed app: bit i is set when the app
@@ -1245,6 +1252,7 @@ func (c *Cluster) expire(r *TraceRequest, now simtime.Time) {
 	if r.Phase.Terminal() {
 		return
 	}
+	r.expired = true
 	if len(r.SessionKeys) > 0 {
 		c.terminate(r, PhaseDegraded, fmt.Sprintf(
 			"deadline exceeded: %d/%d sessions captured", len(r.SessionKeys), r.Planned))

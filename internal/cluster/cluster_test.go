@@ -22,8 +22,8 @@ func TestObjectStore(t *testing.T) {
 	put("sessions/a", []byte{1, 2, 3})
 	put("sessions/b", []byte{4})
 	put("other/c", []byte{5})
-	if o.Bytes() != 5 || o.Puts() != 3 {
-		t.Fatalf("accounting: %d bytes, %d puts", o.Bytes(), o.Puts())
+	if o.Bytes() != 5 || len(o.List("")) != 3 {
+		t.Fatalf("accounting: %d bytes, %d keys", o.Bytes(), len(o.List("")))
 	}
 	put("sessions/a", []byte{9, 9}) // replace
 	if o.Bytes() != 4 {
@@ -118,8 +118,8 @@ func TestEndToEndTraceRequest(t *testing.T) {
 	if len(req.SessionKeys) != 3 {
 		t.Fatalf("sessions = %v", req.SessionKeys)
 	}
-	if c.OSS.Puts() != 3 || c.OSS.Bytes() == 0 {
-		t.Fatalf("OSS: %d puts, %d bytes", c.OSS.Puts(), c.OSS.Bytes())
+	if c.Uploads.Batches != 3 || c.OSS.Bytes() == 0 {
+		t.Fatalf("OSS: %d puts, %d bytes", c.Uploads.Batches, c.OSS.Bytes())
 	}
 	// Sessions must round-trip from the object store.
 	for _, key := range req.SessionKeys {

@@ -274,10 +274,14 @@ func (ct *Controller) electTick(now simtime.Time) {
 				ct.disownShard(s)
 				continue
 			}
-			if token != ct.tokens[s] {
+			fresh := token != ct.tokens[s]
+			ct.tokens[s] = token
+			// A renewal can make a lapsed claim valid again (clock
+			// skew), so it is recorded like an acquisition.
+			c.noteOwners(s, now)
+			if fresh {
 				// Our lease lapsed unnoticed and we re-acquired: a new
 				// ownership incarnation for this shard.
-				ct.tokens[s] = token
 				newly = append(newly, s)
 				continue
 			}
@@ -304,6 +308,7 @@ func (ct *Controller) electTick(now simtime.Time) {
 		ct.owned[s] = true
 		ct.nOwned++
 		ct.tokens[s] = token
+		c.noteOwners(s, now)
 		newly = append(newly, s)
 	}
 	if len(newly) > 0 {

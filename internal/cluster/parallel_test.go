@@ -79,7 +79,7 @@ func runScenario(t *testing.T, jobs int) scenarioSnapshot {
 	c.Run(6 * simtime.Second)
 
 	snap := scenarioSnapshot{
-		puts:      c.OSS.Puts(),
+		puts:      c.Uploads.Batches,
 		bytes:     c.OSS.Bytes(),
 		agg:       c.ODPS.AggregateApp("Agent"),
 		resamples: c.Mgmt.Resamples,

@@ -127,10 +127,7 @@ func TestSessionLossDegradesToPartialCoverage(t *testing.T) {
 		}
 	}
 	// Slot accounting: every planned slot either landed or was given up.
-	if req.Lost+len(req.SessionKeys) != req.Planned {
-		t.Fatalf("slots: lost %d + landed %d != planned %d",
-			req.Lost, len(req.SessionKeys), req.Planned)
-	}
+	checkSafety(t, c)
 	if got := req.CoverageFraction(); got < 0 || got > 1 {
 		t.Fatalf("coverage fraction %v", got)
 	}
@@ -194,6 +191,9 @@ func TestNodeCrashLeaseExpiryAndResample(t *testing.T) {
 	}
 }
 
+// TestDeadlineForcesTerminalPhase pins deadline expiry: a request that
+// never starts, and one whose windows outlive its deadline, both end
+// terminal at the deadline.
 func TestDeadlineForcesTerminalPhase(t *testing.T) {
 	// A permanently stalled controller never even starts the request; the
 	// deadline still forces a terminal phase instead of a hang.
@@ -215,6 +215,23 @@ func TestDeadlineForcesTerminalPhase(t *testing.T) {
 	if c.Mgmt.Stalls == 0 {
 		t.Fatal("no stalls recorded")
 	}
+
+	// A deadline that ends a Running request mid-window abandons its
+	// in-flight slots: the slot rule exempts exactly those.
+	c = faultyCluster(t, 2, faults.Config{Seed: 2})
+	slow, err := c.Request("slow", TraceRequestSpec{
+		App: "Agent", Period: 2 * simtime.Second,
+		Deadline: 500 * simtime.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Run(3 * simtime.Second)
+	if slow.Phase != PhaseFailed || slow.Planned == 0 || slow.pending != slow.Planned {
+		t.Fatalf("phase %s, %d of %d slots pending, want Failed with every slot abandoned",
+			slow.Phase, slow.pending, slow.Planned)
+	}
+	checkSafety(t, c)
 }
 
 // TestBusyTracerWaitsInsteadOfLosingSlots pins the busy-tracer contract:

@@ -1,0 +1,68 @@
+package cluster
+
+import (
+	"fmt"
+	"strings"
+	"testing"
+)
+
+// TestSafetyRules pins the slot and key rules on hand-built requests:
+// each case wants its counts and the first broken rule Err names.
+func TestSafetyRules(t *testing.T) {
+	done := TraceRequest{Name: "done", Planned: 2, SessionKeys: []string{"k1", "k2"}}
+	cases := []struct {
+		name       string
+		reqs       []TraceRequest
+		dup, unres int
+		err        string // substring of Err; empty: every rule holds
+	}{
+		{name: "clean", reqs: []TraceRequest{done}},
+		{name: "duplicated key", reqs: []TraceRequest{done, {Name: "dup", Planned: 1, SessionKeys: []string{"k2"}}},
+			dup: 1, err: "request dup: session key k2 landed twice"},
+		{name: "short slot", reqs: []TraceRequest{{Name: "short", Planned: 3, SessionKeys: []string{"k3"}, Lost: 1, pending: 1}},
+			unres: 1, err: "request short: 1 of 3 planned slots unresolved"},
+		{name: "expired slot is exempt", reqs: []TraceRequest{{Name: "expired", Planned: 4, pending: 4, expired: true}}},
+		{name: "over-landed slot", reqs: []TraceRequest{{Name: "over", Planned: 1, SessionKeys: []string{"k4", "k5"}, pending: -1}},
+			unres: 1, err: "request over: 2 landed + 0 lost exceed 1 planned"},
+	}
+	for _, tc := range cases {
+		c := &Cluster{API: NewAPIServer()}
+		for _, b := range tc.reqs {
+			r, err := c.API.Create(b.Name, TraceRequestSpec{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			r.Planned, r.SessionKeys, r.Lost, r.pending, r.expired = b.Planned, b.SessionKeys, b.Lost, b.pending, b.expired
+		}
+		s := c.Safety()
+		err := s.Err()
+		if s.DupKeys != tc.dup || s.Unresolved != tc.unres || (err == nil) != (tc.err == "") ||
+			(err != nil && !strings.Contains(err.Error(), tc.err)) {
+			t.Errorf("%s: Safety() = %+v, Err() = %v; want %d duplicated, %d unresolved, error %q",
+				tc.name, s, err, tc.dup, tc.unres, tc.err)
+		}
+	}
+}
+
+// TestTerminalPhaseIsFinal pins setPhase's legality rule: a Completed
+// request moved back to Running panics, naming the request and both
+// phases, and leaves the shard's live count where completion put it.
+func TestTerminalPhaseIsFinal(t *testing.T) {
+	a := NewAPIServer()
+	r, err := a.Create("done", TraceRequestSpec{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	a.setPhase(r, PhaseRunning, "")
+	a.setPhase(r, PhaseCompleted, "")
+	defer func() {
+		msg := fmt.Sprint(recover())
+		if !strings.Contains(msg, "request done cannot leave terminal phase Completed for Running") {
+			t.Errorf("panic %q does not name the request and both phases", msg)
+		}
+		if r.Phase != PhaseCompleted || a.LiveInShard(0) != 0 {
+			t.Errorf("after the refused move: phase %s, %d live", r.Phase, a.LiveInShard(0))
+		}
+	}()
+	a.setPhase(r, PhaseRunning, "")
+}

@@ -46,7 +46,6 @@ type ObjectStore struct {
 	mu       sync.Mutex
 	blobs    map[string][]byte
 	attempts attemptLedger
-	puts     int64
 	inj      *faults.Injector
 	// putsFail caches whether inj can fail a put at all.
 	putsFail bool
@@ -97,7 +96,6 @@ func (o *ObjectStore) PutBatch(batchKey string, keys []string, blobs [][]byte) e
 	for i, key := range keys {
 		o.blobs[key] = blobs[i]
 	}
-	o.puts++
 	return nil
 }
 
@@ -141,13 +139,6 @@ func (o *ObjectStore) Bytes() int64 {
 		n += int64(len(b))
 	}
 	return n
-}
-
-// Puts returns the number of successful uploads.
-func (o *ObjectStore) Puts() int64 {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	return o.puts
 }
 
 // Row is one structured record in the processing store.

@@ -32,7 +32,7 @@ func TestStoreCountersConcurrentWithWrites(t *testing.T) {
 				default:
 				}
 				_ = oss.Bytes()
-				_ = oss.Puts()
+				_ = len(oss.List(""))
 				_ = odps.Len()
 				// Yield so the writers make progress on a single-CPU
 				// -race run; a hot spin here starves them into the
@@ -68,9 +68,8 @@ func TestStoreCountersConcurrentWithWrites(t *testing.T) {
 	close(stop)
 	readersWG.Wait()
 
-	wantPuts := int64(writers * perWriter * 2) // two PutBatch calls each (a batch is one put)
-	if got := oss.Puts(); got != wantPuts {
-		t.Fatalf("Puts() = %d, want %d", got, wantPuts)
+	if got := len(oss.List("")); got != writers*perWriter*3 {
+		t.Fatalf("stored %d keys, want %d", got, writers*perWriter*3)
 	}
 	wantBytes := int64(writers * perWriter * (10 + 4 + 4))
 	if got := oss.Bytes(); got != wantBytes {

@@ -30,7 +30,7 @@ type chaosOutcome struct {
 	elections    int
 	failovers    int
 	readoptMs    float64 // mean time for a new leader to re-adopt all in-flight requests
-	maxLeaders   int     // max concurrently active leaders ever sampled
+	safety       cluster.Safety
 	mgmt         cluster.MgmtStats
 	faults       faults.Stats
 }
@@ -118,13 +118,9 @@ func chaosRuns(cfg Config, nodes int, scenarios []chaosScenario) ([]fleetRun, er
 		if sc.fc != nil {
 			ccfg.Faults = faults.New(*sc.fc)
 		}
-		// The safety probe samples each shard's fencing-valid owner count
-		// through the run; the chaos cluster has one shard, so this is its
-		// leader count.
 		runs[i] = fleetRun{
 			name: "chaos " + sc.name, cfg: ccfg, app: agent, files: files,
-			stop:       simtime.Time(reqN)*simtime.Time(300*simtime.Millisecond) + 15*simtime.Second,
-			sampleFrom: simtime.Time(10 * simtime.Millisecond), sampleEvery: 10 * simtime.Millisecond,
+			stop: simtime.Time(reqN)*simtime.Time(300*simtime.Millisecond) + 15*simtime.Second,
 		}
 	}
 	return runs, nil
@@ -133,7 +129,7 @@ func chaosRuns(cfg Config, nodes int, scenarios []chaosScenario) ([]fleetRun, er
 // readChaos scores one finished chaos fleet.
 func readChaos(_ int, f *fleet) chaosOutcome {
 	c := f.c
-	out := chaosOutcome{tally: f.tally, maxLeaders: f.maxOwners, mgmt: c.Mgmt, faults: c.Cfg.Faults.Stats()}
+	out := chaosOutcome{tally: f.tally, safety: f.safety, mgmt: c.Mgmt, faults: c.Cfg.Faults.Stats()}
 	out.availability, out.gaps = c.Leases.Availability(c.Eng.Now().Seconds())
 	out.elections = c.Leases.Elections()
 	out.failovers = c.Leases.Failovers()
@@ -180,10 +176,10 @@ func runChaosExperiment(cfg Config) (*Result, error) {
 			fmt.Sprintf("%.4f", out.availability),
 			fmt.Sprintf("%d", out.failovers),
 			fmt.Sprintf("%.1f", out.readoptMs),
-			fmt.Sprintf("%d", out.maxLeaders),
+			fmt.Sprintf("%d", out.safety.MaxOwners),
 			fmt.Sprintf("%.3f", out.coverage),
 			fmt.Sprintf("%.3f", retained),
-			fmt.Sprintf("%d/%d", out.dupKeys, out.unacct),
+			fmt.Sprintf("%d/%d", out.safety.DupKeys, out.safety.Unresolved),
 		)
 		tag := tagFor(sc.name)
 		res.Metric("terminal_frac_"+tag, frac(out.terminal, out.requests))
@@ -191,8 +187,8 @@ func runChaosExperiment(cfg Config) (*Result, error) {
 		res.Metric("coverage_retained_"+tag, retained)
 		res.Metric("failovers_"+tag, float64(out.failovers))
 		res.Metric("readopt_ms_"+tag, out.readoptMs)
-		res.Metric("max_leaders_"+tag, float64(out.maxLeaders))
-		res.Metric("dup_sessions_"+tag, float64(out.dupKeys))
+		res.Metric("max_leaders_"+tag, float64(out.safety.MaxOwners))
+		res.Metric("dup_sessions_"+tag, float64(out.safety.DupKeys))
 
 		if sc.name == "full storm" {
 			t2 := &tabular.Table{

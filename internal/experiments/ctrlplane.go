@@ -46,7 +46,7 @@ type ctrlOutcome struct {
 	rebalances  int     // shard ownership handovers after first election
 	relists     int64
 	readoptMs   float64
-	maxOwners   int // max lease-valid owners ever sampled on one shard
+	safety      cluster.Safety
 	faults      faults.Stats
 }
 
@@ -64,7 +64,7 @@ const fileStart = simtime.Time(2 * simtime.Second)
 // fleet. The burst outruns one owner's drain rate, so the single-shard
 // queue builds; sharded owners drain it concurrently. The run goes in
 // 250 ms steps until the burst fully drains (bounded at 90 s), sampling
-// queue depth and shard owners every 20 ms.
+// queue depth every 20 ms.
 func ctrlRun(cfg Config, agent workload.Profile, names []string, cell ctrlCell) fleetRun {
 	ccfg := cluster.DefaultConfig()
 	ccfg.Lite = true
@@ -105,7 +105,7 @@ func ctrlRun(cfg Config, agent workload.Profile, names []string, cell ctrlCell) 
 // cost.
 func readCtrl(_ int, f *fleet) ctrlOutcome {
 	c := f.c
-	out := ctrlOutcome{tally: f.tally, qMean: f.queueMean, qMax: f.queueMax, maxOwners: f.maxOwners,
+	out := ctrlOutcome{tally: f.tally, qMean: f.queueMean, qMax: f.queueMax, safety: f.safety,
 		relists: c.Mgmt.Relists, faults: c.Cfg.Faults.Stats()}
 	out.p50Ms = metrics.Percentile(f.runningMs, 50)
 	out.p99Ms = metrics.Percentile(f.runningMs, 99)
@@ -222,8 +222,8 @@ func runCtrlPlaneExperiment(cfg Config) (*Result, error) {
 				fmt.Sprintf("%.0f", o.syncsPerSec),
 				fmt.Sprintf("%.0f/%d", o.qMean, o.qMax),
 				fmt.Sprintf("%.1f", o.cpuPerReq*1e6),
-				fmt.Sprintf("%d", boolToInt(o.maxOwners > 1)),
-				fmt.Sprintf("%d/%d", o.dupKeys, o.unacct))
+				fmt.Sprintf("%d", boolToInt(o.safety.MaxOwners > 1)),
+				fmt.Sprintf("%d/%d", o.safety.DupKeys, o.safety.Unresolved))
 		case "scale":
 			scale.AddRow(fmt.Sprintf("%d", cc.nodes), cc.rxs(),
 				fmt.Sprintf("%d", o.requests),
@@ -243,15 +243,15 @@ func runCtrlPlaneExperiment(cfg Config) (*Result, error) {
 				fmt.Sprintf("%d", o.relists),
 				fmt.Sprintf("%.1f", o.readoptMs),
 				fmt.Sprintf("%d/%d", o.faults.Leaves, o.faults.Joins),
-				fmt.Sprintf("%d/%d", o.dupKeys, o.unacct))
+				fmt.Sprintf("%d/%d", o.safety.DupKeys, o.safety.Unresolved))
 		}
 		res.Metric("p99_ms_"+tag, o.p99Ms)
 		res.Metric("req_per_s_"+tag, o.reqPerSec)
 		res.Metric("cpu_us_per_req_"+tag, o.cpuPerReq*1e6)
 		if cc.name == "churn" {
 			res.Metric("rebalances_"+tag, float64(o.rebalances))
-			res.Metric("dup_sessions_"+tag, float64(o.dupKeys))
-			res.Metric("unaccounted_"+tag, float64(o.unacct))
+			res.Metric("dup_sessions_"+tag, float64(o.safety.DupKeys))
+			res.Metric("unaccounted_"+tag, float64(o.safety.Unresolved))
 			res.Metric("availability_"+tag, o.avail)
 		}
 	}

@@ -243,7 +243,7 @@ func runFig17(cfg Config) (*Result, error) {
 	outs, err := runFleets(cfg, []fleetRun{{name: "fig17", cfg: ccfg, app: agent,
 		opts: workload.InstallOpts{Walker: true, Scale: 1e-4, Seed: cfg.Seed}, files: files, stop: simtime.Time(total)}},
 		func(_ int, f *fleet) orchestration {
-			return orchestration{f.c.ManagementCores(), f.c.Mgmt.MemMB, f.c.OSS.Puts(), f.c.Uploads.V1Bytes}
+			return orchestration{f.c.ManagementCores(), f.c.Mgmt.MemMB, f.c.Uploads.Batches, f.c.Uploads.V1Bytes}
 		})
 	if err != nil {
 		return nil, err

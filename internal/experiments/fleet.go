@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 	"strconv"
-	"strings"
 
 	"exist/internal/cluster"
 	"exist/internal/coverage"
@@ -36,8 +35,8 @@ type fleetRun struct {
 	// it. The stop test reads sim state at fixed virtual times, so where
 	// the run ends does not depend on -jobs.
 	step simtime.Duration
-	// sampleEvery, when set, samples shard owners and aggregate work-queue
-	// depth every sampleEvery from sampleFrom to the end of the run.
+	// sampleEvery, when set, samples the aggregate work-queue depth every
+	// sampleEvery from sampleFrom to the end of the run.
 	sampleFrom  simtime.Time
 	sampleEvery simtime.Duration
 }
@@ -47,7 +46,7 @@ type fleet struct {
 	c   *cluster.Cluster
 	end simtime.Time // where the run stopped
 	tally
-	maxOwners int     // most fencing-valid owners sampled on one shard
+	safety    cluster.Safety
 	queueMean float64 // mean sampled aggregate work-queue depth
 	queueMax  int
 }
@@ -58,9 +57,10 @@ type fleet struct {
 // parallel.Workers(cfg.Jobs) goroutines, each request is filed at its
 // time, and every filed request is tallied once.
 //
-// A run fails, naming itself, when it breaks a slot invariant: a session
-// key uploaded twice, a planned slot neither landed nor given up outside
-// deadline expiry, or two fencing-valid owners sampled on one shard.
+// A run fails, naming itself, when it breaks a rule cluster.Safety checks:
+// a session key landed twice, a planned slot unresolved at the end on a
+// request its deadline did not end, or two fencing-valid owners of one
+// shard at any instant.
 //
 // read runs on the worker that ran the cluster and should keep only what
 // the experiment uses: the cluster dies with its run.
@@ -112,9 +112,6 @@ func runFleets[T any](cfg Config, runs []fleetRun, read func(i int, f *fleet) T)
 				}
 				queue = append(queue, float64(depth))
 				out.queueMax = max(out.queueMax, depth)
-				for s := 0; s < c.API.Shards(); s++ {
-					out.maxOwners = max(out.maxOwners, c.ActiveOwnersShard(s, now))
-				}
 				c.Eng.AfterDetached(run.sampleEvery, sample)
 			}
 			c.Eng.ScheduleDetached(run.sampleFrom, sample)
@@ -134,9 +131,9 @@ func runFleets[T any](cfg Config, runs []fleetRun, read func(i int, f *fleet) T)
 
 		out.tally = tallyRequests(reqs, waitMs)
 		out.queueMean = metrics.Mean(queue)
-		if out.dupKeys > 0 || out.unacct > 0 || out.maxOwners > 1 {
-			return zero, fmt.Errorf("%s: slot invariant broken: %d duplicated session keys, %d unaccounted slots, %d owners on one shard",
-				run.name, out.dupKeys, out.unacct, out.maxOwners)
+		out.safety = c.Safety()
+		if err := out.safety.Err(); err != nil {
+			return zero, fmt.Errorf("%s: %w", run.name, err)
 		}
 		return read(i, out), nil
 	})
@@ -150,8 +147,6 @@ type tally struct {
 	degraded           int
 	failed             int
 	coverage           float64 // mean CoverageFraction
-	dupKeys            int     // session keys uploaded more than once
-	unacct             int     // planned slots neither landed nor given up, outside deadline expiry
 	// runningMs holds filing→first Running latencies, in filing order, of
 	// the requests that reached Running.
 	runningMs []float64
@@ -162,7 +157,6 @@ type tally struct {
 func tallyRequests(reqs []*cluster.TraceRequest, waitMs map[*cluster.TraceRequest]float64) tally {
 	t := tally{requests: len(reqs)}
 	var covSum float64
-	seen := make(map[string]bool)
 	for _, r := range reqs {
 		if r.Phase.Terminal() {
 			t.terminal++
@@ -182,28 +176,11 @@ func tallyRequests(reqs []*cluster.TraceRequest, waitMs map[*cluster.TraceReques
 		if ms, ok := waitMs[r]; ok {
 			t.runningMs = append(t.runningMs, ms)
 		}
-		for _, k := range r.SessionKeys {
-			if seen[k] {
-				t.dupKeys++
-			}
-			seen[k] = true
-		}
-		// Deadline expiry abandons in-flight slots by design; otherwise
-		// every planned slot must be landed or given up.
-		if r.Planned > 0 && !expiredByDeadline(r) {
-			t.unacct += max(r.Planned-len(r.SessionKeys)-r.Lost, 0)
-		}
 	}
 	if len(reqs) > 0 {
 		t.coverage = covSum / float64(len(reqs))
 	}
 	return t
-}
-
-// expiredByDeadline reports whether the request was forced terminal by
-// its deadline (abandoning in-flight slots).
-func expiredByDeadline(r *cluster.TraceRequest) bool {
-	return strings.HasPrefix(r.Message, "deadline exceeded")
 }
 
 // allTerminal reports whether every request has reached a terminal phase.

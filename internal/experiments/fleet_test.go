@@ -7,33 +7,29 @@ import (
 	"exist/internal/cluster"
 )
 
-// TestFleetTally pins the request tally on hand-built requests: duplicate
-// session keys and short slots are counted, a deadline-expired request is
-// exempt from slot accounting, and covered means terminal with at least
-// one session landed.
+// TestFleetTally pins the request tally on hand-built requests: covered
+// means terminal with at least one session landed, and only requests
+// that reached Running carry a latency. The slot and key rules are
+// cluster.Safety's (TestSafetyRules).
 func TestFleetTally(t *testing.T) {
 	done := &cluster.TraceRequest{Name: "done", Phase: cluster.PhaseCompleted,
 		Planned: 2, SessionKeys: []string{"k1", "k2"}}
-	dup := &cluster.TraceRequest{Name: "dup", Phase: cluster.PhaseDegraded,
-		Planned: 2, SessionKeys: []string{"k2"}, Lost: 1}
-	short := &cluster.TraceRequest{Name: "short", Phase: cluster.PhaseRunning,
-		Planned: 3, SessionKeys: []string{"k3"}, Lost: 1}
-	expired := &cluster.TraceRequest{Name: "expired", Phase: cluster.PhaseDegraded,
-		Planned: 4, Message: "deadline exceeded after 10s"}
+	partial := &cluster.TraceRequest{Name: "partial", Phase: cluster.PhaseDegraded,
+		Planned: 2, SessionKeys: []string{"k3"}, Lost: 1}
+	running := &cluster.TraceRequest{Name: "running", Phase: cluster.PhaseRunning,
+		Planned: 4, SessionKeys: []string{"k4"}}
 	failed := &cluster.TraceRequest{Name: "failed", Phase: cluster.PhaseFailed}
-	reqs := []*cluster.TraceRequest{done, dup, short, expired, failed}
+	reqs := []*cluster.TraceRequest{done, partial, running, failed}
 
-	got := tallyRequests(reqs, map[*cluster.TraceRequest]float64{done: 1.5, short: 4})
+	got := tallyRequests(reqs, map[*cluster.TraceRequest]float64{done: 1.5, running: 4})
 	want := tally{
-		requests:  5,
-		terminal:  4,
-		covered:   2, // done and dup; short has a key but is not terminal
+		requests:  4,
+		terminal:  3,
+		covered:   2, // done and partial; running has a key but is not terminal
 		completed: 1,
-		degraded:  2,
+		degraded:  1,
 		failed:    1,
-		coverage:  (1 + 0.5 + 1.0/3) / 5,
-		dupKeys:   1, // k2
-		unacct:    1, // short: 3 planned, 1 landed, 1 lost; expired is exempt
+		coverage:  (1 + 0.5 + 0.25) / 4,
 		runningMs: []float64{1.5, 4},
 	}
 	if !reflect.DeepEqual(got, want) {

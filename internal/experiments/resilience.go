@@ -2,11 +2,10 @@ package experiments
 
 import (
 	"fmt"
-	"math"
-	"sort"
 
 	"exist/internal/cluster"
 	"exist/internal/faults"
+	"exist/internal/metrics"
 	"exist/internal/simtime"
 	"exist/internal/tabular"
 	"exist/internal/workload"
@@ -28,48 +27,6 @@ type resilienceRun struct {
 	resamples int64
 	retries   int64
 	hist      map[string]float64 // decoded function histogram
-}
-
-// histMatch is the distribution-overlap accuracy of a decoded function
-// histogram against a reference (string-keyed WeightMatch).
-func histMatch(ref, got map[string]float64) float64 {
-	// All accumulation walks sorted keys: float addition is not associative,
-	// and map order would otherwise wobble the score's last ulp across runs.
-	refKeys := sortedHistKeys(ref)
-	gotKeys := sortedHistKeys(got)
-	var refTotal, gotTotal float64
-	for _, k := range refKeys {
-		refTotal += ref[k]
-	}
-	for _, k := range gotKeys {
-		gotTotal += got[k]
-	}
-	if refTotal == 0 && gotTotal == 0 {
-		return 1
-	}
-	if refTotal == 0 || gotTotal == 0 {
-		return 0
-	}
-	var err float64
-	for _, k := range refKeys {
-		err += math.Abs(ref[k]/refTotal - got[k]/gotTotal)
-	}
-	for _, k := range gotKeys {
-		if _, ok := ref[k]; !ok {
-			err += got[k] / gotTotal
-		}
-	}
-	return (2 - err) / 2
-}
-
-// sortedHistKeys returns a histogram's keys in ascending order.
-func sortedHistKeys(m map[string]float64) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
 }
 
 func runResilience(cfg Config) (*Result, error) {
@@ -140,7 +97,7 @@ func runResilience(cfg Config) (*Result, error) {
 	}
 	levels[0].accuracy = 1
 	for i := 1; i < len(levels); i++ {
-		levels[i].accuracy = histMatch(levels[0].hist, levels[i].hist)
+		levels[i].accuracy = metrics.WeightMatch(levels[0].hist, levels[i].hist)
 	}
 	for li, rate := range lossRates {
 		run := levels[li]

@@ -199,8 +199,8 @@ func clusterNodes(jobs int) func() Fixture {
 					panic(fmt.Sprintf("rows: cluster_nodes request %d did not finish", i))
 				}
 			}
-			if reqs[2].Phase != cluster.PhaseCancelled || c.OSS.Puts() == 0 {
-				panic(fmt.Sprintf("rows: cluster_nodes request 2 ended %s with %d puts", reqs[2].Phase, c.OSS.Puts()))
+			if reqs[2].Phase != cluster.PhaseCancelled || c.Uploads.Batches == 0 {
+				panic(fmt.Sprintf("rows: cluster_nodes request 2 ended %s with %d puts", reqs[2].Phase, c.Uploads.Batches))
 			}
 		}}
 	}

@@ -6,7 +6,9 @@
 package metrics
 
 import (
+	"cmp"
 	"math"
+	"slices"
 	"sort"
 
 	"exist/internal/trace"
@@ -74,13 +76,17 @@ func sameEvent(a, b trace.Event) bool {
 // function-occurrence histograms: each histogram is normalized to sum 1,
 // the error is the L1 distance (maximum 2 when supports are disjoint), and
 // the accuracy is (maxerror - error) / maxerror.
-func WeightMatch(ref, got map[int32]int64) float64 {
+func WeightMatch[K cmp.Ordered, V int64 | float64](ref, got map[K]V) float64 {
+	// Every sum walks sorted keys: float addition is not associative, and
+	// map iteration order would otherwise make the last ulp of the score
+	// vary from run to run.
+	refKeys, gotKeys := sortedKeys(ref), sortedKeys(got)
 	var refTotal, gotTotal float64
-	for _, n := range ref {
-		refTotal += float64(n)
+	for _, k := range refKeys {
+		refTotal += float64(ref[k])
 	}
-	for _, n := range got {
-		gotTotal += float64(n)
+	for _, k := range gotKeys {
+		gotTotal += float64(got[k])
 	}
 	if refTotal == 0 && gotTotal == 0 {
 		return 1
@@ -88,30 +94,25 @@ func WeightMatch(ref, got map[int32]int64) float64 {
 	if refTotal == 0 || gotTotal == 0 {
 		return 0
 	}
-	// Accumulate the L1 error in sorted key order: float addition is not
-	// associative, and map iteration order would otherwise make the last
-	// ulp of the score vary from run to run.
 	var err float64
-	for _, fn := range sortedKeys(ref) {
-		a := float64(ref[fn]) / refTotal
-		b := float64(got[fn]) / gotTotal
-		err += math.Abs(a - b)
+	for _, k := range refKeys {
+		err += math.Abs(float64(ref[k])/refTotal - float64(got[k])/gotTotal)
 	}
-	for _, fn := range sortedKeys(got) {
-		if _, ok := ref[fn]; !ok {
-			err += float64(got[fn]) / gotTotal
+	for _, k := range gotKeys {
+		if _, ok := ref[k]; !ok {
+			err += float64(got[k]) / gotTotal
 		}
 	}
 	return (2 - err) / 2
 }
 
 // sortedKeys returns a histogram's keys in ascending order.
-func sortedKeys(m map[int32]int64) []int32 {
-	keys := make([]int32, 0, len(m))
+func sortedKeys[K cmp.Ordered, V any](m map[K]V) []K {
+	keys := make([]K, 0, len(m))
 	for k := range m {
 		keys = append(keys, k)
 	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
+	slices.Sort(keys)
 	return keys
 }
 

@@ -81,10 +81,16 @@ func TestWeightMatchPartial(t *testing.T) {
 	if acc := WeightMatch(a, b); math.Abs(acc-0.5) > 1e-12 {
 		t.Fatalf("partial weight match = %v, want 0.5", acc)
 	}
+	// String keys and float weights score the same histograms alike.
+	fa := map[string]float64{"f1": 50, "f2": 50}
+	fb := map[string]float64{"f1": 50}
+	if acc := WeightMatch(fa, fb); acc != WeightMatch(a, b) {
+		t.Fatalf("string-keyed weight match = %v, want %v", acc, WeightMatch(a, b))
+	}
 }
 
 func TestWeightMatchEmpty(t *testing.T) {
-	if acc := WeightMatch(nil, nil); acc != 1 {
+	if acc := WeightMatch[int32, int64](nil, nil); acc != 1 {
 		t.Fatalf("both-empty = %v, want 1", acc)
 	}
 	if acc := WeightMatch(map[int32]int64{1: 1}, nil); acc != 0 {
