@@ -11,7 +11,7 @@
 //
 //	existd -app mc -dump /tmp/mc.sess
 //	existdecode -app mc -seed 1 -in /tmp/mc.sess
-//	existdecode -app mc -seed 1 -in /tmp/mc.sess -stats -jobs 4
+//	existdecode -app mc -seed 1 -in /tmp/mc.sess -stats
 package main
 
 import (
@@ -33,7 +33,6 @@ func main() {
 		in      = flag.String("in", "", "serialized session file")
 		top     = flag.Int("top", 10, "how many hottest functions to print")
 		stats   = flag.Bool("stats", false, "print wire-format statistics for the session")
-		jobs    = flag.Int("jobs", 1, "worker count for per-core parallel decode")
 	)
 	flag.Parse()
 	if *appName == "" || *in == "" {
@@ -72,7 +71,7 @@ func main() {
 	}
 
 	prog := node.Program(p, *seed)
-	rec := decode.DecodeParallel(sess, prog, *jobs)
+	rec := decode.Decode(sess, prog)
 	fmt.Print(report.Build(rec, prog, sess, report.Options{TopFuncs: *top}))
 
 	if msg := degradedReport(sess, rec); msg != "" {

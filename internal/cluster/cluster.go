@@ -21,7 +21,6 @@
 package cluster
 
 import (
-	"bytes"
 	"fmt"
 	"slices"
 	"sort"
@@ -113,13 +112,14 @@ type TraceRequest struct {
 	Resampled int
 
 	// pending counts session slots not yet resolved (landed or given up).
-	pending    int
-	usedNodes  coverage.NodeSet
-	period     simtime.Duration
-	cancelling bool
-	// expired marks a request its deadline ended: its in-flight slots
-	// were abandoned, so the slot rule exempts what it left pending.
-	expired    bool
+	pending   int
+	usedNodes coverage.NodeSet
+	period    simtime.Duration
+	// abandoned marks a request its deadline or an operator's Cancel
+	// ended: its in-flight slots were given up, so no landing slot
+	// completes it, no lost slot is re-sampled, and the slot rule exempts
+	// what it left pending.
+	abandoned  bool
 	deadlineEv *simtime.Event
 	// resampleSlots records lost session slots (by re-sampling attempt).
 	// The record lives on the object — not in controller memory — so a
@@ -1252,7 +1252,7 @@ func (c *Cluster) expire(r *TraceRequest, now simtime.Time) {
 	if r.Phase.Terminal() {
 		return
 	}
-	r.expired = true
+	r.abandoned = true
 	if len(r.SessionKeys) > 0 {
 		c.terminate(r, PhaseDegraded, fmt.Sprintf(
 			"deadline exceeded: %d/%d sessions captured", len(r.SessionKeys), r.Planned))
@@ -1487,7 +1487,7 @@ func (c *Cluster) Cancel(r *TraceRequest) {
 	if r.Phase.Terminal() {
 		return
 	}
-	r.cancelling = true
+	r.abandoned = true
 	for _, s := range c.openSessions(r) {
 		s.Cancel() // fires OnDone, which uploads the partial capture
 	}
@@ -1586,10 +1586,9 @@ func (c *Cluster) closeSlot(sl *sessionSlot) {
 				fmt.Sprintf("%s#%d", id, res.Cores[i].Core), res.Cores[i].Data)
 		}
 	}
-	// Marshal reserves room for the raw session and the packed blob is far
-	// smaller; the object store keeps the slice it is handed, so hand it
-	// an exact-size copy instead of pinning the slack.
-	it.blob, it.res = bytes.Clone(res.Marshal()), res
+	// Marshal's blob is exact-size, so the object store, which keeps the
+	// slice it is handed, pins no slack.
+	it.blob, it.res = res.Marshal(), res
 	c.queueUpload(it)
 }
 
@@ -1777,7 +1776,7 @@ func (c *Cluster) backoff(attempt int) simtime.Duration {
 // the last slot lands.
 func (c *Cluster) sessionDone(r *TraceRequest) {
 	r.pending--
-	if r.pending > 0 || r.Phase != PhaseRunning || r.cancelling {
+	if r.pending > 0 || r.Phase != PhaseRunning || r.abandoned {
 		return
 	}
 	switch {

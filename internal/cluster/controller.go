@@ -593,7 +593,7 @@ const resampleMax = 3
 // close on those nodes instead.
 func (ct *Controller) syncRunning(r *TraceRequest, now simtime.Time) {
 	c := ct.c
-	if len(r.resampleSlots) == 0 || r.cancelling {
+	if len(r.resampleSlots) == 0 || r.abandoned {
 		ct.queues[r.shard].Forget(r.Name)
 		return
 	}

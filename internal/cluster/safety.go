@@ -13,8 +13,8 @@ type Safety struct {
 	// DupKeys counts session keys landed more than once.
 	DupKeys int
 	// Unresolved counts planned slots off the books. That is a slot still
-	// pending on a request its deadline did not end, or one resolved past
-	// the plan. start adds one to a request's pending count per planned
+	// pending on a request neither its deadline nor a Cancel ended, or one
+	// resolved past the plan. start adds one to a request's pending count per planned
 	// slot, and uploadLanded and giveUpSlot each take one off, so
 	// len(SessionKeys)+Lost+pending == Planned by construction.
 	Unresolved int
@@ -63,7 +63,7 @@ func (c *Cluster) Safety() Safety {
 			s.Unresolved -= r.pending
 			s.broke(fmt.Errorf("request %s: %d landed + %d lost exceed %d planned",
 				r.Name, len(r.SessionKeys), r.Lost, r.Planned))
-		case r.pending > 0 && !r.expired:
+		case r.pending > 0 && !r.abandoned:
 			s.Unresolved += r.pending
 			s.broke(fmt.Errorf("request %s: %d of %d planned slots unresolved (phase %s)",
 				r.Name, r.pending, r.Planned, r.Phase))

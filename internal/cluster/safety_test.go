@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+
+	"exist/internal/simtime"
 )
 
 // TestSafetyRules pins the slot and key rules on hand-built requests:
@@ -21,7 +23,7 @@ func TestSafetyRules(t *testing.T) {
 			dup: 1, err: "request dup: session key k2 landed twice"},
 		{name: "short slot", reqs: []TraceRequest{{Name: "short", Planned: 3, SessionKeys: []string{"k3"}, Lost: 1, pending: 1}},
 			unres: 1, err: "request short: 1 of 3 planned slots unresolved"},
-		{name: "expired slot is exempt", reqs: []TraceRequest{{Name: "expired", Planned: 4, pending: 4, expired: true}}},
+		{name: "abandoned slot is exempt", reqs: []TraceRequest{{Name: "expired", Planned: 4, pending: 4, abandoned: true}}},
 		{name: "over-landed slot", reqs: []TraceRequest{{Name: "over", Planned: 1, SessionKeys: []string{"k4", "k5"}, pending: -1}},
 			unres: 1, err: "request over: 2 landed + 0 lost exceed 1 planned"},
 	}
@@ -32,7 +34,7 @@ func TestSafetyRules(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			r.Planned, r.SessionKeys, r.Lost, r.pending, r.expired = b.Planned, b.SessionKeys, b.Lost, b.pending, b.expired
+			r.Planned, r.SessionKeys, r.Lost, r.pending, r.abandoned = b.Planned, b.SessionKeys, b.Lost, b.pending, b.abandoned
 		}
 		s := c.Safety()
 		err := s.Err()
@@ -65,4 +67,31 @@ func TestTerminalPhaseIsFinal(t *testing.T) {
 		}
 	}()
 	a.setPhase(r, PhaseRunning, "")
+}
+
+// TestCancelledSlotsExempt cancels a request with 2 s windows at 300 ms,
+// on a 20-node Lite cluster and on a machine cluster whose partial
+// captures upload in batches of four (a batch drops the sessions of a
+// request that ended while it waited). Cancel gives the open slots up, so
+// the slot rule must hold with slots still pending.
+func TestCancelledSlotsExempt(t *testing.T) {
+	for name, c := range map[string]*Cluster{
+		"lite":    liteCluster(t, nil),
+		"machine": batchedCluster(t, 3, 4, nil),
+	} {
+		r, err := c.Request("cancelled", TraceRequestSpec{App: "Agent", Period: 2 * simtime.Second})
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.Run(300 * simtime.Millisecond)
+		c.Cancel(r)
+		c.Run(3 * simtime.Second)
+		if r.Phase != PhaseCancelled || r.pending == 0 {
+			t.Fatalf("%s: phase %s with %d of %d slots pending after Cancel; want Cancelled with some pending",
+				name, r.Phase, r.pending, r.Planned)
+		}
+		if err := c.Safety().Err(); err != nil {
+			t.Errorf("%s: %v", name, err)
+		}
+	}
 }

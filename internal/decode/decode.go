@@ -172,18 +172,16 @@ func (idx *sidecarIndex) tidAt(cpu int, ts simtime.Time) (int32, bool) {
 // Decode reconstructs a whole session against its program binary. A
 // thread's execution is spread over per-core streams as it migrates; the
 // decoder re-serializes each thread's segments by their timestamps so the
-// per-thread event order matches execution order.
+// per-thread event order matches execution order. The cores decode on
+// trace.CoreWorkers workers; the result does not depend on how many.
 func Decode(s *trace.Session, prog *binary.Program) *Result {
-	return decodeCores(s.Cores, &s.Switches, prog, 1, true)
+	return decodeSession(s, prog, trace.CoreWorkers(s.TotalBytes()))
 }
 
-// DecodeParallel is Decode with the per-core packet streams decoded
-// concurrently on up to jobs workers. Per-core results fold in core
-// order, so the output is identical to the serial Decode for any jobs
-// value — including Errors order, PTWrite stream order, and the
-// per-thread event streams.
-func DecodeParallel(s *trace.Session, prog *binary.Program, jobs int) *Result {
-	return decodeCores(s.Cores, &s.Switches, prog, jobs, true)
+// decodeSession is Decode with the cores decoded on up to workers
+// workers.
+func decodeSession(s *trace.Session, prog *binary.Program, workers int) *Result {
+	return decodeCores(s.Cores, &s.Switches, prog, workers, true)
 }
 
 // DecodeStream reconstructs a single core's packet buffer (exported for
@@ -225,71 +223,71 @@ func (s step) event(prog *binary.Program, tid int32) trace.Event {
 // a denser one spills (see decodeCores) rather than fails.
 func arenaWindow(n int) int { return 1 + n*3/5 }
 
-// decodeCores decodes the given core streams on up to jobs workers into
-// one result. Each core writes its events into its own window of one
-// session arena; ordered stable-sorts the segments by timestamp.
-func decodeCores(cores []trace.CoreTrace, log *kernel.SwitchLog, prog *binary.Program, jobs int, ordered bool) *Result {
+// decodeCores decodes the given core streams on up to workers workers
+// into one result. Each core writes its events into its own window of
+// one session arena; ordered stable-sorts the segments by timestamp.
+//
+// Cores are independent until the fold: each worker counts into a tally
+// of its own (the sidecar index is shared read-only), and the tallies are
+// integer sums, so they fold in any order. Each core's stream keeps its
+// own errors, PTWRITEs and counters, and those fold in core order, so the
+// result is the same for any worker count.
+func decodeCores(cores []trace.CoreTrace, log *kernel.SwitchLog, prog *binary.Program, workers int, ordered bool) *Result {
 	idx := buildSidecar(log)
-	offs := make([]int, len(cores)+1)
-	for i := range cores {
-		offs[i+1] = offs[i] + arenaWindow(len(cores[i].Data))
-	}
-	arena := make([]step, offs[len(cores)])
-	window := func(i int) []step { return arena[offs[i]:offs[i]:offs[i+1]] }
-
-	res := newResult()
-	t := newTally(prog)
 	streams := make([]stream, len(cores))
-	if jobs <= 1 || len(cores) <= 1 {
-		for i := range cores {
-			streams[i] = decodeStream(res, t, prog, idx, cores[i], window(i))
+	n := 0
+	for i := range cores {
+		streams[i].off = n
+		n += arenaWindow(len(cores[i].Data))
+	}
+	arena := make([]step, n)
+
+	workers = min(parallel.Workers(workers), max(len(cores), 1))
+	tallies := make([]*tally, workers)
+	tallies[0] = newTally(prog)
+	parallel.ForEachWorker(len(cores), workers, func(w, i int) {
+		if tallies[w] == nil {
+			tallies[w] = newTally(prog)
 		}
-	} else {
-		// Cores are independent until this fold (each gets its own Result
-		// scratch and tally; the sidecar index is shared read-only), and
-		// the fold runs in core order, so the output is identical to the
-		// serial loop: decodeStream touches only additive aggregates and
-		// the append-ordered Errors/PTWrites.
-		type coreOut struct {
-			res   *Result
-			tally *tally
-			st    stream
-		}
-		outs := parallel.Map(len(cores), jobs, func(i int) coreOut {
-			o := coreOut{res: newResult(), tally: newTally(prog)}
-			o.st = decodeStream(o.res, o.tally, prog, idx, cores[i], window(i))
-			return o
-		})
-		for i, o := range outs {
-			res.Merge(o.res)
-			t.add(o.tally)
-			streams[i] = o.st
+		st := &streams[i]
+		decodeStream(st, tallies[w], prog, idx, cores[i], arena[st.off:st.off:st.off+arenaWindow(len(cores[i].Data))])
+	})
+	t := tallies[0]
+	for _, o := range tallies[1:] {
+		if o != nil {
+			t.add(o)
 		}
 	}
+	res := newResult()
 	t.flush(res, prog)
 
 	// A stream denser than its window spilled into an array of its own;
 	// then the arena is rebuilt exactly, core by core.
 	spilled := false
-	events, nsegs := 0, 0
+	nsegs := 0
 	for i := range streams {
-		events += len(streams[i].events)
-		nsegs += len(streams[i].segs)
-		spilled = spilled || len(streams[i].events) > offs[i+1]-offs[i]
-	}
-	if spilled {
-		arena = make([]step, 0, events)
-		for i := range streams {
-			offs[i] = len(arena)
-			arena = append(arena, streams[i].events...)
-		}
+		st := &streams[i]
+		res.Events += int64(len(st.events))
+		res.BytesDecoded += st.bytes
+		res.Resyncs += st.resyncs
+		res.Errors = append(res.Errors, st.errors...)
+		res.PTWrites = append(res.PTWrites, st.ptwrites...)
+		nsegs += len(st.segs)
+		spilled = spilled || len(st.events) > arenaWindow(len(cores[i].Data))
 	}
 	res.prog, res.arena = prog, arena
+	if spilled {
+		res.arena = make([]step, 0, res.Events)
+		for i := range streams {
+			streams[i].off = len(res.arena)
+			res.arena = append(res.arena, streams[i].events...)
+		}
+	}
 	res.segs = make([]segment, 0, nsegs)
 	for i := range streams {
 		for _, sg := range streams[i].segs {
-			sg.start += offs[i]
-			sg.end += offs[i]
+			sg.start += streams[i].off
+			sg.end += streams[i].off
 			res.segs = append(res.segs, sg)
 		}
 	}
@@ -319,7 +317,7 @@ func newTally(prog *binary.Program) *tally {
 	}
 }
 
-// add folds another core's tally into t.
+// add folds another worker's tally into t.
 func (t *tally) add(o *tally) {
 	for i, n := range o.chains {
 		t.chains[i] += n
@@ -376,10 +374,17 @@ type segment struct {
 	start, end int
 }
 
-// stream is one core's decoded events and segments.
+// stream is one core's decode: its events and segments, and the parts
+// of the result that fold in core order.
 type stream struct {
-	events []step
-	segs   []segment
+	// off is the start of the core's window in the session arena.
+	off      int
+	events   []step
+	segs     []segment
+	errors   []string
+	ptwrites []PTWrite
+	bytes    int64
+	resyncs  int64
 }
 
 // silentWalkCap bounds CFG walking between packets; the generator
@@ -393,7 +398,7 @@ const maxResyncs = 64
 
 // decoder holds per-stream state.
 type decoder struct {
-	res       *Result
+	st        *stream
 	tally     *tally
 	prog      *binary.Program
 	silentEnd []binary.BlockID
@@ -405,41 +410,39 @@ type decoder struct {
 	curOK     bool
 	tid       int32
 	lastTSC   simtime.Time
-	// seg is the open segment's index in segs, or -1.
-	seg  int
-	segs []segment
-	// events is the core's window of the session arena; an append past
-	// its capacity spills to a new array.
-	events []step
+	// seg is the open segment's index in st.segs, or -1.
+	seg int
 }
 
-func decodeStream(res *Result, t *tally, prog *binary.Program, idx *sidecarIndex, ct trace.CoreTrace, events []step) stream {
-	d := &decoder{res: res, tally: t, prog: prog, silentEnd: prog.SilentEnds(), entryFunc: prog.EntryFuncs(),
-		idx: idx, core: ct.Core, tid: -1, seg: -1, events: events}
+// decodeStream decodes one core's packets into st, counting visits into
+// t. events is the core's window of the session arena; an append past its
+// capacity spills to a new array.
+func decodeStream(st *stream, t *tally, prog *binary.Program, idx *sidecarIndex, ct trace.CoreTrace, events []step) {
+	st.events = events
+	d := &decoder{st: st, tally: t, prog: prog, silentEnd: prog.SilentEnds(), entryFunc: prog.EntryFuncs(),
+		idx: idx, core: ct.Core, tid: -1, seg: -1}
 	p := ipt.NewParser(ct.Data)
 	if ct.Wrapped {
 		// Ring-buffer output starts mid-stream: resynchronize at a PSB.
 		if !p.Sync() {
-			res.Errors = append(res.Errors, fmt.Sprintf("core %d: wrapped stream has no PSB", ct.Core))
-			return stream{events: d.events}
+			st.errors = append(st.errors, fmt.Sprintf("core %d: wrapped stream has no PSB", ct.Core))
+			return
 		}
 	}
-	resyncs := 0
 	for {
 		pkt, ok, err := p.Next()
 		if err != nil {
 			// A truncated trailing packet is the normal signature of a
 			// compulsory-drop stop; anything mid-stream is a desync.
-			res.Errors = append(res.Errors, fmt.Sprintf("core %d: %v", ct.Core, err))
+			st.errors = append(st.errors, fmt.Sprintf("core %d: %v", ct.Core, err))
 			// Graceful recovery: scan forward to the next PSB and resume
 			// instead of discarding the rest of the buffer. The error
 			// position itself can never parse as a full PSB, so Sync always
 			// makes progress; the cap keeps Errors bounded on garbage.
-			if resyncs >= maxResyncs || !p.Sync() {
+			if st.resyncs >= maxResyncs || !p.Sync() {
 				break
 			}
-			resyncs++
-			res.Resyncs++
+			st.resyncs++
 			d.desync()
 			continue
 		}
@@ -448,16 +451,15 @@ func decodeStream(res *Result, t *tally, prog *binary.Program, idx *sidecarIndex
 		}
 		d.packet(pkt)
 	}
-	res.BytesDecoded += int64(p.Pos())
+	st.bytes = int64(p.Pos())
 	// Close each segment where the next one opens.
-	for i := range d.segs {
-		if i+1 < len(d.segs) {
-			d.segs[i].end = d.segs[i+1].start
+	for i := range st.segs {
+		if i+1 < len(st.segs) {
+			st.segs[i].end = st.segs[i+1].start
 		} else {
-			d.segs[i].end = len(d.events)
+			st.segs[i].end = len(st.events)
 		}
 	}
-	return stream{events: d.events, segs: d.segs}
 }
 
 // desync resets stream-dependent state after a recovery scan: position
@@ -507,7 +509,7 @@ func (d *decoder) packet(pkt ipt.Packet) {
 		d.consumeTIP(pkt.Val)
 	case ipt.PktPTW:
 		if d.tracing {
-			d.res.PTWrites = append(d.res.PTWrites, PTWrite{TID: d.tid, Val: pkt.Val})
+			d.st.ptwrites = append(d.st.ptwrites, PTWrite{TID: d.tid, Val: pkt.Val})
 		}
 	case ipt.PktPSB, ipt.PktPSBEND, ipt.PktMODE, ipt.PktPIP, ipt.PktCYC, ipt.PktPAD, ipt.PktFUP:
 		// Stateless for reconstruction purposes (PAD is also the bulk
@@ -592,8 +594,8 @@ func (d *decoder) consumeTIP(ip uint64) {
 
 // openSegment starts a segment for the current thread at the last TSC.
 func (d *decoder) openSegment() {
-	d.seg = len(d.segs)
-	d.segs = append(d.segs, segment{tid: d.tid, ts: d.lastTSC, start: len(d.events)})
+	d.seg = len(d.st.segs)
+	d.st.segs = append(d.st.segs, segment{tid: d.tid, ts: d.lastTSC, start: len(d.st.events)})
 }
 
 // emit records one reconstructed event into the current segment.
@@ -601,11 +603,10 @@ func (d *decoder) emit(st step) {
 	if d.seg < 0 {
 		d.openSegment()
 	}
-	d.events = append(d.events, st)
-	d.res.Events++
+	d.st.events = append(d.st.events, st)
 }
 
 // err records a decode problem.
 func (d *decoder) err(format string, args ...any) {
-	d.res.Errors = append(d.res.Errors, fmt.Sprintf("core %d: ", d.core)+fmt.Sprintf(format, args...))
+	d.st.errors = append(d.st.errors, fmt.Sprintf("core %d: ", d.core)+fmt.Sprintf(format, args...))
 }

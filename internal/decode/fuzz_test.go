@@ -103,22 +103,22 @@ func fuzzDense(prog *binary.Program, n int) []byte {
 
 // TestArenaSpill decodes a stream denser than its arena window next to
 // an ordinary one: the dense core spills, the arena is rebuilt exactly,
-// and the streams, directions and parallel decode all still agree.
+// and the streams, directions and a two-worker decode all still agree.
 func TestArenaSpill(t *testing.T) {
 	prog := fuzzProgram()
 	sess := &trace.Session{Scale: 1, Cores: []trace.CoreTrace{
 		{Core: 0, Data: fuzzWalk(prog)},
 		{Core: 1, Data: fuzzDense(prog, 64)},
 	}}
-	res := Decode(sess, prog)
+	res := decodeSession(sess, prog, 1)
 	if len(res.Errors) != 0 || res.Events != 6+64*6 {
 		t.Fatalf("decoded %d events, errors %q; want %d", res.Events, res.Errors, 6+64*6)
 	}
 	if len(res.arena) != int(res.Events) {
 		t.Fatalf("arena holds %d steps for %d events: no exact rebuild after the spill", len(res.arena), res.Events)
 	}
-	if digest(DecodeParallel(sess, prog, 2)) != digest(res) {
-		t.Fatal("DecodeParallel diverged from Decode after a spill")
+	if digest(decodeSession(sess, prog, 2)) != digest(res) {
+		t.Fatal("two-worker decode diverged from one worker after a spill")
 	}
 	var n, taken int
 	for _, evs := range res.ByThread() {
@@ -159,8 +159,8 @@ func TestFuzzSeeds(t *testing.T) {
 // FuzzDecodeStream decodes arbitrary packet bytes against fuzzProgram,
 // split over two cores (split picks the cut; flags bits 0 and 1 mark
 // either core's buffer as a wrapped ring) with a fixed sidecar. Decoding
-// must not panic and must terminate, and Decode and DecodeParallel must
-// agree on every aggregate and every thread stream.
+// must not panic and must terminate, and a decode on one worker and on two
+// must agree on every aggregate and every thread stream.
 //
 // Run with: go test -fuzz=FuzzDecodeStream ./internal/decode
 func FuzzDecodeStream(f *testing.F) {
@@ -183,10 +183,10 @@ func FuzzDecodeStream(f *testing.F) {
 			{Core: 0, Data: data[:k], Wrapped: flags&1 != 0},
 			{Core: 1, Data: data[k:], Wrapped: flags&2 != 0},
 		}}
-		want := Decode(sess, prog)
-		got := DecodeParallel(sess, prog, 2)
+		want := decodeSession(sess, prog, 1)
+		got := decodeSession(sess, prog, 2)
 		if digest(got) != digest(want) {
-			t.Fatalf("DecodeParallel diverged from Decode: %d vs %d events, errors %q vs %q",
+			t.Fatalf("two-worker decode diverged from one worker: %d vs %d events, errors %q vs %q",
 				got.Events, want.Events, got.Errors, want.Errors)
 		}
 		if want.BytesDecoded > int64(len(data)) {

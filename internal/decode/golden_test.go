@@ -28,8 +28,8 @@ const decodeGolden = "b7e1f110b0561087431516db0169d96782fc63dd81d0b85d4b3416247b
 // and per-thread streams, on five fixtures: the single-core hotbench
 // session, the same stream fanned out over four cores, one walker-backed
 // Search1 EXIST window captured by a node, the first stream torn, and
-// three small fuzzProgram streams. Decode and
-// DecodeParallel must both produce the recorded digest.
+// three small fuzzProgram streams. Decode on 1, 2 and 8 workers must
+// produce the recorded digest.
 func TestDecodeMatchesReference(t *testing.T) {
 	type fixture struct {
 		sess *trace.Session
@@ -95,21 +95,18 @@ func TestDecodeMatchesReference(t *testing.T) {
 	small.Switches.Add(kernel.SwitchRecord{TS: 200, CPU: 1, PID: 1, TID: 9, Op: kernel.OpIn})
 	fixtures = append(fixtures, fixture{small, fp})
 
-	serial, par := sha256.New(), sha256.New()
-	for i, f := range fixtures {
-		s := Decode(f.sess, f.prog)
-		if s.Events == 0 {
-			t.Fatalf("fixture %d decoded no events", i)
+	for _, w := range workerCounts {
+		h := sha256.New()
+		for i, f := range fixtures {
+			s := decodeSession(f.sess, f.prog, w)
+			if s.Events == 0 {
+				t.Fatalf("fixture %d decoded no events", i)
+			}
+			hashDecode(h, s)
 		}
-		hashDecode(serial, s)
-		hashDecode(par, DecodeParallel(f.sess, f.prog, 3))
-	}
-	got := hex.EncodeToString(serial.Sum(nil))
-	if pgot := hex.EncodeToString(par.Sum(nil)); pgot != got {
-		t.Errorf("DecodeParallel digest %s differs from Decode %s", pgot, got)
-	}
-	if got != decodeGolden {
-		t.Errorf("decode digest %s, want %s", got, decodeGolden)
+		if got := hex.EncodeToString(h.Sum(nil)); got != decodeGolden {
+			t.Errorf("decode digest on %d workers %s, want %s", w, got, decodeGolden)
+		}
 	}
 }
 

@@ -68,16 +68,22 @@ func Workers(n int) int {
 // crash in one sweep cell surfaces in the calling test or tool with the
 // cell's own trace, without burning the remaining items' work first.
 func ForEach(n, workers int, fn func(i int)) {
+	ForEachWorker(n, workers, func(_, i int) { fn(i) })
+}
+
+// ForEachWorker is ForEach whose fn also receives the index w of the
+// worker running item i, in [0, min(Workers(workers), n)). One worker
+// runs its items one at a time, so per-worker scratch indexed by w needs
+// no lock; with one worker every item runs on the calling goroutine, in
+// order.
+func ForEachWorker(n, workers int, fn func(w, i int)) {
 	if n <= 0 {
 		return
 	}
-	workers = Workers(workers)
-	if workers > n {
-		workers = n
-	}
+	workers = min(Workers(workers), n)
 	if workers <= 1 {
 		for i := 0; i < n; i++ {
-			fn(i)
+			fn(0, i)
 		}
 		return
 	}
@@ -112,7 +118,7 @@ func ForEach(n, workers int, fn func(i int)) {
 							panicMu.Unlock()
 						}
 					}()
-					fn(i)
+					fn(w, i)
 				}()
 			}
 		}()

@@ -35,6 +35,38 @@ func TestForEachCoversAllIndices(t *testing.T) {
 	}
 }
 
+// TestForEachWorkerIndexes checks ForEachWorker's worker indexes: each
+// is below min(workers, n), and no two items of one worker overlap, so
+// per-worker scratch needs no lock.
+func TestForEachWorkerIndexes(t *testing.T) {
+	for _, workers := range []int{1, 2, 8} {
+		const n = 500
+		busy := make([]atomic.Int32, workers)
+		hits := make([]atomic.Int32, n)
+		ForEachWorker(n, workers, func(w, i int) {
+			if w < 0 || w >= workers {
+				t.Errorf("workers=%d: item %d ran on worker %d", workers, i, w)
+				return
+			}
+			if busy[w].Add(1) != 1 {
+				t.Errorf("workers=%d: worker %d ran two items at once", workers, w)
+			}
+			hits[i].Add(1)
+			busy[w].Add(-1)
+		})
+		for i := range hits {
+			if got := hits[i].Load(); got != 1 {
+				t.Fatalf("workers=%d: index %d ran %d times", workers, i, got)
+			}
+		}
+	}
+	ForEachWorker(3, 8, func(w, i int) {
+		if w >= 3 {
+			t.Errorf("3 items ran on worker %d", w)
+		}
+	})
+}
+
 func TestForEachEmptyAndTiny(t *testing.T) {
 	ForEach(0, 8, func(int) { t.Fatal("ran on n=0") })
 	ran := false

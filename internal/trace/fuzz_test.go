@@ -11,7 +11,8 @@ import (
 // must reject malformed input with an error — never a panic — and must
 // not size allocations from unvalidated length fields (every make is
 // capped by the remaining reader length, so a lying length can at worst
-// cost a small multiple of the input size).
+// cost a small multiple of the input size). One worker and eight must
+// return the same session or the same error.
 //
 // Run with: go test -fuzz=FuzzUnmarshalSession ./internal/trace
 // The checked-in corpus under testdata/fuzz seeds valid packed blobs so
@@ -49,6 +50,9 @@ func FuzzUnmarshalSession(f *testing.F) {
 			// A session that decodes must re-encode: the writer must not
 			// be panicable from parser-accepted state.
 			_ = got.Marshal()
+		}
+		if one, eight := unmarshalOutcome(data, 1), unmarshalOutcome(data, 8); one != eight {
+			t.Fatalf("eight workers returned\n%.300s\none worker returned\n%.300s", eight, one)
 		}
 	})
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"exist/internal/kernel"
+	"exist/internal/parallel"
 	"exist/internal/wire"
 )
 
@@ -23,8 +24,7 @@ const sessionMagicV2 = 0x45584932 // "EXI2"
 // core payloads and switch records uncompressed. It is the
 // "v1-equivalent bytes" figure the ledgers report next to the bytes
 // actually shipped (cluster Uploads.V1Bytes, existdecode -stats, the
-// datapath table, the benchmark's trace.v1_mb), and Marshal uses it to
-// size its output buffer.
+// datapath table, the benchmark's trace.v1_mb).
 func V1Size(s *Session) int {
 	n := 4 // magic
 	n += 4 + len(s.ID)
@@ -39,13 +39,40 @@ func V1Size(s *Session) int {
 }
 
 // UnmarshalSession parses a session written by Marshal. Slices in the
-// result never alias data: core payloads are unpacked into fresh buffers.
+// result never alias data: core payloads are unpacked into fresh buffers,
+// on CoreWorkers workers.
 func UnmarshalSession(data []byte) (*Session, error) {
+	return unmarshalSession(data, 0)
+}
+
+// unmarshalSession is UnmarshalSession with the core payloads unpacked on
+// up to workers workers (workers <= 0: CoreWorkers of their size). The
+// session or error does not depend on the worker count.
+func unmarshalSession(data []byte, workers int) (*Session, error) {
 	if len(data) < 4 {
 		return nil, fmt.Errorf("trace: session too short (%d bytes)", len(data))
 	}
 	if magic := wire.U32(data); magic != sessionMagicV2 {
 		return nil, fmt.Errorf("trace: bad session magic %#x", magic)
 	}
-	return unmarshalV2(data)
+	return unmarshalV2(data, workers)
+}
+
+// fanOutBytes is the core payload size below which the per-core stages of
+// the read path stay on the calling goroutine. Timed on a shared 2-vCPU
+// x86 host at GOMAXPROCS=2, four equal cores: two workers break even with
+// one at 8 KiB for Marshal, UnmarshalSession and Decode alike, and are
+// 15-40% faster from 20 KiB up. The traced sessions of the benchmarks
+// hold about 20 KiB (Agent, seven cores) or 160-300 KiB (Search1).
+const fanOutBytes = 16 << 10
+
+// CoreWorkers returns how many workers the per-core stages of the read
+// path (Marshal, UnmarshalSession, decode.Decode) split a session with
+// rawBytes of core payload over: every core the runtime schedules on
+// (GOMAXPROCS), or 1 for a session below fanOutBytes.
+func CoreWorkers(rawBytes int64) int {
+	if rawBytes < fanOutBytes {
+		return 1
+	}
+	return parallel.Workers(0)
 }
