@@ -1489,7 +1489,12 @@ func (c *Cluster) Cancel(r *TraceRequest) {
 	}
 	r.abandoned = true
 	for _, s := range c.openSessions(r) {
-		s.Cancel() // fires OnDone, which uploads the partial capture
+		s.Cancel() // fires OnDone, which queues the partial capture
+	}
+	// Ship the queued captures now: a batch drops those of a request that
+	// is terminal by the time it ships.
+	if slices.ContainsFunc(c.pendingUpload, func(it uploadItem) bool { return it.req == r }) {
+		c.flushUploads()
 	}
 	c.terminate(r, PhaseCancelled, "cancelled by operator")
 }

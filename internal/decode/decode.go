@@ -8,6 +8,11 @@
 // (function histogram, categories, memory-access mix) the paper's case
 // study reports and, on request (Result.ByThread), per-thread branch
 // streams directly comparable to the ground truth.
+//
+// Decode builds the profile only: it counts events but keeps none. A
+// Result holds on to the session it was decoded from, and the first
+// ByThread call decodes it again with every event kept, so the session
+// must not be modified in between.
 package decode
 
 import (
@@ -27,7 +32,7 @@ import (
 
 // Result is a reconstruction of one or more packet streams: the
 // aggregate profiles, and for a decoded session its per-thread event
-// streams, which ByThread gathers on first use.
+// streams, which ByThread decodes on first use.
 type Result struct {
 	// FuncEntries is the function occurrence histogram (indirect-call
 	// entries, matching trace.GroundTruth's counting rule).
@@ -55,14 +60,22 @@ type Result struct {
 	// rest of the buffer.
 	Resyncs int64
 
-	// arena holds every event the session decoded, core by core, in
-	// step form; segs index it in execution order. ByThread expands the
-	// streams from them against prog once and then drops both.
-	prog        *binary.Program
-	arena       []step
-	segs        []segment
+	// src is what the result was decoded from. ByThread decodes it again
+	// with events kept, caches the streams and drops src.
+	src         source
 	threadsOnce sync.Once
 	threads     map[int32][]trace.Event
+}
+
+// source is a decode's input, kept for ByThread: the core streams, the
+// sidecar, the program, the worker count, and whether segments are
+// re-serialized by timestamp or keep stream order.
+type source struct {
+	cores   []trace.CoreTrace
+	log     *kernel.SwitchLog
+	prog    *binary.Program
+	workers int
+	ordered bool
 }
 
 // PTWrite is one decoded PTWRITE operand.
@@ -77,27 +90,20 @@ func newResult() *Result {
 }
 
 // ByThread returns each thread's reconstructed event stream, in order:
-// the session's segments re-serialized by timestamp. The streams are
-// gathered on the first call and cached. A merged profile (Merge) has
-// none, and callers that only read the aggregates never pay for them.
+// the session's segments re-serialized by timestamp (DecodeStream's keep
+// stream order). The first call decodes the source again with every
+// event kept and caches the streams, so callers that only read the
+// aggregates never pay for them. The session passed to Decode (or the
+// buffer and sidecar passed to DecodeStream) must not be modified before
+// that first call. A merged profile (Merge) has no streams.
 func (r *Result) ByThread() map[int32][]trace.Event {
 	r.threadsOnce.Do(func() {
-		counts := make(map[int32]int)
-		for _, sg := range r.segs {
-			counts[sg.tid] += sg.end - sg.start
+		var ev events
+		if r.src.prog != nil {
+			_, ev = decodeCores(&r.src, true)
 		}
-		r.threads = make(map[int32][]trace.Event, len(counts))
-		for tid, n := range counts {
-			r.threads[tid] = make([]trace.Event, 0, n)
-		}
-		for _, sg := range r.segs {
-			evs := r.threads[sg.tid]
-			for _, st := range r.arena[sg.start:sg.end] {
-				evs = append(evs, st.event(r.prog, sg.tid))
-			}
-			r.threads[sg.tid] = evs
-		}
-		r.prog, r.arena, r.segs = nil, nil, nil
+		r.threads = ev.byThread()
+		r.src = source{}
 	})
 	return r.threads
 }
@@ -181,7 +187,7 @@ func Decode(s *trace.Session, prog *binary.Program) *Result {
 // decodeSession is Decode with the cores decoded on up to workers
 // workers.
 func decodeSession(s *trace.Session, prog *binary.Program, workers int) *Result {
-	return decodeCores(s.Cores, &s.Switches, prog, workers, true)
+	return decodeProfile(source{cores: s.Cores, log: &s.Switches, prog: prog, workers: workers, ordered: true})
 }
 
 // DecodeStream reconstructs a single core's packet buffer (exported for
@@ -190,7 +196,14 @@ func DecodeStream(prog *binary.Program, log *kernel.SwitchLog, core int, data []
 	if log == nil {
 		log = &kernel.SwitchLog{}
 	}
-	return decodeCores([]trace.CoreTrace{{Core: core, Data: data}}, log, prog, 1, false)
+	return decodeProfile(source{cores: []trace.CoreTrace{{Core: core, Data: data}}, log: log, prog: prog, workers: 1})
+}
+
+// decodeProfile decodes src's profile and keeps src for ByThread.
+func decodeProfile(src source) *Result {
+	res, _ := decodeCores(&src, false)
+	res.src = src
+	return res
 }
 
 // step is one decoded event as the arena stores it: the block whose
@@ -223,26 +236,60 @@ func (s step) event(prog *binary.Program, tid int32) trace.Event {
 // a denser one spills (see decodeCores) rather than fails.
 func arenaWindow(n int) int { return 1 + n*3/5 }
 
-// decodeCores decodes the given core streams on up to workers workers
-// into one result. Each core writes its events into its own window of
-// one session arena; ordered stable-sorts the segments by timestamp.
+// events is a decode's kept events: every step, core by core, and the
+// segments that index it in execution order.
+type events struct {
+	prog  *binary.Program
+	arena []step
+	segs  []segment
+}
+
+// byThread expands the segments into per-thread trace.Event streams.
+func (ev events) byThread() map[int32][]trace.Event {
+	counts := make(map[int32]int)
+	for _, sg := range ev.segs {
+		counts[sg.tid] += sg.end - sg.start
+	}
+	threads := make(map[int32][]trace.Event, len(counts))
+	for tid, n := range counts {
+		threads[tid] = make([]trace.Event, 0, n)
+	}
+	for _, sg := range ev.segs {
+		evs := threads[sg.tid]
+		for _, st := range ev.arena[sg.start:sg.end] {
+			evs = append(evs, st.event(ev.prog, sg.tid))
+		}
+		threads[sg.tid] = evs
+	}
+	return threads
+}
+
+// decodeCores decodes src's core streams on up to src.workers workers
+// into one result. Without keep, each core only counts its events. With
+// keep, each core also writes them into its own window of one session
+// arena and opens a segment per traced span, and the events come back
+// with the segments stable-sorted by timestamp when src is ordered.
 //
 // Cores are independent until the fold: each worker counts into a tally
 // of its own (the sidecar index is shared read-only), and the tallies are
 // integer sums, so they fold in any order. Each core's stream keeps its
 // own errors, PTWRITEs and counters, and those fold in core order, so the
-// result is the same for any worker count.
-func decodeCores(cores []trace.CoreTrace, log *kernel.SwitchLog, prog *binary.Program, workers int, ordered bool) *Result {
-	idx := buildSidecar(log)
+// result is the same for any worker count, with or without keep.
+func decodeCores(src *source, keep bool) (*Result, events) {
+	cores, prog := src.cores, src.prog
+	idx := buildSidecar(src.log)
 	streams := make([]stream, len(cores))
-	n := 0
-	for i := range cores {
-		streams[i].off = n
-		n += arenaWindow(len(cores[i].Data))
+	var arena []step
+	if keep {
+		n := 0
+		for i := range cores {
+			streams[i].off = n
+			n += arenaWindow(len(cores[i].Data))
+		}
+		arena = make([]step, n)
 	}
-	arena := make([]step, n)
 
-	workers = min(parallel.Workers(workers), max(len(cores), 1))
+	workers := min(parallel.Workers(src.workers), max(len(cores), 1))
 	tallies := make([]*tally, workers)
 	tallies[0] = newTally(prog)
 	parallel.ForEachWorker(len(cores), workers, func(w, i int) {
@@ -250,7 +297,10 @@ func decodeCores(cores []trace.CoreTrace, log *kernel.SwitchLog, prog *binary.Pr
 			tallies[w] = newTally(prog)
 		}
 		st := &streams[i]
-		decodeStream(st, tallies[w], prog, idx, cores[i], arena[st.off:st.off:st.off+arenaWindow(len(cores[i].Data))])
+		if keep {
+			st.events = arena[st.off : st.off : st.off+arenaWindow(len(cores[i].Data))]
+		}
+		decodeStream(st, tallies[w], prog, idx, cores[i], keep)
 	})
 	t := tallies[0]
 	for _, o := range tallies[1:] {
@@ -267,34 +317,37 @@ func decodeCores(cores []trace.CoreTrace, log *kernel.SwitchLog, prog *binary.Pr
 	nsegs := 0
 	for i := range streams {
 		st := &streams[i]
-		res.Events += int64(len(st.events))
+		res.Events += st.n
 		res.BytesDecoded += st.bytes
 		res.Resyncs += st.resyncs
 		res.Errors = append(res.Errors, st.errors...)
 		res.PTWrites = append(res.PTWrites, st.ptwrites...)
 		nsegs += len(st.segs)
-		spilled = spilled || len(st.events) > arenaWindow(len(cores[i].Data))
+		spilled = spilled || st.n > int64(arenaWindow(len(cores[i].Data)))
 	}
-	res.prog, res.arena = prog, arena
+	if !keep {
+		return res, events{}
+	}
+	ev := events{prog: prog, arena: arena}
 	if spilled {
-		res.arena = make([]step, 0, res.Events)
+		ev.arena = make([]step, 0, res.Events)
 		for i := range streams {
-			streams[i].off = len(res.arena)
-			res.arena = append(res.arena, streams[i].events...)
+			streams[i].off = len(ev.arena)
+			ev.arena = append(ev.arena, streams[i].events...)
 		}
 	}
-	res.segs = make([]segment, 0, nsegs)
+	ev.segs = make([]segment, 0, nsegs)
 	for i := range streams {
 		for _, sg := range streams[i].segs {
 			sg.start += streams[i].off
 			sg.end += streams[i].off
-			res.segs = append(res.segs, sg)
+			ev.segs = append(ev.segs, sg)
 		}
 	}
-	if ordered {
-		slices.SortStableFunc(res.segs, func(a, b segment) int { return cmp.Compare(a.ts, b.ts) })
+	if src.ordered {
+		slices.SortStableFunc(ev.segs, func(a, b segment) int { return cmp.Compare(a.ts, b.ts) })
 	}
-	return res
+	return res, ev
 }
 
 // tally defers per-visit accounting to one pass per decode. The silent
@@ -374,11 +427,12 @@ type segment struct {
 	start, end int
 }
 
-// stream is one core's decode: its events and segments, and the parts
-// of the result that fold in core order.
+// stream is one core's decode: its event count, its events and segments
+// when kept, and the parts of the result that fold in core order.
 type stream struct {
 	// off is the start of the core's window in the session arena.
 	off      int
+	n        int64
 	events   []step
 	segs     []segment
 	errors   []string
@@ -410,17 +464,18 @@ type decoder struct {
 	curOK     bool
 	tid       int32
 	lastTSC   simtime.Time
+	// keep records events and segments, not just the count.
+	keep bool
 	// seg is the open segment's index in st.segs, or -1.
 	seg int
 }
 
 // decodeStream decodes one core's packets into st, counting visits into
-// t. events is the core's window of the session arena; an append past its
-// capacity spills to a new array.
-func decodeStream(st *stream, t *tally, prog *binary.Program, idx *sidecarIndex, ct trace.CoreTrace, events []step) {
-	st.events = events
+// t. With keep, st.events is the core's window of the session arena; an
+// append past its capacity spills to a new array.
+func decodeStream(st *stream, t *tally, prog *binary.Program, idx *sidecarIndex, ct trace.CoreTrace, keep bool) {
 	d := &decoder{st: st, tally: t, prog: prog, silentEnd: prog.SilentEnds(), entryFunc: prog.EntryFuncs(),
-		idx: idx, core: ct.Core, tid: -1, seg: -1}
+		idx: idx, core: ct.Core, tid: -1, keep: keep, seg: -1}
 	p := ipt.NewParser(ct.Data)
 	if ct.Wrapped {
 		// Ring-buffer output starts mid-stream: resynchronize at a PSB.
@@ -489,7 +544,9 @@ func (d *decoder) packet(pkt ipt.Packet) {
 		} else {
 			d.tid = -1
 		}
-		d.openSegment()
+		if d.keep {
+			d.openSegment()
+		}
 	case ipt.PktTIPPGD:
 		d.tracing = false
 		d.curOK = false
@@ -598,8 +655,13 @@ func (d *decoder) openSegment() {
 	d.st.segs = append(d.st.segs, segment{tid: d.tid, ts: d.lastTSC, start: len(d.st.events)})
 }
 
-// emit records one reconstructed event into the current segment.
+// emit counts one reconstructed event and, with keep, records it into
+// the current segment.
 func (d *decoder) emit(st step) {
+	d.st.n++
+	if !d.keep {
+		return
+	}
 	if d.seg < 0 {
 		d.openSegment()
 	}

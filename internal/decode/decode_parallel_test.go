@@ -3,6 +3,7 @@ package decode
 import (
 	"testing"
 
+	"exist/internal/binary"
 	"exist/internal/hotbench"
 	"exist/internal/kernel"
 	"exist/internal/trace"
@@ -31,9 +32,8 @@ func TestDecodeParallelMatchesSerial(t *testing.T) {
 
 // TestDecodeParallelMultiCore decodes sessions whose cores carry
 // distinct streams on 1, 2 and 8 workers: the hotbench stream on four
-// cores, and fuzzProgram streams that are wrapped, torn, spilled, or a
-// wrapped ring with no PSB at all, each between clean ones so the errors
-// of several cores interleave in core order.
+// cores, and mixedSession, whose dense core spills when ByThread decodes
+// it with events kept.
 func TestDecodeParallelMultiCore(t *testing.T) {
 	prog := hotbench.Program(2)
 	base := hotbench.Session(prog, 2, 1_000_000)
@@ -53,6 +53,27 @@ func TestDecodeParallelMultiCore(t *testing.T) {
 	}
 
 	fp := fuzzProgram()
+	mixed := mixedSession(fp)
+	want = decodeSession(mixed, fp, 1)
+	if _, ev := decodeCores(&want.src, true); len(want.Errors) < 3 || len(ev.arena) != int(want.Events) {
+		t.Fatalf("mixed session: errors %q, %d arena steps for %d events; want errors on three cores and a spill",
+			want.Errors, len(ev.arena), want.Events)
+	}
+	if n := streamLen(want.ByThread()); n != want.Events {
+		t.Fatalf("mixed session: %d events, streams hold %d", want.Events, n)
+	}
+	for _, w := range workerCounts[1:] {
+		got := decodeSession(mixed, fp, w)
+		if digest(got) != digest(want) {
+			t.Fatalf("mixed session on %d workers diverged from one worker: errors %q, want %q", w, got.Errors, want.Errors)
+		}
+	}
+}
+
+// mixedSession is seven cores of fuzzProgram streams that are wrapped,
+// torn, spilled, or a wrapped ring with no PSB at all, each between clean
+// ones so the errors of several cores interleave in core order.
+func mixedSession(fp *binary.Program) *trace.Session {
 	walk := fuzzWalk(fp)
 	torn := append([]byte(nil), walk...)
 	torn[len(torn)/2] ^= 0xff
@@ -70,15 +91,5 @@ func TestDecodeParallelMultiCore(t *testing.T) {
 	for cpu := int32(0); cpu < 7; cpu++ {
 		mixed.Switches.Add(kernel.SwitchRecord{TS: 0, CPU: cpu, PID: 1, TID: 1 + cpu%3, Op: kernel.OpIn})
 	}
-	want = decodeSession(mixed, fp, 1)
-	if len(want.Errors) < 3 || len(want.arena) != int(want.Events) {
-		t.Fatalf("mixed session: errors %q, %d arena steps for %d events; want errors on three cores and a spill",
-			want.Errors, len(want.arena), want.Events)
-	}
-	for _, w := range workerCounts[1:] {
-		got := decodeSession(mixed, fp, w)
-		if digest(got) != digest(want) {
-			t.Fatalf("mixed session on %d workers diverged from one worker: errors %q, want %q", w, got.Errors, want.Errors)
-		}
-	}
+	return mixed
 }

@@ -102,8 +102,9 @@ func fuzzDense(prog *binary.Program, n int) []byte {
 }
 
 // TestArenaSpill decodes a stream denser than its arena window next to
-// an ordinary one: the dense core spills, the arena is rebuilt exactly,
-// and the streams, directions and a two-worker decode all still agree.
+// an ordinary one: when ByThread keeps the events, the dense core spills,
+// the arena is rebuilt exactly, and the streams, directions and a
+// two-worker decode all still agree.
 func TestArenaSpill(t *testing.T) {
 	prog := fuzzProgram()
 	sess := &trace.Session{Scale: 1, Cores: []trace.CoreTrace{
@@ -114,8 +115,8 @@ func TestArenaSpill(t *testing.T) {
 	if len(res.Errors) != 0 || res.Events != 6+64*6 {
 		t.Fatalf("decoded %d events, errors %q; want %d", res.Events, res.Errors, 6+64*6)
 	}
-	if len(res.arena) != int(res.Events) {
-		t.Fatalf("arena holds %d steps for %d events: no exact rebuild after the spill", len(res.arena), res.Events)
+	if _, ev := decodeCores(&res.src, true); len(ev.arena) != int(res.Events) {
+		t.Fatalf("arena holds %d steps for %d events: no exact rebuild after the spill", len(ev.arena), res.Events)
 	}
 	if digest(decodeSession(sess, prog, 2)) != digest(res) {
 		t.Fatal("two-worker decode diverged from one worker after a spill")
@@ -156,38 +157,63 @@ func TestFuzzSeeds(t *testing.T) {
 	}
 }
 
-// FuzzDecodeStream decodes arbitrary packet bytes against fuzzProgram,
-// split over two cores (split picks the cut; flags bits 0 and 1 mark
-// either core's buffer as a wrapped ring) with a fixed sidecar. Decoding
-// must not panic and must terminate, and a decode on one worker and on two
-// must agree on every aggregate and every thread stream.
+// fuzzSeed is one FuzzDecodeStream input.
+type fuzzSeed struct {
+	data  []byte
+	split uint16
+	flags uint8
+}
+
+// fuzzSeeds are FuzzDecodeStream's seed corpus: a clean walk split
+// mid-stream, the walk on one core with both buffers wrapped, the silent
+// cycle, and a dense stream that spills next to the walk.
+func fuzzSeeds(prog *binary.Program) []fuzzSeed {
+	walk, cycle, dense := fuzzWalk(prog), fuzzCycle(prog), fuzzDense(prog, 16)
+	return []fuzzSeed{
+		{walk, uint16(len(walk) / 2), 0},
+		{walk, uint16(len(walk)), 3},
+		{cycle, uint16(len(cycle) / 3), 0},
+		{append(dense, walk...), uint16(len(dense)), 0},
+	}
+}
+
+// fuzzSession splits data over two cores (split picks the cut; flags
+// bits 0 and 1 mark either core's buffer as a wrapped ring) with a fixed
+// sidecar.
+func fuzzSession(data []byte, split uint16, flags uint8) *trace.Session {
+	k := int(split) % (len(data) + 1)
+	sess := &trace.Session{Scale: 1, Cores: []trace.CoreTrace{
+		{Core: 0, Data: data[:k], Wrapped: flags&1 != 0},
+		{Core: 1, Data: data[k:], Wrapped: flags&2 != 0},
+	}}
+	sess.Switches.Add(kernel.SwitchRecord{TS: 0, CPU: 0, PID: 1, TID: 1, Op: kernel.OpIn})
+	sess.Switches.Add(kernel.SwitchRecord{TS: 0, CPU: 1, PID: 1, TID: 2, Op: kernel.OpIn})
+	sess.Switches.Add(kernel.SwitchRecord{TS: 100, CPU: 0, PID: 1, TID: 3, Op: kernel.OpIn})
+	sess.Switches.Add(kernel.SwitchRecord{TS: 100, CPU: 1, PID: 1, TID: 1, Op: kernel.OpIn})
+	return sess
+}
+
+// FuzzDecodeStream decodes arbitrary packet bytes against fuzzProgram as
+// a fuzzSession. Decoding must not panic and must terminate, a decode on
+// one worker and on two must agree on every aggregate and every thread
+// stream, and Events must be the streams' total length.
 //
 // Run with: go test -fuzz=FuzzDecodeStream ./internal/decode
 func FuzzDecodeStream(f *testing.F) {
 	prog := fuzzProgram()
-	walk, cycle, dense := fuzzWalk(prog), fuzzCycle(prog), fuzzDense(prog, 16)
-	f.Add(walk, uint16(len(walk)/2), uint8(0))
-	f.Add(walk, uint16(len(walk)), uint8(3))
-	f.Add(cycle, uint16(len(cycle)/3), uint8(0))
-	f.Add(append(dense, walk...), uint16(len(dense)), uint8(0))
-
-	var sidecar kernel.SwitchLog
-	sidecar.Add(kernel.SwitchRecord{TS: 0, CPU: 0, PID: 1, TID: 1, Op: kernel.OpIn})
-	sidecar.Add(kernel.SwitchRecord{TS: 0, CPU: 1, PID: 1, TID: 2, Op: kernel.OpIn})
-	sidecar.Add(kernel.SwitchRecord{TS: 100, CPU: 0, PID: 1, TID: 3, Op: kernel.OpIn})
-	sidecar.Add(kernel.SwitchRecord{TS: 100, CPU: 1, PID: 1, TID: 1, Op: kernel.OpIn})
-
+	for _, s := range fuzzSeeds(prog) {
+		f.Add(s.data, s.split, s.flags)
+	}
 	f.Fuzz(func(t *testing.T, data []byte, split uint16, flags uint8) {
-		k := int(split) % (len(data) + 1)
-		sess := &trace.Session{Scale: 1, Switches: sidecar, Cores: []trace.CoreTrace{
-			{Core: 0, Data: data[:k], Wrapped: flags&1 != 0},
-			{Core: 1, Data: data[k:], Wrapped: flags&2 != 0},
-		}}
+		sess := fuzzSession(data, split, flags)
 		want := decodeSession(sess, prog, 1)
 		got := decodeSession(sess, prog, 2)
 		if digest(got) != digest(want) {
 			t.Fatalf("two-worker decode diverged from one worker: %d vs %d events, errors %q vs %q",
 				got.Events, want.Events, got.Errors, want.Errors)
+		}
+		if n := streamLen(want.ByThread()); n != want.Events {
+			t.Fatalf("decoded %d events, streams hold %d", want.Events, n)
 		}
 		if want.BytesDecoded > int64(len(data)) {
 			t.Fatalf("decoded %d bytes of %d", want.BytesDecoded, len(data))

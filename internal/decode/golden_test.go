@@ -25,18 +25,38 @@ import (
 const decodeGolden = "b7e1f110b0561087431516db0169d96782fc63dd81d0b85d4b3416247b7e1e04"
 
 // TestDecodeMatchesReference pins the decoder's whole output, aggregates
-// and per-thread streams, on five fixtures: the single-core hotbench
-// session, the same stream fanned out over four cores, one walker-backed
-// Search1 EXIST window captured by a node, the first stream torn, and
-// three small fuzzProgram streams. Decode on 1, 2 and 8 workers must
-// produce the recorded digest.
+// and per-thread streams, on the decodeFixtures sessions. Decode on 1, 2
+// and 8 workers must produce the recorded digest.
 func TestDecodeMatchesReference(t *testing.T) {
-	type fixture struct {
-		sess *trace.Session
-		prog *binary.Program
+	fixtures := decodeFixtures(t)
+	for _, w := range workerCounts {
+		h := sha256.New()
+		for i, f := range fixtures {
+			s := decodeSession(f.sess, f.prog, w)
+			if s.Events == 0 {
+				t.Fatalf("fixture %d decoded no events", i)
+			}
+			hashDecode(h, s)
+		}
+		if got := hex.EncodeToString(h.Sum(nil)); got != decodeGolden {
+			t.Errorf("decode digest on %d workers %s, want %s", w, got, decodeGolden)
+		}
 	}
-	var fixtures []fixture
+}
 
+// fixture is a session and the program it decodes against.
+type fixture struct {
+	sess *trace.Session
+	prog *binary.Program
+}
+
+// decodeFixtures returns five sessions: the single-core hotbench session,
+// the same stream fanned out over four cores, one walker-backed Search1
+// EXIST window captured by a node, the first stream torn, and a two-core
+// session of three small fuzzProgram streams.
+func decodeFixtures(t *testing.T) []fixture {
+	t.Helper()
+	var fixtures []fixture
 	p1 := hotbench.Program(1)
 	fixtures = append(fixtures, fixture{hotbench.Session(p1, 1, 2_000_000), p1})
 
@@ -94,20 +114,43 @@ func TestDecodeMatchesReference(t *testing.T) {
 	small.Switches.Add(kernel.SwitchRecord{TS: 0, CPU: 1, PID: 1, TID: 2, Op: kernel.OpIn})
 	small.Switches.Add(kernel.SwitchRecord{TS: 200, CPU: 1, PID: 1, TID: 9, Op: kernel.OpIn})
 	fixtures = append(fixtures, fixture{small, fp})
+	return fixtures
+}
 
-	for _, w := range workerCounts {
-		h := sha256.New()
-		for i, f := range fixtures {
-			s := decodeSession(f.sess, f.prog, w)
-			if s.Events == 0 {
-				t.Fatalf("fixture %d decoded no events", i)
+// TestProfileMatchesStreamDecode checks the two decode modes against each
+// other on the decodeFixtures sessions, a seven-core mixed session and
+// the FuzzDecodeStream seeds: the profile-only Decode and the decode with
+// events kept that ByThread runs agree on every aggregate and on the
+// order of Errors, and Events is the streams' total length.
+func TestProfileMatchesStreamDecode(t *testing.T) {
+	fixtures := decodeFixtures(t)
+	fp := fuzzProgram()
+	fixtures = append(fixtures, fixture{mixedSession(fp), fp})
+	for _, seed := range fuzzSeeds(fp) {
+		fixtures = append(fixtures, fixture{fuzzSession(seed.data, seed.split, seed.flags), fp})
+	}
+	for i, f := range fixtures {
+		for _, w := range workerCounts {
+			prof := decodeSession(f.sess, f.prog, w)
+			full, _ := decodeCores(&prof.src, true)
+			if got, want := profileDigest(prof), profileDigest(full); got != want {
+				t.Fatalf("fixture %d on %d workers: profile decode diverged from the stream decode: %d vs %d events, errors %q vs %q",
+					i, w, prof.Events, full.Events, prof.Errors, full.Errors)
 			}
-			hashDecode(h, s)
-		}
-		if got := hex.EncodeToString(h.Sum(nil)); got != decodeGolden {
-			t.Errorf("decode digest on %d workers %s, want %s", w, got, decodeGolden)
+			if n := streamLen(prof.ByThread()); n != prof.Events {
+				t.Fatalf("fixture %d on %d workers: %d events, streams hold %d", i, w, prof.Events, n)
+			}
 		}
 	}
+}
+
+// streamLen is the summed length of the streams.
+func streamLen(streams map[int32][]trace.Event) int64 {
+	var n int64
+	for _, evs := range streams {
+		n += int64(len(evs))
+	}
+	return n
 }
 
 // digest is the hex SHA-256 of hashDecode(r): equal digests mean equal
@@ -118,14 +161,47 @@ func digest(r *Result) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// hashDecode writes every field of r, maps in key order, and then each
-// thread's stream in TID order.
+// profileDigest is the hex SHA-256 of hashProfile(r): equal digests mean
+// equal aggregates, Errors in the same order.
+func profileDigest(r *Result) string {
+	h := sha256.New()
+	hashProfile(h, r)
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// hashDecode writes hashProfile(r) and then each thread's stream in TID
+// order.
 func hashDecode(h hash.Hash, r *Result) {
-	var buf []byte
-	put := func(v int64) {
-		buf = strconv.AppendInt(buf[:0], v, 10)
-		h.Write(append(buf, ' '))
+	hashProfile(h, r)
+	put := putter(h)
+	streams := r.ByThread()
+	tids := make([]int32, 0, len(streams))
+	for tid := range streams {
+		tids = append(tids, tid)
 	}
+	slices.Sort(tids)
+	put(int64(len(tids)))
+	for _, tid := range tids {
+		evs := streams[tid]
+		put(int64(tid))
+		put(int64(len(evs)))
+		for _, ev := range evs {
+			taken := int64(0)
+			if ev.Taken {
+				taken = 1
+			}
+			put(int64(ev.TID))
+			put(int64(ev.Block))
+			put(int64(ev.Target))
+			put(int64(ev.Kind)<<1 | taken)
+		}
+	}
+}
+
+// hashProfile writes every aggregate of r, maps in key order, and the
+// Errors in order.
+func hashProfile(h hash.Hash, r *Result) {
+	put := putter(h)
 	put(r.Events)
 	put(r.Blocks)
 	put(r.BytesDecoded)
@@ -158,26 +234,14 @@ func hashDecode(h hash.Hash, r *Result) {
 		h.Write([]byte(e))
 		h.Write([]byte{0})
 	}
-	streams := r.ByThread()
-	tids := make([]int32, 0, len(streams))
-	for tid := range streams {
-		tids = append(tids, tid)
-	}
-	slices.Sort(tids)
-	put(int64(len(tids)))
-	for _, tid := range tids {
-		evs := streams[tid]
-		put(int64(tid))
-		put(int64(len(evs)))
-		for _, ev := range evs {
-			taken := int64(0)
-			if ev.Taken {
-				taken = 1
-			}
-			put(int64(ev.TID))
-			put(int64(ev.Block))
-			put(int64(ev.Target))
-			put(int64(ev.Kind)<<1 | taken)
-		}
+}
+
+// putter returns a writer of decimal int64s to h, each followed by a
+// space.
+func putter(h hash.Hash) func(int64) {
+	var buf []byte
+	return func(v int64) {
+		buf = strconv.AppendInt(buf[:0], v, 10)
+		h.Write(append(buf, ' '))
 	}
 }

@@ -199,7 +199,9 @@ func windowCell(noise, p workload.Profile, prog *binary.Program,
 }
 
 // runWindows runs tracing-window cells and decodes each session on its
-// worker against the cell's program.
+// worker against the cell's program. A window keeps a copy of the
+// profile fields only, so the session the Result holds for ByThread is
+// not kept alive with it.
 func runWindows(cfg Config, cells []cell) ([]window, error) {
 	return runCells(cfg, cells, func(i int, r node.Result) window {
 		rec := decode.Decode(r.Session, cells[i].spec.Prog)

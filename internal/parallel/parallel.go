@@ -74,8 +74,9 @@ func ForEach(n, workers int, fn func(i int)) {
 // ForEachWorker is ForEach whose fn also receives the index w of the
 // worker running item i, in [0, min(Workers(workers), n)). One worker
 // runs its items one at a time, so per-worker scratch indexed by w needs
-// no lock; with one worker every item runs on the calling goroutine, in
-// order.
+// no lock. The calling goroutine is worker 0, so a pool of k workers
+// starts k-1 goroutines; with one worker every item runs on the calling
+// goroutine, in order.
 func ForEachWorker(n, workers int, fn func(w, i int)) {
 	if n <= 0 {
 		return
@@ -94,35 +95,43 @@ func ForEachWorker(n, workers int, fn func(w, i int)) {
 		panicMu  sync.Mutex
 		panicked *Panic
 	)
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
+	work := func(w int) {
+		for !stop.Load() {
+			i := int(next.Add(1)) - 1
+			if i >= n {
+				return
+			}
+			func() {
+				defer func() {
+					if r := recover(); r != nil {
+						stop.Store(true)
+						p, ok := r.(*Panic) // nested pools: keep the innermost stack
+						if !ok {
+							p = &Panic{Value: r, Stack: debug.Stack()}
+						}
+						panicMu.Lock()
+						if panicked == nil {
+							panicked = p
+						}
+						panicMu.Unlock()
+					}
+				}()
+				fn(w, i)
+			}()
+		}
+	}
+	wg.Add(workers - 1)
+	for w := 1; w < workers; w++ {
 		go func() {
 			defer wg.Done()
-			for !stop.Load() {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				func() {
-					defer func() {
-						if r := recover(); r != nil {
-							stop.Store(true)
-							p, ok := r.(*Panic) // nested pools: keep the innermost stack
-							if !ok {
-								p = &Panic{Value: r, Stack: debug.Stack()}
-							}
-							panicMu.Lock()
-							if panicked == nil {
-								panicked = p
-							}
-							panicMu.Unlock()
-						}
-					}()
-					fn(w, i)
-				}()
-			}
+			work(w)
 		}()
 	}
+	// A new goroutine waits in this P's next slot, which an idle P steals
+	// only after a delay; yielding once starts it here at once while the
+	// idle P picks up the caller.
+	runtime.Gosched()
+	work(0)
 	wg.Wait()
 	if panicked != nil {
 		panic(panicked)

@@ -35,9 +35,10 @@ func TestForEachCoversAllIndices(t *testing.T) {
 	}
 }
 
-// TestForEachWorkerIndexes checks ForEachWorker's worker indexes: each
-// is below min(workers, n), and no two items of one worker overlap, so
-// per-worker scratch needs no lock.
+// TestForEachWorkerIndexes checks ForEachWorker's worker indexes: every
+// index runs exactly once, each worker index is below min(workers, n),
+// and no two items of one worker overlap, so per-worker scratch needs no
+// lock.
 func TestForEachWorkerIndexes(t *testing.T) {
 	for _, workers := range []int{1, 2, 8} {
 		const n = 500
@@ -65,6 +66,39 @@ func TestForEachWorkerIndexes(t *testing.T) {
 			t.Errorf("3 items ran on worker %d", w)
 		}
 	})
+
+	// The calling goroutine is worker 0: a panic in its own share comes
+	// back as *Panic carrying the caller's stack. The other workers hold
+	// their first item until worker 0 has claimed one.
+	for _, workers := range []int{2, 8} {
+		var claimed atomic.Bool
+		p := recoverPanic(func() {
+			ForEachWorker(100, workers, func(w, i int) {
+				if w == 0 {
+					claimed.Store(true)
+					panicHelper()
+				}
+				for !claimed.Load() {
+					runtime.Gosched()
+				}
+			})
+		})
+		if p == nil || p.Value != error(errBoom) {
+			t.Fatalf("workers=%d: recovered %v, want *Panic of %v", workers, p, errBoom)
+		}
+		if st := string(p.Stack); !strings.Contains(st, "panicHelper") || !strings.Contains(st, "testing.tRunner") {
+			t.Fatalf("workers=%d: stack lost the raising frame or the caller:\n%s", workers, st)
+		}
+	}
+}
+
+// recoverPanic runs fn and returns the *Panic it raised, or nil.
+func recoverPanic(fn func()) (p *Panic) {
+	defer func() {
+		p, _ = recover().(*Panic)
+	}()
+	fn()
+	return nil
 }
 
 func TestForEachEmptyAndTiny(t *testing.T) {
