@@ -20,7 +20,6 @@ import (
 	"time"
 
 	"exist/internal/decode"
-	"exist/internal/faults"
 	"exist/internal/memalloc"
 	"exist/internal/node"
 	"exist/internal/obs"
@@ -43,9 +42,6 @@ func main() {
 		ratio    = flag.Float64("sample-ratio", 0, "coreset sampling ratio for CPU-share apps (0 = auto)")
 		seed     = flag.Uint64("seed", 1, "simulation seed")
 		dump     = flag.String("dump", "", "write the serialized session to this file (decode offline with existdecode)")
-
-		grayDelay = flag.Duration("gray-delay", 0, "simulate gray failure: mean extra heartbeat delay (0 = off)")
-		leaseTTL  = flag.Duration("lease-ttl", 400*time.Millisecond, "controller lease TTL the gray-failure report scores against")
 	)
 	flag.Parse()
 
@@ -158,8 +154,6 @@ func main() {
 		}
 		fmt.Printf("  %6d  %s\n", fc.N, fc.Name)
 	}
-
-	grayReport(*grayDelay, *leaseTTL, nodeSeed)
 }
 
 // loadSpecPlacement reads a scenario document (spec.Load: a file path or
@@ -178,37 +172,4 @@ func loadSpecPlacement(path string) (workload.Profile, node.Spec, error) {
 		return workload.Profile{}, node.Spec{}, err
 	}
 	return sc.App, sc.Node, nil
-}
-
-// grayReport prints the gray-failure view when enabled.
-func grayReport(grayDelay, leaseTTL time.Duration, seed uint64) {
-	// Gray-failure report: the daemon-side view of a slow-but-alive
-	// node. Replay the seeded heartbeat-delay schedule this node would
-	// suffer and score it against a controller lease TTL — every
-	// heartbeat arriving after its lease lapsed is a false suspicion
-	// (the controller re-samples sessions from a node that never died).
-	if grayDelay > 0 {
-		in := faults.New(faults.Config{
-			Seed:          seed,
-			GrayNodeProb:  1,
-			GrayDelayMean: simtime.Duration(grayDelay.Nanoseconds()),
-		})
-		ttl := simtime.Duration(leaseTTL.Nanoseconds())
-		const beats = 50
-		lapses := 0
-		var maxDelay simtime.Duration
-		for i := int64(0); i < beats; i++ {
-			d := in.HeartbeatDelay("existd-node", i)
-			if d > maxDelay {
-				maxDelay = d
-			}
-			if d >= ttl {
-				lapses++
-			}
-		}
-		fmt.Printf("existd: gray-failure report (mean delay %v, lease TTL %v, %d heartbeats):\n", grayDelay, leaseTTL, beats)
-		obs.Write(os.Stdout, "  ", "faults.", in.Stats())
-		fmt.Printf("  max delay %v\n", maxDelay)
-		fmt.Printf("  %d would arrive after lease lapse: false suspicions (node alive, controller re-samples)\n", lapses)
-	}
 }

@@ -82,9 +82,6 @@ func (s *StaSam) Stop(simtime.Time) { s.active = false }
 // SpaceMB implements tracer.Backend.
 func (s *StaSam) SpaceMB() float64 { return s.samples * s.SampleBytes / (1 << 20) }
 
-// Samples returns the expected sample count so far.
-func (s *StaSam) Samples() float64 { return s.samples }
-
 // EBPF models bpftrace attached to the sys_enter tracepoint.
 type EBPF struct {
 	// EventBytes is the per-event output record size.
@@ -193,7 +190,7 @@ func (n *NHT) Attach(m *sched.Machine, target *sched.Process) error {
 		ringSim = 16 << 20
 	}
 	for _, c := range m.Cores {
-		ring := ipt.NewToPA([]int{ringSim}, true)
+		ring := ipt.NewToPA(ringSim, true)
 		d, err := n.bus.ConfigureOutput(c.Tracer, ring, cr3)
 		if err != nil {
 			return err
@@ -286,11 +283,7 @@ func (n *NHT) Session(workload string) *trace.Session {
 		s.PID = int32(n.target.PID)
 	}
 	for i, c := range n.m.Cores {
-		s.Cores = append(s.Cores, trace.CoreTrace{
-			Core:    c.ID,
-			Data:    n.rings[i].Bytes(),
-			Wrapped: n.rings[i].Wrapped(),
-		})
+		s.Cores = append(s.Cores, trace.ReadOut(c.ID, n.rings[i]))
 	}
 	return s
 }

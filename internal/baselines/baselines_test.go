@@ -67,18 +67,18 @@ func TestStaSamOverheadMagnitude(t *testing.T) {
 	if over < 0.015 || over > 0.06 {
 		t.Fatalf("StaSam overhead = %.4f, want single-digit (~3%%)", over)
 	}
-	if ss.Samples() == 0 || ss.SpaceMB() <= 0 {
+	if ss.samples == 0 || ss.SpaceMB() <= 0 {
 		t.Fatal("StaSam accounting missing")
 	}
 }
 
 func TestStaSamStopsSampling(t *testing.T) {
 	_, ss := computeRun(t, NewStaSam())
-	before := ss.Samples()
+	before := ss.samples
 	// Stopped scheme must not accumulate further (no machine to run, but
 	// the hook path is checked directly).
 	ss.Stop(0)
-	if ss.Samples() != before {
+	if ss.samples != before {
 		t.Fatal("Stop changed counters")
 	}
 }

@@ -354,7 +354,7 @@ func (p *Program) SilentEnds() []BlockID {
 // block whose terminator needs per-visit handling (a branch, call, return,
 // or syscall). The walker charges a whole chain with one pre-summed step
 // instead of one step per block; the chain's block-level aggregates are
-// recovered at Settle time by re-walking it once per distinct chain.
+// recovered at settle time by re-walking it once per distinct chain.
 type superStep struct {
 	cycles int64   // summed Cycles of the chain's n blocks
 	insns  int64   // summed Insns of the chain's n blocks
@@ -727,7 +727,7 @@ type Walker struct {
 	// Count holds the running dynamic statistics. Cycles, Insns and the
 	// event counters (Branches, Syscalls, ...) are live after every
 	// Run/RunBatch; the per-block aggregates (MemOps, CatHits,
-	// FuncEntries) are deferred across runs and folded in by Settle.
+	// FuncEntries) are deferred across runs and folded in by settleCounters.
 	Count Counters
 
 	// batch is the pending emission buffer; events accumulate here and are
@@ -764,9 +764,6 @@ func NewWalker(p *Program, rng *xrand.Rand) *Walker {
 	}
 }
 
-// Current returns the block the walker will execute next.
-func (w *Walker) Current() BlockID { return w.cur }
-
 // CurrentAddr returns the address of the next block to execute.
 func (w *Walker) CurrentAddr() uint64 { return w.prog.Blocks[w.cur].Addr }
 
@@ -794,7 +791,7 @@ func (w *Walker) Run(budget int64, emit func(BranchEvent)) (used int64, reason S
 // loop pays one dynamic dispatch per batch instead of one closure call
 // per event. sink may be nil for counting-only runs. Cycles, Insns and
 // the event counters are live when RunBatch returns; the per-block
-// aggregates stay deferred until Settle.
+// aggregates stay deferred until settleCounters.
 func (w *Walker) RunBatch(budget int64, sink BranchSink) (used int64, reason StopReason, syscallClass uint8) {
 	p := w.prog
 	if w.visits == nil {
@@ -956,7 +953,7 @@ func (w *Walker) flushBatch(sink BranchSink) {
 
 // finishRun flushes the pending event batch; every RunBatch exit path
 // goes through it. Deferred aggregates are left pending — short segments
-// re-touch the same working set, so settling per simulation (Settle)
+// re-touch the same working set, so settling per simulation
 // rather than per segment charges each distinct block once, not once per
 // timeslice.
 func (w *Walker) finishRun(sink BranchSink) {
@@ -964,12 +961,6 @@ func (w *Walker) finishRun(sink BranchSink) {
 		w.flushBatch(sink)
 	}
 }
-
-// Settle folds the deferred per-block visit counts into the aggregate
-// counters (MemOps, CatHits, FuncEntries). Call it before reading those
-// fields. Integer sums are associative, so the totals are bit-identical
-// to per-visit charging no matter how many runs a settle spans.
-func (w *Walker) Settle() { w.settleCounters() }
 
 // settleCounters multiplies the accumulated per-block visit counts into
 // the cumulative counters and resets the pending sets.

@@ -93,7 +93,7 @@ func TestWalkerDeterminism(t *testing.T) {
 func TestWalkerEventsFollowCFG(t *testing.T) {
 	p := testProgram(t, 5)
 	w := NewWalker(p, xrand.New(1))
-	prev := w.Current()
+	prev := w.cur
 	seen := 0
 	emit := func(e BranchEvent) {
 		seen++
@@ -257,7 +257,7 @@ func TestFuncEntriesHistogram(t *testing.T) {
 	for i := 0; i < 500; i++ {
 		w.Run(10_000, nil)
 	}
-	w.Settle()
+	w.settleCounters()
 	if len(w.Count.FuncEntries) == 0 {
 		t.Fatal("no function entries recorded")
 	}

@@ -179,3 +179,63 @@ func TestBatchedUploadDropsTerminalRequests(t *testing.T) {
 	// abandoned it.
 	checkSafety(t, c)
 }
+
+// TestCancelKeepsRetriedCaptures cancels a request while its captures are
+// being uploaded through a failing store: every capture filed before the
+// cancel must land or be counted lost, never be dropped by a retry.
+func TestCancelKeepsRetriedCaptures(t *testing.T) {
+	var failures int64
+	for _, batch := range []int{1, 4} {
+		for seed := uint64(1); seed <= 6; seed++ {
+			c := batchedCluster(t, 3, batch, &faults.Config{Seed: seed, PutFailProb: 0.5})
+			req, err := c.Request("cancel-retry", TraceRequestSpec{
+				App: "Agent", Purpose: coverage.PurposeAnomaly, Period: 2 * simtime.Second,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			c.Run(300 * simtime.Millisecond)
+			captured := len(c.openSessions(req))
+			if captured == 0 {
+				t.Fatalf("batch %d seed %d: no session open at the cancel", batch, seed)
+			}
+			c.Cancel(req)
+			c.Run(20 * simtime.Second)
+			if got := len(req.SessionKeys) + req.Lost; got != captured {
+				t.Errorf("batch %d seed %d: %d landed + %d lost, want %d captured",
+					batch, seed, len(req.SessionKeys), req.Lost, captured)
+			}
+			if req.Phase != PhaseCancelled {
+				t.Errorf("batch %d seed %d: phase %s, want Cancelled", batch, seed, req.Phase)
+			}
+			checkSafety(t, c)
+			failures += c.Cfg.Faults.Stats().PutFailures
+		}
+	}
+	if failures == 0 {
+		t.Fatal("no PUT failed; the test exercises no retry")
+	}
+}
+
+// TestDeleteDropsRetriedCaptures deletes a cancelled request while its
+// captures still retry their upload: none may land after the delete.
+func TestDeleteDropsRetriedCaptures(t *testing.T) {
+	for seed := uint64(1); seed <= 6; seed++ {
+		c := batchedCluster(t, 3, 1, &faults.Config{Seed: seed, PutFailProb: 0.5})
+		req, err := c.Request("delete-retry", TraceRequestSpec{
+			App: "Agent", Purpose: coverage.PurposeAnomaly, Period: 2 * simtime.Second,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.Run(300 * simtime.Millisecond)
+		c.Cancel(req)
+		if err := c.Delete(req.Name); err != nil {
+			t.Fatal(err)
+		}
+		c.Run(20 * simtime.Second)
+		if left := c.OSS.List(""); len(left) != 0 {
+			t.Errorf("seed %d: %d blobs landed after Delete: %v", seed, len(left), left)
+		}
+	}
+}

@@ -116,7 +116,7 @@ func TestWorkQueue(t *testing.T) {
 // TestWatchStreamOverflowForcesRelist pins the bounded-buffer contract:
 // a slow consumer loses oldest events, is marked stale, and must relist.
 func TestWatchStreamOverflowForcesRelist(t *testing.T) {
-	a := NewAPIServer()
+	a := NewAPIServerShards(1)
 	kicks := 0
 	w := a.WatchShard(0, func() { kicks++ })
 	w.max = 3
@@ -154,7 +154,7 @@ func TestWatchStreamOverflowForcesRelist(t *testing.T) {
 // TestCASPhaseConflict pins the optimistic-concurrency contract on
 // phase transitions.
 func TestCASPhaseConflict(t *testing.T) {
-	a := NewAPIServer()
+	a := NewAPIServerShards(1)
 	r, err := a.Create("r", TraceRequestSpec{App: "x"})
 	if err != nil {
 		t.Fatal(err)
@@ -284,7 +284,7 @@ func TestForcedFailoversLoseNothing(t *testing.T) {
 	for i := 1; i <= 6; i++ {
 		c.Eng.AfterDetached(simtime.Duration(i)*700*simtime.Millisecond, func(now simtime.Time) {
 			for _, ct := range c.Controllers {
-				if ct.Leader() && !ct.down {
+				if ct.nOwned > 0 && !ct.down {
 					ct.crash(450*simtime.Millisecond, nil)
 					return
 				}
@@ -440,7 +440,7 @@ func TestPartitionedLeaderIsFenced(t *testing.T) {
 	c.Run(300 * simtime.Millisecond)
 	var leader *Controller
 	for _, ct := range c.Controllers {
-		if ct.Leader() {
+		if ct.nOwned > 0 {
 			leader = ct
 			break
 		}

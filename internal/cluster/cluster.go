@@ -119,7 +119,11 @@ type TraceRequest struct {
 	// ended: its in-flight slots were given up, so no landing slot
 	// completes it, no lost slot is re-sampled, and the slot rule exempts
 	// what it left pending.
-	abandoned  bool
+	abandoned bool
+	// deleted marks a request Delete removed: its cancelled captures
+	// still retrying their upload are dropped, so none lands after its
+	// stored sessions went.
+	deleted    bool
 	deadlineEv *simtime.Event
 	// resampleSlots records lost session slots (by re-sampling attempt).
 	// The record lives on the object — not in controller memory — so a
@@ -164,9 +168,6 @@ type APIServer struct {
 	seq      int64 // global creation sequence, merges List across shards
 	evSeq    int64 // global event sequence, merges watch drains
 }
-
-// NewAPIServer returns an empty single-shard API server.
-func NewAPIServer() *APIServer { return NewAPIServerShards(1) }
 
 // NewAPIServerShards returns an empty API server with n shards
 // (n < 1 is treated as 1).
@@ -1491,8 +1492,8 @@ func (c *Cluster) Cancel(r *TraceRequest) {
 	for _, s := range c.openSessions(r) {
 		s.Cancel() // fires OnDone, which queues the partial capture
 	}
-	// Ship the queued captures now: a batch drops those of a request that
-	// is terminal by the time it ships.
+	// Ship the queued captures now, so those whose first PUT succeeds
+	// have landed when the request turns Cancelled; the rest retry.
 	if slices.ContainsFunc(c.pendingUpload, func(it uploadItem) bool { return it.req == r }) {
 		c.flushUploads()
 	}
@@ -1533,6 +1534,7 @@ func (c *Cluster) Delete(name string) error {
 	for _, key := range r.SessionKeys {
 		c.OSS.Delete(key)
 	}
+	r.deleted = true
 	return c.API.Delete(name)
 }
 
@@ -1678,15 +1680,18 @@ func (c *Cluster) flushUploads() {
 
 // putBatchWithRetry uploads a batch of session blobs as one atomic PUT
 // with exponential backoff and jitter. The batch succeeds or retries as
-// a unit; each request's Message tracks the transient error while
+// a unit; each live request's Message tracks the transient error while
 // retrying and is cleared when the upload recovers. Sessions whose
 // request reached a terminal phase while the batch waited are dropped
-// at delivery, and when the batch exhausts its retries every remaining
-// session re-samples exactly once.
+// at delivery, except a cancelled request's until Delete removes it:
+// Cancel keeps what was captured, and closeSlot drops any capture that
+// closes after it. When
+// the batch exhausts its retries every remaining session of a live
+// request re-samples exactly once, and a cancelled request's is lost.
 func (c *Cluster) putBatchWithRetry(batchKey string, items []uploadItem, attempt int) {
 	live := items[:0]
 	for _, it := range items {
-		if !it.req.Phase.Terminal() {
+		if !it.req.Phase.Terminal() || it.req.Phase == PhaseCancelled && !it.req.deleted {
 			live = append(live, it)
 		}
 	}
@@ -1704,7 +1709,7 @@ func (c *Cluster) putBatchWithRetry(batchKey string, items []uploadItem, attempt
 	if err == nil {
 		c.Uploads.Batches++
 		for _, it := range live {
-			if attempt > 0 {
+			if attempt > 0 && !it.req.Phase.Terminal() {
 				it.req.Message = ""
 			}
 			c.uploadLanded(it)
@@ -1713,6 +1718,10 @@ func (c *Cluster) putBatchWithRetry(batchKey string, items []uploadItem, attempt
 	}
 	if attempt+1 >= retryMax {
 		for _, it := range live {
+			if it.req.Phase.Terminal() {
+				c.giveUpSlot(it.req)
+				continue
+			}
 			it.req.Message = fmt.Sprintf("upload %s failed after %d attempts: %v", it.key, attempt+1, err)
 			c.loseSlot(it.req, it.attempt)
 		}

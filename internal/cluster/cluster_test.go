@@ -48,10 +48,6 @@ func TestDataStore(t *testing.T) {
 		Row{App: "b", Session: "s1", Key: "f1", Value: 7},
 		Row{App: "a", Session: "s1", Key: "f1", Value: 5},
 	)
-	rows := d.QueryApp("a")
-	if len(rows) != 3 || rows[0].Session != "s1" || rows[0].Key != "f1" {
-		t.Fatalf("QueryApp order wrong: %+v", rows)
-	}
 	agg := d.AggregateApp("a")
 	if agg["f1"] != 7 || agg["f2"] != 3 {
 		t.Fatalf("aggregate = %v", agg)
@@ -62,7 +58,7 @@ func TestDataStore(t *testing.T) {
 }
 
 func TestAPIServer(t *testing.T) {
-	a := NewAPIServer()
+	a := NewAPIServerShards(1)
 	if _, err := a.Create("r1", TraceRequestSpec{App: "x"}); err != nil {
 		t.Fatal(err)
 	}

@@ -61,12 +61,6 @@ type Controller struct {
 	readoptOpen []bool
 }
 
-// Leader reports whether this replica currently believes it owns at
-// least one shard. The store's lease records are the authority; a
-// deposed replica may briefly believe until its next store contact
-// fences it.
-func (ct *Controller) Leader() bool { return ct.nOwned > 0 }
-
 // OwnedShards returns the shards this replica currently believes it
 // owns, ascending.
 func (ct *Controller) OwnedShards() []int {

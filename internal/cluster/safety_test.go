@@ -28,7 +28,7 @@ func TestSafetyRules(t *testing.T) {
 			unres: 1, err: "request over: 2 landed + 0 lost exceed 1 planned"},
 	}
 	for _, tc := range cases {
-		c := &Cluster{API: NewAPIServer()}
+		c := &Cluster{API: NewAPIServerShards(1)}
 		for _, b := range tc.reqs {
 			r, err := c.API.Create(b.Name, TraceRequestSpec{})
 			if err != nil {
@@ -50,7 +50,7 @@ func TestSafetyRules(t *testing.T) {
 // request moved back to Running panics, naming the request and both
 // phases, and leaves the shard's live count where completion put it.
 func TestTerminalPhaseIsFinal(t *testing.T) {
-	a := NewAPIServer()
+	a := NewAPIServerShards(1)
 	r, err := a.Create("done", TraceRequestSpec{})
 	if err != nil {
 		t.Fatal(err)

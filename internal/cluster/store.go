@@ -194,25 +194,6 @@ func (d *DataStore) Len() int {
 	return len(d.rows)
 }
 
-// QueryApp returns all rows for an app, ordered by (session, key).
-func (d *DataStore) QueryApp(app string) []Row {
-	d.mu.Lock()
-	var out []Row
-	for _, r := range d.rows {
-		if r.App == app {
-			out = append(out, r)
-		}
-	}
-	d.mu.Unlock()
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Session != out[j].Session {
-			return out[i].Session < out[j].Session
-		}
-		return out[i].Key < out[j].Key
-	})
-	return out
-}
-
 // AggregateApp sums Value by Key across an app's sessions.
 func (d *DataStore) AggregateApp(app string) map[string]float64 {
 	d.mu.Lock()

@@ -146,9 +146,6 @@ type Session struct {
 	onDone   []func(*Session)
 }
 
-// Active reports whether the window is still open.
-func (s *Session) Active() bool { return s.active }
-
 // Controller is the node-level EXIST facade: it owns the kernel hook and
 // multiplexes sessions over it.
 type Controller struct {
@@ -216,16 +213,13 @@ func (c *Controller) Trace(target *sched.Process, cfg Config) (*Session, error) 
 			return nil, fmt.Errorf("%w (core %d)", ErrTracerBusy, cp.Core)
 		}
 	}
-	// Configure every planned core's tracer up front: output chain and
+	// Configure every planned core's tracer up front: output buffer and
 	// CR3 filter. These are the only per-core MSR writes besides the
 	// single enable on first schedule-in and the single disable at HRT
 	// expiry.
 	for _, cp := range s.Plan.Cores {
 		tr := c.m.Cores[cp.Core].Tracer
-		topa := ipt.NewSingleToPA(trace.ScaleBytes(cp.BufBytes, cfg.Scale))
-		if cfg.Drop == DropRing {
-			topa = ipt.NewToPA([]int{trace.ScaleBytes(cp.BufBytes, cfg.Scale)}, true)
-		}
+		topa := ipt.NewToPA(trace.ScaleBytes(cp.BufBytes, cfg.Scale), cfg.Drop == DropRing)
 		d, err := s.bus.ConfigureOutput(tr, topa, target.CR3)
 		if err != nil {
 			return nil, fmt.Errorf("core: configure core %d: %w", cp.Core, err)
@@ -296,7 +290,7 @@ func (s *Session) onSwitch(ev sched.SwitchEvent) simtime.Duration {
 			if size < 256 {
 				size = 256
 			}
-			buf = ipt.NewSingleToPA(int(size))
+			buf = ipt.NewToPA(int(size), false)
 			s.perThr[ev.Next.TID] = buf
 		}
 		if s.Cfg.HotSwap && tr.Enabled() {
@@ -375,15 +369,8 @@ func (s *Session) snapshot() *trace.Session {
 		Switches: s.log,
 	}
 	for _, cp := range s.Plan.Cores {
-		topa := s.topas[cp.Core]
-		out.Cores = append(out.Cores, trace.CoreTrace{
-			Core:         cp.Core,
-			Data:         topa.Bytes(),
-			Wrapped:      topa.Wrapped(),
-			Stopped:      topa.Stopped(),
-			DroppedBytes: topa.Dropped(),
-		})
-		topa.Release()
+		out.Cores = append(out.Cores, trace.ReadOut(cp.Core, s.topas[cp.Core]))
+		s.topas[cp.Core].Release()
 	}
 	// Per-thread ablation buffers are appended as extra streams tagged
 	// with a synthetic core ID (they are not per-core).
@@ -393,14 +380,8 @@ func (s *Session) snapshot() *trace.Session {
 	}
 	sort.Ints(tids)
 	for _, tid := range tids {
-		buf := s.perThr[tid]
-		out.Cores = append(out.Cores, trace.CoreTrace{
-			Core:         1_000_000 + tid,
-			Data:         buf.Bytes(),
-			Stopped:      buf.Stopped(),
-			DroppedBytes: buf.Dropped(),
-		})
-		buf.Release()
+		out.Cores = append(out.Cores, trace.ReadOut(1_000_000+tid, s.perThr[tid]))
+		s.perThr[tid].Release()
 	}
 	return out
 }

@@ -6,7 +6,6 @@ import (
 
 	"exist/internal/binary"
 	"exist/internal/decode"
-	"exist/internal/kernel"
 	"exist/internal/memalloc"
 	"exist/internal/metrics"
 	"exist/internal/sched"
@@ -67,14 +66,14 @@ func TestSessionLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !sess.Active() {
+	if !sess.active {
 		t.Fatal("session should be active")
 	}
 	if _, err := sess.Result(); err == nil {
 		t.Fatal("Result before window end should fail")
 	}
 	rig.m.Run(300 * simtime.Millisecond)
-	if sess.Active() {
+	if sess.active {
 		t.Fatal("HRT did not close the window")
 	}
 	res, err := sess.Result()
@@ -323,7 +322,7 @@ func TestCancel(t *testing.T) {
 	}
 	rig.m.Run(50 * simtime.Millisecond)
 	sess.Cancel()
-	if sess.Active() {
+	if sess.active {
 		t.Fatal("cancel did not close session")
 	}
 	if _, err := sess.Result(); err != nil {
@@ -375,11 +374,11 @@ func TestFiveTupleRecordsParse(t *testing.T) {
 	}
 	rig.m.Run(300 * simtime.Millisecond)
 	res, _ := sess.Result()
-	round, err := kernel.DecodeSwitchLog(res.Switches.Bytes())
+	round, err := trace.UnmarshalSession(res.Marshal())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(round.Records) != len(res.Switches.Records) {
+	if !slices.Equal(round.Switches.Records, res.Switches.Records) {
 		t.Fatal("five-tuple log does not round-trip")
 	}
 	for _, r := range res.Switches.Records {

@@ -47,7 +47,7 @@ func pipeline(t *testing.T, bufBytes int, threads int, window simtime.Duration) 
 
 	// Configure and enable both core tracers for the target process.
 	for _, c := range m.Cores {
-		if err := c.Tracer.SetOutput(ipt.NewSingleToPA(bufBytes)); err != nil {
+		if err := c.Tracer.SetOutput(ipt.NewToPA(bufBytes, false)); err != nil {
 			t.Fatal(err)
 		}
 		if err := c.Tracer.SetCR3Match(p.CR3); err != nil {
@@ -170,7 +170,7 @@ func TestDecodeStreamStandalone(t *testing.T) {
 	prog := binary.Synthesize(binary.DefaultSpec("lone", 4))
 	// Hand-build a tiny stream: enable at entry, take one TNT path.
 	tr := ipt.NewTracer(0)
-	if err := tr.SetOutput(ipt.NewSingleToPA(1 << 16)); err != nil {
+	if err := tr.SetOutput(ipt.NewToPA(1<<16, false)); err != nil {
 		t.Fatal(err)
 	}
 	if err := tr.SetCR3Match(0x7); err != nil {
@@ -200,7 +200,7 @@ func TestDecodeStreamStandalone(t *testing.T) {
 func TestWrappedRingDecode(t *testing.T) {
 	prog := binary.Synthesize(binary.DefaultSpec("ring", 8))
 	tr := ipt.NewTracer(0)
-	if err := tr.SetOutput(ipt.NewToPA([]int{1 << 12}, true)); err != nil {
+	if err := tr.SetOutput(ipt.NewToPA(1<<12, true)); err != nil {
 		t.Fatal(err)
 	}
 	if err := tr.SetCR3Match(0x7); err != nil {

@@ -428,16 +428,6 @@ func (in *Injector) GrayNode(node string) bool {
 	return in.draw("gray", node).Bool(in.cfg.GrayNodeProb)
 }
 
-// HeartbeatDelay returns the extra delay the node's seq-th heartbeat
-// suffers: zero for healthy nodes, an exponential draw keyed by
-// (node, seq) for gray ones.
-func (in *Injector) HeartbeatDelay(node string, seq int64) simtime.Duration {
-	if in == nil || !in.GrayNode(node) {
-		return 0
-	}
-	return in.GrayBeatDelay(in.GrayBeats(node), seq)
-}
-
 // GrayBeats returns the label hash of a gray node's heartbeat delays,
 // "faults/graydelay/<node>#" folded once, for GrayBeatDelay. A caller
 // that already knows the node is gray keeps it instead of re-drawing
@@ -446,9 +436,10 @@ func (in *Injector) GrayBeats(node string) xrand.SplitHash {
 	return in.begin("graydelay").String(node).String("#")
 }
 
-// GrayBeatDelay is HeartbeatDelay(node, seq) for a node known to be gray,
-// with beats = GrayBeats(node): folding the beat number into the stored
-// hash equals hashing the concatenated label.
+// GrayBeatDelay returns the extra delay the seq-th heartbeat of a gray
+// node suffers, an exponential draw keyed by (node, seq), with beats =
+// GrayBeats(node): folding the beat number into the stored hash equals
+// hashing the concatenated label.
 func (in *Injector) GrayBeatDelay(beats xrand.SplitHash, seq int64) simtime.Duration {
 	d := in.reseed(beats.Int(seq)).Exp(float64(in.cfg.GrayDelayMean))
 	if d <= 0 {

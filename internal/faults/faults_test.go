@@ -8,6 +8,16 @@ import (
 	"exist/internal/xrand"
 )
 
+// heartbeatDelay returns the extra delay the node's seq-th heartbeat
+// suffers: zero for healthy nodes, the keyed GrayBeatDelay draw for gray
+// ones.
+func (in *Injector) heartbeatDelay(node string, seq int64) simtime.Duration {
+	if in == nil || !in.GrayNode(node) {
+		return 0
+	}
+	return in.GrayBeatDelay(in.GrayBeats(node), seq)
+}
+
 // TestNilInjector is the nil-receiver contract: every Injector method is
 // callable on a nil *Injector and injects nothing, so faults-off call
 // sites never need to branch on enablement (and can never panic).
@@ -42,9 +52,6 @@ func TestNilInjector(t *testing.T) {
 	in.CountPartition()
 	if in.GrayNode("n") {
 		t.Fatal("nil injector grayed a node")
-	}
-	if d := in.HeartbeatDelay("n", 0); d != 0 {
-		t.Fatalf("heartbeat delay = %v", d)
 	}
 	if d := in.ClockSkew("ctrl-0"); d != 0 {
 		t.Fatalf("clock skew = %v", d)
@@ -220,10 +227,10 @@ func TestGrayNodesStableAndDelayed(t *testing.T) {
 		}
 		if g {
 			gray++
-			if d := in.HeartbeatDelay(name, 1); d <= 0 {
+			if d := in.heartbeatDelay(name, 1); d <= 0 {
 				t.Fatalf("gray node %s heartbeat delay = %v", name, d)
 			}
-			if d1, d2 := in.HeartbeatDelay(name, 7), in.HeartbeatDelay(name, 7); d1 != d2 {
+			if d1, d2 := in.heartbeatDelay(name, 7), in.heartbeatDelay(name, 7); d1 != d2 {
 				t.Fatalf("heartbeat delay not keyed: %v vs %v", d1, d2)
 			}
 		} else if healthy == "" {
@@ -233,7 +240,7 @@ func TestGrayNodesStableAndDelayed(t *testing.T) {
 	if gray < 30 || gray > 90 {
 		t.Fatalf("gray count %d of 200, want ~60", gray)
 	}
-	if d := in.HeartbeatDelay(healthy, 0); d != 0 {
+	if d := in.heartbeatDelay(healthy, 0); d != 0 {
 		t.Fatalf("healthy node delayed by %v", d)
 	}
 }
@@ -314,7 +321,7 @@ func TestChurnSchedule(t *testing.T) {
 
 // TestGrayBeatDelayMatchesHeartbeatDelay pins the keyed gray-beat draw
 // against the long way: for every gray node the delay drawn from the
-// stored label hash, and HeartbeatDelay, equal the draw from the
+// stored label hash, and heartbeatDelay, equal the draw from the
 // concatenated label "faults/graydelay/<name>#<k>" for each of the first
 // 10,000 beats, and every injector counts the same delayed beats.
 func TestGrayBeatDelayMatchesHeartbeatDelay(t *testing.T) {
@@ -337,8 +344,8 @@ func TestGrayBeatDelayMatchesHeartbeatDelay(t *testing.T) {
 			if got := keyed.GrayBeatDelay(beats, k); got != want {
 				t.Fatalf("%s beat %d: keyed delay %v, want %v", name, k, got, want)
 			}
-			if got := beat.HeartbeatDelay(name, k); got != want {
-				t.Fatalf("%s beat %d: HeartbeatDelay %v, want %v", name, k, got, want)
+			if got := beat.heartbeatDelay(name, k); got != want {
+				t.Fatalf("%s beat %d: heartbeatDelay %v, want %v", name, k, got, want)
 			}
 		}
 	}
@@ -346,7 +353,7 @@ func TestGrayBeatDelayMatchesHeartbeatDelay(t *testing.T) {
 		t.Fatalf("%d gray nodes among 40, %d delayed beats", gray, delayed)
 	}
 	if b, k := beat.Stats().GrayDelays, keyed.Stats().GrayDelays; b != delayed || k != delayed {
-		t.Fatalf("GrayDelays: HeartbeatDelay %d, keyed %d, want %d", b, k, delayed)
+		t.Fatalf("GrayDelays: heartbeatDelay %d, keyed %d, want %d", b, k, delayed)
 	}
 }
 

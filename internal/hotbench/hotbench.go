@@ -29,7 +29,7 @@ func Program(seed uint64) *binary.Program {
 // scales linearly with budget.
 func Session(prog *binary.Program, seed uint64, budget int64) *trace.Session {
 	tr := ipt.NewTracer(0)
-	if err := tr.SetOutput(ipt.NewSingleToPA(64 << 20)); err != nil {
+	if err := tr.SetOutput(ipt.NewToPA(64<<20, false)); err != nil {
 		panic(err)
 	}
 	const cr3 = 0x1000
@@ -67,20 +67,18 @@ func Session(prog *binary.Program, seed uint64, budget int64) *trace.Session {
 	tr.Flush()
 	out := tr.Output()
 	sess.End = now
-	sess.Cores = append(sess.Cores, trace.CoreTrace{
-		Core: 0, Data: out.Bytes(), Stopped: out.Stopped(), DroppedBytes: out.Dropped(),
-	})
+	sess.Cores = append(sess.Cores, trace.ReadOut(0, out))
 	out.Release()
 	return sess
 }
 
 // EncodeOnce drives the walker→tracer encode path the scheduler runs
 // (batched emission with packed TNT directions, staged packet output into
-// a ToPA chain) for one walk of the given budget and returns the bytes
+// a ToPA) for one walk of the given budget and returns the bytes
 // produced. The encode_hot row calls it per op.
 func EncodeOnce(prog *binary.Program, seed uint64, budget int64) int64 {
 	tr := ipt.NewTracer(0)
-	topa := ipt.NewSingleToPA(64 << 20)
+	topa := ipt.NewToPA(64<<20, false)
 	if err := tr.SetOutput(topa); err != nil {
 		panic(err)
 	}

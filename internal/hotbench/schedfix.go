@@ -62,12 +62,12 @@ func Events(prog *binary.Program, seed uint64, budget int64) []Batch {
 	return rec.batches
 }
 
-// NewHotTracer returns an enabled tracer writing into a ring-mode chain of
+// NewHotTracer returns an enabled tracer writing into a ring-mode buffer of
 // the given size; ring mode keeps repeated benchmark iterations in steady
-// state (the chain never stops, so every iteration does identical work).
+// state (the buffer never stops, so every iteration does identical work).
 func NewHotTracer(size int) *ipt.Tracer {
 	tr := ipt.NewTracer(0)
-	if err := tr.SetOutput(ipt.NewToPA([]int{size}, true)); err != nil {
+	if err := tr.SetOutput(ipt.NewToPA(size, true)); err != nil {
 		panic(err)
 	}
 	if err := tr.WriteCtl(0, ipt.DefaultCtl()|ipt.CtlTraceEn); err != nil {
@@ -107,7 +107,7 @@ func NewSchedBench(seed uint64) *SchedBench {
 	}
 	for _, c := range m.Cores {
 		// Ring output keeps tracers in steady state across windows.
-		if err := c.Tracer.SetOutput(ipt.NewToPA([]int{1 << 20}, true)); err != nil {
+		if err := c.Tracer.SetOutput(ipt.NewToPA(1<<20, true)); err != nil {
 			panic(err)
 		}
 		if err := c.Tracer.SetCR3Match(p.CR3); err != nil {

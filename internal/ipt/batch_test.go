@@ -94,27 +94,27 @@ func TestOnBranchBatchEquivalence(t *testing.T) {
 	cases := []struct {
 		name  string
 		evs   []binary.BranchEvent
-		sizes []int
+		size  int
 		ring  bool
 		ctl   uint64
 		batch int
 	}{
-		{"ring-large", mixed, []int{1 << 20}, true, DefaultCtl(), 128},
-		{"ring-small-wraps", mixed, []int{4096, 4096}, true, DefaultCtl(), 128},
-		{"stop-overflows", mixed, []int{8192}, false, DefaultCtl(), 128},
-		{"stop-overflows-multiregion", mixed, []int{4096, 2048, 1024}, false, DefaultCtl(), 64},
-		{"stop-no-cyc", mixed, []int{8192}, false, DefaultCtl() &^ CtlCYCEn, 128},
-		{"stop-tiny-batches", mixed, []int{8192}, false, DefaultCtl(), 7},
-		// The chain stops inside the only, full-sized batch.
-		{"stop-one-big-batch", mixed[:128], []int{160}, false, DefaultCtl(), 128},
+		{"ring-large", mixed, 1 << 20, true, DefaultCtl(), 128},
+		{"ring-small-wraps", mixed, 8192, true, DefaultCtl(), 128},
+		{"stop-overflows", mixed, 8192, false, DefaultCtl(), 128},
+		{"stop-overflows-multiregion", mixed, 7168, false, DefaultCtl(), 64},
+		{"stop-no-cyc", mixed, 8192, false, DefaultCtl() &^ CtlCYCEn, 128},
+		{"stop-tiny-batches", mixed, 8192, false, DefaultCtl(), 7},
+		// The buffer stops inside the only, full-sized batch.
+		{"stop-one-big-batch", mixed[:128], 160, false, DefaultCtl(), 128},
 		// A stop inside a TNT run: the drop boundary is the event whose
 		// direction completed the failing packet.
-		{"stop-cond-only", condEvents(20_000), []int{777}, false, DefaultCtl(), 128},
+		{"stop-cond-only", condEvents(20_000), 777, false, DefaultCtl(), 128},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			ref := newBatchTestTracer(t, NewToPA(tc.sizes, tc.ring), tc.ctl)
-			got := newBatchTestTracer(t, NewToPA(tc.sizes, tc.ring), tc.ctl)
+			ref := newBatchTestTracer(t, NewToPA(tc.size, tc.ring), tc.ctl)
+			got := newBatchTestTracer(t, NewToPA(tc.size, tc.ring), tc.ctl)
 			for i := range tc.evs {
 				ref.OnBranch(0, tc.evs[i])
 			}
@@ -124,8 +124,8 @@ func TestOnBranchBatchEquivalence(t *testing.T) {
 			if ref.Stats != got.Stats {
 				t.Errorf("stats diverge:\n per-event %+v\n batched   %+v", ref.Stats, got.Stats)
 			}
-			if ref.Status() != got.Status() {
-				t.Errorf("status = %#x, want %#x", got.Status(), ref.Status())
+			if ref.status != got.status {
+				t.Errorf("status = %#x, want %#x", got.status, ref.status)
 			}
 			if ref.psbLeft != got.psbLeft {
 				t.Errorf("psbLeft = %d, want %d", got.psbLeft, ref.psbLeft)
@@ -158,7 +158,7 @@ func TestOnBranchBatchInterleavedControl(t *testing.T) {
 	const cr3 = 0x5000
 	build := func() *Tracer {
 		tr := NewTracer(0)
-		if err := tr.SetOutput(NewToPA([]int{1 << 16}, true)); err != nil {
+		if err := tr.SetOutput(NewToPA(1<<16, true)); err != nil {
 			t.Fatal(err)
 		}
 		if err := tr.SetCR3Match(cr3); err != nil {
@@ -215,7 +215,7 @@ func TestOnBranchBatchInterleavedControl(t *testing.T) {
 // must count only the accepted prefix (matching the chain's Written), not
 // the whole burst, mirroring the proportional DroppedEvents attribution.
 func TestOnBulkBranchesAcceptedBytes(t *testing.T) {
-	tr := newBatchTestTracer(t, NewToPA([]int{4096}, false), DefaultCtl())
+	tr := newBatchTestTracer(t, NewToPA(4096, false), DefaultCtl())
 	header := tr.Stats.Bytes // PSB+ group and PGE from enabling
 	written := tr.Output().Written()
 
@@ -254,25 +254,25 @@ func TestOnBulkBranchesAcceptedBytes(t *testing.T) {
 }
 
 // TestWriteZerosEquivalence checks the zero-fill fast path against literal
-// zero writes: identical bytes, counters, and status across region splits,
-// ring wraps, and the stop transition — interleaved with real payload so
+// zero writes: identical bytes, counters, and status across ring wraps and
+// the stop transition — interleaved with real payload so
 // run bookkeeping is exercised on both sides of the fill.
 func TestWriteZerosEquivalence(t *testing.T) {
 	shapes := []struct {
-		name  string
-		sizes []int
-		ring  bool
+		name string
+		size int
+		ring bool
 	}{
-		{"stop-multi", []int{300, 200, 100}, false},
-		{"ring-multi", []int{256, 128}, true},
-		{"stop-single", []int{1000}, false},
+		{"stop-multi", 600, false},
+		{"ring-multi", 384, true},
+		{"stop-single", 1000, false},
 	}
 	zeros := make([]byte, 1<<13)
 	payload := []byte{0x02, 0x82, 0x02, 0x82, 0x99, 0x01} // arbitrary marker bytes
 	for _, sh := range shapes {
 		t.Run(sh.name, func(t *testing.T) {
-			ref := NewToPA(sh.sizes, sh.ring)
-			got := NewToPA(sh.sizes, sh.ring)
+			ref := NewToPA(sh.size, sh.ring)
+			got := NewToPA(sh.size, sh.ring)
 			steps := []int64{17, 1, 250, 4096, 0, 333, 77, 5000}
 			for si, n := range steps {
 				okRef := ref.Write(zeros[:n])

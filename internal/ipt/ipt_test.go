@@ -121,7 +121,7 @@ func TestParserTruncated(t *testing.T) {
 }
 
 func TestToPAStopMode(t *testing.T) {
-	topa := NewToPA([]int{8, 8}, false)
+	topa := NewToPA(16, false)
 	if topa.Capacity() != 16 {
 		t.Fatalf("capacity = %d, want 16", topa.Capacity())
 	}
@@ -151,7 +151,7 @@ func TestToPAStopMode(t *testing.T) {
 }
 
 func TestToPARingMode(t *testing.T) {
-	topa := NewToPA([]int{8}, true)
+	topa := NewToPA(8, true)
 	for i := 0; i < 5; i++ {
 		if !topa.Write(make([]byte, 6)) {
 			t.Fatal("ring write failed")
@@ -171,24 +171,12 @@ func TestToPARingMode(t *testing.T) {
 	}
 }
 
-func TestToPAReset(t *testing.T) {
-	topa := NewSingleToPA(4)
-	topa.Write(make([]byte, 10))
-	topa.Reset()
-	if topa.Stopped() || topa.Used() != 0 || topa.Dropped() != 0 {
-		t.Fatal("Reset did not clear state")
-	}
-	if !topa.Write(make([]byte, 3)) {
-		t.Fatal("write after reset failed")
-	}
-}
-
 // tracerHarness builds an enabled tracer filtered to cr3 0x77 with a
 // generously sized buffer.
 func tracerHarness(t *testing.T, bufSize int) *Tracer {
 	t.Helper()
 	tr := NewTracer(0)
-	if err := tr.SetOutput(NewSingleToPA(bufSize)); err != nil {
+	if err := tr.SetOutput(NewToPA(bufSize, false)); err != nil {
 		t.Fatal(err)
 	}
 	if err := tr.SetCR3Match(0x77); err != nil {
@@ -233,10 +221,10 @@ func TestTracerIllegalControl(t *testing.T) {
 	if err := tr.WriteCtl(0, tr.Ctl()&^CtlCYCEn); err == nil {
 		t.Fatal("modifying ctl with TraceEn set must fault")
 	}
-	if tr.Status()&StatusError == 0 {
+	if tr.status&StatusError == 0 {
 		t.Fatal("error status not latched")
 	}
-	if err := tr.SetOutput(NewSingleToPA(8)); err == nil {
+	if err := tr.SetOutput(NewToPA(8, false)); err == nil {
 		t.Fatal("SetOutput with TraceEn set must fault")
 	}
 	if err := tr.SetCR3Match(0x99); err == nil {
@@ -377,7 +365,7 @@ func TestTracerCompulsoryDrop(t *testing.T) {
 	if !tr.Output().Stopped() {
 		t.Fatal("tiny buffer should have stopped")
 	}
-	if tr.Status()&StatusStopped == 0 {
+	if tr.status&StatusStopped == 0 {
 		t.Fatal("Stopped status not latched")
 	}
 	if tr.Stats.DroppedEvents == 0 {
@@ -443,7 +431,7 @@ func TestPTWriteRoundTrip(t *testing.T) {
 
 func TestTracerPTWrite(t *testing.T) {
 	tr := NewTracer(0)
-	if err := tr.SetOutput(NewSingleToPA(1 << 16)); err != nil {
+	if err := tr.SetOutput(NewToPA(1<<16, false)); err != nil {
 		t.Fatal(err)
 	}
 	if err := tr.SetCR3Match(0x77); err != nil {
@@ -492,7 +480,7 @@ func TestTracerSwapOutputHot(t *testing.T) {
 	tr := tracerHarness(t, 1<<16)
 	tr.OnBranch(1, condEvent(true)) // pending TNT bit
 	old := tr.Output()
-	fresh := NewSingleToPA(1 << 16)
+	fresh := NewToPA(1<<16, false)
 	tr.SwapOutputHot(2, fresh)
 	if tr.Output() != fresh {
 		t.Fatal("output not swapped")

@@ -1,7 +1,8 @@
 // Package ipt is a register-accurate software model of Intel Processor
 // Trace (IPT): the control and status MSRs, the trace packet formats, the
-// Table-of-Physical-Addresses (ToPA) output mechanism, and a per-core
-// tracer engine that turns branch events into packet bytes.
+// Table-of-Physical-Addresses (ToPA) output mechanism as the one region
+// per core that EXIST configures (NewToPA), and a per-core tracer engine
+// that turns branch events into packet bytes.
 //
 // The model preserves the two properties EXIST's design hinges on:
 //

@@ -49,7 +49,7 @@ const packDictCap = 1 << 16
 // MaxUnpackedCoreBytes bounds the size Unpack will materialize for one
 // core stream: a length-lying or decompression-bomb input errors out
 // instead of allocating without bound. Real streams never exceed it —
-// simulated buffers are space-scaled and a ToPA chain tops out well
+// simulated buffers are space-scaled and a ToPA buffer tops out well
 // below this.
 const MaxUnpackedCoreBytes = 64 << 20
 

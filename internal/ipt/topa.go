@@ -36,37 +36,36 @@ func putRegion(b []byte) {
 	regionPools[bits.Len(uint(c))-1].Put(&b)
 }
 
-// run is one stretch of materialized payload inside a region: n payload
-// bytes starting at payload[pos] that live at byte offset off of region
-// reg. Region bytes outside every run are zero (PAD).
+// run is one stretch of materialized payload: n payload bytes that live
+// at byte offset off of the region. Region bytes outside every run are
+// zero (PAD). A run's payload position is the sum of the earlier runs'
+// lengths, since the payload only grows by appends and a wrap clears both.
 type run struct {
-	reg, off, pos, n int32
+	off, n int32
 }
 
-// ToPA models the Table of Physical Addresses output mechanism: a chain of
-// variable-sized memory regions that the tracer fills in order. Two end
-// behaviours exist, selected by the STOP bit of the last table entry:
+// ToPA models the Table of Physical Addresses output mechanism as one
+// memory region, the per-core buffer EXIST configures, that the tracer
+// fills in order. Two end behaviours exist, selected by the STOP bit of
+// the table entry:
 //
-//   - Stop mode (EXIST's "compulsory tracing" policy, §3.3): when the last
+//   - Stop mode (EXIST's "compulsory tracing" policy, §3.3): when the
 //     region fills, the hardware sets the Stopped status and drops further
 //     output. This keeps the data closest to the anomaly that triggered
 //     tracing and caps memory use.
 //   - Ring mode (the REPT-style policy, kept for the ablation benchmarks):
-//     output wraps to the first region, overwriting the oldest data.
+//     output wraps to the start of the region, overwriting the oldest data.
 //
-// Storage is logical: region contents are an implicit zero (PAD) background
-// with real packet bytes recorded as sparse runs over one shared payload
-// buffer. Zero-fill writes (aggregate branch bursts) only advance counters,
-// and a wrapped ring discards overwritten payload without ever having
+// Storage is logical: the region is an implicit zero (PAD) background with
+// real packet bytes recorded as sparse runs over one payload buffer.
+// Zero-fill writes (aggregate branch bursts) only advance counters, and a
+// wrapped ring discards overwritten payload without ever having
 // materialized it; Bytes assembles the physical layout once, at read-out.
 type ToPA struct {
-	// sizes holds each region's configured size; vlens the logical number
-	// of bytes currently stored in each.
-	sizes    []int
-	vlens    []int
+	size     int // the region's configured size
+	used     int // logical bytes currently stored
 	payload  []byte
 	runs     []run
-	cur      int
 	ring     bool
 	stopped  bool
 	wrapped  bool
@@ -75,44 +74,20 @@ type ToPA struct {
 	dropped  int64
 }
 
-// NewToPA builds an output chain with the given region sizes in bytes. If
-// ring is false the final entry carries the STOP bit.
-func NewToPA(sizes []int, ring bool) *ToPA {
-	if len(sizes) == 0 {
-		panic("ipt: ToPA needs at least one region")
+// NewToPA builds a one-region output buffer of size bytes. If ring is
+// false the entry carries the STOP bit.
+func NewToPA(size int, ring bool) *ToPA {
+	if size <= 0 {
+		panic("ipt: ToPA region size must be positive")
 	}
-	t := &ToPA{ring: ring}
-	for _, s := range sizes {
-		if s <= 0 {
-			panic("ipt: ToPA region size must be positive")
-		}
-		t.sizes = append(t.sizes, s)
-	}
-	t.vlens = make([]int, len(t.sizes))
-	return t
+	return &ToPA{size: size, ring: ring}
 }
 
-// NewSingleToPA builds a one-region stop-mode chain, the common EXIST
-// per-core configuration.
-func NewSingleToPA(size int) *ToPA { return NewToPA([]int{size}, false) }
-
-// Capacity returns the total size of all regions.
-func (t *ToPA) Capacity() int64 {
-	var c int64
-	for _, s := range t.sizes {
-		c += int64(s)
-	}
-	return c
-}
+// Capacity returns the region size.
+func (t *ToPA) Capacity() int64 { return int64(t.size) }
 
 // Used returns the number of valid bytes currently stored.
-func (t *ToPA) Used() int64 {
-	var u int64
-	for _, v := range t.vlens {
-		u += int64(v)
-	}
-	return u
-}
+func (t *ToPA) Used() int64 { return int64(t.used) }
 
 // Written returns the total bytes ever accepted (>= Used in ring mode).
 func (t *ToPA) Written() int64 { return t.written }
@@ -123,8 +98,8 @@ func (t *ToPA) Dropped() int64 { return t.dropped }
 // Stopped reports whether the STOP region has filled.
 func (t *ToPA) Stopped() bool { return t.stopped }
 
-// Remaining returns how many more bytes the chain will accept before it
-// stops. Ring-mode chains never stop and report math.MaxInt64. The staged
+// Remaining returns how many more bytes the buffer will accept before it
+// stops. Ring-mode buffers never stop and report math.MaxInt64. The staged
 // tracer output path uses this to pre-compute, without issuing a write per
 // packet, exactly which packet the per-packet path's stop would land on.
 func (t *ToPA) Remaining() int64 {
@@ -134,15 +109,15 @@ func (t *ToPA) Remaining() int64 {
 	if t.stopped {
 		return 0
 	}
-	return t.Capacity() - t.Used()
+	return int64(t.size - t.used)
 }
 
 // Wrapped reports whether ring-mode output has overwritten old data.
 func (t *ToPA) Wrapped() bool { return t.wrapped }
 
-// Write appends p to the output chain, splitting across regions as
-// needed. It reports whether all bytes were stored; in stop mode, bytes
-// beyond the STOP region are counted as dropped and false is returned.
+// Write appends p to the region, wrapping as needed in ring mode. It
+// reports whether all bytes were stored; in stop mode, bytes beyond the
+// region are counted as dropped and false is returned.
 func (t *ToPA) Write(p []byte) bool {
 	for len(p) > 0 {
 		space, ok := t.space()
@@ -150,23 +125,19 @@ func (t *ToPA) Write(p []byte) bool {
 			t.dropped += int64(len(p))
 			return false
 		}
-		n := len(p)
-		if n > space {
-			n = space
-		}
-		off, pos := t.vlens[t.cur], len(t.payload)
+		n := min(len(p), space)
 		t.ensurePayload(n)
 		t.payload = append(t.payload, p[:n]...)
-		t.addRun(off, pos, n)
-		t.vlens[t.cur] += n
+		t.addRun(n)
+		t.used += n
 		t.written += int64(n)
 		p = p[n:]
 	}
 	return true
 }
 
-// WriteZeros appends n zero (PAD) bytes to the output chain — the
-// aggregate-burst fast path. The chain state afterwards is identical to
+// WriteZeros appends n zero (PAD) bytes to the region — the
+// aggregate-burst fast path. The buffer state afterwards is identical to
 // Write of n zero bytes, but nothing is materialized: only the counters
 // move.
 func (t *ToPA) WriteZeros(n int64) bool {
@@ -176,30 +147,31 @@ func (t *ToPA) WriteZeros(n int64) bool {
 			t.dropped += n
 			return false
 		}
-		k := n
-		if k > int64(space) {
-			k = int64(space)
-		}
-		t.vlens[t.cur] += int(k)
+		k := min(n, int64(space))
+		t.used += int(k)
 		t.written += k
 		n -= k
 	}
 	return true
 }
 
-// space returns the writable bytes left in the current region, advancing
-// the chain (wrapping or stopping) when it is full. ok is false once the
-// chain has stopped.
+// space returns the writable bytes left in the region. A full region
+// wraps in ring mode and stops otherwise; ok is false once it has stopped.
 func (t *ToPA) space() (int, bool) {
-	for {
-		if t.stopped {
+	if t.stopped {
+		return 0, false
+	}
+	if t.used == t.size {
+		if !t.ring {
+			t.stopped = true
 			return 0, false
 		}
-		if s := t.sizes[t.cur] - t.vlens[t.cur]; s > 0 {
-			return s, true
-		}
-		t.advance()
+		t.wrapped = true
+		t.used = 0
+		t.runs = t.runs[:0]
+		t.payload = t.payload[:0]
 	}
+	return t.size - t.used, true
 }
 
 // ensurePayload grows the payload buffer (through the buffer pools) to fit
@@ -209,86 +181,42 @@ func (t *ToPA) ensurePayload(n int) {
 	if need <= cap(t.payload) {
 		return
 	}
-	newCap := 2 * cap(t.payload)
-	if newCap < need {
-		newCap = need
-	}
-	if newCap < 4096 {
-		newCap = 4096
-	}
+	newCap := max(2*cap(t.payload), need, 4096)
 	nb := getRegion(newCap)[:len(t.payload)]
 	copy(nb, t.payload)
 	putRegion(t.payload)
 	t.payload = nb
 }
 
-// addRun records n payload bytes at the current region's write offset,
-// extending the previous run when contiguous (the common case: packet
-// writes with no PAD fill between them).
-func (t *ToPA) addRun(off, pos, n int) {
+// addRun records n payload bytes at the region's write offset, extending
+// the previous run when contiguous (the common case: packet writes with no
+// PAD fill between them).
+func (t *ToPA) addRun(n int) {
 	if k := len(t.runs); k > 0 {
-		r := &t.runs[k-1]
-		if int(r.reg) == t.cur && int(r.off)+int(r.n) == off && int(r.pos)+int(r.n) == pos {
+		if r := &t.runs[k-1]; int(r.off+r.n) == t.used {
 			r.n += int32(n)
 			return
 		}
 	}
-	t.runs = append(t.runs, run{reg: int32(t.cur), off: int32(off), pos: int32(pos), n: int32(n)})
+	t.runs = append(t.runs, run{off: int32(t.used), n: int32(n)})
 }
 
-// advance moves to the next region, wrapping or stopping at the end of the
-// chain.
-func (t *ToPA) advance() {
-	if t.cur+1 < len(t.sizes) {
-		t.cur++
-		return
-	}
-	if t.ring {
-		t.wrapped = true
-		t.cur = 0
-		for i := range t.vlens {
-			t.vlens[i] = 0
-		}
-		t.runs = t.runs[:0]
-		t.payload = t.payload[:0]
-		return
-	}
-	t.stopped = true
-}
-
-// Bytes returns the stored trace in write order: the regions' logical
-// contents concatenated, zero background materialized and runs copied into
-// place. In a wrapped ring the result starts mid-stream; decoders must
-// Sync to the next PSB.
+// Bytes returns the stored trace in write order: zero background
+// materialized and runs copied into place. In a wrapped ring the result
+// starts mid-stream; decoders must Sync to the next PSB.
 func (t *ToPA) Bytes() []byte {
-	base := make([]int64, len(t.vlens))
-	var total int64
-	for i, v := range t.vlens {
-		base[i] = total
-		total += int64(v)
-	}
-	out := make([]byte, total)
+	out := make([]byte, t.used)
+	pos := int32(0)
 	for _, r := range t.runs {
-		copy(out[base[r.reg]+int64(r.off):], t.payload[r.pos:r.pos+r.n])
+		copy(out[r.off:], t.payload[pos:pos+r.n])
+		pos += r.n
 	}
 	return out
 }
 
-// Reset clears all regions and status for reuse in a new tracing window.
-func (t *ToPA) Reset() {
-	for i := range t.vlens {
-		t.vlens[i] = 0
-	}
-	t.runs = t.runs[:0]
-	t.payload = t.payload[:0]
-	t.cur = 0
-	t.stopped, t.wrapped = false, false
-	t.written, t.dropped = 0, 0
-}
-
-// Release returns the payload backing array to the buffer pools. The chain
-// must not be written after release; call it once the trace has been copied
-// out with Bytes. Releasing twice is a no-op.
+// Release returns the payload backing array to the buffer pools. The
+// buffer must not be written after release; call it once the trace has
+// been copied out with Bytes. Releasing twice is a no-op.
 func (t *ToPA) Release() {
 	if t == nil || t.released {
 		return

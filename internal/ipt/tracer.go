@@ -56,7 +56,7 @@ type Tracer struct {
 
 	// Staged-output state, live only inside OnBranchBatch: packets are
 	// encoded into chunk and flushed to the ToPA in stageFlushBytes
-	// pieces, with stageAvail mirroring the chain's remaining acceptance
+	// pieces, with stageAvail mirroring the buffer's remaining acceptance
 	// so status/stat bookkeeping matches the per-packet path exactly.
 	chunk       []byte
 	stageAvail  int64
@@ -79,19 +79,16 @@ func NewTracer(coreID int) *Tracer {
 // Ctl returns the current control MSR value.
 func (t *Tracer) Ctl() uint64 { return t.ctl }
 
-// Status returns the current status MSR value.
-func (t *Tracer) Status() uint64 { return t.status }
-
 // Enabled reports whether TraceEn is set.
 func (t *Tracer) Enabled() bool { return t.ctl&CtlTraceEn != 0 }
 
 // ContextOn reports whether the current context passes the CR3 filter.
 func (t *Tracer) ContextOn() bool { return t.contextOn }
 
-// Output returns the configured output chain (nil if unconfigured).
+// Output returns the configured output buffer (nil if unconfigured).
 func (t *Tracer) Output() *ToPA { return t.out }
 
-// SetOutput points the tracer at an output chain. Like programming
+// SetOutput points the tracer at an output buffer. Like programming
 // IA32_RTIT_OUTPUT_BASE, it requires tracing to be disabled.
 func (t *Tracer) SetOutput(out *ToPA) error {
 	if t.Enabled() {
@@ -201,7 +198,7 @@ func (t *Tracer) refreshContext() {
 
 // OnBranch feeds one retired control transfer to the tracer. This is the
 // hardware fast path: when disabled or filtered out it does nothing; when
-// the output chain has stopped it counts the loss.
+// the output buffer has stopped it counts the loss.
 func (t *Tracer) OnBranch(now simtime.Time, ev binary.BranchEvent) {
 	if !t.Enabled() || t.ctl&CtlBranchEn == 0 {
 		return
@@ -239,9 +236,9 @@ func (t *Tracer) OnBranch(now simtime.Time, ev binary.BranchEvent) {
 // i-th TermCond event's direction), so runs of conditionals are consumed
 // six directions at a time straight into TNT packets. It is byte- and
 // stat-equivalent to calling OnBranch per event, but encodes packets into
-// a staging chunk and writes the chunk to the output chain in
+// a staging chunk and writes the chunk to the output buffer in
 // stageFlushBytes pieces (and once at batch end) instead of issuing one
-// ToPA write per packet. The chain's remaining acceptance is tracked ahead
+// ToPA write per packet. The buffer's remaining acceptance is tracked ahead
 // of the writes, so when output stops mid-batch the stored/dropped split,
 // Stats attribution, and status bits land on exactly the byte the
 // per-packet path would produce. No staged bytes survive the call: between
@@ -380,7 +377,7 @@ func (t *Tracer) stagePkt(prev int) {
 	}
 }
 
-// flushStage writes the staged chunk to the output chain in one call.
+// flushStage writes the staged chunk to the output buffer in one call.
 func (t *Tracer) flushStage() {
 	if len(t.chunk) == 0 {
 		return
@@ -414,9 +411,9 @@ func (t *Tracer) PTWrite(now simtime.Time, val uint64) {
 }
 
 // SwapOutputHot models the §6.1 "hot switching" hardware extension: the
-// output chain is repointed atomically while tracing stays enabled — one
+// output buffer is repointed atomically while tracing stays enabled — one
 // register write instead of the disable/reprogram/enable sequence. Pending
-// TNT bits are flushed to the old chain and a PSB reanchors the new one.
+// TNT bits are flushed to the old buffer and a PSB reanchors the new one.
 func (t *Tracer) SwapOutputHot(now simtime.Time, out *ToPA) {
 	t.flushTNT()
 	t.out = out
@@ -430,9 +427,9 @@ func (t *Tracer) SwapOutputHot(now simtime.Time, out *ToPA) {
 }
 
 // bulkChunk is the presentation granularity of aggregate output: bursts
-// are offered to the chain in chunks this size, and a burst stops being
-// presented once the chain stops, so at most one partial chunk lands in
-// the chain's dropped-byte count.
+// are offered to the buffer in chunks this size, and a burst stops being
+// presented once the buffer stops, so at most one partial chunk lands in
+// the buffer's dropped-byte count.
 const bulkChunk = 4096
 
 // OnBulkBranches models a burst of branch activity in aggregate: cond
@@ -440,7 +437,7 @@ const bulkChunk = 4096
 // sizes and written as PAD filler (which still parses). Analytic workload
 // models use this to exercise buffer occupancy, compulsory drop, and trace
 // volume without materializing individual packets. The filler takes the
-// chain's zero-fill fast path: counters move, no bytes do.
+// buffer's zero-fill fast path: counters move, no bytes do.
 func (t *Tracer) OnBulkBranches(now simtime.Time, cond, ind int64) {
 	if !t.Enabled() || t.ctl&CtlBranchEn == 0 {
 		return
@@ -470,8 +467,8 @@ func (t *Tracer) OnBulkBranches(now simtime.Time, cond, ind int64) {
 		}
 		sent += n
 	}
-	// accepted is what the chain actually stored. The lost tail covers both
-	// bytes the chain rejected and bytes never presented once it stopped;
+	// accepted is what the buffer actually stored. The lost tail covers both
+	// bytes the buffer rejected and bytes never presented once it stopped;
 	// event loss is attributed proportionally to it.
 	accepted := t.out.Written() - writtenBefore
 	if lost := total - accepted; lost > 0 && total > 0 {
@@ -479,7 +476,7 @@ func (t *Tracer) OnBulkBranches(now simtime.Time, cond, ind int64) {
 	}
 	tnts := (cond + 5) / 6
 	// Only accepted bytes count as trace output; the lost tail is already
-	// accounted by DroppedEvents (and by the chain's own counters).
+	// accounted by DroppedEvents (and by the buffer's own counters).
 	t.Stats.Bytes += accepted
 	t.Stats.Packets += tnts + ind
 	t.Stats.TNTs += tnts

@@ -2,7 +2,6 @@ package kernel
 
 import (
 	"testing"
-	"testing/quick"
 
 	"exist/internal/cpu"
 	"exist/internal/ipt"
@@ -60,7 +59,7 @@ func TestBlockDuration(t *testing.T) {
 func newConfiguredTracer(t *testing.T, bus *MSRBus) *ipt.Tracer {
 	t.Helper()
 	tr := ipt.NewTracer(0)
-	if _, err := bus.ConfigureOutput(tr, ipt.NewSingleToPA(1<<16), 0x42); err != nil {
+	if _, err := bus.ConfigureOutput(tr, ipt.NewToPA(1<<16, false), 0x42); err != nil {
 		t.Fatal(err)
 	}
 	tr.ContextSwitch(0, 0x42, 0x400000)
@@ -101,7 +100,7 @@ func TestMSRBusSwapOutputCostsThreeWritesPlusConfig(t *testing.T) {
 		t.Fatal(err)
 	}
 	opsBefore := bus.Ops
-	d, err := bus.SwapOutput(10, tr, ipt.NewSingleToPA(1<<16), 0x43)
+	d, err := bus.SwapOutput(10, tr, ipt.NewToPA(1<<16, false), 0x43)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,61 +125,11 @@ func TestMSRBusFaultCounting(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Direct reconfiguration while enabled must fault and be counted.
-	if _, err := bus.ConfigureOutput(tr, ipt.NewSingleToPA(8), 0x99); err == nil {
+	if _, err := bus.ConfigureOutput(tr, ipt.NewToPA(8, false), 0x99); err == nil {
 		t.Fatal("ConfigureOutput on enabled tracer must fault")
 	}
 	if bus.Errors == 0 {
 		t.Fatal("fault not counted")
-	}
-}
-
-func TestSwitchRecordRoundTrip(t *testing.T) {
-	f := func(ts int64, cpuID, pid, tid int32, opBit bool) bool {
-		op := OpIn
-		if opBit {
-			op = OpOut
-		}
-		r := SwitchRecord{TS: simtime.Time(ts), CPU: cpuID, PID: pid, TID: tid, Op: op}
-		b := r.AppendBinary(nil)
-		if len(b) != RecordSize {
-			return false
-		}
-		got, err := DecodeSwitchRecord(b)
-		return err == nil && got == r
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestSwitchLogRoundTrip(t *testing.T) {
-	l := &SwitchLog{}
-	for i := 0; i < 10; i++ {
-		l.Add(SwitchRecord{TS: simtime.Time(i * 100), CPU: int32(i % 4), PID: 7, TID: int32(i), Op: SwitchOp(i % 2)})
-	}
-	if l.SizeBytes() != 240 {
-		t.Fatalf("size = %d, want 240", l.SizeBytes())
-	}
-	got, err := DecodeSwitchLog(l.Bytes())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got.Records) != len(l.Records) {
-		t.Fatalf("decoded %d records, want %d", len(got.Records), len(l.Records))
-	}
-	for i := range l.Records {
-		if got.Records[i] != l.Records[i] {
-			t.Fatalf("record %d mismatch", i)
-		}
-	}
-}
-
-func TestDecodeSwitchLogRejectsBadLength(t *testing.T) {
-	if _, err := DecodeSwitchLog(make([]byte, 25)); err == nil {
-		t.Fatal("expected error for misaligned log")
-	}
-	if _, err := DecodeSwitchRecord(make([]byte, 5)); err == nil {
-		t.Fatal("expected error for short record")
 	}
 }
 

@@ -47,7 +47,7 @@ func (b *MSRBus) Disable(now simtime.Time, tr *ipt.Tracer) (simtime.Duration, er
 	return b.write(tr.WriteCtl(now, tr.Ctl()&^ipt.CtlTraceEn))
 }
 
-// ConfigureOutput points a disabled tracer at an output chain and sets its
+// ConfigureOutput points a disabled tracer at an output buffer and sets its
 // CR3 filter. Two MSR writes (OUTPUT_BASE/MASK count as one programmed
 // pair here, CR3_MATCH as the other).
 func (b *MSRBus) ConfigureOutput(tr *ipt.Tracer, out *ipt.ToPA, cr3 uint64) (simtime.Duration, error) {

@@ -1,11 +1,6 @@
 package kernel
 
-import (
-	"encoding/binary"
-	"fmt"
-
-	"exist/internal/simtime"
-)
+import "exist/internal/simtime"
 
 // SwitchOp is the operation field of a five-tuple switch record.
 type SwitchOp uint8
@@ -37,33 +32,11 @@ type SwitchRecord struct {
 	Op  SwitchOp
 }
 
-// RecordSize is the paper's stated per-record footprint: 24 bytes.
+// RecordSize is the paper's stated per-record footprint: 24 bytes. The
+// log's one wire encoding is the session's columnar switch block
+// (trace.Marshal); RecordSize prices the log's memory (SizeBytes) and the
+// flat session size (trace.V1Size).
 const RecordSize = 24
-
-// AppendBinary appends the 24-byte wire encoding of the record.
-func (r SwitchRecord) AppendBinary(dst []byte) []byte {
-	var b [RecordSize]byte
-	binary.LittleEndian.PutUint64(b[0:], uint64(r.TS))
-	binary.LittleEndian.PutUint32(b[8:], uint32(r.CPU))
-	binary.LittleEndian.PutUint32(b[12:], uint32(r.PID))
-	binary.LittleEndian.PutUint32(b[16:], uint32(r.TID))
-	b[20] = byte(r.Op)
-	return append(dst, b[:]...)
-}
-
-// DecodeSwitchRecord parses one 24-byte record.
-func DecodeSwitchRecord(b []byte) (SwitchRecord, error) {
-	if len(b) < RecordSize {
-		return SwitchRecord{}, fmt.Errorf("kernel: switch record truncated (%d bytes)", len(b))
-	}
-	return SwitchRecord{
-		TS:  simtime.Time(binary.LittleEndian.Uint64(b[0:])),
-		CPU: int32(binary.LittleEndian.Uint32(b[8:])),
-		PID: int32(binary.LittleEndian.Uint32(b[12:])),
-		TID: int32(binary.LittleEndian.Uint32(b[16:])),
-		Op:  SwitchOp(b[20]),
-	}, nil
-}
 
 // SwitchLog accumulates five-tuple records for one tracing session.
 type SwitchLog struct {
@@ -74,33 +47,8 @@ type SwitchLog struct {
 // Add appends a record.
 func (l *SwitchLog) Add(r SwitchRecord) { l.Records = append(l.Records, r) }
 
-// Bytes returns the wire encoding of the whole log.
-func (l *SwitchLog) Bytes() []byte {
-	out := make([]byte, 0, len(l.Records)*RecordSize)
-	for _, r := range l.Records {
-		out = r.AppendBinary(out)
-	}
-	return out
-}
-
 // SizeBytes returns the log's memory footprint.
 func (l *SwitchLog) SizeBytes() int64 { return int64(len(l.Records)) * RecordSize }
-
-// DecodeSwitchLog parses a wire-encoded log.
-func DecodeSwitchLog(b []byte) (*SwitchLog, error) {
-	if len(b)%RecordSize != 0 {
-		return nil, fmt.Errorf("kernel: switch log length %d not a record multiple", len(b))
-	}
-	l := &SwitchLog{}
-	for off := 0; off < len(b); off += RecordSize {
-		r, err := DecodeSwitchRecord(b[off:])
-		if err != nil {
-			return nil, err
-		}
-		l.Add(r)
-	}
-	return l, nil
-}
 
 // HRT is a one-shot high-resolution timer: EXIST's tracing facility arms
 // one to bound the tracing period (§3.2), so a hung controller can never

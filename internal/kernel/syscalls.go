@@ -2,7 +2,9 @@
 // intra-service tracing interacts with: the syscall table (costs and
 // blocking behaviour), composite MSR control operations with their charged
 // costs, high-resolution timers, and the 24-byte five-tuple context-switch
-// records EXIST's kernel hooker emits at the sched_switch tracepoint.
+// records EXIST's kernel hooker emits at the sched_switch tracepoint. The
+// records have one wire encoding, the session's switch block in package
+// trace; this package keeps only the records and their size.
 package kernel
 
 import (

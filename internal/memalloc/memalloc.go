@@ -18,7 +18,6 @@ import (
 	"sort"
 
 	"exist/internal/sched"
-	"exist/internal/simtime"
 	"exist/internal/xrand"
 )
 
@@ -212,13 +211,4 @@ func containsInt(s []int, v int) bool {
 		}
 	}
 	return false
-}
-
-// WindowUtil reports a core's busy fraction over a window, the node
-// status signal UMA consumes (exported for experiments and tests).
-func WindowUtil(busy, window simtime.Duration) float64 {
-	if window <= 0 {
-		return 0
-	}
-	return float64(busy) / float64(window)
 }

@@ -114,15 +114,6 @@ func TestPlanHas(t *testing.T) {
 	}
 }
 
-func TestWindowUtil(t *testing.T) {
-	if WindowUtil(50, 100) != 0.5 {
-		t.Fatal("WindowUtil wrong")
-	}
-	if WindowUtil(50, 0) != 0 {
-		t.Fatal("WindowUtil must handle zero window")
-	}
-}
-
 func TestInvalidConfigPanics(t *testing.T) {
 	m := machine(2)
 	p := m.AddProcess("x", nil, sched.CPUSet, []int{0})

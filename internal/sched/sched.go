@@ -241,9 +241,6 @@ type Core struct {
 	Switches int64
 }
 
-// Current returns the running thread (nil when idle).
-func (c *Core) Current() *Thread { return c.cur }
-
 // SwitchEvent is passed to sched_switch hooks.
 type SwitchEvent struct {
 	// Now is the tracepoint time.

@@ -280,7 +280,7 @@ func TestTracedWalkerFillsTracer(t *testing.T) {
 	m.SpawnThread(p, exec)
 
 	tr := m.Cores[0].Tracer
-	if err := tr.SetOutput(ipt.NewSingleToPA(1 << 20)); err != nil {
+	if err := tr.SetOutput(ipt.NewToPA(1<<20, false)); err != nil {
 		t.Fatal(err)
 	}
 	if err := tr.SetCR3Match(p.CR3); err != nil {
@@ -307,7 +307,7 @@ func TestTracingStretchSlowsTracedProcess(t *testing.T) {
 		th := m.SpawnThread(p, exec)
 		if traced {
 			tr := m.Cores[0].Tracer
-			if err := tr.SetOutput(ipt.NewSingleToPA(1 << 22)); err != nil {
+			if err := tr.SetOutput(ipt.NewToPA(1<<22, false)); err != nil {
 				t.Fatal(err)
 			}
 			if err := tr.SetCR3Match(p.CR3); err != nil {
@@ -421,7 +421,7 @@ func TestEmitPTWritesEndToEnd(t *testing.T) {
 	we.WithPacing(50*simtime.Microsecond, []float64{0, 0, 1}) // sendto
 	m.SpawnThread(p, we)
 	tr := m.Cores[0].Tracer
-	if err := tr.SetOutput(ipt.NewSingleToPA(1 << 20)); err != nil {
+	if err := tr.SetOutput(ipt.NewToPA(1<<20, false)); err != nil {
 		t.Fatal(err)
 	}
 	if err := tr.SetCR3Match(p.CR3); err != nil {

@@ -1,8 +1,12 @@
 package spec
 
 import (
+	"math"
 	"os"
 	"path/filepath"
+	"slices"
+	"strconv"
+	"strings"
 	"testing"
 )
 
@@ -45,6 +49,48 @@ func FuzzParseSpec(f *testing.F) {
 		}
 		if len(events) > maxArrivals {
 			t.Fatalf("schedule of %d events exceeds the %d cap", len(events), maxArrivals)
+		}
+	})
+}
+
+// FuzzParseTrace throws arbitrary bytes at the CSV replay parser. It must
+// never panic; the rows it accepts have a finite timestamp and a
+// non-empty, trimmed client, there are at most maxArrivals of them, and
+// written back as "t_ms,client" lines they parse to the same rows.
+//
+// Run with: go test -fuzz=FuzzParseTrace ./internal/spec
+func FuzzParseTrace(f *testing.F) {
+	f.Add([]byte("t_ms,client\n0,a\n1.5, b \n\n# comment\n2e3,c,d\n"))
+	f.Add([]byte("0,a\nbad\n"))
+	data, err := os.ReadFile("builtin/trace.csv")
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(data)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		rows, err := ParseTrace("fuzz.csv", data)
+		if err != nil {
+			return
+		}
+		if len(rows) > maxArrivals {
+			t.Fatalf("%d rows accepted, cap %d", len(rows), maxArrivals)
+		}
+		var out []byte
+		for _, r := range rows {
+			if math.IsNaN(r.TMS) || math.IsInf(r.TMS, 0) || r.Client == "" || r.Client != strings.TrimSpace(r.Client) {
+				t.Fatalf("accepted row %+v", r)
+			}
+			out = strconv.AppendFloat(out, r.TMS, 'g', -1, 64)
+			out = append(out, ',')
+			out = append(out, r.Client...)
+			out = append(out, '\n')
+		}
+		again, err := ParseTrace("again.csv", out)
+		if err != nil {
+			t.Fatalf("rows written back do not parse: %v\n%s", err, out)
+		}
+		if !slices.Equal(rows, again) {
+			t.Fatalf("round trip changed rows:\n%+v\n%+v", rows, again)
 		}
 	})
 }

@@ -79,12 +79,6 @@ func TestFormatFloat(t *testing.T) {
 	}
 }
 
-func TestPct(t *testing.T) {
-	if got := Pct(0.1234); got != "12.34%" {
-		t.Fatalf("Pct = %q", got)
-	}
-}
-
 func TestRenderNoHeader(t *testing.T) {
 	tbl := &Table{}
 	tbl.AddRow("only", "row")

@@ -6,6 +6,7 @@ package trace
 
 import (
 	"exist/internal/binary"
+	"exist/internal/ipt"
 	"exist/internal/kernel"
 	"exist/internal/simtime"
 )
@@ -63,6 +64,18 @@ type CoreTrace struct {
 	Stopped bool
 	// DroppedBytes counts output lost after the stop.
 	DroppedBytes int64
+}
+
+// ReadOut copies core's trace buffer out into a CoreTrace. The buffer is
+// left as it was; the caller releases it.
+func ReadOut(core int, buf *ipt.ToPA) CoreTrace {
+	return CoreTrace{
+		Core:         core,
+		Data:         buf.Bytes(),
+		Wrapped:      buf.Wrapped(),
+		Stopped:      buf.Stopped(),
+		DroppedBytes: buf.Dropped(),
+	}
 }
 
 // Session is everything one tracing window produced on one node.
@@ -148,13 +161,4 @@ func (g *GroundTruth) Record(tid int32, now simtime.Time, ev binary.BranchEvent)
 			g.FuncEntries[fn]++
 		}
 	}
-}
-
-// Total returns the number of recorded events.
-func (g *GroundTruth) Total() int64 {
-	var n int64
-	for _, evs := range g.ByThread {
-		n += int64(len(evs))
-	}
-	return n
 }

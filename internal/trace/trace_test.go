@@ -48,10 +48,7 @@ func TestGroundTruthWindow(t *testing.T) {
 	g.Record(1, 50, ev)  // before window
 	g.Record(1, 150, ev) // inside
 	g.Record(1, 200, ev) // at end (exclusive)
-	if g.Total() != 1 {
-		t.Fatalf("recorded %d events, want 1", g.Total())
-	}
-	if len(g.ByThread[1]) != 1 {
+	if len(g.ByThread) != 1 || len(g.ByThread[1]) != 1 {
 		t.Fatalf("thread stream wrong: %v", g.ByThread)
 	}
 }

@@ -69,9 +69,6 @@ func AppendZigzag(dst []byte, v int64) []byte {
 	return AppendUvarint(dst, Zigzag(v))
 }
 
-// ZigzagLen returns the encoded size of v as a zigzag varint.
-func ZigzagLen(v int64) int { return UvarintLen(Zigzag(v)) }
-
 // Reader is a bounds-checked cursor over a byte slice with a sticky
 // error: after the first short read every accessor returns zero values,
 // so decoders can run a whole field sequence and check Err once. Slices

@@ -39,7 +39,7 @@ func TestVarintRoundTrip(t *testing.T) {
 func TestZigzagRoundTrip(t *testing.T) {
 	f := func(v int64) bool {
 		b := AppendZigzag(nil, v)
-		if len(b) != ZigzagLen(v) {
+		if len(b) != UvarintLen(Zigzag(v)) {
 			return false
 		}
 		r := NewReader(b)
