@@ -353,8 +353,7 @@ func (p *Program) SilentEnds() []BlockID {
 // starting at a block: a run of TermFall/TermJump blocks plus the first
 // block whose terminator needs per-visit handling (a branch, call, return,
 // or syscall). The walker charges a whole chain with one pre-summed step
-// instead of one step per block; the chain's block-level aggregates are
-// recovered at settle time by re-walking it once per distinct chain.
+// instead of one step per block.
 type superStep struct {
 	cycles int64   // summed Cycles of the chain's n blocks
 	insns  int64   // summed Insns of the chain's n blocks
@@ -639,26 +638,16 @@ const (
 	StopSyscall
 )
 
-// Counters accumulates dynamic execution statistics in a Walker.
+// Counters accumulates dynamic execution statistics in a Walker. The
+// function, category and memory-access profiles are the decoder's to
+// rebuild from the trace (decode.Result), so the walker keeps none.
 type Counters struct {
 	// Cycles and Insns are totals over all executed blocks.
 	Cycles int64
 	Insns  int64
-	// Branches counts PT-visible control transfers.
+	// Branches counts PT-visible control transfers: exactly the events
+	// RunBatch hands its sink.
 	Branches int64
-	// CondBranches counts TNT-bit events within Branches.
-	CondBranches int64
-	// IndirectBranches counts TIP events within Branches.
-	IndirectBranches int64
-	// Syscalls counts syscall instructions executed.
-	Syscalls int64
-	// FuncEntries counts entries per function index (function occurrence
-	// histogram, the input to Wall's weight-matching accuracy metric).
-	FuncEntries map[int32]int64
-	// MemOps accumulates the Figure 22 access counts.
-	MemOps [NumMemClasses][4]int64
-	// CatHits counts executed blocks per function category.
-	CatHits [NumCategories]int64
 }
 
 // BranchSink receives batches of branch events in execution order,
@@ -701,16 +690,6 @@ func (p *TNTPack) Slice(pos, k int) uint64 {
 	return v & (1<<uint(k) - 1)
 }
 
-// funcSink adapts a per-event callback to the batch interface for the
-// per-event Walker.Run signature; it has no use for the pack.
-type funcSink func(BranchEvent)
-
-func (f funcSink) EmitBranches(evs []BranchEvent, _ *TNTPack) {
-	for i := range evs {
-		f(evs[i])
-	}
-}
-
 // branchBatchSize is the walker's emission batch: big enough to amortize
 // the per-batch sink dispatch and the tracer's per-batch setup over many
 // events, small enough (4 KiB of events) to stay cache-resident.
@@ -724,10 +703,8 @@ type Walker struct {
 	rng   *xrand.Rand
 	cur   BlockID
 	stack []BlockID
-	// Count holds the running dynamic statistics. Cycles, Insns and the
-	// event counters (Branches, Syscalls, ...) are live after every
-	// Run/RunBatch; the per-block aggregates (MemOps, CatHits,
-	// FuncEntries) are deferred across runs and folded in by settleCounters.
+	// Count holds the running dynamic statistics, live after every
+	// RunBatch.
 	Count Counters
 
 	// batch is the pending emission buffer; events accumulate here and are
@@ -736,19 +713,6 @@ type Walker struct {
 	batch    [branchBatchSize]BranchEvent
 	batchLen int
 	tnt      TNTPack
-	// visits/touched and funcVisits/funcTouched defer the per-block and
-	// per-function-entry charging of one run: the hot loop records one
-	// counter increment per block, and settleCounters multiplies out the
-	// per-block costs once per distinct block instead of once per visit.
-	// chainVisits/chainTouched do the same per fused chain (superStep):
-	// the fast path records one increment per chain execution, and settle
-	// re-walks each distinct chain once to charge its member blocks.
-	visits       []int64
-	touched      []BlockID
-	funcVisits   []int64
-	funcTouched  []int32
-	chainVisits  []int64
-	chainTouched []BlockID
 }
 
 // maxCallDepth bounds the simulated call stack; deeper direct recursion
@@ -767,38 +731,20 @@ func NewWalker(p *Program, rng *xrand.Rand) *Walker {
 // CurrentAddr returns the address of the next block to execute.
 func (w *Walker) CurrentAddr() uint64 { return w.prog.Blocks[w.cur].Addr }
 
-// Run executes blocks until the cycle budget is consumed or a syscall
-// instruction is reached, whichever comes first. Each control transfer is
-// passed to emit (which may be nil for counting-only runs). It returns the
+// RunBatch executes blocks until the cycle budget is consumed or a
+// syscall instruction is reached, whichever comes first. It returns the
 // cycles actually consumed, the stop reason, and — for StopSyscall — the
-// syscall class of the trapping block.
+// syscall class of the trapping block. The cycle accounting is inclusive:
+// the block containing the syscall is fully executed (and charged) before
+// the walker stops.
 //
-// The cycle accounting is inclusive: the block containing the syscall is
-// fully executed (and charged) before the walker stops.
-//
-// Run is the per-event compatibility wrapper over RunBatch; emit receives
-// the same events in the same order, delivered batch by batch.
-func (w *Walker) Run(budget int64, emit func(BranchEvent)) (used int64, reason StopReason, syscallClass uint8) {
-	if emit == nil {
-		return w.RunBatch(budget, nil)
-	}
-	return w.RunBatch(budget, funcSink(emit))
-}
-
-// RunBatch is the batched fast path of Run: control-transfer events
-// accumulate in a fixed-size internal batch and are handed to sink
-// branchBatchSize at a time (and once more at segment end), so the hot
-// loop pays one dynamic dispatch per batch instead of one closure call
-// per event. sink may be nil for counting-only runs. Cycles, Insns and
-// the event counters are live when RunBatch returns; the per-block
-// aggregates stay deferred until settleCounters.
+// Control-transfer events accumulate in a fixed-size internal batch and
+// are handed to sink branchBatchSize at a time (and once more at segment
+// end), so the hot loop pays one dynamic dispatch per batch instead of
+// one call per event. sink may be nil for counting-only runs; the walk,
+// and Count, are the same either way.
 func (w *Walker) RunBatch(budget int64, sink BranchSink) (used int64, reason StopReason, syscallClass uint8) {
 	p := w.prog
-	if w.visits == nil {
-		w.visits = make([]int64, len(p.Blocks))
-		w.funcVisits = make([]int64, len(p.Funcs))
-		w.chainVisits = make([]int64, len(p.Blocks))
-	}
 	sup := p.superSteps()
 	totals := p.targetTotals()
 	blocks := p.Blocks
@@ -812,10 +758,6 @@ func (w *Walker) RunBatch(budget int64, sink BranchSink) (used int64, reason Sto
 			// may overshoot the budget, exactly as a single block may).
 			used += st.cycles
 			insns += st.insns
-			if w.chainVisits[id] == 0 {
-				w.chainTouched = append(w.chainTouched, id)
-			}
-			w.chainVisits[id]++
 			if st.end == NoBlock {
 				w.cur = st.next
 				continue
@@ -827,10 +769,6 @@ func (w *Walker) RunBatch(budget int64, sink BranchSink) (used int64, reason Sto
 			b := &blocks[id]
 			used += int64(b.Cycles)
 			insns += int64(b.Insns)
-			if w.visits[id] == 0 {
-				w.touched = append(w.touched, id)
-			}
-			w.visits[id]++
 			switch b.Term {
 			case TermFall:
 				w.cur = b.Fall
@@ -842,55 +780,30 @@ func (w *Walker) RunBatch(budget int64, sink BranchSink) (used int64, reason Sto
 		}
 		b := &blocks[id]
 
+		// The switch picks the successor; every terminator that reaches
+		// the tail is a PT-visible event, counted and emitted there.
 		var next BlockID
+		taken := false
 		switch b.Term {
 		case TermCond:
-			taken := w.rng.Bool(float64(b.TakenProb))
-			w.Count.Branches++
-			w.Count.CondBranches++
+			taken = w.rng.Bool(float64(b.TakenProb))
+			next = b.Fall
 			if taken {
 				next = b.Taken
-			} else {
-				next = b.Fall
-			}
-			if sink != nil {
-				w.pushEvent(sink, BranchEvent{
-					Block: id, Target: next,
-					From: p.endAddr(id), To: blocks[next].Addr,
-					Kind: TermCond, Taken: taken,
-				})
 			}
 		case TermIndirectJump:
 			next = w.pickTarget(b, totals[id])
-			w.Count.Branches++
-			w.Count.IndirectBranches++
-			if sink != nil {
-				w.pushEvent(sink, BranchEvent{
-					Block: id, Target: next,
-					From: p.endAddr(id), To: blocks[next].Addr,
-					Kind: TermIndirectJump,
-				})
-			}
 		case TermCall:
-			next = b.Taken
+			// A direct call produces no packet: the decoder follows it.
 			if len(w.stack) < maxCallDepth {
 				w.stack = append(w.stack, b.Fall)
 			}
-			w.noteEntry(next)
+			w.cur = b.Taken
+			continue
 		case TermIndirectCall:
 			next = w.pickTarget(b, totals[id])
-			w.Count.Branches++
-			w.Count.IndirectBranches++
 			if len(w.stack) < maxCallDepth {
 				w.stack = append(w.stack, b.Fall)
-			}
-			w.noteEntry(next)
-			if sink != nil {
-				w.pushEvent(sink, BranchEvent{
-					Block: id, Target: next,
-					From: p.endAddr(id), To: blocks[next].Addr,
-					Kind: TermIndirectCall,
-				})
 			}
 		case TermReturn:
 			if n := len(w.stack); n > 0 {
@@ -901,17 +814,7 @@ func (w *Walker) RunBatch(budget int64, sink BranchSink) (used int64, reason Sto
 				// long-running service's event loop does.
 				next = p.Entry
 			}
-			w.Count.Branches++
-			w.Count.IndirectBranches++
-			if sink != nil {
-				w.pushEvent(sink, BranchEvent{
-					Block: id, Target: next,
-					From: p.endAddr(id), To: blocks[next].Addr,
-					Kind: TermReturn,
-				})
-			}
 		case TermSyscall:
-			w.Count.Syscalls++
 			w.cur = b.Fall
 			w.Count.Cycles += used
 			w.Count.Insns += insns
@@ -919,6 +822,14 @@ func (w *Walker) RunBatch(budget int64, sink BranchSink) (used int64, reason Sto
 			return used, StopSyscall, b.SyscallClass
 		default:
 			panic(fmt.Sprintf("binary: bad terminator %d in %q", b.Term, p.Name))
+		}
+		w.Count.Branches++
+		if sink != nil {
+			w.pushEvent(sink, BranchEvent{
+				Block: id, Target: next,
+				From: p.endAddr(id), To: blocks[next].Addr,
+				Kind: b.Term, Taken: taken,
+			})
 		}
 		w.cur = next
 	}
@@ -952,80 +863,11 @@ func (w *Walker) flushBatch(sink BranchSink) {
 }
 
 // finishRun flushes the pending event batch; every RunBatch exit path
-// goes through it. Deferred aggregates are left pending — short segments
-// re-touch the same working set, so settling per simulation
-// rather than per segment charges each distinct block once, not once per
-// timeslice.
+// goes through it.
 func (w *Walker) finishRun(sink BranchSink) {
 	if w.batchLen > 0 {
 		w.flushBatch(sink)
 	}
-}
-
-// settleCounters multiplies the accumulated per-block visit counts into
-// the cumulative counters and resets the pending sets.
-func (w *Walker) settleCounters() {
-	p := w.prog
-	for _, id := range w.touched {
-		n := w.visits[id]
-		w.visits[id] = 0
-		w.chargeBlock(&p.Blocks[id], n)
-	}
-	w.touched = w.touched[:0]
-	if len(w.chainTouched) > 0 {
-		sup := p.superSteps()
-		for _, id := range w.chainTouched {
-			n := w.chainVisits[id]
-			w.chainVisits[id] = 0
-			st := &sup[id]
-			cur := id
-			for k := int32(0); ; k++ {
-				b := &p.Blocks[cur]
-				w.chargeBlock(b, n)
-				if k+1 == st.n {
-					break
-				}
-				if b.Term == TermJump {
-					cur = b.Taken
-				} else {
-					cur = b.Fall
-				}
-			}
-		}
-		w.chainTouched = w.chainTouched[:0]
-	}
-	if len(w.funcTouched) > 0 {
-		if w.Count.FuncEntries == nil {
-			w.Count.FuncEntries = make(map[int32]int64)
-		}
-		for _, fn := range w.funcTouched {
-			w.Count.FuncEntries[fn] += w.funcVisits[fn]
-			w.funcVisits[fn] = 0
-		}
-		w.funcTouched = w.funcTouched[:0]
-	}
-}
-
-// chargeBlock folds n visits of one block into the aggregate counters.
-func (w *Walker) chargeBlock(b *Block, n int64) {
-	w.Count.CatHits[w.prog.Funcs[b.Func].Category] += n
-	for cls := 0; cls < NumMemClasses; cls++ {
-		for wd := 0; wd < 4; wd++ {
-			if v := b.MemOps[cls][wd]; v != 0 {
-				w.Count.MemOps[cls][wd] += n * int64(v)
-			}
-		}
-	}
-}
-
-// noteEntry records a function entry in the occurrence histogram
-// (deferred; settleCounters folds it into Count.FuncEntries).
-func (w *Walker) noteEntry(target BlockID) {
-	fn := w.prog.Blocks[target].Func
-	if w.funcVisits[fn] == 0 {
-		w.funcTouched = append(w.funcTouched, fn)
-	}
-	w.funcVisits[fn]++
 }
 
 // targetTotals returns (building once) each block's summed TargetW,

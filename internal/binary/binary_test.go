@@ -1,6 +1,7 @@
 package binary
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -66,36 +67,132 @@ func TestBlockAt(t *testing.T) {
 	}
 }
 
+// eventLog is a BranchSink that keeps a copy of every event.
+type eventLog struct{ evs []BranchEvent }
+
+func (l *eventLog) EmitBranches(evs []BranchEvent, _ *TNTPack) { l.evs = append(l.evs, evs...) }
+
+// eventFunc is a BranchSink that calls f once per event.
+type eventFunc func(BranchEvent)
+
+func (f eventFunc) EmitBranches(evs []BranchEvent, _ *TNTPack) {
+	for _, e := range evs {
+		f(e)
+	}
+}
+
+// TestWalkerDeterminism checks that one seed is one walk: two traced runs
+// emit the same events, Count.Branches counts exactly the events the sink
+// received, and an untraced run (nil sink) ends in the same state as a
+// traced one, so the scheduler may install a sink only when something
+// listens.
 func TestWalkerDeterminism(t *testing.T) {
 	p := testProgram(t, 4)
-	run := func() []BranchEvent {
+	run := func(sink BranchSink) *Walker {
 		w := NewWalker(p, xrand.New(99))
-		var evs []BranchEvent
 		for i := 0; i < 50; i++ {
-			w.Run(10_000, func(e BranchEvent) { evs = append(evs, e) })
+			w.RunBatch(10_000, sink)
 		}
-		return evs
+		return w
 	}
-	a, b := run(), run()
-	if len(a) != len(b) {
-		t.Fatalf("walker runs differ in length: %d vs %d", len(a), len(b))
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("walker event %d differs: %+v vs %+v", i, a[i], b[i])
-		}
-	}
-	if len(a) == 0 {
+	var a, b eventLog
+	wa := run(&a)
+	run(&b)
+	if len(a.evs) == 0 {
 		t.Fatal("walker produced no branch events")
+	}
+	if !slices.Equal(a.evs, b.evs) {
+		t.Fatalf("traced runs differ: %d vs %d events", len(a.evs), len(b.evs))
+	}
+	if wa.Count.Branches != int64(len(a.evs)) {
+		t.Fatalf("Count.Branches = %d, sink received %d events", wa.Count.Branches, len(a.evs))
+	}
+
+	wn := run(nil)
+	if wn.cur != wa.cur || wn.Count != wa.Count || !slices.Equal(wn.stack, wa.stack) {
+		t.Fatalf("untraced walk ends at block %d %+v, traced at %d %+v", wn.cur, wn.Count, wa.cur, wa.Count)
+	}
+	var na, nn eventLog
+	wa.RunBatch(10_000, &na)
+	wn.RunBatch(10_000, &nn)
+	if len(na.evs) == 0 || !slices.Equal(na.evs, nn.evs) {
+		t.Fatalf("next events after traced and untraced walks differ: %d vs %d", len(na.evs), len(nn.evs))
+	}
+}
+
+// packChecker is a BranchSink that checks every batch against the pack
+// contract: a non-empty batch of at most branchBatchSize events whose
+// pack holds exactly its conditionals' directions, in order, and no
+// stale bits past them.
+type packChecker struct {
+	t               *testing.T
+	batches, events int
+	full            int // batches of exactly branchBatchSize events
+}
+
+func (c *packChecker) EmitBranches(evs []BranchEvent, tnt *TNTPack) {
+	if len(evs) == 0 || len(evs) > branchBatchSize {
+		c.t.Fatalf("batch %d holds %d events, want 1..%d", c.batches, len(evs), branchBatchSize)
+	}
+	k := 0
+	for i, e := range evs {
+		if e.Kind != TermCond {
+			continue
+		}
+		if bit := tnt.Bits[k>>6]>>(uint(k)&63)&1 == 1; bit != e.Taken {
+			c.t.Fatalf("batch %d: pack bit %d = %v, event %d (conditional %d) Taken = %v",
+				c.batches, k, bit, i, k, e.Taken)
+		}
+		k++
+	}
+	if tnt.N != k {
+		c.t.Fatalf("batch %d: pack N = %d, batch has %d conditionals", c.batches, tnt.N, k)
+	}
+	for b := k; b < len(tnt.Bits)*64; b++ {
+		if tnt.Bits[b>>6]>>(uint(b)&63)&1 != 0 {
+			c.t.Fatalf("batch %d: stale pack bit %d set past N = %d", c.batches, b, k)
+		}
+	}
+	c.batches++
+	c.events += len(evs)
+	if len(evs) == branchBatchSize {
+		c.full++
+	}
+}
+
+// TestWalkerPackContract checks the walker's own batches and packs, over
+// budgets that end segments both mid-batch and across several full
+// batches, on a syscall-heavy program so segments also end at syscalls.
+func TestWalkerPackContract(t *testing.T) {
+	spec := DefaultSpec("pack", 13)
+	spec.SyscallFrac = 0.05
+	p := Synthesize(spec)
+	w := NewWalker(p, xrand.New(7))
+	c := &packChecker{t: t}
+	stops := 0
+	for i := 0; i < 200; i++ {
+		budget := int64(500)
+		if i%4 == 0 {
+			budget = 200_000
+		}
+		if _, reason, _ := w.RunBatch(budget, c); reason == StopSyscall {
+			stops++
+		}
+	}
+	if c.full == 0 || c.batches == c.full || stops == 0 {
+		t.Fatalf("walk did not cover full batches, partial batches and syscall stops: %d full of %d, %d syscall stops",
+			c.full, c.batches, stops)
+	}
+	if w.Count.Branches != int64(c.events) {
+		t.Fatalf("Count.Branches = %d, sink received %d events", w.Count.Branches, c.events)
 	}
 }
 
 func TestWalkerEventsFollowCFG(t *testing.T) {
 	p := testProgram(t, 5)
 	w := NewWalker(p, xrand.New(1))
-	prev := w.cur
 	seen := 0
-	emit := func(e BranchEvent) {
+	emit := eventFunc(func(e BranchEvent) {
 		seen++
 		b := &p.Blocks[e.Block]
 		switch e.Kind {
@@ -121,11 +218,10 @@ func TestWalkerEventsFollowCFG(t *testing.T) {
 		if e.To != p.Blocks[e.Target].Addr {
 			t.Fatalf("event To=%#x but target block addr=%#x", e.To, p.Blocks[e.Target].Addr)
 		}
-	}
+	})
 	for i := 0; i < 20; i++ {
-		w.Run(5_000, emit)
+		w.RunBatch(5_000, emit)
 	}
-	_ = prev
 	if seen == 0 {
 		t.Fatal("no events observed")
 	}
@@ -136,7 +232,7 @@ func TestWalkerCycleAccounting(t *testing.T) {
 	w := NewWalker(p, xrand.New(2))
 	var total int64
 	for i := 0; i < 100; i++ {
-		used, reason, _ := w.Run(1_000, nil)
+		used, reason, _ := w.RunBatch(1_000, nil)
 		if used <= 0 {
 			t.Fatalf("run %d consumed %d cycles", i, used)
 		}
@@ -161,7 +257,7 @@ func TestWalkerSyscallStops(t *testing.T) {
 	w := NewWalker(p, xrand.New(3))
 	sawSyscall := false
 	for i := 0; i < 200 && !sawSyscall; i++ {
-		_, reason, class := w.Run(1_000_000, nil)
+		_, reason, class := w.RunBatch(1_000_000, nil)
 		if reason == StopSyscall {
 			sawSyscall = true
 			if class > 2 {
@@ -171,9 +267,6 @@ func TestWalkerSyscallStops(t *testing.T) {
 	}
 	if !sawSyscall {
 		t.Fatal("syscall-heavy program never reached a syscall")
-	}
-	if w.Count.Syscalls == 0 {
-		t.Fatal("syscall counter not incremented")
 	}
 }
 
@@ -251,23 +344,6 @@ func TestMemOpsPopulated(t *testing.T) {
 	}
 }
 
-func TestFuncEntriesHistogram(t *testing.T) {
-	p := testProgram(t, 11)
-	w := NewWalker(p, xrand.New(4))
-	for i := 0; i < 500; i++ {
-		w.Run(10_000, nil)
-	}
-	w.settleCounters()
-	if len(w.Count.FuncEntries) == 0 {
-		t.Fatal("no function entries recorded")
-	}
-	for fn, n := range w.Count.FuncEntries {
-		if fn < 0 || int(fn) >= len(p.Funcs) || n <= 0 {
-			t.Fatalf("bad histogram entry %d:%d", fn, n)
-		}
-	}
-}
-
 func TestValidateRejectsCorruption(t *testing.T) {
 	p := testProgram(t, 12)
 	// Find a conditional block and corrupt its successor.
@@ -312,14 +388,14 @@ func TestSynthesizeWalkProperty(t *testing.T) {
 		}
 		w := NewWalker(p, xrand.New(seed^0xabcdef))
 		ok := true
-		emit := func(e BranchEvent) {
+		emit := eventFunc(func(e BranchEvent) {
 			if e.Block < 0 || int(e.Block) >= len(p.Blocks) ||
 				e.Target < 0 || int(e.Target) >= len(p.Blocks) {
 				ok = false
 			}
-		}
+		})
 		for i := 0; i < int(steps%32)+1; i++ {
-			used, _, _ := w.Run(2_000, emit)
+			used, _, _ := w.RunBatch(2_000, emit)
 			if used <= 0 {
 				return false
 			}
@@ -336,16 +412,16 @@ func BenchmarkWalkerRun(b *testing.B) {
 	w := NewWalker(p, xrand.New(1))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		w.Run(10_000, nil)
+		w.RunBatch(10_000, nil)
 	}
 }
 
 func BenchmarkWalkerRunEmitting(b *testing.B) {
 	p := Synthesize(DefaultSpec("bench", 1))
 	w := NewWalker(p, xrand.New(1))
-	sink := func(BranchEvent) {}
+	sink := eventFunc(func(BranchEvent) {})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		w.Run(10_000, sink)
+		w.RunBatch(10_000, sink)
 	}
 }

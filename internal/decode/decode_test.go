@@ -181,12 +181,10 @@ func TestDecodeStreamStandalone(t *testing.T) {
 		t.Fatal(err)
 	}
 	w := binary.NewWalker(prog, xrand.New(5))
-	var want int
-	w.Run(20000, func(ev binary.BranchEvent) {
-		tr.OnBranch(1, ev)
-		want++
-	})
+	w.RunBatch(20000, tr)
 	tr.Flush()
+	// Count.Branches is exactly the number of events the tracer received.
+	want := int(w.Count.Branches)
 	res := DecodeStream(prog, nil, 0, tr.Output().Bytes())
 	if res.Events != int64(want) {
 		t.Fatalf("decoded %d events, walker emitted %d (errors: %v)", res.Events, want, res.Errors)
@@ -212,7 +210,7 @@ func TestWrappedRingDecode(t *testing.T) {
 	}
 	w := binary.NewWalker(prog, xrand.New(6))
 	for i := 0; i < 50; i++ {
-		w.Run(20000, func(ev binary.BranchEvent) { tr.OnBranch(simtime.Time(i), ev) })
+		w.RunBatch(20000, tr)
 	}
 	tr.Flush()
 	out := tr.Output()

@@ -54,9 +54,7 @@ func Session(prog *binary.Program, seed uint64, budget int64) *trace.Session {
 		tid := int32(1 + i%tids)
 		sess.Switches.Add(kernel.SwitchRecord{TS: now, CPU: 0, PID: 1, TID: tid, Op: kernel.OpIn})
 		tr.ContextSwitch(now, cr3, w.CurrentAddr())
-		n, _, _ := w.Run(slice, func(ev binary.BranchEvent) {
-			tr.OnBranch(now, ev)
-		})
+		n, _, _ := w.RunBatch(slice, tr)
 		used += n
 		now += simtime.Time(slice)
 		sess.Switches.Add(kernel.SwitchRecord{TS: now, CPU: 0, PID: 1, TID: tid, Op: kernel.OpOut})
@@ -86,10 +84,9 @@ func EncodeOnce(prog *binary.Program, seed uint64, budget int64) int64 {
 		panic(err)
 	}
 	w := binary.NewWalker(prog, xrand.Split(seed, "hotbench/encode"))
-	sink := tracerSink{tr: tr}
 	var used int64
 	for used < budget {
-		n, _, _ := w.RunBatch(budget-used, sink)
+		n, _, _ := w.RunBatch(budget-used, tr)
 		if n <= 0 {
 			break
 		}

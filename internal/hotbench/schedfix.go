@@ -10,15 +10,6 @@ import (
 	"exist/internal/xrand"
 )
 
-// tracerSink feeds walker batches straight into a tracer's staged
-// packet-generation path, as the scheduler's segment loop does.
-type tracerSink struct{ tr *ipt.Tracer }
-
-// EmitBranches implements binary.BranchSink.
-func (s tracerSink) EmitBranches(evs []binary.BranchEvent, tnt *binary.TNTPack) {
-	s.tr.OnBranchBatch(0, evs, tnt)
-}
-
 // Batch is one walker emission batch as the walker hands it to its sink:
 // the events plus their packed conditional directions.
 type Batch struct {
@@ -39,7 +30,7 @@ func (r *batchRecorder) EmitBranches(evs []binary.BranchEvent, tnt *binary.TNTPa
 func TracerHotOnce(tr *ipt.Tracer, batches []Batch) int64 {
 	before := tr.Stats.Bytes
 	for i := range batches {
-		tr.OnBranchBatch(0, batches[i].Evs, &batches[i].Pack)
+		tr.EmitBranches(batches[i].Evs, &batches[i].Pack)
 	}
 	tr.Flush()
 	return tr.Stats.Bytes - before

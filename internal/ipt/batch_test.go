@@ -62,12 +62,12 @@ func packOf(evs []binary.BranchEvent) *binary.TNTPack {
 	return &p
 }
 
-// feedBatches hands evs to OnBranchBatch in batches of size events, each
+// feedBatches hands evs to EmitBranches in batches of size events, each
 // with its pack, as the walker's emission does.
-func feedBatches(tr *Tracer, now simtime.Time, evs []binary.BranchEvent, size int) {
+func feedBatches(tr *Tracer, evs []binary.BranchEvent, size int) {
 	for i := 0; i < len(evs); i += size {
 		j := min(i+size, len(evs))
-		tr.OnBranchBatch(now, evs[i:j], packOf(evs[i:j]))
+		tr.EmitBranches(evs[i:j], packOf(evs[i:j]))
 	}
 }
 
@@ -85,10 +85,10 @@ func newBatchTestTracer(t *testing.T, out *ToPA, ctl uint64) *Tracer {
 }
 
 // TestOnBranchBatchEquivalence feeds the same event stream through the
-// per-event path and the batched staged-output path and requires identical
-// trace bytes, Stats, status bits, and ToPA accounting — including when the
-// stop-mode chain overflows mid-stream, where the stored/dropped split must
-// land on the same byte.
+// per-event reference (OnBranch) and the batched staged-output path
+// (EmitBranches) and requires identical trace bytes, Stats, status bits,
+// and ToPA accounting — including when the stop-mode chain overflows
+// mid-stream, where the stored/dropped split must land on the same byte.
 func TestOnBranchBatchEquivalence(t *testing.T) {
 	mixed := syntheticEvents(20_000)
 	cases := []struct {
@@ -118,7 +118,7 @@ func TestOnBranchBatchEquivalence(t *testing.T) {
 			for i := range tc.evs {
 				ref.OnBranch(0, tc.evs[i])
 			}
-			feedBatches(got, 0, tc.evs, tc.batch)
+			feedBatches(got, tc.evs, tc.batch)
 			ref.Flush()
 			got.Flush()
 			if ref.Stats != got.Stats {
@@ -194,8 +194,8 @@ func TestOnBranchBatchInterleavedControl(t *testing.T) {
 			ref.OnBranch(now, chunk[i])
 		}
 	})
-	drive(got, func(now simtime.Time, chunk []binary.BranchEvent) {
-		feedBatches(got, now, chunk, 128)
+	drive(got, func(_ simtime.Time, chunk []binary.BranchEvent) {
+		feedBatches(got, chunk, 128)
 	})
 	ref.Flush()
 	got.Flush()

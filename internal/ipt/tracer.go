@@ -54,7 +54,7 @@ type Tracer struct {
 	psbLeft int
 	scratch []byte
 
-	// Staged-output state, live only inside OnBranchBatch: packets are
+	// Staged-output state, live only inside EmitBranches: packets are
 	// encoded into chunk and flushed to the ToPA in stageFlushBytes
 	// pieces, with stageAvail mirroring the buffer's remaining acceptance
 	// so status/stat bookkeeping matches the per-packet path exactly.
@@ -196,9 +196,10 @@ func (t *Tracer) refreshContext() {
 	}
 }
 
-// OnBranch feeds one retired control transfer to the tracer. This is the
-// hardware fast path: when disabled or filtered out it does nothing; when
-// the output buffer has stopped it counts the loss.
+// OnBranch feeds one retired control transfer to the tracer: when
+// disabled or filtered out it does nothing; when the output buffer has
+// stopped it counts the loss. It is the per-event reference that tests
+// hold EmitBranches to; only tests call it.
 func (t *Tracer) OnBranch(now simtime.Time, ev binary.BranchEvent) {
 	if !t.Enabled() || t.ctl&CtlBranchEn == 0 {
 		return
@@ -230,8 +231,9 @@ func (t *Tracer) OnBranch(now simtime.Time, ev binary.BranchEvent) {
 	t.emitTIP(PktTIP, ev.To)
 }
 
-// OnBranchBatch feeds a batch of retired control transfers to the tracer:
-// the amortized path the walker's batched emission drives. pack holds the
+// EmitBranches feeds a batch of retired control transfers to the tracer.
+// It implements binary.BranchSink, so a walker hands the tracer its
+// batches directly, and it is the one batched encode entry. pack holds the
 // batch's conditional directions bit-packed in event order (bit i is the
 // i-th TermCond event's direction), so runs of conditionals are consumed
 // six directions at a time straight into TNT packets. It is byte- and
@@ -243,7 +245,7 @@ func (t *Tracer) OnBranch(now simtime.Time, ev binary.BranchEvent) {
 // Stats attribution, and status bits land on exactly the byte the
 // per-packet path would produce. No staged bytes survive the call: between
 // calls the tracer and its ToPA are in the same state as ever.
-func (t *Tracer) OnBranchBatch(now simtime.Time, evs []binary.BranchEvent, pack *binary.TNTPack) {
+func (t *Tracer) EmitBranches(evs []binary.BranchEvent, pack *binary.TNTPack) {
 	if !t.Enabled() || t.ctl&CtlBranchEn == 0 {
 		return
 	}

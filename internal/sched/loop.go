@@ -23,7 +23,7 @@ type branchEmitter struct {
 // conditional directions straight from the walker's TNT pack.
 func (e *branchEmitter) EmitBranches(evs []binary.BranchEvent, tnt *binary.TNTPack) {
 	if e.tracerOn {
-		e.tracer.OnBranchBatch(e.now, evs, tnt)
+		e.tracer.EmitBranches(evs, tnt)
 	}
 	if e.listener != nil {
 		for i := range evs {
